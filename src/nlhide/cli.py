@@ -142,7 +142,7 @@ def _report_lines(report: HidingReport) -> list[str]:
             f"{pivot_cmp} {_fmt(report.threshold)}"
         )
     if report.admissible is True:
-        folds = "out of search range" if report.min_folds is None else report.min_folds
+        folds = "none (bound does not decay)" if report.min_folds is None else report.min_folds
         lines.append(f"admissible: yes (min folds for epsilon {report.epsilon:g}: {folds})")
     elif report.admissible is False:
         lines.append("admissible: no")

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .ensembles import Ensemble
+from .ensembles import Ensemble, _matrix_to_pairs
 from .partitions import Bipartition, all_bipartitions
 from .tensor import (
     ContractViolationError,
@@ -108,10 +108,7 @@ class DiscriminationResult:
             "certificate_min_eigs": list(self.certificate_min_eigs),
         }
         if include_povm:
-            out["povm"] = [
-                [[[float(z.real), float(z.imag)] for z in row] for row in el.matrix]
-                for el in self.povm.elements
-            ]
+            out["povm"] = [_matrix_to_pairs(el.matrix) for el in self.povm.elements]
         return out
 
 

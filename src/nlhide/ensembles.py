@@ -170,7 +170,8 @@ def pairwise_overlaps(e: Ensemble) -> np.ndarray:
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            val = abs(np.trace(e.states[i].matrix @ e.states[j].matrix))
+            # Tr(AB) = sum_kl A_kl B_lk: O(dim**2) instead of a full product.
+            val = abs(np.sum(e.states[i].matrix * e.states[j].matrix.T))
             out[i, j] = out[j, i] = val
     return out
 
@@ -332,20 +333,29 @@ def parity_block_size_condition(params: ParityBlockParams) -> SizeCondition:
 _REQUIRED_KEYS = ("parties", "slot_dims", "party_of_slot", "probs", "states")
 
 
+def _matrix_to_pairs(matrix: np.ndarray) -> list:
+    """Complex matrix as nested lists with each entry an ``[re, im]`` pair."""
+    return np.stack([matrix.real, matrix.imag], -1).tolist()
+
+
+def _pairs_to_matrix(raw) -> np.ndarray:
+    """Inverse of :func:`_matrix_to_pairs`; rejects anything but (rows, cols, 2) numbers."""
+    pairs = np.array(raw)
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValueError(f"state must be rows of [re, im] number pairs, got {pairs.dtype} "
+                         f"array of shape {pairs.shape}")
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
+
+
 def to_document(e: Ensemble) -> dict:
     """Schema: parties, slot_dims, party_of_slot (indices), probs, states."""
     party_index = {label: k for k, label in enumerate(e.parties.labels)}
-    states = []
-    for state in e.states:
-        states.append(
-            [[[float(z.real), float(z.imag)] for z in row] for row in state.matrix]
-        )
     return {
         "parties": list(e.parties.labels),
         "slot_dims": list(e.slots.slot_dims),
         "party_of_slot": [party_index[p] for p in e.slots.party_of_slot],
         "probs": list(e.probs),
-        "states": states,
+        "states": [_matrix_to_pairs(state.matrix) for state in e.states],
     }
 
 
@@ -367,13 +377,7 @@ def from_document(doc: dict) -> Ensemble:
         owners = tuple(parties.labels[int(k)] for k in doc["party_of_slot"])
         slots = SlotStructure(slot_dims, owners)
         probs = tuple(float(x) for x in doc["probs"])
-        states = []
-        for raw in doc["states"]:
-            mat = np.array(
-                [[complex(entry[0], entry[1]) for entry in row] for row in raw],
-                dtype=np.complex128,
-            )
-            states.append(MultiPartyOperator(mat, slots))
+        states = [MultiPartyOperator(_pairs_to_matrix(m), slots) for m in doc["states"]]
         ensemble = Ensemble(parties, probs, tuple(states))
     except InvalidEnsembleError:
         raise
@@ -386,12 +390,13 @@ def from_document(doc: dict) -> Ensemble:
 
 
 def save_ensemble(e: Ensemble, sink: str | IO[str]) -> None:
-    doc = to_document(e)
+    # json.dumps runs the C encoder; json.dump would use the pure-Python one.
+    text = json.dumps(to_document(e), sort_keys=True, separators=(",", ":"))
     if isinstance(sink, str):
         with open(sink, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
+            handle.write(text)
     else:
-        json.dump(doc, sink, sort_keys=True, separators=(",", ":"))
+        sink.write(text)
 
 
 def load_ensemble(source: str | IO[str]) -> Ensemble:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import chi2 as _chi2
@@ -28,7 +29,7 @@ from .discrimination import (
     DEFAULT_SOLVER_TOL,
     max_bipartition_bound,
 )
-from .ensembles import Ensemble, is_orthogonal, max_pairwise_overlap
+from .ensembles import ORTHOGONALITY_TOL, Ensemble, max_pairwise_overlap
 from .folding import FoldSpec, coarse_ensemble, fold_bound, fold_probs, mod_sum
 from .partitions import all_partitions, coarser_bipartitions
 from .tensor import (
@@ -39,7 +40,6 @@ from .tensor import (
 )
 
 NEGLIGIBLE_CLASS_PROB = 1e-12
-_MAX_FOLD_SEARCH = 100_000
 
 
 class HidingError(ValueError):
@@ -55,7 +55,8 @@ class HidingReport:
     threshold.  ``q_values`` are dual upper bounds keyed by the canonical
     bipartition string; ``q_exact`` marks values obtained from the dominance
     certificate (exact, gap zero).  ``min_folds`` is the fold count reaching
-    ``1/n + epsilon``, or ``None`` when inadmissible or out of search range.
+    ``1/n + epsilon``; it is ``None`` unless ``admissible`` is ``True``, and
+    also when ``n * max_q - 1`` rounds to 1 so the bound cannot decay.
     """
 
     n: int
@@ -75,10 +76,9 @@ class HidingReport:
     epsilon: float
     bound_curve: tuple[float, ...]
     min_folds: int | None
-    lower_bounds: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "n": self.n,
             "threshold": self.threshold,
             "orthogonal": self.orthogonal,
@@ -97,21 +97,25 @@ class HidingReport:
             "bound_curve": list(self.bound_curve),
             "min_folds": self.min_folds,
         }
-        if self.lower_bounds:
-            out["lower_bounds"] = dict(self.lower_bounds)
-        return out
 
 
 def _fold_count_for(n: int, max_q: float, epsilon: float) -> int:
+    """Smallest L >= 1 with ``fold_bound(n, max_q, L) - 1/n <= epsilon``: the log of
+    ``(n-1)/n * (n*max_q - 1)**L <= epsilon``, then settled on that float test."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     floor = 1.0 / n
-    for L in range(1, _MAX_FOLD_SEARCH + 1):
-        if fold_bound(n, max_q, L) - floor <= epsilon:
-            return L
-    raise HidingError(
-        f"bound did not reach 1/n + {epsilon} within {_MAX_FOLD_SEARCH} folds"
-    )
+    rate = n * max_q - 1.0
+    if not rate < 1.0:  # also NaN
+        raise HidingError(f"bound {max_q} is not below 2/{n}, so it never decays")
+    L = 1
+    if rate > 0.0 and epsilon * n < n - 1.0:
+        L = max(1, math.ceil(math.log(epsilon * n / (n - 1.0)) / math.log(rate)))
+    while L > 1 and fold_bound(n, max_q, L - 1) - floor <= epsilon:
+        L -= 1
+    while fold_bound(n, max_q, L) - floor > epsilon:
+        L += 1
+    return L
 
 
 def _admissibility_verdict(
@@ -143,7 +147,6 @@ def check_hiding(
     tol: float = DEFAULT_SOLVER_TOL,
     epsilon: float = 1e-6,
     curve_lmax: int = 20,
-    lower_bounds: Mapping[str, float] | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> HidingReport:
     """Decide whether an ensemble can back the hiding scheme.
@@ -153,8 +156,8 @@ def check_hiding(
     certificates are tried before the solver, so GHZ-style families are
     decided exactly without iteration.
     """
-    orthogonal = is_orthogonal(e)
     overlap = max_pairwise_overlap(e)
+    orthogonal = overlap <= ORTHOGONALITY_TOL
     scan = max_bipartition_bound(e, tol=tol, max_iterations=max_iterations)
     n = e.n
     threshold = 2.0 / n
@@ -181,7 +184,7 @@ def check_hiding(
         try:
             folds = _fold_count_for(n, curve_q, epsilon)
         except HidingError:
-            folds = None  # bound decays too slowly to size within the search cap
+            folds = None  # n * max_q - 1 rounds to 1: the bound cannot decay
 
     return HidingReport(
         n=n,
@@ -201,7 +204,6 @@ def check_hiding(
         epsilon=epsilon,
         bound_curve=curve,
         min_folds=folds,
-        lower_bounds=dict(lower_bounds or {}),
     )
 
 
@@ -470,7 +472,6 @@ def coalition_report(
     tol: float = DEFAULT_SOLVER_TOL,
     report: HidingReport | None = None,
     force: bool = False,
-    max_parties: int = 6,
 ) -> list[CoalitionRow]:
     """Guessing bound per nontrivial coalition partition after ``L`` folds.
 
@@ -480,12 +481,9 @@ def coalition_report(
     coarse class probability) and reported as such.  The trivial partition is
     the recovery side and excluded.
     """
-    if len(e.parties) > max_parties:
-        raise ValueError(
-            f"coalition table limited to {max_parties} parties, got {len(e.parties)}"
-        )
     if L < 1:
         raise ValueError(f"fold count must be >= 1, got {L}")
+    partitions = all_partitions(e.parties)  # before any report: too many parties fail fast
     if report is None:
         report = check_hiding(e, tol=tol)
     if report.admissible is not True and not force:
@@ -495,7 +493,7 @@ def coalition_report(
     exact_value = float(np.max(fold_probs(e.probs, e.n, L))) if exact_mode else None
 
     rows: list[CoalitionRow] = []
-    for partition in all_partitions(e.parties):
+    for partition in partitions:
         if partition.is_trivial:
             continue
         if exact_mode:

@@ -236,8 +236,8 @@ def hermitian_eigensystem(op: MultiPartyOperator) -> tuple[np.ndarray, np.ndarra
 
 def hermitian_eigenvalues(op: MultiPartyOperator) -> np.ndarray:
     """All real eigenvalues of a Hermitian operator in nondecreasing order."""
-    vals, _ = hermitian_eigensystem(op)
-    return vals
+    _require_hermitian(op)
+    return np.linalg.eigvalsh(hermitian_part(op.matrix))
 
 
 class PsdCheck(NamedTuple):

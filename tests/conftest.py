@@ -1,11 +1,20 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from nlhide import ParityBlockParams, ghz_complement_ensemble, parity_block_ensemble
+from nlhide import (
+    Ensemble,
+    MultiPartyOperator,
+    ParityBlockParams,
+    PartySet,
+    SlotStructure,
+    ghz_complement_ensemble,
+    parity_block_ensemble,
+)
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +40,13 @@ def parity2222():
 @pytest.fixture(scope="session")
 def parity2212():
     return parity_block_ensemble(ParityBlockParams(2, 2, 1, 2))
+
+
+@pytest.fixture(scope="session")
+def eleven_parties():
+    # One qubit for A1 and trivial slots for A2..A11: past the partition guard of 10.
+    slots = SlotStructure((2,) + (1,) * 10, tuple(f"A{k}" for k in range(1, 12)))
+    states = tuple(
+        MultiPartyOperator(np.diag(d).astype(complex), slots) for d in ([1.0, 0.0], [0.0, 1.0])
+    )
+    return Ensemble(PartySet.of_size(11), (0.5, 0.5), states)

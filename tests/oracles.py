@@ -3,8 +3,8 @@
 Everything here deliberately avoids the code paths it checks: partitions are
 enumerated recursively instead of via growth strings, partial transposition
 walks indices entry by entry, eigenvalues come from a small cyclic Jacobi
-sweep rather than LAPACK, and fold distributions are enumerated over all
-index vectors.
+sweep rather than LAPACK, fold distributions are enumerated over all
+index vectors, and fold counts are found by a step-by-step search.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import itertools
 import math
 
 import numpy as np
+
+from nlhide.folding import fold_bound
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +155,18 @@ def brute_force_fold_probs(probs, n: int, L: int) -> np.ndarray:
             weight *= probs[c]
         out[sum(choice) % n] += weight
     return out
+
+
+def fold_count_by_search(n: int, q: float, epsilon: float, max_folds: int = 100_000):
+    """Smallest ``L <= max_folds`` with ``fold_bound(n, q, L) - 1/n <= epsilon``.
+
+    Walks ``L`` upward one step at a time; ``None`` when no such ``L`` exists.
+    """
+    floor = 1.0 / n
+    for L in range(1, max_folds + 1):
+        if fold_bound(n, q, L) - floor <= epsilon:
+            return L
+    return None
 
 
 def dft_fold_probs(probs, n: int, L: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nlhide import load_ensemble
+from nlhide import load_ensemble, save_ensemble
 from nlhide.cli import main
 
 
@@ -256,3 +256,10 @@ class TestCoalitionCommand:
     def test_inadmissible_exits_one(self, runner, parity2212_file):
         result = runner.invoke(main, ["coalition", str(parity2212_file), "--L", "2"])
         assert result.exit_code == 1
+
+    def test_too_many_parties_exits_two(self, runner, tmp_path, eleven_parties):
+        path = tmp_path / "eleven.json"
+        save_ensemble(eleven_parties, str(path))
+        result = runner.invoke(main, ["coalition", str(path), "--L", "1", "--force"])
+        assert result.exit_code == 2
+        assert "11 parties" in result.output

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -363,3 +364,7 @@ class TestCertificateConsistency:
         }
         with_povm = result.to_dict(include_povm=True)
         assert len(with_povm["povm"]) == 2
+        # Same [re, im] encoding as ensemble files, entry by entry.
+        for encoded, el in zip(with_povm["povm"], result.povm.elements):
+            want = [[[float(z.real), float(z.imag)] for z in row] for row in el.matrix]
+            assert json.dumps(encoded) == json.dumps(want)

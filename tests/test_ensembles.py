@@ -31,7 +31,9 @@ from nlhide import (
     tensor_power,
     validate,
 )
-from nlhide.ensembles import to_document
+from nlhide.ensembles import pairwise_overlaps, to_document
+
+from oracles import random_density
 
 
 def qubit_pair_state(vec):
@@ -109,6 +111,18 @@ class TestIsOrthogonal:
 
     def test_parity_family(self, parity2222):
         assert is_orthogonal(parity2222)
+
+
+class TestPairwiseOverlaps:
+    def test_matches_trace_of_product_on_random_states(self):
+        rng = np.random.default_rng(17)
+        slots = SlotStructure((2, 3), ("A1", "A2"))
+        states = tuple(MultiPartyOperator(random_density(rng, 6), slots) for _ in range(4))
+        e = Ensemble(PartySet.of_size(2), (0.25,) * 4, states)
+        got = pairwise_overlaps(e)
+        for i, j in itertools.product(range(4), repeat=2):
+            want = 0.0 if i == j else abs(np.trace(states[i].matrix @ states[j].matrix))
+            assert got[i, j] == pytest.approx(want, abs=1e-14)
 
 
 class TestGhzState:
@@ -352,3 +366,45 @@ class TestPersistence:
         del doc["probs"]
         with pytest.raises(InvalidEnsembleError):
             load_ensemble(io.StringIO(json.dumps(doc)))
+
+    def test_saved_bytes_match_fixture(self):
+        slots = SlotStructure((2, 1), ("A1", "A2"))
+        first = np.array(
+            [[2 / 3, complex(-0.0, 1e-300)], [complex(-0.0, -1e-300), 1 / 3]]
+        )
+        second = np.diag([0.1, 0.9]).astype(complex)
+        e = Ensemble(
+            PartySet.of_size(2), (0.5, 0.5),
+            (MultiPartyOperator(first, slots), MultiPartyOperator(second, slots)),
+        )
+        buffer = io.StringIO()
+        save_ensemble(e, buffer)
+        assert buffer.getvalue() == (
+            '{"parties":["A1","A2"],"party_of_slot":[0,1],"probs":[0.5,0.5],'
+            '"slot_dims":[2,1],"states":['
+            '[[[0.6666666666666666,0.0],[-0.0,1e-300]],'
+            '[[-0.0,-1e-300],[0.3333333333333333,0.0]]],'
+            '[[[0.1,0.0],[0.0,0.0]],[[0.0,0.0],[0.9,0.0]]]]}'
+        )
+        buffer.seek(0)
+        loaded = load_ensemble(buffer)
+        for a, b in zip(loaded.states, e.states):
+            assert a.matrix.tobytes() == b.matrix.tobytes()  # -0.0 and 1e-300 survive
+
+    @pytest.mark.parametrize(
+        "entry_00,row_1",
+        [
+            (["0.5", 0.0], None),  # string entry
+            ([0.5, 0.0, 0.0], None),  # triple instead of a pair
+            ([0.5, 0.0], [[0.0, 0.0]]),  # ragged: second row too short
+        ],
+        ids=["string", "triple", "ragged"],
+    )
+    def test_rejects_malformed_entries(self, ghz22, entry_00, row_1):
+        doc = to_document(ghz22)
+        doc["states"][0][0][0] = entry_00
+        if row_1 is not None:
+            doc["states"][0][1] = row_1
+        with pytest.raises(InvalidEnsembleError) as excinfo:
+            load_ensemble(io.StringIO(json.dumps(doc)))
+        assert [c.name for c in excinfo.value.diagnostics.failures] == ["schema"]

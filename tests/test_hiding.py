@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from nlhide import (
     Ensemble,
@@ -16,15 +18,19 @@ from nlhide import (
     coalition_report,
     coarse_ensemble,
     direct_encode,
+    fold_bound,
     fold_probs,
+    ghz_complement_ensemble,
     min_folds,
     run_protocol,
     sampling_crosscheck,
     transcripts_to_jsonl,
 )
 
+from nlhide import hiding
+from nlhide.hiding import _admissibility_verdict, _fold_count_for
 
-from nlhide.hiding import _admissibility_verdict
+from oracles import bell_number, fold_count_by_search
 
 
 def overlapping_pair():
@@ -138,11 +144,6 @@ class TestCheckHiding:
         assert not report.q_certified["A1|A2"]
         assert report.admissible is False  # the starved POVM already beats 2/n
 
-    def test_lower_bounds_recorded(self, ghz22):
-        report = check_hiding(ghz22, lower_bounds={"computational": 0.75})
-        assert report.lower_bounds == {"computational": 0.75}
-        assert report.to_dict()["lower_bounds"] == {"computational": 0.75}
-
 
 class TestMinFolds:
     def test_tight_epsilon(self, ghz22):
@@ -165,6 +166,31 @@ class TestMinFolds:
     def test_epsilon_validation(self, ghz22):
         with pytest.raises(ValueError):
             min_folds(ghz22, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 16),
+        frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        epsilon=st.floats(1e-12, 0.5),
+    )
+    @example(n=2, frac=0.999, epsilon=1e-6)  # about 13.8k folds
+    @example(n=16, frac=1e-9, epsilon=1e-12)  # rate near zero: one fold
+    @example(n=3, frac=0.5, epsilon=0.5)
+    def test_closed_form_matches_search(self, n, frac, epsilon):
+        q = (1.0 + frac) / n
+        assume(1.0 / n < q < 2.0 / n)
+        want = fold_count_by_search(n, q, epsilon)
+        assume(want is not None)
+        assert _fold_count_for(n, q, epsilon) == want
+
+    def test_slow_decay_is_sized_beyond_the_old_search_range(self):
+        q = (2.0 - 1e-6) / 2  # rate 1 - 1e-6: about 1.4e7 folds, past a 1e5-step search
+        L = _fold_count_for(2, q, 1e-6)
+        assert fold_bound(2, q, L) - 0.5 <= 1e-6 < fold_bound(2, q, L - 1) - 0.5
+
+    def test_rate_rounding_to_one_raises(self):
+        with pytest.raises(HidingError):
+            _fold_count_for(2, 1.0, 1e-6)
 
 
 class TestSchemeConfig:
@@ -309,13 +335,18 @@ class TestCoalitionReport:
         rows = coalition_report(parity2212, 2, force=True)
         assert len(rows) == 1
 
-    def test_party_guard(self):
-        slots = SlotStructure((2,) * 7, tuple(f"A{k}" for k in range(1, 8)))
-        state0 = MultiPartyOperator(np.diag([1.0] + [0.0] * 127).astype(complex), slots)
-        state1 = MultiPartyOperator(np.diag([0.0, 1.0] + [0.0] * 126).astype(complex), slots)
-        e = Ensemble(PartySet.of_size(7), (0.5, 0.5), (state0, state1))
+    def test_party_guard(self, eleven_parties, monkeypatch):
+        def no_report(*args, **kwargs):
+            raise AssertionError("check_hiding ran before the party guard")
+
+        monkeypatch.setattr(hiding, "check_hiding", no_report)
         with pytest.raises(ValueError, match="parties"):
-            coalition_report(e, 1, force=True)
+            coalition_report(eleven_parties, 1, force=True)
+
+    def test_seven_party_table(self):
+        rows = coalition_report(ghz_complement_ensemble(2, 7), 1)
+        assert len(rows) == bell_number(7) - 1 == 876
+        assert all(row.kind == "exact" for row in rows)
 
 
 class TestSamplingCrosscheck:

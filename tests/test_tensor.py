@@ -7,6 +7,7 @@ from nlhide import (
     MultiPartyOperator,
     SlotStructure,
     ghz_state,
+    hermitian_eigensystem,
     hermitian_eigenvalues,
     identity,
     is_psd,
@@ -162,6 +163,27 @@ class TestHermitianEigenvalues:
             got = hermitian_eigenvalues(op)
             want = jacobi_eigenvalues(mat)
             np.testing.assert_allclose(got, want, atol=1e-10 * (1 + np.max(np.abs(mat))))
+
+    def test_agrees_with_eigensystem_on_random_spectra(self):
+        rng = np.random.default_rng(5)
+        for dim, dims in [(4, (2, 2)), (12, (3, 4)), (64, (8, 8))]:
+            op = two_party_op(random_hermitian(rng, dim), dims=dims)
+            scale = 1.0 + np.max(np.abs(op.matrix))
+            np.testing.assert_allclose(
+                hermitian_eigenvalues(op), hermitian_eigensystem(op)[0],
+                rtol=0, atol=1e-12 * scale,
+            )
+
+    @pytest.mark.parametrize("d,m,side", [(2, 3, {"A1"}), (2, 5, {"A1", "A3"}), (3, 3, {"A2"})])
+    def test_agrees_with_eigensystem_on_degenerate_spectra(self, d, m, side):
+        # The partially transposed GHZ projector has eigenvalues 1/d, 0 and -1/d,
+        # each highly degenerate.
+        op = partial_transpose(ghz_state(d, m), side)
+        scale = 1.0 + np.max(np.abs(op.matrix))
+        np.testing.assert_allclose(
+            hermitian_eigenvalues(op), hermitian_eigensystem(op)[0],
+            rtol=0, atol=1e-12 * scale,
+        )
 
 
 class TestIsPsd:
