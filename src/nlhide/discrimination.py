@@ -114,7 +114,7 @@ class DiscriminationResult:
 
 def _validate_inputs(
     weights: Sequence[float], ops: Sequence[MultiPartyOperator]
-) -> tuple[np.ndarray, list[np.ndarray], SlotStructure]:
+) -> tuple[np.ndarray, np.ndarray, SlotStructure]:
     if len(weights) != len(ops):
         raise ValueError(f"{len(weights)} weights but {len(ops)} operators")
     if len(ops) < 2:
@@ -128,46 +128,39 @@ def _validate_inputs(
             raise ValueError(f"operator {k} has a different slot structure")
         if not is_hermitian(op):
             raise ContractViolationError(f"operator {k} is not Hermitian")
-    mats = [hermitian_part(op.matrix) for op in ops]
+    mats = hermitian_part(np.stack([op.matrix for op in ops]))
     return w, mats, slots
 
 
-def _min_eig(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(hermitian_part(mat))[0])
-
-
 def _certificate(
-    w: np.ndarray, mats: Sequence[np.ndarray], povm_mats: Sequence[np.ndarray]
+    w: np.ndarray, mats: np.ndarray, povm_mats: np.ndarray
 ) -> tuple[float, float, tuple[float, ...]]:
     """Primal value, feasible dual value, and per-member optimality residuals.
 
-    The dual operator is the Hermitian part of ``sum_j w_j A_j M_j`` lifted by
+    ``mats`` and ``povm_mats`` are stacked ``(n, dim, dim)`` arrays.  The dual
+    operator is the Hermitian part of ``sum_j w_j A_j M_j`` lifted by
     ``max(0, -min residual)`` times the identity, which is feasible by
-    construction; its trace is primal plus lift times dimension.
+    construction; its trace is primal plus lift times dimension.  All ``n``
+    residuals come from one batched eigenvalue solve.
     """
-    dim = mats[0].shape[0]
-    primal = float(
-        sum(w[i] * np.trace(mats[i] @ povm_mats[i]).real for i in range(len(mats)))
-    )
-    weighted_avg = hermitian_part(
-        sum(w[i] * (mats[i] @ povm_mats[i]) for i in range(len(mats)))
-    )
-    residuals = tuple(_min_eig(weighted_avg - w[i] * mats[i]) for i in range(len(mats)))
+    am = mats @ povm_mats
+    primal = float(w @ np.trace(am, axis1=1, axis2=2).real)
+    weighted_avg = hermitian_part(np.tensordot(w, am, axes=1))
+    diffs = hermitian_part(weighted_avg - w[:, None, None] * mats)
+    residuals = tuple(float(r) for r in np.linalg.eigvalsh(diffs)[:, 0])
     lift = max(0.0, -min(residuals))
-    dual = primal + lift * dim
+    dual = primal + lift * mats.shape[-1]
     return primal, dual, residuals
 
 
-def _closed_form_two(
-    w: np.ndarray, mats: Sequence[np.ndarray]
-) -> tuple[list[np.ndarray], int]:
+def _closed_form_two(w: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, int]:
     delta = hermitian_part(w[0] * mats[0] - w[1] * mats[1])
     vals, vecs = np.linalg.eigh(delta)
     positive = vals > 0
     m0 = (vecs[:, positive]) @ (vecs[:, positive]).conj().T
     m0 = hermitian_part(m0)
     m1 = np.eye(delta.shape[0], dtype=np.complex128) - m0
-    return [m0, m1], 1
+    return np.stack([m0, m1]), 1
 
 
 def _pinv_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -179,47 +172,41 @@ def _pinv_sqrt(mat: np.ndarray) -> np.ndarray:
 
 def _fixed_point_iteration(
     w: np.ndarray,
-    mats: Sequence[np.ndarray],
+    mats: np.ndarray,
     tol: float,
     max_iterations: int,
-) -> tuple[list[np.ndarray], int, bool]:
+) -> tuple[np.ndarray, int, bool]:
     """Damped fixed-point POVM iteration on shifted-PSD weighted operators.
 
     Shifting every ``w_i A_i`` by ``c = max_i |min eig(w_i A_i)|`` makes the
     problem an unnormalized discrimination instance with the same maximizer;
-    the update ``M_i <- S G_i M_i G_i S`` with ``S = Lambda^{-1/2}`` preserves
-    positivity and completeness.  Deterministic: uniform start, damping 0.5
-    engaged once the primal value first plateaus.
+    the update ``M_i <- S G_i M_i G_i S`` with ``S = Lambda^{-1/2}`` and
+    ``Lambda = sum_i G_i M_i G_i`` preserves positivity and completeness.  All
+    members move together as stacked ``(n, dim, dim)`` arrays, and each
+    ``G_i M_i G_i`` is formed once per step.  Deterministic: uniform start,
+    damping 0.5 engaged once the primal value first plateaus.
     """
-    n = len(mats)
-    dim = mats[0].shape[0]
-    weighted = [w[i] * mats[i] for i in range(n)]
-    shift = max(abs(_min_eig(g)) for g in weighted)
+    n, dim = mats.shape[0], mats.shape[-1]
+    weighted = w[:, None, None] * mats
+    shift = float(np.max(np.abs(np.linalg.eigvalsh(weighted)[:, 0])))
     eye = np.eye(dim, dtype=np.complex128)
-    shifted = [g + shift * eye for g in weighted]
+    shifted = weighted + shift * eye
 
-    povm = [eye / n for _ in range(n)]
+    povm = np.broadcast_to(eye / n, mats.shape).copy()
     damping = 1.0
     prev_primal = -np.inf
     best_gap = np.inf
-    best_povm = [p.copy() for p in povm]
+    best_povm = povm
     best_iter = 0
 
     for it in range(1, max_iterations + 1):
-        lam = hermitian_part(sum(g @ m @ g for g, m in zip(shifted, povm)))
-        smooth = _pinv_sqrt(lam)
-        updated = [
-            hermitian_part(smooth @ g @ m @ g @ smooth)
-            for g, m in zip(shifted, povm)
-        ]
-        # Redistribute any completeness defect (kernel of lam carries no weight).
-        defect = eye - sum(updated)
-        updated = [m + defect / n for m in updated]
+        sandwiched = shifted @ povm @ shifted
+        smooth = _pinv_sqrt(sandwiched.sum(axis=0))
+        updated = hermitian_part(smooth @ sandwiched @ smooth)
+        # Redistribute any completeness defect (the kernel of Lambda carries no weight).
+        updated += (eye - updated.sum(axis=0)) / n
         if damping < 1.0:
-            povm = [
-                (1.0 - damping) * old + damping * new
-                for old, new in zip(povm, updated)
-            ]
+            povm = (1.0 - damping) * povm + damping * updated
         else:
             povm = updated
 
@@ -227,9 +214,8 @@ def _fixed_point_iteration(
             primal, dual, _ = _certificate(w, mats, povm)
             gap = dual - primal
             if gap < best_gap:
-                best_gap = gap
-                best_povm = [p.copy() for p in povm]
-                best_iter = it
+                # povm is rebound, never written in place, so no copy is needed.
+                best_gap, best_povm, best_iter = gap, povm, it
             if gap <= tol:
                 return best_povm, it, True
             if primal <= prev_primal + 1e-15:
@@ -241,9 +227,9 @@ def _fixed_point_iteration(
 
 def _package(
     w: np.ndarray,
-    mats: Sequence[np.ndarray],
+    mats: np.ndarray,
     slots: SlotStructure,
-    povm_mats: Sequence[np.ndarray],
+    povm_mats: np.ndarray,
     iterations: int,
     method: str,
     tol: float,
@@ -348,8 +334,8 @@ def check_povm_optimality(
         raise ValueError("POVM slot structure does not match the ensemble")
     gammas = _transposed_states(e, x)
     w = np.asarray(e.probs)
-    mats = [g.matrix for g in gammas]
-    povm_mats = [el.matrix for el in povm.elements]
+    mats = np.stack([g.matrix for g in gammas])
+    povm_mats = np.stack([el.matrix for el in povm.elements])
     _, _, residuals = _certificate(w, mats, povm_mats)
     return OptimalityCheck(all(r >= -tol for r in residuals), residuals)
 

@@ -196,7 +196,8 @@ def partial_transpose(op: MultiPartyOperator, side: Iterable[str]) -> MultiParty
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
-    return (matrix + matrix.conj().T) / 2.0
+    """``(A + A^dagger) / 2``; on a stack, of each matrix in it."""
+    return (matrix + matrix.conj().swapaxes(-1, -2)) / 2.0
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:

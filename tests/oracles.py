@@ -4,17 +4,21 @@ Everything here deliberately avoids the code paths it checks: partitions are
 enumerated recursively instead of via growth strings, partial transposition
 walks indices entry by entry, eigenvalues come from a small cyclic Jacobi
 sweep rather than LAPACK, fold distributions are enumerated over all
-index vectors, and fold counts are found by a step-by-step search.
+index vectors, fold counts are found by a step-by-step search, and the
+fixed-point solver runs member by member over Python lists.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
+from nlhide.discrimination import _CHECK_EVERY, _pinv_sqrt
 from nlhide.folding import fold_bound
+from nlhide.tensor import hermitian_part
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +208,105 @@ def dual_feasibility_margin(dual_op: np.ndarray, weights, mats) -> float:
 
 
 # ---------------------------------------------------------------------------
+# fixed-point solver, one member at a time
+# ---------------------------------------------------------------------------
+
+# The list-based solver that the stacked ``(n, dim, dim)`` implementation in
+# ``nlhide.discrimination`` replaced, kept unchanged as its differential
+# reference: one Python-level matrix product chain and one eigensolve per
+# member.  It shares only ``_pinv_sqrt``, ``_CHECK_EVERY`` and
+# ``hermitian_part`` with the code under test.
+
+
+def _min_eig(mat: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(hermitian_part(mat))[0])
+
+
+def certificate_by_members(
+    w: np.ndarray, mats: Sequence[np.ndarray], povm_mats: Sequence[np.ndarray]
+) -> tuple[float, float, tuple[float, ...]]:
+    """Primal value, feasible dual value, and per-member optimality residuals.
+
+    The dual operator is the Hermitian part of ``sum_j w_j A_j M_j`` lifted by
+    ``max(0, -min residual)`` times the identity, which is feasible by
+    construction; its trace is primal plus lift times dimension.
+    """
+    dim = mats[0].shape[0]
+    primal = float(
+        sum(w[i] * np.trace(mats[i] @ povm_mats[i]).real for i in range(len(mats)))
+    )
+    weighted_avg = hermitian_part(
+        sum(w[i] * (mats[i] @ povm_mats[i]) for i in range(len(mats)))
+    )
+    residuals = tuple(_min_eig(weighted_avg - w[i] * mats[i]) for i in range(len(mats)))
+    lift = max(0.0, -min(residuals))
+    dual = primal + lift * dim
+    return primal, dual, residuals
+
+
+def fixed_point_by_members(
+    w: np.ndarray,
+    mats: Sequence[np.ndarray],
+    tol: float,
+    max_iterations: int,
+) -> tuple[list[np.ndarray], int, bool]:
+    """Damped fixed-point POVM iteration on shifted-PSD weighted operators.
+
+    Shifting every ``w_i A_i`` by ``c = max_i |min eig(w_i A_i)|`` makes the
+    problem an unnormalized discrimination instance with the same maximizer;
+    the update ``M_i <- S G_i M_i G_i S`` with ``S = Lambda^{-1/2}`` preserves
+    positivity and completeness.  Deterministic: uniform start, damping 0.5
+    engaged once the primal value first plateaus.
+    """
+    n = len(mats)
+    dim = mats[0].shape[0]
+    weighted = [w[i] * mats[i] for i in range(n)]
+    shift = max(abs(_min_eig(g)) for g in weighted)
+    eye = np.eye(dim, dtype=np.complex128)
+    shifted = [g + shift * eye for g in weighted]
+
+    povm = [eye / n for _ in range(n)]
+    damping = 1.0
+    prev_primal = -np.inf
+    best_gap = np.inf
+    best_povm = [p.copy() for p in povm]
+    best_iter = 0
+
+    for it in range(1, max_iterations + 1):
+        lam = hermitian_part(sum(g @ m @ g for g, m in zip(shifted, povm)))
+        smooth = _pinv_sqrt(lam)
+        updated = [
+            hermitian_part(smooth @ g @ m @ g @ smooth)
+            for g, m in zip(shifted, povm)
+        ]
+        # Redistribute any completeness defect (kernel of lam carries no weight).
+        defect = eye - sum(updated)
+        updated = [m + defect / n for m in updated]
+        if damping < 1.0:
+            povm = [
+                (1.0 - damping) * old + damping * new
+                for old, new in zip(povm, updated)
+            ]
+        else:
+            povm = updated
+
+        if it % _CHECK_EVERY == 0 or it == max_iterations:
+            primal, dual, _ = certificate_by_members(w, mats, povm)
+            gap = dual - primal
+            if gap < best_gap:
+                best_gap = gap
+                best_povm = [p.copy() for p in povm]
+                best_iter = it
+            if gap <= tol:
+                return best_povm, it, True
+            if primal <= prev_primal + 1e-15:
+                damping = 0.5
+            prev_primal = primal
+
+    return best_povm, best_iter, False
+
+
+# ---------------------------------------------------------------------------
 # random inputs
 # ---------------------------------------------------------------------------
 
@@ -216,3 +319,12 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def random_povm(rng: np.random.Generator, n: int, dim: int) -> list[np.ndarray]:
+    """``Lambda^{-1/2} B_i Lambda^{-1/2}`` for random PSD ``B_i``, ``Lambda = sum B_i``."""
+    factors = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(n)]
+    parts = [g @ g.conj().T for g in factors]
+    vals, vecs = np.linalg.eigh(sum(parts))
+    smooth = (vecs * vals ** -0.5) @ vecs.conj().T
+    return [smooth @ b @ smooth for b in parts]

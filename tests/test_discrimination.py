@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlhide import (
     Bipartition,
@@ -26,7 +28,18 @@ from nlhide import (
     zero,
 )
 
-from oracles import dual_feasibility_margin, povm_value, random_density
+from nlhide.discrimination import _certificate, _fixed_point_iteration
+from nlhide.tensor import hermitian_part
+
+from oracles import (
+    certificate_by_members,
+    dual_feasibility_margin,
+    fixed_point_by_members,
+    povm_value,
+    random_density,
+    random_hermitian,
+    random_povm,
+)
 
 QUBIT = SlotStructure((2,), ("A1",))
 PAIR = SlotStructure((2, 2), ("A1", "A2"))
@@ -368,3 +381,51 @@ class TestCertificateConsistency:
         for encoded, el in zip(with_povm["povm"], result.povm.elements):
             want = [[[float(z.real), float(z.imag)] for z in row] for row in el.matrix]
             assert json.dumps(encoded) == json.dumps(want)
+
+
+class TestStackedSolver:
+    """The stacked solver against the member-by-member loop it replaced."""
+
+    @pytest.mark.parametrize("max_iterations", [100_000, 10, 37])
+    @pytest.mark.parametrize("dim", [4, 9, 16])
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_matches_member_loop(self, n, dim, max_iterations):
+        # These instances certify after 50 to 625 steps, so the budgets of 10
+        # and 37 run out; both end off the check grid, on the last-step branch.
+        rng = np.random.default_rng([0, n, dim])
+        mats = np.stack([random_density(rng, dim) for _ in range(n)])
+        w = rng.dirichlet(np.ones(n))
+        want_povm, want_iter, want_ok = fixed_point_by_members(
+            w, list(mats), 1e-8, max_iterations
+        )
+        povm, iterations, ok = _fixed_point_iteration(w, mats, 1e-8, max_iterations)
+        assert (iterations, ok) == (want_iter, want_ok)
+        assert ok == (max_iterations == 100_000)
+        primal, dual, residuals = _certificate(w, mats, povm)
+        want_primal, want_dual, want_residuals = certificate_by_members(
+            w, list(mats), want_povm
+        )
+        assert abs(primal - want_primal) <= 1e-12
+        assert abs(dual - want_dual) <= 1e-12
+        assert np.max(np.abs(np.subtract(residuals, want_residuals))) <= 1e-12
+        assert np.max(np.abs(povm - np.stack(want_povm))) <= 1e-10
+
+
+class TestWeakDuality:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), dim=st.integers(1, 6))
+    def test_dual_bounds_every_feasible_povm(self, seed, n, dim):
+        # The dual certified from one POVM P bounds the value of any other
+        # POVM Q, because the lifted operator behind it is dual feasible.
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(n))
+        mats = np.stack([random_hermitian(rng, dim) for _ in range(n)])
+        p = np.stack(random_povm(rng, n, dim))
+        q = random_povm(rng, n, dim)
+        _, dual, residuals = _certificate(w, mats, p)
+        assert dual >= povm_value(w, mats, q) - 1e-10
+        lift = max(0.0, -min(residuals))
+        dual_op = hermitian_part(sum(wi * (a @ m) for wi, a, m in zip(w, mats, p)))
+        dual_op = dual_op + lift * np.eye(dim)
+        assert np.trace(dual_op).real == pytest.approx(dual, abs=1e-10)
+        assert dual_feasibility_margin(dual_op, w, mats) >= -1e-10

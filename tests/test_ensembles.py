@@ -73,6 +73,21 @@ class TestValidate:
         assert diagnostics.passed
         assert not diagnostics.warnings
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: parity_block_ensemble(ParityBlockParams(2, 2, 2, 2)),
+            lambda: ghz_complement_ensemble(2, 6),
+        ],
+        ids=["parity-2222", "ghz-2-6"],
+    )
+    def test_round_off_negative_eigenvalues_do_not_warn(self, build):
+        # Their smallest eigenvalues are exact zeros that LAPACK may return
+        # about 1e-17 below zero; that is round-off, not file noise.
+        diagnostics = validate(build())
+        assert diagnostics.passed
+        assert not diagnostics.warnings
+
     def test_probability_sum_failure(self):
         e = two_state(KET0, KET1, probs=(0.6, 0.5))
         diagnostics = validate(e)
