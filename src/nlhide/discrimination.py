@@ -175,7 +175,7 @@ def _fixed_point_iteration(
     mats: np.ndarray,
     tol: float,
     max_iterations: int,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int, bool, tuple[float, float, tuple[float, ...]]]:
     """Damped fixed-point POVM iteration on shifted-PSD weighted operators.
 
     Shifting every ``w_i A_i`` by ``c = max_i |min eig(w_i A_i)|`` makes the
@@ -184,7 +184,9 @@ def _fixed_point_iteration(
     ``Lambda = sum_i G_i M_i G_i`` preserves positivity and completeness.  All
     members move together as stacked ``(n, dim, dim)`` arrays, and each
     ``G_i M_i G_i`` is formed once per step.  Deterministic: uniform start,
-    damping 0.5 engaged once the primal value first plateaus.
+    damping 0.5 engaged once the primal value first plateaus.  Returns the best
+    POVM with its iteration, whether it is certified, and its certificate
+    ``(primal, dual, residuals)``.
     """
     n, dim = mats.shape[0], mats.shape[-1]
     weighted = w[:, None, None] * mats
@@ -198,6 +200,7 @@ def _fixed_point_iteration(
     best_gap = np.inf
     best_povm = povm
     best_iter = 0
+    best_cert = None
 
     for it in range(1, max_iterations + 1):
         sandwiched = shifted @ povm @ shifted
@@ -211,43 +214,19 @@ def _fixed_point_iteration(
             povm = updated
 
         if it % _CHECK_EVERY == 0 or it == max_iterations:
-            primal, dual, _ = _certificate(w, mats, povm)
+            cert = _certificate(w, mats, povm)
+            primal, dual, _ = cert
             gap = dual - primal
             if gap < best_gap:
                 # povm is rebound, never written in place, so no copy is needed.
-                best_gap, best_povm, best_iter = gap, povm, it
+                best_gap, best_povm, best_iter, best_cert = gap, povm, it, cert
             if gap <= tol:
-                return best_povm, it, True
+                return best_povm, it, True, best_cert
             if primal <= prev_primal + 1e-15:
                 damping = 0.5
             prev_primal = primal
 
-    return best_povm, best_iter, False
-
-
-def _package(
-    w: np.ndarray,
-    mats: np.ndarray,
-    slots: SlotStructure,
-    povm_mats: np.ndarray,
-    iterations: int,
-    method: str,
-    tol: float,
-    converged_hint: bool,
-) -> DiscriminationResult:
-    primal, dual, residuals = _certificate(w, mats, povm_mats)
-    gap = dual - primal
-    povm = Povm(tuple(MultiPartyOperator(m, slots) for m in povm_mats))
-    return DiscriminationResult(
-        primal_value=primal,
-        dual_value=dual,
-        gap=gap,
-        povm=povm,
-        certificate_min_eigs=residuals,
-        certified=bool(converged_hint and gap <= tol),
-        iterations=iterations,
-        method=method,
-    )
+    return best_povm, best_iter, False, best_cert or _certificate(w, mats, best_povm)
 
 
 def optimal_global(
@@ -273,15 +252,23 @@ def optimal_global(
         if len(mats) != 2:
             raise ValueError("the closed form applies to exactly two operators")
         povm_mats, iterations = _closed_form_two(w, mats)
-        return _package(w, mats, slots, povm_mats, iterations, "closed", tol, True)
-    if method == "iterative":
-        povm_mats, iterations, converged = _fixed_point_iteration(
+        converged, (primal, dual, residuals) = True, _certificate(w, mats, povm_mats)
+    elif method == "iterative":
+        povm_mats, iterations, converged, (primal, dual, residuals) = _fixed_point_iteration(
             w, mats, tol, max_iterations
         )
-        return _package(
-            w, mats, slots, povm_mats, iterations, "iterative", tol, converged
-        )
-    raise ValueError(f"unknown method {method!r}")
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return DiscriminationResult(
+        primal_value=primal,
+        dual_value=dual,
+        gap=dual - primal,
+        povm=Povm(tuple(MultiPartyOperator(m, slots) for m in povm_mats)),
+        certificate_min_eigs=residuals,
+        certified=bool(converged and dual - primal <= tol),
+        iterations=iterations,
+        method=method,
+    )
 
 
 def _transposed_states(e: Ensemble, x: Bipartition) -> list[MultiPartyOperator]:
@@ -361,11 +348,20 @@ def check_dominant_state(
     pivot, zero elsewhere) is optimal, so callers may skip the solver.  The
     pivot defaults to the heaviest member (lowest index on ties).
     """
+    return _dominance(e, _transposed_states(e, x), pivot, tol)
+
+
+def _dominance(
+    e: Ensemble,
+    gammas: Sequence[MultiPartyOperator],
+    pivot: int | None = None,
+    tol: float | None = None,
+) -> DominanceCheck:
+    """:func:`check_dominant_state` on states already transposed for the cut."""
     if pivot is None:
         pivot = int(np.argmax(e.probs))
     if not 0 <= pivot < e.n:
         raise ValueError(f"pivot {pivot} out of range for {e.n} states")
-    gammas = _transposed_states(e, x)
     lead = e.probs[pivot] * gammas[pivot].matrix
     out: list[float] = []
     ok = True
@@ -380,7 +376,7 @@ def check_dominant_state(
     return DominanceCheck(ok, tuple(out), pivot)
 
 
-def _dominance_result(e: Ensemble, x: Bipartition, check: DominanceCheck) -> DiscriminationResult:
+def _dominance_result(e: Ensemble, check: DominanceCheck) -> DiscriminationResult:
     # With a passing dominance certificate the optimum is the pivot weight
     # exactly; the all-or-nothing POVM below realizes it.
     elements = [zero(e.slots) for _ in range(e.n)]
@@ -410,28 +406,28 @@ class BipartitionScan(NamedTuple):
 def max_bipartition_bound(
     e: Ensemble,
     tol: float = DEFAULT_SOLVER_TOL,
-    use_dominance_shortcut: bool = True,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> BipartitionScan:
     """Largest partial-transpose bound over all bipartitions, with a table.
 
-    Per bipartition the dominance certificate is tried first (exact value,
-    no iteration); the solver runs only where it fails.  Solver exceptions
-    are collected per bipartition so a partial table is still returned.
+    Per bipartition the states are transposed once; the dominance certificate
+    is tried first (exact value, no iteration) and the solver runs only where
+    it fails.  Solver exceptions are collected per bipartition so a partial
+    table is still returned.
     """
     results: dict[str, DiscriminationResult] = {}
     failures: dict[str, str] = {}
     for bp in all_bipartitions(e.parties):
         key = bp.to_string()
         try:
-            result = None
-            if use_dominance_shortcut:
-                check = check_dominant_state(e, bp)
-                if check.passed:
-                    result = _dominance_result(e, bp, check)
-            if result is None:
-                result = q_upper(e, bp, tol=tol, max_iterations=max_iterations)
-            results[key] = result
+            gammas = _transposed_states(e, bp)
+            check = _dominance(e, gammas)
+            if check.passed:
+                results[key] = _dominance_result(e, check)
+            else:
+                results[key] = optimal_global(
+                    e.probs, gammas, tol=tol, max_iterations=max_iterations
+                )
         except (ValueError, np.linalg.LinAlgError) as exc:
             failures[key] = str(exc)
     if not results:

@@ -2,15 +2,15 @@
 
 Preparing ``L`` independent states from a base ensemble and keeping only the
 modulo-n sum of the chosen indices yields a coarse ensemble with the same
-member count: class probabilities are the L-fold cyclic convolution of the
-base priors, and class states are the normalized weighted sums of Kronecker
-products.  Closed-form curves quantify how fast restricted-measurement bounds
-decay in ``L``; probability-only paths never materialize large matrices.
+member count: class probabilities and class states are the L-fold cyclic
+convolutions of the base priors and of the weighted base states (states
+normalized), built fold by fold without enumerating ``n**L`` index vectors.
+Closed-form curves quantify how fast restricted-measurement bounds decay in
+``L``; probability-only paths never materialize large matrices.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,10 +84,12 @@ def fold_probs(probs: Sequence[float], n: int, L: int) -> np.ndarray:
 def coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:
     """Explicitly build the coarse ensemble of an L-fold preparation.
 
-    Class ``i`` collects every index vector with modulo-n sum ``i``; its state
-    is the probability-weighted average of the Kronecker products, and its
-    slot structure repeats the base slots ``L`` times with party labels kept,
-    so partial transposition over party bipartitions needs no index surgery.
+    Class ``i`` sums the weighted Kronecker products of every index vector
+    with modulo-n sum ``i``: ``S_1[k] = p_k rho_k`` and
+    ``S_l[i] = sum_j S_{l-1}[j] (x) S_1[(i-j) mod n]``, ``n**2 * (L-1)``
+    Kronecker products, normalized by :func:`fold_probs`.  The slot structure
+    repeats the base slots ``L`` times with party labels kept, so partial
+    transposition over party bipartitions needs no index surgery.
     """
     base = spec.base
     n, L = spec.n, spec.L
@@ -95,31 +97,32 @@ def coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:
         raise DimensionCapError(
             f"explicit fold dimension {spec.explicit_dim} exceeds the dimension cap {cap}"
         )
+    class_probs = tuple(float(p) for p in fold_probs(base.probs, n, L))
+    for i, prob in enumerate(class_probs):
+        if prob <= 1e-15:
+            raise DegenerateClassError(
+                f"coarse class {i} has probability {prob:.3e}; cannot normalize"
+            )
     slots = base.slots
     for _ in range(L - 1):
         slots = slots.concat(base.slots)
 
-    dim = spec.explicit_dim
-    class_sums = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(n)]
-    class_probs = [0.0] * n
-    for choice in itertools.product(range(n), repeat=L):
-        weight = 1.0
-        mat = np.array([[1.0]], dtype=np.complex128)
-        for c in choice:
-            weight *= base.probs[c]
-            mat = np.kron(mat, base.states[c].matrix)
-        label = mod_sum(choice, n)
-        class_probs[label] += weight
-        class_sums[label] += weight * mat
+    weighted = [p * s.matrix for p, s in zip(base.probs, base.states)]
+    class_sums = weighted
+    for _ in range(L - 1):
+        folded = []
+        for i in range(n):
+            acc = np.kron(class_sums[0], weighted[i])
+            for j in range(1, n):
+                acc += np.kron(class_sums[j], weighted[(i - j) % n])
+            folded.append(acc)
+        class_sums = folded
 
-    states: list[MultiPartyOperator] = []
-    for i in range(n):
-        if class_probs[i] <= 1e-15:
-            raise DegenerateClassError(
-                f"coarse class {i} has probability {class_probs[i]:.3e}; cannot normalize"
-            )
-        states.append(MultiPartyOperator(class_sums[i] / class_probs[i], slots))
-    return Ensemble(base.parties, tuple(class_probs), tuple(states))
+    states = tuple(
+        MultiPartyOperator(np.divide(total, prob, out=total), slots)
+        for total, prob in zip(class_sums, class_probs)
+    )
+    return Ensemble(base.parties, class_probs, states)
 
 
 def uniform_coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:

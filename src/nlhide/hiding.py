@@ -449,9 +449,8 @@ def direct_encode(
         raise ValueError(f"datum x={x} out of range 0..{n - 1}")
     coarse = coarse_ensemble(FoldSpec(cfg.ensemble, cfg.L), cap=cap)
     projectors = class_measurement(coarse)
-    probs = tuple(
-        float(np.trace(coarse.states[x].matrix @ proj).real) for proj in projectors
-    )
+    # Tr(rho P) = sum_kl rho_kl P_lk: O(dim**2) instead of a full product.
+    probs = tuple(float(np.sum(coarse.states[x].matrix * proj.T).real) for proj in projectors)
     ok = abs(probs[x] - 1.0) <= tol and all(
         p <= tol for j, p in enumerate(probs) if j != x
     )

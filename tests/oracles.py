@@ -3,9 +3,9 @@
 Everything here deliberately avoids the code paths it checks: partitions are
 enumerated recursively instead of via growth strings, partial transposition
 walks indices entry by entry, eigenvalues come from a small cyclic Jacobi
-sweep rather than LAPACK, fold distributions are enumerated over all
-index vectors, fold counts are found by a step-by-step search, and the
-fixed-point solver runs member by member over Python lists.
+sweep rather than LAPACK, fold distributions and coarse ensembles are
+enumerated over all index vectors, fold counts are found by a step-by-step
+search, and the fixed-point solver runs member by member over Python lists.
 """
 
 from __future__ import annotations
@@ -17,8 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from nlhide.discrimination import _CHECK_EVERY, _pinv_sqrt
-from nlhide.folding import fold_bound
-from nlhide.tensor import hermitian_part
+from nlhide.ensembles import Ensemble
+from nlhide.folding import DegenerateClassError, FoldSpec, fold_bound, mod_sum
+from nlhide.tensor import (
+    DEFAULT_DIM_CAP,
+    DimensionCapError,
+    MultiPartyOperator,
+    hermitian_part,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +165,49 @@ def brute_force_fold_probs(probs, n: int, L: int) -> np.ndarray:
             weight *= probs[c]
         out[sum(choice) % n] += weight
     return out
+
+
+# The n**L enumeration that the cyclic convolution in ``nlhide.folding``
+# replaced, kept unchanged as its differential reference.
+def coarse_by_enumeration(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:
+    """Explicitly build the coarse ensemble of an L-fold preparation.
+
+    Class ``i`` collects every index vector with modulo-n sum ``i``; its state
+    is the probability-weighted average of the Kronecker products, and its
+    slot structure repeats the base slots ``L`` times with party labels kept,
+    so partial transposition over party bipartitions needs no index surgery.
+    """
+    base = spec.base
+    n, L = spec.n, spec.L
+    if spec.explicit_dim > cap:
+        raise DimensionCapError(
+            f"explicit fold dimension {spec.explicit_dim} exceeds the dimension cap {cap}"
+        )
+    slots = base.slots
+    for _ in range(L - 1):
+        slots = slots.concat(base.slots)
+
+    dim = spec.explicit_dim
+    class_sums = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(n)]
+    class_probs = [0.0] * n
+    for choice in itertools.product(range(n), repeat=L):
+        weight = 1.0
+        mat = np.array([[1.0]], dtype=np.complex128)
+        for c in choice:
+            weight *= base.probs[c]
+            mat = np.kron(mat, base.states[c].matrix)
+        label = mod_sum(choice, n)
+        class_probs[label] += weight
+        class_sums[label] += weight * mat
+
+    states: list[MultiPartyOperator] = []
+    for i in range(n):
+        if class_probs[i] <= 1e-15:
+            raise DegenerateClassError(
+                f"coarse class {i} has probability {class_probs[i]:.3e}; cannot normalize"
+            )
+        states.append(MultiPartyOperator(class_sums[i] / class_probs[i], slots))
+    return Ensemble(base.parties, tuple(class_probs), tuple(states))
 
 
 def fold_count_by_search(n: int, q: float, epsilon: float, max_folds: int = 100_000):

@@ -28,6 +28,7 @@ from nlhide import (
     zero,
 )
 
+from nlhide import discrimination
 from nlhide.discrimination import _certificate, _fixed_point_iteration
 from nlhide.tensor import hermitian_part
 
@@ -119,6 +120,17 @@ class TestOptimalGlobal:
         assert not result.certified
         assert result.gap > 0
         assert result.dual_value >= result.primal_value
+
+    def test_zero_budget_certifies_the_uniform_start(self):
+        # No step runs, so no certificate comes out of the loop.
+        rng = np.random.default_rng(4)
+        states = [MultiPartyOperator(random_density(rng, 4), PAIR) for _ in range(3)]
+        result = optimal_global([1 / 3] * 3, states, max_iterations=0)
+        assert (result.iterations, result.certified) == (0, False)
+        assert result.primal_value == pytest.approx(1 / 3, abs=1e-14)
+        assert result.dual_value >= result.primal_value
+        for el in result.povm.elements:
+            assert np.array_equal(el.matrix, np.eye(4) / 3)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -267,10 +279,30 @@ class TestBipartitionScan:
         assert scan.max_value == pytest.approx(25 / 64, abs=1e-12)
         assert all(r.method == "dominance" for r in scan.results.values())
 
-    def test_shortcut_agrees_with_solver(self, ghz22):
-        fast = max_bipartition_bound(ghz22, use_dominance_shortcut=True)
-        slow = max_bipartition_bound(ghz22, use_dominance_shortcut=False)
-        assert fast.max_value == pytest.approx(slow.max_value, abs=1e-8)
+    def test_shortcut_agrees_with_solver(self, ghz22, ghz23):
+        for e in (ghz22, ghz23):
+            scan = max_bipartition_bound(e)
+            for bp in all_bipartitions(e.parties):
+                result = scan.results[bp.to_string()]
+                assert result.method == "dominance"
+                assert result.dual_value == pytest.approx(q_upper(e, bp).dual_value, abs=1e-8)
+
+    def test_one_transpose_per_state_and_cut(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        slots = SlotStructure((2, 2, 2), ("A1", "A2", "A3"))
+        states = tuple(MultiPartyOperator(random_density(rng, 8), slots) for _ in range(3))
+        e = Ensemble(PartySet.of_size(3), (0.5, 0.3, 0.2), states)
+        calls = []
+
+        def counting_transpose(op, side):
+            calls.append(side)
+            return partial_transpose(op, side)
+
+        monkeypatch.setattr(discrimination, "partial_transpose", counting_transpose)
+        scan = max_bipartition_bound(e)
+        # Dominance fails on every cut, so the solver reuses the transposed states.
+        assert [r.method for r in scan.results.values()] == ["iterative"] * 3
+        assert len(calls) == e.n * 3
 
 
 class TestGuessingFloor:
@@ -398,10 +430,14 @@ class TestStackedSolver:
         want_povm, want_iter, want_ok = fixed_point_by_members(
             w, list(mats), 1e-8, max_iterations
         )
-        povm, iterations, ok = _fixed_point_iteration(w, mats, 1e-8, max_iterations)
+        povm, iterations, ok, certificate = _fixed_point_iteration(
+            w, mats, 1e-8, max_iterations
+        )
         assert (iterations, ok) == (want_iter, want_ok)
         assert ok == (max_iterations == 100_000)
-        primal, dual, residuals = _certificate(w, mats, povm)
+        # The returned certificate is the one of the returned POVM.
+        assert certificate == _certificate(w, mats, povm)
+        primal, dual, residuals = certificate
         want_primal, want_dual, want_residuals = certificate_by_members(
             w, list(mats), want_povm
         )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlhide import (
     DegenerateClassError,
@@ -19,7 +21,12 @@ from nlhide import (
     uniform_coarse_ensemble,
 )
 
-from oracles import brute_force_fold_probs, dft_fold_probs
+from oracles import (
+    brute_force_fold_probs,
+    coarse_by_enumeration,
+    dft_fold_probs,
+    random_density,
+)
 
 
 def computational_pair(probs=(0.5, 0.5)):
@@ -117,6 +124,43 @@ class TestCoarseEnsemble:
     def test_dimension_guard(self, ghz22):
         with pytest.raises(Exception, match="dimension cap"):
             coarse_ensemble(FoldSpec(ghz22, 7))
+
+
+class TestConvolutionFold:
+    def test_kron_count(self, ghz22, monkeypatch):
+        calls = []
+        kron = np.kron
+
+        def counting_kron(a, b):
+            calls.append(1)
+            return kron(a, b)
+
+        monkeypatch.setattr(np, "kron", counting_kron)
+        coarse_ensemble(FoldSpec(ghz22, 5))
+        # n**2 * (L - 1); enumerating the n**L index vectors makes L * n**L = 160.
+        assert len(calls) == 16
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), L=st.integers(1, 4),
+           data=st.data())
+    def test_matches_enumeration_oracle(self, seed, n, L, data):
+        max_dim = max(d for d in range(1, 257) if d**L <= 256)
+        dim_a = data.draw(st.integers(1, min(max_dim, 16)), label="dim_a")
+        dim_b = data.draw(st.integers(1, min(max_dim // dim_a, 16)), label="dim_b")
+        rng = np.random.default_rng(seed)
+        slots = SlotStructure((dim_a, dim_b), ("A1", "A2"))
+        probs = rng.dirichlet(np.ones(n))
+        states = tuple(
+            MultiPartyOperator(random_density(rng, dim_a * dim_b), slots) for _ in range(n)
+        )
+        spec = FoldSpec(Ensemble(PartySet.of_size(2), probs, states), L)
+        got = coarse_ensemble(spec)
+        want = coarse_by_enumeration(spec)
+        assert got.probs == tuple(fold_probs(probs, n, L))
+        np.testing.assert_allclose(got.probs, want.probs, rtol=0, atol=1e-12)
+        assert got.slots == want.slots
+        for a, b in zip(got.states, want.states):
+            assert float(np.max(np.abs(a.matrix - b.matrix))) <= 1e-12
 
 
 class TestCurves:
