@@ -376,12 +376,9 @@ def _dominance(
     return DominanceCheck(ok, tuple(out), pivot)
 
 
-def _dominance_result(e: Ensemble, check: DominanceCheck) -> DiscriminationResult:
+def _dominance_result(e: Ensemble, check: DominanceCheck, povm: Povm) -> DiscriminationResult:
     # With a passing dominance certificate the optimum is the pivot weight
-    # exactly; the all-or-nothing POVM below realizes it.
-    elements = [zero(e.slots) for _ in range(e.n)]
-    elements[check.pivot] = identity(e.slots)
-    povm = Povm(tuple(elements))
+    # exactly; ``povm``, the all-or-nothing POVM on the pivot, realizes it.
     value = float(e.probs[check.pivot])
     return DiscriminationResult(
         primal_value=value,
@@ -417,13 +414,18 @@ def max_bipartition_bound(
     """
     results: dict[str, DiscriminationResult] = {}
     failures: dict[str, str] = {}
+    povm = None  # all-or-nothing on the pivot: one per scan, immutable, shared by every cut
     for bp in all_bipartitions(e.parties):
         key = bp.to_string()
         try:
             gammas = _transposed_states(e, bp)
             check = _dominance(e, gammas)
             if check.passed:
-                results[key] = _dominance_result(e, check)
+                if povm is None:
+                    elements = [zero(e.slots)] * e.n
+                    elements[check.pivot] = identity(e.slots)
+                    povm = Povm(tuple(elements))
+                results[key] = _dominance_result(e, check, povm)
             else:
                 results[key] = optimal_global(
                     e.probs, gammas, tol=tol, max_iterations=max_iterations

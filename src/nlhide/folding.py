@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .ensembles import Ensemble
-from .tensor import DEFAULT_DIM_CAP, DimensionCapError, MultiPartyOperator
+from .tensor import DEFAULT_DIM_CAP, DimensionCapError, MultiPartyOperator, SlotStructure
 
 
 class DegenerateClassError(ValueError):
@@ -81,43 +81,44 @@ def fold_probs(probs: Sequence[float], n: int, L: int) -> np.ndarray:
     return out
 
 
-def coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:
-    """Explicitly build the coarse ensemble of an L-fold preparation.
-
-    Class ``i`` sums the weighted Kronecker products of every index vector
-    with modulo-n sum ``i``: ``S_1[k] = p_k rho_k`` and
-    ``S_l[i] = sum_j S_{l-1}[j] (x) S_1[(i-j) mod n]``, ``n**2 * (L-1)``
-    Kronecker products, normalized by :func:`fold_probs`.  The slot structure
-    repeats the base slots ``L`` times with party labels kept, so partial
-    transposition over party bipartitions needs no index surgery.
-    """
-    base = spec.base
-    n, L = spec.n, spec.L
+def _class_sums(spec: FoldSpec, members: Sequence[np.ndarray], cap: int) -> list[np.ndarray]:
+    """Class ``i`` sums the Kronecker products of all index vectors with modulo-n sum ``i``:
+    ``S_1 = members``, ``S_l[i] = sum_j S_{l-1}[j] (x) members[(i-j) mod n]``, in
+    ``n**2 * (L-1)`` products.  Raises :class:`DimensionCapError` before any product."""
     if spec.explicit_dim > cap:
         raise DimensionCapError(
             f"explicit fold dimension {spec.explicit_dim} exceeds the dimension cap {cap}"
         )
-    class_probs = tuple(float(p) for p in fold_probs(base.probs, n, L))
+    n = spec.n
+    sums = list(members)
+    for _ in range(spec.L - 1):
+        folded = []
+        for i in range(n):
+            acc = np.kron(sums[0], members[i])
+            for j in range(1, n):
+                acc += np.kron(sums[j], members[(i - j) % n])
+            folded.append(acc)
+        sums = folded
+    return sums
+
+
+def coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:
+    """Explicitly build the coarse ensemble of an L-fold preparation.
+
+    Class ``i`` is the cyclic convolution of the weighted states ``p_k rho_k``
+    (:func:`_class_sums`), normalized by :func:`fold_probs`.  The slot
+    structure repeats the base slots ``L`` times with party labels kept, so
+    partial transposition over party bipartitions needs no index surgery.
+    """
+    base = spec.base
+    class_sums = _class_sums(spec, [p * s.matrix for p, s in zip(base.probs, base.states)], cap)
+    class_probs = tuple(float(p) for p in fold_probs(base.probs, spec.n, spec.L))
     for i, prob in enumerate(class_probs):
         if prob <= 1e-15:
             raise DegenerateClassError(
                 f"coarse class {i} has probability {prob:.3e}; cannot normalize"
             )
-    slots = base.slots
-    for _ in range(L - 1):
-        slots = slots.concat(base.slots)
-
-    weighted = [p * s.matrix for p, s in zip(base.probs, base.states)]
-    class_sums = weighted
-    for _ in range(L - 1):
-        folded = []
-        for i in range(n):
-            acc = np.kron(class_sums[0], weighted[i])
-            for j in range(1, n):
-                acc += np.kron(class_sums[j], weighted[(i - j) % n])
-            folded.append(acc)
-        class_sums = folded
-
+    slots = SlotStructure(base.slots.slot_dims * spec.L, base.slots.party_of_slot * spec.L)
     states = tuple(
         MultiPartyOperator(np.divide(total, prob, out=total), slots)
         for total, prob in zip(class_sums, class_probs)

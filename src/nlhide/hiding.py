@@ -9,8 +9,10 @@ reproducible transcripts, and tabulates per-coalition guessing bounds.
 
 Simulation never materializes ``dim**L`` matrices: the recovery measurement on
 an orthogonal ensemble returns the preparation class deterministically, so
-sampling the base priors suffices.  An explicit-matrix cross-check path exists
-for small ``L`` and must agree in distribution with the structural path.
+sampling the base priors suffices.  Direct encoding and the explicit-matrix
+cross-check (small ``L``) build that measurement without an eigensolve at
+``dim**L``: the cyclic convolution of the base support projectors is the
+projector onto each coarse class's support when the base states are orthogonal.
 """
 
 from __future__ import annotations
@@ -30,16 +32,17 @@ from .discrimination import (
     max_bipartition_bound,
 )
 from .ensembles import ORTHOGONALITY_TOL, Ensemble, max_pairwise_overlap
-from .folding import FoldSpec, coarse_ensemble, fold_bound, fold_probs, mod_sum
+from .folding import FoldSpec, _class_sums, coarse_ensemble, fold_bound, fold_probs, mod_sum
 from .partitions import all_partitions, coarser_bipartitions
 from .tensor import (
     DEFAULT_DIM_CAP,
-    DimensionCapError,
     MultiPartyOperator,
     hermitian_eigensystem,
 )
 
 NEGLIGIBLE_CLASS_PROB = 1e-12
+SUPPORT_CUTOFF = 1e-10  # relative eigenvalue cutoff of a base state's support
+RECOVERY_TOL = 1e-8  # deviation of a class probability from 0 or 1
 
 
 class HidingError(ValueError):
@@ -395,22 +398,22 @@ def transcripts_to_jsonl(run: ProtocolRun) -> str:
     return "\n".join(lines) + "\n"
 
 
-def class_measurement(coarse: Ensemble, cutoff: float = 1e-10) -> list[np.ndarray]:
-    """Projector per class onto the support of its state.
+def class_measurement(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> list[np.ndarray]:
+    """Per class, the cyclic convolution of the base support projectors ``Q_k``.
 
-    Any subspace unused by every class is assigned to class 0 so the
-    projectors form a complete measurement.  Meaningful for orthogonal
-    ensembles, where the outcome identifies the class with certainty.
+    ``Q_k`` is found at the base dimension, and is zero for a zero prior.  For
+    orthogonal base states class ``i`` gets the projector onto the support of
+    its coarse state, so the outcome identifies the class with certainty;
+    otherwise the elements need not form a POVM.  Any subspace unused by every
+    class is assigned to class 0.
     """
-    dim = coarse.dim
-    projectors: list[np.ndarray] = []
-    for state in coarse.states:
+    supports = []
+    for prob, state in zip(spec.base.probs, spec.base.states):
         vals, vecs = hermitian_eigensystem(state)
-        keep = vals > cutoff * max(float(vals[-1]), 1.0)
-        basis = vecs[:, keep]
-        projectors.append(basis @ basis.conj().T)
-    leftover = np.eye(dim, dtype=np.complex128) - sum(projectors)
-    projectors[0] = projectors[0] + leftover
+        basis = vecs[:, (vals > SUPPORT_CUTOFF * max(float(vals[-1]), 1.0)) & (prob > 0)]
+        supports.append(basis @ basis.conj().T)
+    projectors = _class_sums(spec, supports, cap)
+    projectors[0] = np.eye(spec.explicit_dim) - sum(projectors[1:])  # P_0 plus the unused rest
     return projectors
 
 
@@ -434,28 +437,26 @@ class DirectEncoding:
         }
 
 
-def direct_encode(
-    cfg: SchemeConfig, x: int, cap: int = DEFAULT_DIM_CAP, tol: float = 1e-8
-) -> DirectEncoding:
+def direct_encode(cfg: SchemeConfig, x: int, cap: int = DEFAULT_DIM_CAP) -> DirectEncoding:
     """Pick the coarse class state for ``x`` and verify exact recovery.
 
-    Builds the explicit coarse ensemble (dimension-capped), forms the class
-    measurement, and checks that it identifies ``x`` with probability one.
+    Builds the explicit coarse ensemble (dimension-capped) and the class
+    measurement, and checks that it identifies ``x`` with probability one;
+    a non-orthogonal ensemble never passes: its class measurement is no POVM.
     """
     if cfg.mode != "direct":
         raise ValueError(f"direct encoding needs mode='direct', got {cfg.mode!r}")
     n = cfg.ensemble.n
     if not 0 <= x < n:
         raise ValueError(f"datum x={x} out of range 0..{n - 1}")
-    coarse = coarse_ensemble(FoldSpec(cfg.ensemble, cfg.L), cap=cap)
-    projectors = class_measurement(coarse)
+    spec = FoldSpec(cfg.ensemble, cfg.L)
+    state = coarse_ensemble(spec, cap=cap).states[x]
     # Tr(rho P) = sum_kl rho_kl P_lk: O(dim**2) instead of a full product.
-    probs = tuple(float(np.sum(coarse.states[x].matrix * proj.T).real) for proj in projectors)
-    ok = abs(probs[x] - 1.0) <= tol and all(
-        p <= tol for j, p in enumerate(probs) if j != x
-    )
-    return DirectEncoding(x=x, L=cfg.L, state=coarse.states[x],
-                          class_probs=probs, recovery_ok=ok)
+    probs = tuple(float(np.sum(state.matrix * proj.T).real)
+                  for proj in class_measurement(spec, cap=cap))
+    ok = cfg.report.orthogonal and all(
+        abs(p - float(j == x)) <= RECOVERY_TOL for j, p in enumerate(probs))
+    return DirectEncoding(x=x, L=cfg.L, state=state, class_probs=probs, recovery_ok=ok)
 
 
 class CoalitionRow(NamedTuple):
@@ -552,13 +553,10 @@ def sampling_crosscheck(
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
+    projectors = class_measurement(FoldSpec(e, L), cap=cap)  # raises past the cap
     n = e.n
     dim = e.dim
     cells = dim**L
-    if cells > cap:
-        raise DimensionCapError(
-            f"explicit cross-check dimension {cells} exceeds the dimension cap {cap}"
-        )
 
     prior_cdf = np.cumsum(np.asarray(e.probs))
     prior_cdf[-1] = 1.0
@@ -575,10 +573,9 @@ def sampling_crosscheck(
     counts_structural = np.bincount(idx_structural, minlength=cells)
 
     # Explicit path: materialize every Kronecker product and sample its diagonal.
+    # Each product also checks the convolution-built class of its index vector.
     explicit_diag: dict[tuple[int, ...], np.ndarray] = {}
     recovery_deviation = 0.0
-    coarse = coarse_ensemble(FoldSpec(e, L), cap=cap)
-    projectors = class_measurement(coarse)
     for choice in itertools.product(range(n), repeat=L):
         mat = np.array([[1.0]], dtype=np.complex128)
         for c in choice:

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths it checks: partitions are
 enumerated recursively instead of via growth strings, partial transposition
 walks indices entry by entry, eigenvalues come from a small cyclic Jacobi
 sweep rather than LAPACK, fold distributions and coarse ensembles are
-enumerated over all index vectors, fold counts are found by a step-by-step
+enumerated over all index vectors, class measurements come from an
+eigensolve of every coarse state, fold counts are found by a step-by-step
 search, and the fixed-point solver runs member by member over Python lists.
 """
 
@@ -23,6 +24,7 @@ from nlhide.tensor import (
     DEFAULT_DIM_CAP,
     DimensionCapError,
     MultiPartyOperator,
+    hermitian_eigensystem,
     hermitian_part,
 )
 
@@ -235,6 +237,28 @@ def dft_fold_probs(probs, n: int, L: int) -> np.ndarray:
         ]
     )
     return out.real
+
+
+# The eigensolve of every dim**L coarse state that the convolution of base
+# support projectors in ``nlhide.hiding`` replaced, kept unchanged as its
+# differential reference.
+def class_measurement_by_eigh(coarse: Ensemble, cutoff: float = 1e-10) -> list[np.ndarray]:
+    """Projector per class onto the support of its state.
+
+    Any subspace unused by every class is assigned to class 0 so the
+    projectors form a complete measurement.  Meaningful for orthogonal
+    ensembles, where the outcome identifies the class with certainty.
+    """
+    dim = coarse.dim
+    projectors: list[np.ndarray] = []
+    for state in coarse.states:
+        vals, vecs = hermitian_eigensystem(state)
+        keep = vals > cutoff * max(float(vals[-1]), 1.0)
+        basis = vecs[:, keep]
+        projectors.append(basis @ basis.conj().T)
+    leftover = np.eye(dim, dtype=np.complex128) - sum(projectors)
+    projectors[0] = projectors[0] + leftover
+    return projectors
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nlhide import load_ensemble, save_ensemble
+from nlhide import cli, hiding, load_ensemble, save_ensemble
 from nlhide.cli import main
+
+from test_hiding import overlapping_pair
 
 
 @pytest.fixture()
@@ -199,6 +201,19 @@ class TestSimulateCommand:
         assert descriptor["recovery_ok"] is True
         assert "recovery_ok" in result.output.splitlines()[0]
 
+    @pytest.mark.parametrize("folds", ["1", "2"])
+    def test_direct_mode_non_orthogonal_never_recovers(self, runner, tmp_path, folds):
+        # |0><0| and |+><+|: the leftover of the class "measurement" is not PSD.
+        path = tmp_path / "overlap.json"
+        save_ensemble(overlapping_pair(), str(path))
+        result = runner.invoke(
+            main,
+            ["simulate", str(path), "--L", folds, "--x", "1", "--mode", "direct", "--force"],
+        )
+        assert result.exit_code == 0, result.output
+        header, row = result.output.splitlines()
+        assert row.split(",")[header.split(",").index("recovery_ok")] == "0"
+
     def test_inadmissible_needs_force(self, runner, parity2212_file):
         result = runner.invoke(
             main, ["simulate", str(parity2212_file), "--L", "2", "--x", "0", "--trials", "10"]
@@ -263,3 +278,31 @@ class TestCoalitionCommand:
         result = runner.invoke(main, ["coalition", str(path), "--L", "1", "--force"])
         assert result.exit_code == 2
         assert "11 parties" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, reports",
+    [
+        (["check"], 1),
+        (["bounds", "--lmax", "3"], 1),
+        (["simulate", "--L", "2", "--x", "1", "--trials", "5"], 1),
+        (["simulate", "--L", "2", "--x", "1", "--mode", "direct"], 1),
+        (["coalition", "--L", "2"], 1),
+        (["fold", "--L", "2", "-o", "coarse.json"], 0),
+    ],
+    ids=["check", "bounds", "simulate-broadcast", "simulate-direct", "coalition", "fold"],
+)
+def test_one_report_per_command(runner, ghz22_file, monkeypatch, args, reports):
+    calls = []
+    real = hiding.check_hiding
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(hiding, "check_hiding", counting)
+    monkeypatch.setattr(cli, "check_hiding", counting)
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, [args[0], str(ghz22_file), *args[1:]])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == reports

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nlhide import (
+    DimensionCapError,
     Ensemble,
     FoldSpec,
     HidingError,
@@ -30,7 +31,7 @@ from nlhide import (
 from nlhide import hiding
 from nlhide.hiding import _admissibility_verdict, _fold_count_for
 
-from oracles import bell_number, fold_count_by_search
+from oracles import bell_number, class_measurement_by_eigh, fold_count_by_search
 
 
 def overlapping_pair():
@@ -269,16 +270,109 @@ class TestRunProtocol:
         assert run.summary.negligible_classes == (1,)
 
 
+def _oracle_encoding(cfg, x):
+    """``direct_encode``'s class probabilities and verdict from the eigen oracle."""
+    coarse = coarse_ensemble(FoldSpec(cfg.ensemble, cfg.L))
+    state = coarse.states[x].matrix
+    probs = [float(np.trace(state @ proj).real) for proj in class_measurement_by_eigh(coarse)]
+    ok = cfg.report.orthogonal and all(
+        abs(p - (1.0 if j == x else 0.0)) <= 1e-8 for j, p in enumerate(probs)
+    )
+    return probs, ok
+
+
+def _assert_matches_oracle(cfg):
+    spec = FoldSpec(cfg.ensemble, cfg.L)
+    got = class_measurement(spec)
+    want = class_measurement_by_eigh(coarse_ensemble(spec))
+    for a, b in zip(got, want):
+        assert float(np.max(np.abs(a - b))) <= 1e-12
+    for x in range(cfg.ensemble.n):
+        enc = direct_encode(cfg, x)
+        probs, ok = _oracle_encoding(cfg, x)
+        np.testing.assert_allclose(enc.class_probs, probs, rtol=0, atol=1e-12)
+        assert enc.recovery_ok == ok
+
+
+def random_orthogonal_ensemble(rng, n, slot_dims, eig_floor=1e-3, prior_floor=0.02):
+    """``n`` states on orthogonal column blocks of a random unitary."""
+    dim = math.prod(slot_dims)
+    unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=n - 1, replace=False))
+    ends = np.append(cuts, rng.integers(cuts[-1] + 1, dim + 1))
+    slots = SlotStructure(slot_dims, ("A1", "A2"))
+    states = []
+    for start, stop in zip(np.insert(ends[:-1], 0, 0), ends):
+        rank = stop - start
+        eigs = eig_floor + (1.0 - rank * eig_floor) * rng.dirichlet(np.ones(rank))
+        basis = unitary[:, start:stop]
+        states.append(MultiPartyOperator((basis * eigs) @ basis.conj().T, slots))
+    probs = prior_floor + (1.0 - n * prior_floor) * rng.dirichlet(np.ones(n))
+    return Ensemble(PartySet.of_size(2), tuple(probs), tuple(states))
+
+
+def smallest_coarse_eigenvalue(spec):
+    return min(min(v for v in np.linalg.eigvalsh(s.matrix) if v > 1e-12)
+               for s in coarse_ensemble(spec).states)
+
+
 class TestClassMeasurement:
     def test_complete_and_identifying(self, ghz22):
-        coarse = coarse_ensemble(FoldSpec(ghz22, 2))
-        projectors = class_measurement(coarse)
+        spec = FoldSpec(ghz22, 2)
+        projectors = class_measurement(spec)
         total = sum(projectors)
-        assert float(np.max(np.abs(total - np.eye(coarse.dim)))) <= 1e-10
-        for j, state in enumerate(coarse.states):
+        assert float(np.max(np.abs(total - np.eye(spec.explicit_dim)))) <= 1e-10
+        for j, state in enumerate(coarse_ensemble(spec).states):
             for k, proj in enumerate(projectors):
                 got = float(np.trace(state.matrix @ proj).real)
                 assert got == pytest.approx(1.0 if j == k else 0.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "family, folds",
+        [("ghz22", L) for L in (1, 2, 3, 4)]
+        + [("ghz23", L) for L in (1, 2)]
+        + [("parity2212", L) for L in (1, 2)],
+    )
+    def test_matches_eigen_oracle(self, request, family, folds):
+        e = request.getfixturevalue(family)
+        _assert_matches_oracle(SchemeConfig.create(e, folds, mode="direct", force=True))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), data=st.data())
+    def test_matches_eigen_oracle_on_random_orthogonal(self, seed, n, data):
+        dim_a = data.draw(st.integers(1, 4), label="dim_a")
+        dim_b = data.draw(st.integers(max(1, -(-n // dim_a)), 16 // dim_a), label="dim_b")
+        e = random_orthogonal_ensemble(np.random.default_rng(seed), n, (dim_a, dim_b))
+        # An eigensolve resolves a support only to about 1e-16 / (smallest nonzero
+        # eigenvalue): keep the oracle's coarse spectra above 1e-3 so that 1e-12
+        # measures the convolution, not the oracle's round-off.
+        L = 1
+        while e.dim ** (L + 1) <= 256 and smallest_coarse_eigenvalue(FoldSpec(e, L + 1)) >= 1e-3:
+            L += 1
+        L = data.draw(st.integers(1, L), label="L")
+        report = check_hiding(e, max_iterations=25)
+        assert report.orthogonal
+        cfg = SchemeConfig(ensemble=e, L=L, seed=0, mode="direct", report=report, force=True)
+        _assert_matches_oracle(cfg)
+
+    def test_cap_error_matches_coarse_ensemble(self, ghz22):
+        with pytest.raises(DimensionCapError, match="explicit fold dimension 64") as got:
+            class_measurement(FoldSpec(ghz22, 3), cap=32)
+        with pytest.raises(DimensionCapError) as want:
+            coarse_ensemble(FoldSpec(ghz22, 3), cap=32)
+        assert str(got.value) == str(want.value)
+
+    def test_zero_prior_member_has_no_support(self):
+        slots = SlotStructure((2, 1), ("A1", "A2"))
+        states = (
+            MultiPartyOperator(np.diag([1.0, 0.0]).astype(complex), slots),
+            MultiPartyOperator(np.diag([0.0, 1.0]).astype(complex), slots),
+        )
+        base = Ensemble(PartySet.of_size(2), (1.0, 0.0), states)
+        projectors = class_measurement(FoldSpec(base, 2))
+        # Only 00 is ever prepared; the leftover (all of it but |00>) joins class 0.
+        np.testing.assert_array_equal(projectors[1], np.zeros((4, 4)))
+        np.testing.assert_allclose(projectors[0], np.eye(4), rtol=0, atol=1e-15)
 
 
 class TestDirectEncode:
@@ -304,6 +398,27 @@ class TestDirectEncode:
         cfg = SchemeConfig.create(ghz22, 1, seed=0, mode="broadcast")
         with pytest.raises(ValueError, match="direct"):
             direct_encode(cfg, 0)
+
+    @pytest.mark.parametrize("folds", [1, 2])
+    def test_non_orthogonal_never_recovers(self, folds):
+        cfg = SchemeConfig.create(overlapping_pair(), folds, mode="direct", force=True)
+        assert not cfg.report.orthogonal
+        assert direct_encode(cfg, 1).recovery_ok is False
+
+    def test_eigensolves_stay_at_base_dimension(self, ghz22, monkeypatch):
+        cfg = SchemeConfig.create(ghz22, 4, mode="direct")
+        dims = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+
+            def recording(a, *args, _solver=solver, **kwargs):
+                dims.append(a.shape[-1])
+                return _solver(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        enc = direct_encode(cfg, 1)
+        assert enc.state.dim == 256 and enc.recovery_ok
+        assert dims and set(dims) == {4}
 
 
 class TestCoalitionReport:
