@@ -155,10 +155,10 @@ def _report_lines(report: HidingReport) -> list[str]:
 @click.argument("input_path", type=click.Path(exists=False, dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True,
-              help="Solver certification tolerance.")
-@click.option("--max-iterations", type=int, default=100_000, show_default=True,
-              help="Solver iteration budget per bipartition.")
+@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-8,
+              show_default=True, help="Solver certification tolerance (> 0).")
+@click.option("--max-iterations", type=click.IntRange(min=0), default=100_000,
+              show_default=True, help="Solver iteration budget per bipartition.")
 def check(input_path: str, fmt: str, tol: float, max_iterations: int) -> None:
     """Admissibility report for an ensemble file."""
     ensemble = _load(input_path)
@@ -211,7 +211,7 @@ def bounds(input_path: str, lmax: int, output: str | None, force: bool) -> None:
 @click.option("--L", "folds", type=int, required=True, help="Fold count.")
 @click.option("--x", "x", type=int, required=True, help="Datum to hide (0..n-1).")
 @click.option("--trials", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--mode", type=click.Choice(["broadcast", "direct"]), default="broadcast",
               show_default=True)
 @click.option("--transcripts", type=click.Path(dir_okay=False), default=None,

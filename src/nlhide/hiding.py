@@ -4,8 +4,9 @@ An orthogonal ensemble whose largest bipartition bound stays below ``2/n``
 hides an n-ary datum: the hider prepares ``L`` states, broadcasts the datum
 shifted by the modulo-n class of the preparation, and only a global
 measurement can undo the shift.  This module decides admissibility, sizes the
-fold count for a target leakage, simulates seeded protocol runs with
-reproducible transcripts, and tabulates per-coalition guessing bounds.
+fold count for a target leakage, simulates seeded protocol runs (one
+generator per run, all trials drawn as one array) with reproducible
+transcripts, and tabulates per-coalition guessing bounds.
 
 Simulation never materializes ``dim**L`` matrices: the recovery measurement on
 an orthogonal ensemble returns the preparation class deterministically, so
@@ -159,6 +160,8 @@ def check_hiding(
     certificates are tried before the solver, so GHZ-style families are
     decided exactly without iteration.
     """
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     overlap = max_pairwise_overlap(e)
     orthogonal = overlap <= ORTHOGONALITY_TOL
     scan = max_bipartition_bound(e, tol=tol, max_iterations=max_iterations)
@@ -243,6 +246,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.L < 1:
             raise ValueError(f"fold count must be >= 1, got {self.L}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.mode not in ("broadcast", "direct"):
             raise ValueError(f"mode must be 'broadcast' or 'direct', got {self.mode!r}")
 
@@ -266,30 +271,6 @@ class SchemeConfig:
 
 
 @dataclass(frozen=True)
-class ProtocolTranscript:
-    """One simulated run: preparation vector, datum, broadcast, recovery."""
-
-    trial: int
-    c_vec: tuple[int, ...]
-    x: int
-    y: int
-    z: int
-    recovered: int
-    seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "c_vec": list(self.c_vec),
-            "x": self.x,
-            "y": self.y,
-            "z": self.z,
-            "recovered": self.recovered,
-            "seed": self.seed,
-        }
-
-
-@dataclass(frozen=True)
 class ProtocolSummary:
     trials: int
     x: int
@@ -302,40 +283,23 @@ class ProtocolSummary:
     negligible_classes: tuple[int, ...]
     warning: str | None
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "x": self.x,
-            "L": self.L,
-            "seed": self.seed,
-            "mode": self.mode,
-            "recovery_rate": self.recovery_rate,
-            "class_counts": list(self.class_counts),
-            "expected_class_probs": list(self.expected_class_probs),
-            "negligible_classes": list(self.negligible_classes),
-            "warning": self.warning,
-        }
-
 
 class ProtocolRun(NamedTuple):
-    transcripts: tuple[ProtocolTranscript, ...]
+    """Per-trial arrays of one run: row ``t`` of each is trial ``t``."""
+
+    c_vecs: np.ndarray  # (trials, L) preparation indices
+    y: np.ndarray  # class label sum(c_vec) mod n
+    z: np.ndarray  # broadcast (x + y) mod n
+    recovered: np.ndarray  # global estimate (z - y) mod n
     summary: ProtocolSummary
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # Substream per trial: parallel execution cannot reorder the transcripts.
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
-
-
-def _sample_indices(cdf: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    return np.searchsorted(cdf, rng.random(count), side="right")
 
 
 def run_protocol(cfg: SchemeConfig, x: int, trials: int) -> ProtocolRun:
     """Simulate seeded broadcast rounds and verify exact recovery.
 
-    Per trial the preparation vector is drawn from the base priors by
-    inverse-CDF using a per-trial substream of the configured seed; the
+    One generator seeded with the configured seed draws the ``(trials, L)``
+    preparation indices from the base priors by inverse-CDF, row by row, so a
+    run of ``k`` trials is the first ``k`` trials of any longer run.  The
     broadcast is the datum plus the class label modulo n, and global recovery
     subtracts the deterministically measured class.  Identical seeds produce
     identical transcripts.
@@ -352,23 +316,13 @@ def run_protocol(cfg: SchemeConfig, x: int, trials: int) -> ProtocolRun:
     cdf[-1] = 1.0
     expected = fold_probs(cfg.ensemble.probs, n, cfg.L)
 
-    transcripts: list[ProtocolTranscript] = []
-    class_counts = [0] * n
-    recovered_ok = 0
-    for t in range(trials):
-        rng = _trial_rng(cfg.seed, t)
-        c_vec = tuple(int(c) for c in _sample_indices(cdf, rng, cfg.L))
-        y = mod_sum(c_vec, n)
-        z = (x + y) % n
-        # Recovery side: the class measurement on an orthogonal ensemble
-        # returns y deterministically, so the estimate is z - y mod n.
-        recovered = (z - y) % n
-        transcripts.append(
-            ProtocolTranscript(trial=t, c_vec=c_vec, x=x, y=y, z=z,
-                               recovered=recovered, seed=cfg.seed)
-        )
-        class_counts[y] += 1
-        recovered_ok += int(recovered == x)
+    rng = np.random.default_rng(cfg.seed)
+    c_vecs = np.searchsorted(cdf, rng.random((trials, cfg.L)), side="right")
+    y = c_vecs.sum(axis=1) % n
+    z = (x + y) % n
+    # Recovery side: the class measurement on an orthogonal ensemble
+    # returns y deterministically, so the estimate is z - y mod n.
+    recovered = (z - y) % n
 
     negligible = tuple(i for i, p in enumerate(expected) if p < NEGLIGIBLE_CLASS_PROB)
     warning = None
@@ -380,20 +334,24 @@ def run_protocol(cfg: SchemeConfig, x: int, trials: int) -> ProtocolRun:
         L=cfg.L,
         seed=cfg.seed,
         mode=cfg.mode,
-        recovery_rate=recovered_ok / trials,
-        class_counts=tuple(class_counts),
+        recovery_rate=int(np.count_nonzero(recovered == x)) / trials,
+        class_counts=tuple(np.bincount(y, minlength=n).tolist()),
         expected_class_probs=tuple(float(p) for p in expected),
         negligible_classes=negligible,
         warning=warning,
     )
-    return ProtocolRun(tuple(transcripts), summary)
+    return ProtocolRun(c_vecs, y, z, recovered, summary)
 
 
 def transcripts_to_jsonl(run: ProtocolRun) -> str:
-    """One JSON object per line, key-sorted: byte-stable for a fixed seed."""
+    """One JSON object per trial and line, key-sorted: byte-stable for a fixed seed."""
+    s = run.summary
+    rows = zip(run.c_vecs.tolist(), run.y.tolist(), run.z.tolist(), run.recovered.tolist())
     lines = [
-        json.dumps(t.to_dict(), sort_keys=True, separators=(",", ":"))
-        for t in run.transcripts
+        json.dumps({"trial": t, "c_vec": c_vec, "x": s.x, "y": y, "z": z,
+                    "recovered": recovered, "seed": s.seed},
+                   sort_keys=True, separators=(",", ":"))
+        for t, (c_vec, y, z, recovered) in enumerate(rows)
     ]
     return "\n".join(lines) + "\n"
 
@@ -582,7 +540,7 @@ def sampling_crosscheck(
             mat = np.kron(mat, e.states[c].matrix)
         label = mod_sum(choice, n)
         for j, proj in enumerate(projectors):
-            prob = float(np.trace(mat @ proj).real)
+            prob = float(np.sum(mat * proj.T).real)
             recovery_deviation = max(
                 recovery_deviation, abs(prob - (1.0 if j == label else 0.0))
             )

@@ -6,12 +6,14 @@ walks indices entry by entry, eigenvalues come from a small cyclic Jacobi
 sweep rather than LAPACK, fold distributions and coarse ensembles are
 enumerated over all index vectors, class measurements come from an
 eigensolve of every coarse state, fold counts are found by a step-by-step
-search, and the fixed-point solver runs member by member over Python lists.
+search, the fixed-point solver runs member by member over Python lists, and
+protocol transcripts are drawn and written one trial at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from typing import Sequence
 
@@ -259,6 +261,25 @@ def class_measurement_by_eigh(coarse: Ensemble, cutoff: float = 1e-10) -> list[n
     leftover = np.eye(dim, dtype=np.complex128) - sum(projectors)
     projectors[0] = projectors[0] + leftover
     return projectors
+
+
+# The per-trial loop that the one-array draw in ``nlhide.hiding.run_protocol``
+# replaced, reading the same single generator one row of L draws per trial.
+def protocol_jsonl_by_trials(probs, L: int, x: int, trials: int, seed: int) -> str:
+    """Transcript JSONL of a broadcast run, one trial and one dict at a time."""
+    n = len(probs)
+    cdf = np.cumsum(np.asarray(probs))
+    cdf[-1] = 1.0
+    rng = np.random.default_rng(seed)
+    lines = []
+    for t in range(trials):
+        c_vec = [int(c) for c in np.searchsorted(cdf, rng.random(L), side="right")]
+        y = mod_sum(c_vec, n)
+        z = (x + y) % n
+        row = {"trial": t, "c_vec": c_vec, "x": x, "y": y, "z": z,
+               "recovered": (z - y) % n, "seed": seed}
+        lines.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from nlhide import cli, hiding, load_ensemble, save_ensemble
 from nlhide.cli import main
 
-from test_hiding import overlapping_pair
+from test_hiding import bell_mix, overlapping_pair
 
 
 @pytest.fixture()
@@ -105,6 +105,24 @@ class TestCheckCommand:
         assert report["q_values"]["A1|A2"] == pytest.approx(0.75)
         assert report["min_folds"] == 19
 
+    def test_zero_tol_exits_two(self, runner, tmp_path):
+        # Three Bell states: no cut is decided by dominance, so the solver would run.
+        path = tmp_path / "bell.json"
+        save_ensemble(bell_mix((0.5, 0.3, 0.2)), str(path))
+        result = runner.invoke(main, ["check", str(path), "--tol", "0"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--tol" in result.output
+
+    def test_negative_max_iterations_exits_two(self, runner, ghz22_file, monkeypatch):
+        def no_report(*args, **kwargs):
+            raise AssertionError("check_hiding ran")
+
+        monkeypatch.setattr(cli, "check_hiding", no_report)
+        result = runner.invoke(main, ["check", str(ghz22_file), "--max-iterations", "-3"])
+        assert result.exit_code == 2
+        assert "--max-iterations" in result.output
+
     def test_truncated_file_exits_two(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"parties": ["A1",', encoding="utf-8")
@@ -181,6 +199,14 @@ class TestSimulateCommand:
         transcript = json.loads(lines[0])
         assert transcript["x"] == 1
         assert transcript["recovered"] == 1
+
+    def test_negative_seed_exits_two(self, runner, ghz22_file):
+        result = runner.invoke(
+            main, ["simulate", str(ghz22_file), "--L", "3", "--x", "1", "--seed", "-1"]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--seed" in result.output
 
     def test_x_out_of_range_exits_two(self, runner, ghz22_file):
         result = runner.invoke(

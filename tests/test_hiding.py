@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -31,7 +32,12 @@ from nlhide import (
 from nlhide import hiding
 from nlhide.hiding import _admissibility_verdict, _fold_count_for
 
-from oracles import bell_number, class_measurement_by_eigh, fold_count_by_search
+from oracles import (
+    bell_number,
+    class_measurement_by_eigh,
+    fold_count_by_search,
+    protocol_jsonl_by_trials,
+)
 
 
 def overlapping_pair():
@@ -95,6 +101,15 @@ class TestAdmissibilityVerdict:
 
 
 class TestCheckHiding:
+    @pytest.mark.parametrize("tol", [0.0, -1e-8])
+    def test_nonpositive_tol_rejected_before_the_scan(self, monkeypatch, tol):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(hiding, "max_bipartition_bound", no_scan)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            check_hiding(bell_mix((0.5, 0.3, 0.2)), tol=tol)
+
     def test_ghz22_admissible(self, ghz22):
         report = check_hiding(ghz22)
         assert report.admissible is True
@@ -206,9 +221,19 @@ class TestSchemeConfig:
         cfg = SchemeConfig.create(parity2212, 2, force=True)
         assert cfg.force
 
+    def test_negative_seed_rejected(self, ghz22):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SchemeConfig.create(ghz22, 2, seed=-1)
+
     def test_mode_validation(self, ghz22):
         with pytest.raises(ValueError, match="mode"):
             SchemeConfig.create(ghz22, 2, mode="sideways")
+
+
+def jsonl_lines(run):
+    text = transcripts_to_jsonl(run)
+    assert text.endswith("\n")
+    return text[:-1].split("\n")
 
 
 class TestRunProtocol:
@@ -216,17 +241,71 @@ class TestRunProtocol:
         cfg = SchemeConfig.create(ghz22, 3, seed=42)
         run = run_protocol(cfg, x=1, trials=2000)
         assert run.summary.recovery_rate == 1.0
-        assert all(t.recovered == 1 for t in run.transcripts)
+        assert all(json.loads(line)["recovered"] == 1 for line in jsonl_lines(run))
 
     def test_transcript_arithmetic(self, ghz22):
         cfg = SchemeConfig.create(ghz22, 4, seed=9)
-        run = run_protocol(cfg, x=0, trials=500)
+        lines = jsonl_lines(run_protocol(cfg, x=1, trials=500))
+        assert len(lines) == 500
         n = ghz22.n
-        for t in run.transcripts:
-            assert t.z == (t.x + t.y) % n
-            assert (t.z - t.y) % n == t.x
-            assert (t.z - t.x) % n == t.y
-            assert len(t.c_vec) == 4
+        for trial, line in enumerate(lines):
+            t = json.loads(line)
+            assert list(t) == ["c_vec", "recovered", "seed", "trial", "x", "y", "z"]
+            assert (t["trial"], t["x"], t["seed"]) == (trial, 1, 9)
+            assert len(t["c_vec"]) == 4
+            assert t["y"] == sum(t["c_vec"]) % n
+            assert t["z"] == (1 + t["y"]) % n
+            assert t["recovered"] == 1
+
+    def test_class_counts_match_the_lines(self, parity2212):
+        cfg = SchemeConfig.create(parity2212, 3, seed=5, force=True)
+        run = run_protocol(cfg, x=3, trials=400)
+        ys = [json.loads(line)["y"] for line in jsonl_lines(run)]
+        assert tuple(ys.count(j) for j in range(4)) == run.summary.class_counts
+
+    def test_lines_reencode_byte_identically(self, ghz22):
+        cfg = SchemeConfig.create(ghz22, 3, seed=1)
+        for line in jsonl_lines(run_protocol(cfg, x=1, trials=300)):
+            assert json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) == line
+
+    def test_fewer_trials_give_a_prefix(self, ghz22):
+        cfg = SchemeConfig.create(ghz22, 4, seed=13)
+        full = transcripts_to_jsonl(run_protocol(cfg, x=0, trials=1000))
+        for k in (1, 7, 999):
+            assert full.startswith(transcripts_to_jsonl(run_protocol(cfg, x=0, trials=k)))
+
+    @pytest.mark.parametrize("ensemble, L, x, seed", [
+        ("ghz22", 3, 1, 42), ("ghz22", 6, 0, 2**40), ("parity2212", 2, 3, 7),
+    ])
+    def test_matches_the_per_trial_loop(self, request, ensemble, L, x, seed):
+        e = request.getfixturevalue(ensemble)
+        cfg = SchemeConfig.create(e, L, seed=seed, force=True)
+        assert transcripts_to_jsonl(run_protocol(cfg, x=x, trials=700)) == (
+            protocol_jsonl_by_trials(e.probs, L, x, 700, seed))
+
+    def test_pinned_stream(self, ghz22):
+        # Any change to the random stream changes these bytes.
+        cfg = SchemeConfig.create(ghz22, 3, seed=42)
+        assert jsonl_lines(run_protocol(cfg, x=1, trials=3)) == [
+            '{"c_vec":[1,0,1],"recovered":1,"seed":42,"trial":0,"x":1,"y":0,"z":1}',
+            '{"c_vec":[0,0,1],"recovered":1,"seed":42,"trial":1,"x":1,"y":1,"z":0}',
+            '{"c_vec":[1,1,0],"recovered":1,"seed":42,"trial":2,"x":1,"y":0,"z":1}',
+        ]
+
+    @pytest.mark.parametrize("trials", [1, 5000])
+    def test_one_generator_per_run(self, ghz22, monkeypatch, trials):
+        cfg = SchemeConfig.create(ghz22, 3, seed=2)
+        calls = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        run = run_protocol(cfg, x=1, trials=trials)
+        assert calls == [(2,)]
+        assert run.c_vecs.shape == (trials, 3)
 
     def test_class_frequencies_match_fold_probs(self, ghz22):
         trials = 10_000
