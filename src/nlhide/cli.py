@@ -4,15 +4,18 @@ Subcommands: ``example`` (write a built-in ensemble file), ``check``
 (admissibility report), ``bounds`` (fold-count curve), ``simulate`` (seeded
 protocol runs), ``fold`` (emit an explicit coarse ensemble) and ``coalition``
 (per-coalition bound table).  Exit codes: 0 success/admissible, 1
-inadmissible, 2 usage or input error, 3 dimension cap, 4 undecided
-(uncertified solver).  All output is deterministic given flags, input file
-and seed; CSV uses '.' decimals with 17 significant digits.
+inadmissible (and only that), 2 any input, parameter or file error, 3
+dimension cap, 4 undecided (uncertified solver); the command group maps
+library errors to these codes in one place.  All output is deterministic
+given flags, input file and seed; CSV uses '.' decimals with 17 significant
+digits.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from typing import NoReturn
 
 import click
 
@@ -26,14 +29,7 @@ from .ensembles import (
     save_ensemble,
     validate,
 )
-from .folding import (
-    DegenerateClassError,
-    FoldSpec,
-    coarse_ensemble,
-    exact_two_state_curve,
-    fold_bound,
-    uniform_coarse_ensemble,
-)
+from .folding import FoldSpec, coarse_ensemble, fold_bound, uniform_coarse_ensemble
 from .hiding import (
     HidingError,
     HidingReport,
@@ -57,9 +53,18 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _fail(code: int, message: str) -> None:
+def _fail(code: int, message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path is None:
+        click.echo(text, nl=False)
+    else:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
 def _load(path: str) -> Ensemble:
@@ -67,10 +72,23 @@ def _load(path: str) -> Ensemble:
         return load_ensemble(path)
     except (InvalidEnsembleError, OSError) as exc:
         _fail(EXIT_USAGE, f"cannot load ensemble from {path}: {exc}")
-        raise AssertionError("unreachable")
 
 
-@click.group()
+class _ExitCodeGroup(click.Group):
+    """Maps the library's errors to exit codes, for every command."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except DimensionCapError as exc:
+            _fail(EXIT_DIM_CAP, str(exc))
+        except HidingError as exc:
+            _fail(EXIT_INADMISSIBLE, str(exc))
+        except (ValueError, OSError) as exc:
+            _fail(EXIT_USAGE, str(exc))
+
+
+@click.group(cls=_ExitCodeGroup)
 @click.option(
     "--cap",
     type=int,
@@ -99,15 +117,10 @@ def main(ctx: click.Context, cap: int) -> None:
 def example(ctx: click.Context, kind: str, d: int, m: int, s: int, t: int, output: str) -> None:
     """Write a built-in example ensemble as JSON and print its diagnostics."""
     cap = ctx.obj["cap"]
-    try:
-        if kind == "1":
-            ensemble = ghz_complement_ensemble(d, m, cap=cap)
-        else:
-            ensemble = parity_block_ensemble(ParityBlockParams(d, m, s, t), cap=cap)
-    except DimensionCapError as exc:
-        _fail(EXIT_DIM_CAP, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    if kind == "1":
+        ensemble = ghz_complement_ensemble(d, m, cap=cap)
+    else:
+        ensemble = parity_block_ensemble(ParityBlockParams(d, m, s, t), cap=cap)
     save_ensemble(ensemble, output)
     diagnostics = validate(ensemble)
     for check in diagnostics.checks:
@@ -177,40 +190,32 @@ def check(input_path: str, fmt: str, tol: float, max_iterations: int) -> None:
 
 @main.command()
 @click.argument("input_path", type=click.Path(dir_okay=False))
-@click.option("--lmax", type=int, required=True, help="Largest fold count tabulated.")
+@click.option("--lmax", type=click.IntRange(min=1), required=True,
+              help="Largest fold count tabulated.")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
               help="CSV destination (stdout when omitted).")
 @click.option("--force", is_flag=True, help="Tabulate even when inadmissible.")
 def bounds(input_path: str, lmax: int, output: str | None, force: bool) -> None:
     """Fold-count bound curve (and the exact two-state curve when available)."""
-    if lmax < 1:
-        _fail(EXIT_USAGE, f"--lmax must be >= 1, got {lmax}")
     ensemble = _load(input_path)
     report = check_hiding(ensemble)
     if report.admissible is not True and not force:
         _fail(EXIT_INADMISSIBLE, "ensemble is not admissible (use --force to tabulate anyway)")
     qx = max(report.max_q, 1.0 / report.n)
-    exact = None
-    if report.n == 2 and report.fast_path:
-        exact = exact_two_state_curve(max(report.pivot_weight, 0.5), lmax)
+    # Two states decided by dominance on every cut: the bound is the exact value.
+    exact = report.n == 2 and report.fast_path
     rows = ["L,bound,exact"]
     for L in range(1, lmax + 1):
-        bound = fold_bound(report.n, qx, L)
-        exact_cell = _fmt(exact[L - 1]) if exact is not None else ""
-        rows.append(f"{L},{_fmt(bound)},{exact_cell}")
-    text = "\n".join(rows) + "\n"
-    if output is None:
-        click.echo(text, nl=False)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        bound = _fmt(fold_bound(report.n, qx, L))
+        rows.append(f"{L},{bound},{bound if exact else ''}")
+    _emit("\n".join(rows) + "\n", output)
 
 
 @main.command()
 @click.argument("input_path", type=click.Path(dir_okay=False))
-@click.option("--L", "folds", type=int, required=True, help="Fold count.")
+@click.option("--L", "folds", type=click.IntRange(min=1), required=True, help="Fold count.")
 @click.option("--x", "x", type=int, required=True, help="Datum to hide (0..n-1).")
-@click.option("--trials", type=int, default=1000, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--mode", type=click.Choice(["broadcast", "direct"]), default="broadcast",
               show_default=True)
@@ -237,24 +242,12 @@ def simulate(
     ensemble = _load(input_path)
     if not 0 <= x < ensemble.n:
         _fail(EXIT_USAGE, f"--x {x} out of range 0..{ensemble.n - 1}")
-    if folds < 1:
-        _fail(EXIT_USAGE, f"--L must be >= 1, got {folds}")
-    if trials <= 0:
-        _fail(EXIT_USAGE, f"--trials must be positive, got {trials}")
-    try:
-        cfg = SchemeConfig.create(ensemble, folds, seed=seed, mode=mode, force=force)
-    except HidingError as exc:
-        _fail(EXIT_INADMISSIBLE, str(exc))
+    cfg = SchemeConfig.create(ensemble, folds, seed=seed, mode=mode, force=force)
 
     if mode == "direct":
-        try:
-            encoding = direct_encode(cfg, x, cap=cap)
-        except DimensionCapError as exc:
-            _fail(EXIT_DIM_CAP, str(exc))
-        payload = json.dumps(encoding.to_dict(), sort_keys=True) + "\n"
+        encoding = direct_encode(cfg, x, cap=cap)
         if transcripts is not None:
-            with open(transcripts, "w", encoding="utf-8") as handle:
-                handle.write(payload)
+            _emit(json.dumps(encoding.to_dict(), sort_keys=True) + "\n", transcripts)
         header = "x,L,dim,recovery_ok," + ",".join(
             f"class_prob_{j}" for j in range(ensemble.n))
         row = ",".join(
@@ -266,8 +259,7 @@ def simulate(
     else:
         run = run_protocol(cfg, x, trials)
         if transcripts is not None:
-            with open(transcripts, "w", encoding="utf-8") as handle:
-                handle.write(transcripts_to_jsonl(run))
+            _emit(transcripts_to_jsonl(run), transcripts)
         s = run.summary
         header = (
             "trials,x,L,seed,mode,recovery_rate,"
@@ -284,16 +276,12 @@ def simulate(
         text = header + "\n" + row + "\n"
         if s.warning:
             text += f"# warning: {s.warning}\n"
-    if summary_path is None:
-        click.echo(text, nl=False)
-    else:
-        with open(summary_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _emit(text, summary_path)
 
 
 @main.command()
 @click.argument("input_path", type=click.Path(dir_okay=False))
-@click.option("--L", "folds", type=int, required=True, help="Fold count.")
+@click.option("--L", "folds", type=click.IntRange(min=1), required=True, help="Fold count.")
 @click.option("--uniform", is_flag=True,
               help="Re-weight the coarse classes uniformly (direct-encoding prior).")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
@@ -301,46 +289,24 @@ def simulate(
 def fold(ctx: click.Context, input_path: str, folds: int, uniform: bool, output: str) -> None:
     """Write the explicit coarse ensemble after L folds."""
     cap = ctx.obj["cap"]
-    if folds < 1:
-        _fail(EXIT_USAGE, f"--L must be >= 1, got {folds}")
-    ensemble = _load(input_path)
-    try:
-        spec = FoldSpec(ensemble, folds)
-        out = uniform_coarse_ensemble(spec, cap=cap) if uniform else coarse_ensemble(spec, cap=cap)
-    except DimensionCapError as exc:
-        _fail(EXIT_DIM_CAP, str(exc))
-    except DegenerateClassError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    spec = FoldSpec(_load(input_path), folds)
+    out = uniform_coarse_ensemble(spec, cap=cap) if uniform else coarse_ensemble(spec, cap=cap)
     save_ensemble(out, output)
     click.echo(f"wrote {out.n}-state, {out.dim}-dim coarse ensemble to {output}")
 
 
 @main.command()
 @click.argument("input_path", type=click.Path(dir_okay=False))
-@click.option("--L", "folds", type=int, required=True, help="Fold count.")
+@click.option("--L", "folds", type=click.IntRange(min=1), required=True, help="Fold count.")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
               help="CSV destination (stdout when omitted).")
 @click.option("--force", is_flag=True, help="Tabulate even when inadmissible.")
 def coalition(input_path: str, folds: int, output: str | None, force: bool) -> None:
     """Per-coalition guessing bound table after L folds."""
-    if folds < 1:
-        _fail(EXIT_USAGE, f"--L must be >= 1, got {folds}")
-    ensemble = _load(input_path)
-    try:
-        rows = coalition_report(ensemble, folds, force=force)
-    except HidingError as exc:
-        _fail(EXIT_INADMISSIBLE, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
     lines = ["partition,L,bound_or_exact,kind"]
-    for row in rows:
+    for row in coalition_report(_load(input_path), folds, force=force):
         lines.append(f"{row.partition},{row.L},{_fmt(row.value)},{row.kind}")
-    text = "\n".join(lines) + "\n"
-    if output is None:
-        click.echo(text, nl=False)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _emit("\n".join(lines) + "\n", output)
 
 
 if __name__ == "__main__":

@@ -243,7 +243,7 @@ def optimal_global(
     result with ``gap > tol`` is returned flagged uncertified rather than
     raising; its dual value is still a valid upper bound.
     """
-    if tol <= 0:
+    if not tol > 0:  # also NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
     w, mats, slots = _validate_inputs(weights, ops)
     if method == "auto":
@@ -339,7 +339,6 @@ def check_dominant_state(
     e: Ensemble,
     x: Bipartition,
     pivot: int | None = None,
-    tol: float | None = None,
 ) -> DominanceCheck:
     """Test whether one weighted transposed state dominates all others.
 
@@ -348,14 +347,13 @@ def check_dominant_state(
     pivot, zero elsewhere) is optimal, so callers may skip the solver.  The
     pivot defaults to the heaviest member (lowest index on ties).
     """
-    return _dominance(e, _transposed_states(e, x), pivot, tol)
+    return _dominance(e, _transposed_states(e, x), pivot)
 
 
 def _dominance(
     e: Ensemble,
     gammas: Sequence[MultiPartyOperator],
     pivot: int | None = None,
-    tol: float | None = None,
 ) -> DominanceCheck:
     """:func:`check_dominant_state` on states already transposed for the cut."""
     if pivot is None:
@@ -370,7 +368,7 @@ def _dominance(
             out.append(0.0)
             continue
         diff = MultiPartyOperator(lead - e.probs[i] * gammas[i].matrix, e.slots)
-        check: PsdCheck = is_psd(diff, tol=tol)
+        check: PsdCheck = is_psd(diff)
         out.append(check.min_eigenvalue)
         ok = ok and check.ok
     return DominanceCheck(ok, tuple(out), pivot)

@@ -136,22 +136,23 @@ def uniform_coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensem
 def exact_two_state_curve(eta0: float, lmax: int) -> list[float]:
     """Exact dominant-class probability of a two-state fold, for L = 1..lmax.
 
-    ``1/2 + (2*eta0 - 1)**L / 2``; requires ``1/2 <= eta0 <= 1`` (a dominated
-    heavy member is what makes the value exact).
+    ``1/2 + (2*eta0 - 1)**L / 2``, which is :func:`fold_bound` at ``n = 2``;
+    requires ``1/2 <= eta0 <= 1`` (a dominated heavy member is what makes the
+    value exact).
     """
     if not 0.5 <= eta0 <= 1.0:
         raise ValueError(f"eta0 must lie in [1/2, 1], got {eta0}")
     if lmax < 1:
         raise ValueError(f"lmax must be >= 1, got {lmax}")
-    return [0.5 + 0.5 * (2.0 * eta0 - 1.0) ** L for L in range(1, lmax + 1)]
+    return [fold_bound(2, eta0, L) for L in range(1, lmax + 1)]
 
 
 def fold_bound(n: int, qx: float, L: int) -> float:
     """Upper bound on the L-fold restricted-measurement value from a base bound.
 
-    ``1/n + (n-1)/n * (n*qx - 1)**L``; decays to ``1/n`` exponentially fast
-    whenever ``qx < 2/n``.  Values of ``qx`` below the guessing floor ``1/n``
-    are rejected.
+    ``1/n + (n-1)/n * (n*qx - 1)**L``, capped at 1 since it bounds a
+    probability; decays to ``1/n`` exponentially fast whenever ``qx < 2/n``.
+    Values of ``qx`` below the guessing floor ``1/n`` are rejected.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -159,4 +160,4 @@ def fold_bound(n: int, qx: float, L: int) -> float:
         raise ValueError(f"fold count must be >= 1, got {L}")
     if qx < 1.0 / n:
         raise ValueError(f"bound {qx} is below the guessing floor 1/{n}")
-    return 1.0 / n + (n - 1.0) / n * (n * qx - 1.0) ** L
+    return min(1.0, 1.0 / n + (n - 1.0) / n * (n * qx - 1.0) ** L)

@@ -44,6 +44,7 @@ from .tensor import (
 NEGLIGIBLE_CLASS_PROB = 1e-12
 SUPPORT_CUTOFF = 1e-10  # relative eigenvalue cutoff of a base state's support
 RECOVERY_TOL = 1e-8  # deviation of a class probability from 0 or 1
+CURVE_LMAX = 20  # fold counts tabulated in HidingReport.bound_curve
 
 
 class HidingError(ValueError):
@@ -150,7 +151,6 @@ def check_hiding(
     e: Ensemble,
     tol: float = DEFAULT_SOLVER_TOL,
     epsilon: float = 1e-6,
-    curve_lmax: int = 20,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> HidingReport:
     """Decide whether an ensemble can back the hiding scheme.
@@ -160,7 +160,7 @@ def check_hiding(
     certificates are tried before the solver, so GHZ-style families are
     decided exactly without iteration.
     """
-    if tol <= 0:
+    if not tol > 0:  # also NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
     overlap = max_pairwise_overlap(e)
     orthogonal = overlap <= ORTHOGONALITY_TOL
@@ -184,7 +184,7 @@ def check_hiding(
     )
 
     curve_q = max(scan.max_value, 1.0 / n)
-    curve = tuple(fold_bound(n, curve_q, L) for L in range(1, curve_lmax + 1))
+    curve = tuple(fold_bound(n, curve_q, L) for L in range(1, CURVE_LMAX + 1))
     folds = None
     if admissible:
         try:
@@ -448,7 +448,7 @@ def coalition_report(
         raise HidingError("coalition bounds need an admissible ensemble (or force=True)")
 
     exact_mode = e.n == 2 and report.fast_path
-    exact_value = float(np.max(fold_probs(e.probs, e.n, L))) if exact_mode else None
+    exact_value = fold_bound(2, report.max_q, L) if exact_mode else None
 
     rows: list[CoalitionRow] = []
     for partition in partitions:

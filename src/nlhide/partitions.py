@@ -172,15 +172,16 @@ def _restricted_growth_strings(m: int) -> Iterator[list[int]]:
     yield from rec(1, 0)
 
 
-def all_partitions(parties: PartySet, max_parties: int = MAX_PARTITION_PARTIES) -> list[Partition]:
+def all_partitions(parties: PartySet) -> list[Partition]:
     """All set partitions of the party set (Bell-number many).
 
-    Guarded for ``m <= max_parties`` since the count grows super-exponentially.
+    Guarded for ``m <= MAX_PARTITION_PARTIES`` since the count grows
+    super-exponentially.
     """
     m = len(parties)
-    if m > max_parties:
+    if m > MAX_PARTITION_PARTIES:
         raise ValueError(
-            f"refusing to enumerate partitions of {m} parties (guard is {max_parties})"
+            f"refusing to enumerate partitions of {m} parties (guard is {MAX_PARTITION_PARTIES})"
         )
     out: list[Partition] = []
     for string in _restricted_growth_strings(m):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nlhide import cli, hiding, load_ensemble, save_ensemble
+from nlhide import Ensemble, cli, hiding, load_ensemble, save_ensemble
 from nlhide.cli import main
 
 from test_hiding import bell_mix, overlapping_pair
@@ -34,6 +34,22 @@ def parity2212_file(runner, tmp_path):
         ["--kind", "2", "--d", "2", "--m", "2", "--s", "1", "--t", "2"],
         name="p.json",
     )
+
+
+@pytest.fixture()
+def zero_prior_file(tmp_path, ghz22_file):
+    pair = load_ensemble(str(ghz22_file))
+    path = tmp_path / "zero.json"
+    save_ensemble(Ensemble(pair.parties, (1.0, 0.0), pair.states), str(path))
+    return path
+
+
+def assert_fails(result, code):
+    """Exit ``code`` with an ``error:`` line, through ``sys.exit``: an escaped
+    exception (a traceback outside the test runner) lands in ``result.exception``."""
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert any(line.lower().startswith("error:") for line in result.output.splitlines())
 
 
 class TestExampleCommand:
@@ -161,16 +177,18 @@ class TestBoundsCommand:
 
     def test_zero_lmax_rejected(self, runner, ghz22_file):
         result = runner.invoke(main, ["bounds", str(ghz22_file), "--lmax", "0"])
-        assert result.exit_code == 2
+        assert_fails(result, 2)
 
     def test_inadmissible_needs_force(self, runner, parity2212_file):
         result = runner.invoke(main, ["bounds", str(parity2212_file), "--lmax", "3"])
-        assert result.exit_code == 1
+        assert_fails(result, 1)
         forced = runner.invoke(
             main, ["bounds", str(parity2212_file), "--lmax", "3", "--force"]
         )
         assert forced.exit_code == 0
         assert forced.output.startswith("L,bound,exact")
+        # max q 0.5625 >= 2/4: the bound never decays, and is capped at 1.
+        assert [line.split(",")[1] for line in forced.output.splitlines()[1:]] == ["1"] * 3
 
 
 class TestSimulateCommand:
@@ -244,7 +262,7 @@ class TestSimulateCommand:
         result = runner.invoke(
             main, ["simulate", str(parity2212_file), "--L", "2", "--x", "0", "--trials", "10"]
         )
-        assert result.exit_code == 1
+        assert_fails(result, 1)
         forced = runner.invoke(
             main,
             ["simulate", str(parity2212_file), "--L", "2", "--x", "0", "--trials", "10",
@@ -278,7 +296,7 @@ class TestFoldCommand:
             ["--cap", "64", "fold", str(ghz22_file), "--L", "4",
              "-o", str(tmp_path / "x.json")],
         )
-        assert result.exit_code == 3
+        assert_fails(result, 3)
 
 
 class TestCoalitionCommand:
@@ -296,7 +314,7 @@ class TestCoalitionCommand:
 
     def test_inadmissible_exits_one(self, runner, parity2212_file):
         result = runner.invoke(main, ["coalition", str(parity2212_file), "--L", "2"])
-        assert result.exit_code == 1
+        assert_fails(result, 1)
 
     def test_too_many_parties_exits_two(self, runner, tmp_path, eleven_parties):
         path = tmp_path / "eleven.json"
@@ -304,6 +322,27 @@ class TestCoalitionCommand:
         result = runner.invoke(main, ["coalition", str(path), "--L", "1", "--force"])
         assert result.exit_code == 2
         assert "11 parties" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["simulate", "{zero}", "--mode", "direct", "--L", "1", "--x", "0", "--force"], 2),
+        (["bounds", "{pair}", "--lmax", "3", "-o", "{missing}/x.csv"], 2),
+        (["check", "{pair}", "--tol", "nan"], 2),
+        (["--cap", "8", "simulate", "{pair}", "--mode", "direct", "--L", "2", "--x", "0"], 3),
+        (["fold", "{pair}", "--L", "0", "-o", "{missing}/c.json"], 2),
+        (["simulate", "{pair}", "--L", "0", "--x", "0"], 2),
+        (["coalition", "{pair}", "--L", "0"], 2),
+        (["simulate", "{pair}", "--L", "1", "--x", "0", "--trials", "0"], 2),
+    ],
+    ids=["direct-zero-prior-class", "bounds-missing-dir", "check-tol-nan", "direct-cap",
+         "fold-L0", "simulate-L0", "coalition-L0", "simulate-trials0"],
+)
+def test_errors_exit_with_their_code(runner, tmp_path, ghz22_file, zero_prior_file, args, code):
+    paths = {"pair": ghz22_file, "zero": zero_prior_file, "missing": tmp_path / "missing"}
+    result = runner.invoke(main, [arg.format(**paths) for arg in args])
+    assert_fails(result, code)
 
 
 @pytest.mark.parametrize(

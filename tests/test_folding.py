@@ -187,6 +187,11 @@ class TestCurves:
         with pytest.raises(ValueError, match="guessing floor"):
             fold_bound(4, 0.2, 1)
 
+    def test_fold_bound_never_exceeds_one(self):
+        # max q 0.85 >= 2/3: uncapped, 1/3 + 2/3 * 1.55**L reads 1.367, 1.935, 2.816.
+        assert [fold_bound(3, 0.85, L) for L in (1, 2, 3)] == [1.0, 1.0, 1.0]
+        assert fold_bound(3, 0.5, 2) == pytest.approx(0.5)  # below the cap: unchanged
+
     def test_fold_bound_matches_exact_curve_for_two_states(self):
         # With the base bound equal to the heavy weight the two formulas agree.
         curve = exact_two_state_curve(0.75, 6)

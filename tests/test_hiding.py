@@ -101,7 +101,7 @@ class TestAdmissibilityVerdict:
 
 
 class TestCheckHiding:
-    @pytest.mark.parametrize("tol", [0.0, -1e-8])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
     def test_nonpositive_tol_rejected_before_the_scan(self, monkeypatch, tol):
         def no_scan(*args, **kwargs):
             raise AssertionError("the scan ran")
