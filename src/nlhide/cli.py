@@ -199,8 +199,7 @@ def bounds(input_path: str, lmax: int, output: str | None, force: bool) -> None:
     """Fold-count bound curve (and the exact two-state curve when available)."""
     ensemble = _load(input_path)
     report = check_hiding(ensemble)
-    if report.admissible is not True and not force:
-        _fail(EXIT_INADMISSIBLE, "ensemble is not admissible (use --force to tabulate anyway)")
+    report.require_admissible(force)
     qx = max(report.max_q, 1.0 / report.n)
     # Two states decided by dominance on every cut: the bound is the exact value.
     exact = report.n == 2 and report.fast_path
@@ -242,7 +241,7 @@ def simulate(
     ensemble = _load(input_path)
     if not 0 <= x < ensemble.n:
         _fail(EXIT_USAGE, f"--x {x} out of range 0..{ensemble.n - 1}")
-    cfg = SchemeConfig.create(ensemble, folds, seed=seed, mode=mode, force=force)
+    cfg = SchemeConfig.create(ensemble, folds, seed=seed, force=force)
 
     if mode == "direct":
         encoding = direct_encode(cfg, x, cap=cap)
@@ -268,7 +267,7 @@ def simulate(
             + ",".join(f"expected_{j}" for j in range(ensemble.n))
         )
         row = ",".join(
-            [str(s.trials), str(s.x), str(s.L), str(s.seed), s.mode,
+            [str(s.trials), str(s.x), str(s.L), str(s.seed), "broadcast",
              _fmt(s.recovery_rate)]
             + [str(c) for c in s.class_counts]
             + [_fmt(p) for p in s.expected_class_probs]

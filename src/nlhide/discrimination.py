@@ -23,7 +23,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .ensembles import Ensemble, _matrix_to_pairs
+from .ensembles import Ensemble
 from .partitions import Bipartition, all_bipartitions
 from .tensor import (
     ContractViolationError,
@@ -71,10 +71,10 @@ class Povm:
     def min_eigenvalues(self) -> tuple[float, ...]:
         return tuple(float(hermitian_eigenvalues(el)[0]) for el in self.elements)
 
-    def is_valid(self, tol: float = 1e-10) -> bool:
+    def is_valid(self) -> bool:
         return (
-            self.completeness_defect() <= tol
-            and all(v >= -tol for v in self.min_eigenvalues())
+            self.completeness_defect() <= 1e-10
+            and all(v >= -1e-10 for v in self.min_eigenvalues())
         )
 
 
@@ -96,20 +96,6 @@ class DiscriminationResult:
     certified: bool
     iterations: int
     method: str
-
-    def to_dict(self, include_povm: bool = False) -> dict:
-        out = {
-            "primal": self.primal_value,
-            "dual": self.dual_value,
-            "gap": self.gap,
-            "certified": self.certified,
-            "iterations": self.iterations,
-            "method": self.method,
-            "certificate_min_eigs": list(self.certificate_min_eigs),
-        }
-        if include_povm:
-            out["povm"] = [_matrix_to_pairs(el.matrix) for el in self.povm.elements]
-        return out
 
 
 def _validate_inputs(
@@ -434,11 +420,6 @@ def max_bipartition_bound(
         raise ValueError(f"no bipartition could be bounded: {failures}")
     max_value = max(r.dual_value for r in results.values())
     return BipartitionScan(max_value, results, failures)
-
-
-def guessing_floor(e: Ensemble) -> float:
-    """Largest prior: achievable by always guessing the heaviest member."""
-    return float(max(e.probs))
 
 
 def _party_major_vector(

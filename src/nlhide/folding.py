@@ -119,11 +119,11 @@ def coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:
                 f"coarse class {i} has probability {prob:.3e}; cannot normalize"
             )
     slots = SlotStructure(base.slots.slot_dims * spec.L, base.slots.party_of_slot * spec.L)
-    states = tuple(
-        MultiPartyOperator(np.divide(total, prob, out=total), slots)
-        for total, prob in zip(class_sums, class_probs)
-    )
-    return Ensemble(base.parties, class_probs, states)
+    states = []
+    for prob in class_probs:
+        total = class_sums.pop(0)  # released once its normalized copy exists
+        states.append(MultiPartyOperator(np.divide(total, prob, out=total), slots))
+    return Ensemble(base.parties, class_probs, tuple(states))
 
 
 def uniform_coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:

@@ -41,7 +41,6 @@ from .tensor import (
     hermitian_eigensystem,
 )
 
-NEGLIGIBLE_CLASS_PROB = 1e-12
 SUPPORT_CUTOFF = 1e-10  # relative eigenvalue cutoff of a base state's support
 RECOVERY_TOL = 1e-8  # deviation of a class probability from 0 or 1
 CURVE_LMAX = 20  # fold counts tabulated in HidingReport.bound_curve
@@ -102,6 +101,11 @@ class HidingReport:
             "bound_curve": list(self.bound_curve),
             "min_folds": self.min_folds,
         }
+
+    def require_admissible(self, force: bool = False) -> None:
+        """Raise :class:`HidingError` unless the verdict is admissible or ``force`` is set."""
+        if self.admissible is not True and not force:
+            raise HidingError("ensemble is not admissible for hiding")
 
 
 def _fold_count_for(n: int, max_q: float, epsilon: float) -> int:
@@ -213,17 +217,10 @@ def check_hiding(
     )
 
 
-def min_folds(
-    e: Ensemble | HidingReport,
-    epsilon: float,
-    tol: float = DEFAULT_SOLVER_TOL,
-) -> int:
+def min_folds(e: Ensemble | HidingReport, epsilon: float) -> int:
     """Smallest fold count whose bound is within ``epsilon`` of random guessing."""
-    report = e if isinstance(e, HidingReport) else check_hiding(e, tol=tol)
-    if report.admissible is not True:
-        raise HidingError(
-            "fold sizing needs an admissible ensemble; the bound does not converge"
-        )
+    report = e if isinstance(e, HidingReport) else check_hiding(e)
+    report.require_admissible()
     return _fold_count_for(report.n, max(report.max_q, 1.0 / report.n), epsilon)
 
 
@@ -239,7 +236,6 @@ class SchemeConfig:
     ensemble: Ensemble
     L: int
     seed: int
-    mode: str
     report: HidingReport
     force: bool = False
 
@@ -248,26 +244,14 @@ class SchemeConfig:
             raise ValueError(f"fold count must be >= 1, got {self.L}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.mode not in ("broadcast", "direct"):
-            raise ValueError(f"mode must be 'broadcast' or 'direct', got {self.mode!r}")
 
     @classmethod
     def create(
-        cls,
-        ensemble: Ensemble,
-        L: int,
-        seed: int = 0,
-        mode: str = "broadcast",
-        force: bool = False,
-        tol: float = DEFAULT_SOLVER_TOL,
+        cls, ensemble: Ensemble, L: int, seed: int = 0, force: bool = False
     ) -> "SchemeConfig":
-        report = check_hiding(ensemble, tol=tol)
-        if report.admissible is not True and not force:
-            raise HidingError(
-                "ensemble is not admissible for hiding; pass force=True to simulate anyway"
-            )
-        return cls(ensemble=ensemble, L=L, seed=int(seed), mode=mode,
-                   report=report, force=force)
+        report = check_hiding(ensemble)
+        report.require_admissible(force)
+        return cls(ensemble=ensemble, L=L, seed=int(seed), report=report, force=force)
 
 
 @dataclass(frozen=True)
@@ -276,11 +260,9 @@ class ProtocolSummary:
     x: int
     L: int
     seed: int
-    mode: str
     recovery_rate: float
     class_counts: tuple[int, ...]
     expected_class_probs: tuple[float, ...]
-    negligible_classes: tuple[int, ...]
     warning: str | None
 
 
@@ -309,8 +291,7 @@ def run_protocol(cfg: SchemeConfig, x: int, trials: int) -> ProtocolRun:
     n = cfg.ensemble.n
     if not 0 <= x < n:
         raise ValueError(f"datum x={x} out of range 0..{n - 1}")
-    if cfg.report.admissible is not True and not cfg.force:
-        raise HidingError("ensemble is not admissible; create the config with force=True")
+    cfg.report.require_admissible(cfg.force)
 
     cdf = np.cumsum(np.asarray(cfg.ensemble.probs))
     cdf[-1] = 1.0
@@ -324,7 +305,6 @@ def run_protocol(cfg: SchemeConfig, x: int, trials: int) -> ProtocolRun:
     # returns y deterministically, so the estimate is z - y mod n.
     recovered = (z - y) % n
 
-    negligible = tuple(i for i, p in enumerate(expected) if p < NEGLIGIBLE_CLASS_PROB)
     warning = None
     if cfg.report.admissible is not True:
         warning = "no hiding guarantee: ensemble failed the admissibility condition"
@@ -333,11 +313,9 @@ def run_protocol(cfg: SchemeConfig, x: int, trials: int) -> ProtocolRun:
         x=x,
         L=cfg.L,
         seed=cfg.seed,
-        mode=cfg.mode,
         recovery_rate=int(np.count_nonzero(recovered == x)) / trials,
         class_counts=tuple(np.bincount(y, minlength=n).tolist()),
         expected_class_probs=tuple(float(p) for p in expected),
-        negligible_classes=negligible,
         warning=warning,
     )
     return ProtocolRun(c_vecs, y, z, recovered, summary)
@@ -371,7 +349,11 @@ def class_measurement(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> list[np.nda
         basis = vecs[:, (vals > SUPPORT_CUTOFF * max(float(vals[-1]), 1.0)) & (prob > 0)]
         supports.append(basis @ basis.conj().T)
     projectors = _class_sums(spec, supports, cap)
-    projectors[0] = np.eye(spec.explicit_dim) - sum(projectors[1:])  # P_0 plus the unused rest
+    # P_0 plus the unused rest, I - (P_1 + ... + P_{n-1}), formed in P_0's buffer.
+    leftover = projectors[0]
+    leftover[...] = 0.0
+    np.fill_diagonal(leftover, 1.0)
+    leftover -= sum(projectors[2:], projectors[1])
     return projectors
 
 
@@ -402,8 +384,6 @@ def direct_encode(cfg: SchemeConfig, x: int, cap: int = DEFAULT_DIM_CAP) -> Dire
     measurement, and checks that it identifies ``x`` with probability one;
     a non-orthogonal ensemble never passes: its class measurement is no POVM.
     """
-    if cfg.mode != "direct":
-        raise ValueError(f"direct encoding needs mode='direct', got {cfg.mode!r}")
     n = cfg.ensemble.n
     if not 0 <= x < n:
         raise ValueError(f"datum x={x} out of range 0..{n - 1}")
@@ -427,7 +407,6 @@ class CoalitionRow(NamedTuple):
 def coalition_report(
     e: Ensemble,
     L: int,
-    tol: float = DEFAULT_SOLVER_TOL,
     report: HidingReport | None = None,
     force: bool = False,
 ) -> list[CoalitionRow]:
@@ -443,9 +422,8 @@ def coalition_report(
         raise ValueError(f"fold count must be >= 1, got {L}")
     partitions = all_partitions(e.parties)  # before any report: too many parties fail fast
     if report is None:
-        report = check_hiding(e, tol=tol)
-    if report.admissible is not True and not force:
-        raise HidingError("coalition bounds need an admissible ensemble (or force=True)")
+        report = check_hiding(e)
+    report.require_admissible(force)
 
     exact_mode = e.n == 2 and report.fast_path
     exact_value = fold_bound(2, report.max_q, L) if exact_mode else None

@@ -30,14 +30,11 @@ class PartySet:
         object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def of_size(cls, m: int, prefix: str = "A") -> "PartySet":
-        return cls(tuple(f"{prefix}{k}" for k in range(1, m + 1)))
+    def of_size(cls, m: int) -> "PartySet":
+        return cls(tuple(f"A{k}" for k in range(1, m + 1)))
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
 
 
 def _canonical_blocks(
@@ -84,30 +81,6 @@ class Partition:
 
     def to_string(self) -> str:
         return "|".join("".join(block) for block in self.blocks)
-
-    @classmethod
-    def from_string(cls, parties: PartySet, text: str) -> "Partition":
-        blocks: list[list[str]] = []
-        for chunk in text.split("|"):
-            block = [label for label in parties.labels if label in _split_labels(chunk, parties)]
-            blocks.append(block)
-        return cls(parties, tuple(tuple(b) for b in blocks))
-
-
-def _split_labels(chunk: str, parties: PartySet) -> list[str]:
-    # Greedy longest-match split of a concatenated label string like "A1A3".
-    labels = sorted(parties.labels, key=len, reverse=True)
-    out: list[str] = []
-    rest = chunk
-    while rest:
-        for label in labels:
-            if rest.startswith(label):
-                out.append(label)
-                rest = rest[len(label):]
-                break
-        else:
-            raise ValueError(f"cannot parse {chunk!r} as parties of {parties.labels}")
-    return out
 
 
 @dataclass(frozen=True)

@@ -205,9 +205,9 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
-def is_hermitian(op: MultiPartyOperator, rtol: float = HERMITICITY_RTOL) -> bool:
+def is_hermitian(op: MultiPartyOperator) -> bool:
     scale = 1.0 + float(np.max(np.abs(op.matrix))) if op.matrix.size else 1.0
-    return hermiticity_defect(op.matrix) <= rtol * scale
+    return hermiticity_defect(op.matrix) <= HERMITICITY_RTOL * scale
 
 
 def _require_hermitian(op: MultiPartyOperator) -> None:

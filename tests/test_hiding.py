@@ -213,7 +213,6 @@ class TestSchemeConfig:
     def test_create_records_report(self, ghz22):
         cfg = SchemeConfig.create(ghz22, 3, seed=42)
         assert cfg.report.admissible is True
-        assert cfg.mode == "broadcast"
 
     def test_inadmissible_needs_force(self, parity2212):
         with pytest.raises(HidingError):
@@ -224,10 +223,6 @@ class TestSchemeConfig:
     def test_negative_seed_rejected(self, ghz22):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             SchemeConfig.create(ghz22, 2, seed=-1)
-
-    def test_mode_validation(self, ghz22):
-        with pytest.raises(ValueError, match="mode"):
-            SchemeConfig.create(ghz22, 2, mode="sideways")
 
 
 def jsonl_lines(run):
@@ -337,17 +332,6 @@ class TestRunProtocol:
         assert run.summary.recovery_rate == 1.0
         assert "no hiding guarantee" in run.summary.warning
 
-    def test_negligible_classes_are_noted(self):
-        slots = SlotStructure((2, 1), ("A1", "A2"))
-        states = (
-            MultiPartyOperator(np.diag([1.0, 0.0]).astype(complex), slots),
-            MultiPartyOperator(np.diag([0.0, 1.0]).astype(complex), slots),
-        )
-        skewed = Ensemble(PartySet.of_size(2), (1 - 1e-13, 1e-13), states)
-        cfg = SchemeConfig.create(skewed, 1, seed=0, force=True)
-        run = run_protocol(cfg, x=0, trials=20)
-        assert run.summary.negligible_classes == (1,)
-
 
 def _oracle_encoding(cfg, x):
     """``direct_encode``'s class probabilities and verdict from the eigen oracle."""
@@ -414,7 +398,7 @@ class TestClassMeasurement:
     )
     def test_matches_eigen_oracle(self, request, family, folds):
         e = request.getfixturevalue(family)
-        _assert_matches_oracle(SchemeConfig.create(e, folds, mode="direct", force=True))
+        _assert_matches_oracle(SchemeConfig.create(e, folds, force=True))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), data=st.data())
@@ -431,7 +415,7 @@ class TestClassMeasurement:
         L = data.draw(st.integers(1, L), label="L")
         report = check_hiding(e, max_iterations=25)
         assert report.orthogonal
-        cfg = SchemeConfig(ensemble=e, L=L, seed=0, mode="direct", report=report, force=True)
+        cfg = SchemeConfig(ensemble=e, L=L, seed=0, report=report, force=True)
         _assert_matches_oracle(cfg)
 
     def test_cap_error_matches_coarse_ensemble(self, ghz22):
@@ -456,7 +440,7 @@ class TestClassMeasurement:
 
 class TestDirectEncode:
     def test_sixteen_dim_descriptor(self, ghz22):
-        cfg = SchemeConfig.create(ghz22, 2, seed=0, mode="direct")
+        cfg = SchemeConfig.create(ghz22, 2, seed=0)
         enc = direct_encode(cfg, 1)
         assert enc.state.dim == 16
         assert enc.recovery_ok
@@ -464,28 +448,23 @@ class TestDirectEncode:
         assert enc.to_dict()["dim"] == 16
 
     def test_single_fold_returns_base_state(self, ghz22):
-        cfg = SchemeConfig.create(ghz22, 1, seed=0, mode="direct")
+        cfg = SchemeConfig.create(ghz22, 1, seed=0)
         enc = direct_encode(cfg, 0)
         assert float(np.max(np.abs(enc.state.matrix - ghz22.states[0].matrix))) <= 1e-14
 
     def test_x_out_of_range(self, ghz22):
-        cfg = SchemeConfig.create(ghz22, 1, seed=0, mode="direct")
+        cfg = SchemeConfig.create(ghz22, 1, seed=0)
         with pytest.raises(ValueError, match="out of range"):
             direct_encode(cfg, 2)
 
-    def test_wrong_mode_rejected(self, ghz22):
-        cfg = SchemeConfig.create(ghz22, 1, seed=0, mode="broadcast")
-        with pytest.raises(ValueError, match="direct"):
-            direct_encode(cfg, 0)
-
     @pytest.mark.parametrize("folds", [1, 2])
     def test_non_orthogonal_never_recovers(self, folds):
-        cfg = SchemeConfig.create(overlapping_pair(), folds, mode="direct", force=True)
+        cfg = SchemeConfig.create(overlapping_pair(), folds, force=True)
         assert not cfg.report.orthogonal
         assert direct_encode(cfg, 1).recovery_ok is False
 
     def test_eigensolves_stay_at_base_dimension(self, ghz22, monkeypatch):
-        cfg = SchemeConfig.create(ghz22, 4, mode="direct")
+        cfg = SchemeConfig.create(ghz22, 4)
         dims = []
         for name in ("eigh", "eigvalsh"):
             solver = getattr(np.linalg, name)
