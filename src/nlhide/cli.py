@@ -18,6 +18,7 @@ import sys
 from typing import NoReturn
 
 import click
+from click.core import ParameterSource
 
 from .ensembles import (
     Ensemble,
@@ -29,7 +30,7 @@ from .ensembles import (
     save_ensemble,
     validate,
 )
-from .folding import FoldSpec, coarse_ensemble, fold_bound, uniform_coarse_ensemble
+from .folding import FoldSpec, coarse_ensemble, uniform_coarse_ensemble
 from .hiding import (
     HidingError,
     HidingReport,
@@ -181,11 +182,7 @@ def check(input_path: str, fmt: str, tol: float, max_iterations: int) -> None:
     else:
         for line in _report_lines(report):
             click.echo(line)
-    if report.admissible is True:
-        sys.exit(EXIT_OK)
-    if report.admissible is False:
-        sys.exit(EXIT_INADMISSIBLE)
-    sys.exit(EXIT_UNDECIDED)
+    sys.exit({True: EXIT_OK, False: EXIT_INADMISSIBLE, None: EXIT_UNDECIDED}[report.admissible])
 
 
 @main.command()
@@ -200,13 +197,10 @@ def bounds(input_path: str, lmax: int, output: str | None, force: bool) -> None:
     ensemble = _load(input_path)
     report = check_hiding(ensemble)
     report.require_admissible(force)
-    qx = max(report.max_q, 1.0 / report.n)
-    # Two states decided by dominance on every cut: the bound is the exact value.
-    exact = report.n == 2 and report.fast_path
     rows = ["L,bound,exact"]
     for L in range(1, lmax + 1):
-        bound = _fmt(fold_bound(report.n, qx, L))
-        rows.append(f"{L},{bound},{bound if exact else ''}")
+        bound = _fmt(report.bound(L))
+        rows.append(f"{L},{bound},{bound if report.exact else ''}")
     _emit("\n".join(rows) + "\n", output)
 
 
@@ -214,8 +208,10 @@ def bounds(input_path: str, lmax: int, output: str | None, force: bool) -> None:
 @click.argument("input_path", type=click.Path(dir_okay=False))
 @click.option("--L", "folds", type=click.IntRange(min=1), required=True, help="Fold count.")
 @click.option("--x", "x", type=int, required=True, help="Datum to hide (0..n-1).")
-@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True,
+              help="Protocol runs (broadcast mode only).")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Generator seed (broadcast mode only).")
 @click.option("--mode", type=click.Choice(["broadcast", "direct"]), default="broadcast",
               show_default=True)
 @click.option("--transcripts", type=click.Path(dir_okay=False), default=None,
@@ -238,6 +234,9 @@ def simulate(
 ) -> None:
     """Run the seeded hiding protocol; identical seeds give identical bytes."""
     cap = ctx.obj["cap"]
+    for name in ("trials", "seed") if mode == "direct" else ():
+        if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
+            _fail(EXIT_USAGE, f"--{name} has no effect in direct mode")
     ensemble = _load(input_path)
     if not 0 <= x < ensemble.n:
         _fail(EXIT_USAGE, f"--x {x} out of range 0..{ensemble.n - 1}")
@@ -260,12 +259,9 @@ def simulate(
         if transcripts is not None:
             _emit(transcripts_to_jsonl(run), transcripts)
         s = run.summary
-        header = (
-            "trials,x,L,seed,mode,recovery_rate,"
-            + ",".join(f"count_{j}" for j in range(ensemble.n))
-            + ","
-            + ",".join(f"expected_{j}" for j in range(ensemble.n))
-        )
+        header = ",".join(["trials,x,L,seed,mode,recovery_rate"]
+                          + [f"count_{j}" for j in range(ensemble.n)]
+                          + [f"expected_{j}" for j in range(ensemble.n)])
         row = ",".join(
             [str(s.trials), str(s.x), str(s.L), str(s.seed), "broadcast",
              _fmt(s.recovery_rate)]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +44,7 @@ from .tensor import (
 SUPPORT_CUTOFF = 1e-10  # relative eigenvalue cutoff of a base state's support
 RECOVERY_TOL = 1e-8  # deviation of a class probability from 0 or 1
 CURVE_LMAX = 20  # fold counts tabulated in HidingReport.bound_curve
+FOLD_EPSILON = 1e-6  # leakage above 1/n that HidingReport.min_folds sizes for
 
 
 class HidingError(ValueError):
@@ -58,9 +59,11 @@ class HidingReport:
     bipartition stayed uncertified with its upper bound at or above the
     threshold.  ``q_values`` are dual upper bounds keyed by the canonical
     bipartition string; ``q_exact`` marks values obtained from the dominance
-    certificate (exact, gap zero).  ``min_folds`` is the fold count reaching
-    ``1/n + epsilon``; it is ``None`` unless ``admissible`` is ``True``, and
-    also when ``n * max_q - 1`` rounds to 1 so the bound cannot decay.
+    certificate (exact, gap zero).  :meth:`bound` is the fold-count curve,
+    exact when :attr:`exact` holds; ``bound_curve`` tabulates it, and
+    ``min_folds`` is the fold count reaching ``1/n + FOLD_EPSILON``.  That is
+    ``None`` unless ``admissible`` is ``True``, and also when ``n * max_q - 1``
+    rounds to 1 so the bound cannot decay.
     """
 
     n: int
@@ -77,30 +80,31 @@ class HidingReport:
     pivot: int
     pivot_weight: float
     admissible: bool | None
-    epsilon: float
-    bound_curve: tuple[float, ...]
-    min_folds: int | None
+    epsilon: float = field(default=FOLD_EPSILON, init=False)
+    bound_curve: tuple[float, ...] = field(init=False)
+    min_folds: int | None = field(init=False)
+
+    def __post_init__(self):  # the derived fields; the class is frozen
+        object.__setattr__(self, "bound_curve", tuple(map(self.bound, range(1, CURVE_LMAX + 1))))
+        try:
+            folds = _fold_count_for(self.n, self.max_q, self.epsilon) if self.admissible else None
+        except HidingError:  # n * max_q - 1 rounds to 1: the bound cannot decay
+            folds = None
+        object.__setattr__(self, "min_folds", folds)
+
+    @property
+    def exact(self) -> bool:
+        """Two states decided by dominance on every cut: the bound is the exact value."""
+        return self.n == 2 and self.fast_path
+
+    def bound(self, L: int, cut: str | None = None) -> float:
+        """Guessing bound after ``L`` folds on ``cut`` (on every cut when omitted),
+        from that cut's q (or ``max_q``) clamped at the guessing floor ``1/n``."""
+        q = self.max_q if cut is None else self.q_values[cut]
+        return fold_bound(self.n, max(q, 1.0 / self.n), L)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "threshold": self.threshold,
-            "orthogonal": self.orthogonal,
-            "max_overlap": self.max_overlap,
-            "p_global": self.p_global,
-            "q_values": dict(self.q_values),
-            "q_certified": dict(self.q_certified),
-            "q_exact": dict(self.q_exact),
-            "solver_failures": dict(self.solver_failures),
-            "max_q": self.max_q,
-            "fast_path": self.fast_path,
-            "pivot": self.pivot,
-            "pivot_weight": self.pivot_weight,
-            "admissible": self.admissible,
-            "epsilon": self.epsilon,
-            "bound_curve": list(self.bound_curve),
-            "min_folds": self.min_folds,
-        }
+        return asdict(self)
 
     def require_admissible(self, force: bool = False) -> None:
         """Raise :class:`HidingError` unless the verdict is admissible or ``force`` is set."""
@@ -108,21 +112,22 @@ class HidingReport:
             raise HidingError("ensemble is not admissible for hiding")
 
 
-def _fold_count_for(n: int, max_q: float, epsilon: float) -> int:
-    """Smallest L >= 1 with ``fold_bound(n, max_q, L) - 1/n <= epsilon``: the log of
-    ``(n-1)/n * (n*max_q - 1)**L <= epsilon``, then settled on that float test."""
+def _fold_count_for(n: int, q: float, epsilon: float) -> int:
+    """Smallest L >= 1 with ``fold_bound(n, max(q, 1/n), L) - 1/n <= epsilon``: the
+    log of ``(n-1)/n * (n*q - 1)**L <= epsilon``, then settled on that float test."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     floor = 1.0 / n
-    rate = n * max_q - 1.0
+    q = max(q, floor)
+    rate = n * q - 1.0
     if not rate < 1.0:  # also NaN
-        raise HidingError(f"bound {max_q} is not below 2/{n}, so it never decays")
+        raise HidingError(f"bound {q} is not below 2/{n}, so it never decays")
     L = 1
     if rate > 0.0 and epsilon * n < n - 1.0:
         L = max(1, math.ceil(math.log(epsilon * n / (n - 1.0)) / math.log(rate)))
-    while L > 1 and fold_bound(n, max_q, L - 1) - floor <= epsilon:
+    while L > 1 and fold_bound(n, q, L - 1) - floor <= epsilon:
         L -= 1
-    while fold_bound(n, max_q, L) - floor > epsilon:
+    while fold_bound(n, q, L) - floor > epsilon:
         L += 1
     return L
 
@@ -154,7 +159,6 @@ def _admissibility_verdict(
 def check_hiding(
     e: Ensemble,
     tol: float = DEFAULT_SOLVER_TOL,
-    epsilon: float = 1e-6,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> HidingReport:
     """Decide whether an ensemble can back the hiding scheme.
@@ -172,12 +176,9 @@ def check_hiding(
     n = e.n
     threshold = 2.0 / n
 
-    q_values = {key: res.dual_value for key, res in scan.results.items()}
-    q_certified = {key: res.certified for key, res in scan.results.items()}
     q_exact = {key: res.method == "dominance" for key, res in scan.results.items()}
     fast_path = bool(q_exact) and all(q_exact.values()) and not scan.failures
     pivot = int(np.argmax(e.probs))
-    pivot_weight = float(e.probs[pivot])
 
     admissible = _admissibility_verdict(
         orthogonal=orthogonal,
@@ -187,33 +188,21 @@ def check_hiding(
         threshold=threshold,
     )
 
-    curve_q = max(scan.max_value, 1.0 / n)
-    curve = tuple(fold_bound(n, curve_q, L) for L in range(1, CURVE_LMAX + 1))
-    folds = None
-    if admissible:
-        try:
-            folds = _fold_count_for(n, curve_q, epsilon)
-        except HidingError:
-            folds = None  # n * max_q - 1 rounds to 1: the bound cannot decay
-
     return HidingReport(
         n=n,
         threshold=threshold,
         orthogonal=orthogonal,
         max_overlap=overlap,
         p_global=1.0 if orthogonal else None,
-        q_values=q_values,
-        q_certified=q_certified,
+        q_values={key: res.dual_value for key, res in scan.results.items()},
+        q_certified={key: res.certified for key, res in scan.results.items()},
         q_exact=q_exact,
         solver_failures=dict(scan.failures),
         max_q=scan.max_value,
         fast_path=fast_path,
         pivot=pivot,
-        pivot_weight=pivot_weight,
+        pivot_weight=float(e.probs[pivot]),
         admissible=admissible,
-        epsilon=epsilon,
-        bound_curve=curve,
-        min_folds=folds,
     )
 
 
@@ -221,7 +210,7 @@ def min_folds(e: Ensemble | HidingReport, epsilon: float) -> int:
     """Smallest fold count whose bound is within ``epsilon`` of random guessing."""
     report = e if isinstance(e, HidingReport) else check_hiding(e)
     report.require_admissible()
-    return _fold_count_for(report.n, max(report.max_q, 1.0 / report.n), epsilon)
+    return _fold_count_for(report.n, report.max_q, epsilon)
 
 
 @dataclass(frozen=True)
@@ -412,11 +401,12 @@ def coalition_report(
 ) -> list[CoalitionRow]:
     """Guessing bound per nontrivial coalition partition after ``L`` folds.
 
-    Each partition inherits the best (smallest) fold bound among the
-    bipartitions coarser than it.  For a two-state ensemble whose dominance
-    certificate holds on every bipartition the value is exact (the dominant
-    coarse class probability) and reported as such.  The trivial partition is
-    the recovery side and excluded.
+    Each partition inherits the best (smallest) :meth:`HidingReport.bound`
+    among the bipartitions coarser than it.  When the report is
+    :attr:`~HidingReport.exact` (two states, dominance on every cut, so every
+    cut's q is the pivot weight) the value is the dominant coarse class
+    probability and reported as such.  The trivial partition is the recovery
+    side and excluded.
     """
     if L < 1:
         raise ValueError(f"fold count must be >= 1, got {L}")
@@ -425,26 +415,18 @@ def coalition_report(
         report = check_hiding(e)
     report.require_admissible(force)
 
-    exact_mode = e.n == 2 and report.fast_path
-    exact_value = fold_bound(2, report.max_q, L) if exact_mode else None
-
+    kind = "exact" if report.exact else "bound"
     rows: list[CoalitionRow] = []
     for partition in partitions:
         if partition.is_trivial:
             continue
-        if exact_mode:
-            rows.append(CoalitionRow(partition.to_string(), L, exact_value, "exact"))
-            continue
-        candidates = [
-            report.q_values[bp.to_string()]
-            for bp in coarser_bipartitions(partition)
-            if bp.to_string() in report.q_values
-        ]
-        if not candidates:
+        cuts = [key for key in (bp.to_string() for bp in coarser_bipartitions(partition))
+                if key in report.q_values]
+        if not cuts:
             rows.append(CoalitionRow(partition.to_string(), L, float("nan"), "unavailable"))
             continue
-        value = min(fold_bound(e.n, max(q, 1.0 / e.n), L) for q in candidates)
-        rows.append(CoalitionRow(partition.to_string(), L, value, "bound"))
+        value = min(report.bound(L, cut) for cut in cuts)
+        rows.append(CoalitionRow(partition.to_string(), L, value, kind))
     return rows
 
 

@@ -249,17 +249,13 @@ class PsdCheck(NamedTuple):
     tol: float
 
 
-def is_psd(op: MultiPartyOperator, tol: float | None = None) -> PsdCheck:
-    """Decide ``op >= 0`` up to ``tol``; reports the minimum eigenvalue.
-
-    When ``tol`` is omitted it defaults to ``1e-10 * (1 + max|eigenvalue|)``,
-    i.e. relative to the spectral scale of the operator.
+def is_psd(op: MultiPartyOperator) -> PsdCheck:
+    """Decide ``op >= 0`` up to ``1e-10 * (1 + max|eigenvalue|)``, a tolerance
+    relative to the spectral scale of the operator; reports the minimum
+    eigenvalue and that tolerance.
     """
     vals = hermitian_eigenvalues(op)
     lo = float(vals[0])
     hi = float(vals[-1])
-    if tol is None:
-        tol = 1e-10 * (1.0 + max(abs(lo), abs(hi)))
-    if tol < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    return PsdCheck(lo >= -tol, lo, float(tol))
+    tol = 1e-10 * (1.0 + max(abs(lo), abs(hi)))
+    return PsdCheck(lo >= -tol, lo, tol)

@@ -33,6 +33,11 @@ def ghz32():
 
 
 @pytest.fixture(scope="session")
+def ghz33():
+    return ghz_complement_ensemble(3, 3)
+
+
+@pytest.fixture(scope="session")
 def parity2222():
     return parity_block_ensemble(ParityBlockParams(2, 2, 2, 2))
 

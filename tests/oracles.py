@@ -6,8 +6,9 @@ walks indices entry by entry, eigenvalues come from a small cyclic Jacobi
 sweep rather than LAPACK, fold distributions and coarse ensembles are
 enumerated over all index vectors, class measurements come from an
 eigensolve of every coarse state, fold counts are found by a step-by-step
-search, the fixed-point solver runs member by member over Python lists, and
-protocol transcripts are drawn and written one trial at a time.
+search, fold-bound tables clamp and branch at each call site, the
+fixed-point solver runs member by member over Python lists, and protocol
+transcripts are drawn and written one trial at a time.
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
+from nlhide.cli import _fmt
 from nlhide.discrimination import _CHECK_EVERY, _pinv_sqrt
 from nlhide.ensembles import Ensemble
 from nlhide.folding import DegenerateClassError, FoldSpec, fold_bound, mod_sum
+from nlhide.hiding import CoalitionRow, HidingReport
+from nlhide.partitions import all_partitions, coarser_bipartitions
 from nlhide.tensor import (
     DEFAULT_DIM_CAP,
     DimensionCapError,
@@ -224,6 +228,47 @@ def fold_count_by_search(n: int, q: float, epsilon: float, max_folds: int = 100_
         if fold_bound(n, q, L) - floor <= epsilon:
             return L
     return None
+
+
+# The coalition table and the ``bounds`` CSV as their call sites computed them
+# before ``HidingReport.bound`` and ``HidingReport.exact`` held the clamp and
+# the exactness rule, kept unchanged as their differential reference.
+def coalition_rows_two_branch(e: Ensemble, L: int, report: HidingReport) -> list[CoalitionRow]:
+    """Per nontrivial partition: the exact two-state value, or the best coarser cut."""
+    partitions = all_partitions(e.parties)
+    exact_mode = e.n == 2 and report.fast_path
+    exact_value = fold_bound(2, report.max_q, L) if exact_mode else None
+
+    rows: list[CoalitionRow] = []
+    for partition in partitions:
+        if partition.is_trivial:
+            continue
+        if exact_mode:
+            rows.append(CoalitionRow(partition.to_string(), L, exact_value, "exact"))
+            continue
+        candidates = [
+            report.q_values[bp.to_string()]
+            for bp in coarser_bipartitions(partition)
+            if bp.to_string() in report.q_values
+        ]
+        if not candidates:
+            rows.append(CoalitionRow(partition.to_string(), L, float("nan"), "unavailable"))
+            continue
+        value = min(fold_bound(e.n, max(q, 1.0 / e.n), L) for q in candidates)
+        rows.append(CoalitionRow(partition.to_string(), L, value, "bound"))
+    return rows
+
+
+def bounds_rows_by_loop(report: HidingReport, lmax: int) -> list[str]:
+    """The ``bounds`` CSV lines: the max-q curve, repeated as exact for two states."""
+    qx = max(report.max_q, 1.0 / report.n)
+    # Two states decided by dominance on every cut: the bound is the exact value.
+    exact = report.n == 2 and report.fast_path
+    rows = ["L,bound,exact"]
+    for L in range(1, lmax + 1):
+        bound = _fmt(fold_bound(report.n, qx, L))
+        rows.append(f"{L},{bound},{bound if exact else ''}")
+    return rows
 
 
 def dft_fold_probs(probs, n: int, L: int) -> np.ndarray:

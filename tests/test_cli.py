@@ -335,9 +335,10 @@ class TestCoalitionCommand:
         (["simulate", "{pair}", "--L", "0", "--x", "0"], 2),
         (["coalition", "{pair}", "--L", "0"], 2),
         (["simulate", "{pair}", "--L", "1", "--x", "0", "--trials", "0"], 2),
+        (["simulate", "{pair}", "--mode", "direct", "--L", "3", "--x", "1", "--trials", "5"], 2),
     ],
     ids=["direct-zero-prior-class", "bounds-missing-dir", "check-tol-nan", "direct-cap",
-         "fold-L0", "simulate-L0", "coalition-L0", "simulate-trials0"],
+         "fold-L0", "simulate-L0", "coalition-L0", "simulate-trials0", "direct-trials"],
 )
 def test_errors_exit_with_their_code(runner, tmp_path, ghz22_file, zero_prior_file, args, code):
     paths = {"pair": ghz22_file, "zero": zero_prior_file, "missing": tmp_path / "missing"}

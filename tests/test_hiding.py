@@ -34,7 +34,9 @@ from nlhide.hiding import _admissibility_verdict, _fold_count_for
 
 from oracles import (
     bell_number,
+    bounds_rows_by_loop,
     class_measurement_by_eigh,
+    coalition_rows_two_branch,
     fold_count_by_search,
     protocol_jsonl_by_trials,
 )
@@ -358,12 +360,12 @@ def _assert_matches_oracle(cfg):
 
 
 def random_orthogonal_ensemble(rng, n, slot_dims, eig_floor=1e-3, prior_floor=0.02):
-    """``n`` states on orthogonal column blocks of a random unitary."""
+    """``n`` states on orthogonal column blocks of a random unitary, one party per slot."""
     dim = math.prod(slot_dims)
     unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     cuts = np.sort(rng.choice(np.arange(1, dim), size=n - 1, replace=False))
     ends = np.append(cuts, rng.integers(cuts[-1] + 1, dim + 1))
-    slots = SlotStructure(slot_dims, ("A1", "A2"))
+    slots = SlotStructure(slot_dims, tuple(f"A{k}" for k in range(1, len(slot_dims) + 1)))
     states = []
     for start, stop in zip(np.insert(ends[:-1], 0, 0), ends):
         rank = stop - start
@@ -371,7 +373,7 @@ def random_orthogonal_ensemble(rng, n, slot_dims, eig_floor=1e-3, prior_floor=0.
         basis = unitary[:, start:stop]
         states.append(MultiPartyOperator((basis * eigs) @ basis.conj().T, slots))
     probs = prior_floor + (1.0 - n * prior_floor) * rng.dirichlet(np.ones(n))
-    return Ensemble(PartySet.of_size(2), tuple(probs), tuple(states))
+    return Ensemble(PartySet.of_size(len(slot_dims)), tuple(probs), tuple(states))
 
 
 def smallest_coarse_eigenvalue(spec):
@@ -520,6 +522,39 @@ class TestCoalitionReport:
         rows = coalition_report(ghz_complement_ensemble(2, 7), 1)
         assert len(rows) == bell_number(7) - 1 == 876
         assert all(row.kind == "exact" for row in rows)
+
+
+def _assert_matches_call_sites(e, report, lmax):
+    """Coalition rows and the bounds CSV equal the per-call-site curve math."""
+    for L in range(1, lmax + 1):
+        rows = coalition_report(e, L, report=report, force=True)
+        assert rows == coalition_rows_two_branch(e, L, report)
+        assert report.bound(L) == max(report.bound(L, cut) for cut in report.q_values)
+    for L, line in enumerate(bounds_rows_by_loop(report, lmax)[1:], start=1):
+        _, bound, exact = line.split(",")
+        assert float(bound) == report.bound(L)
+        assert exact == (bound if report.exact else "")
+
+
+class TestReportBound:
+    @pytest.mark.parametrize("family", ["ghz22", "ghz23", "ghz33", "parity2212"])
+    def test_families_match_call_sites(self, request, family):
+        e = request.getfixturevalue(family)
+        report = check_hiding(e)
+        assert report.exact == (e.n == 2)
+        _assert_matches_call_sites(e, report, 6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), data=st.data())
+    def test_random_orthogonal_match_call_sites(self, seed, n, data):
+        dims = data.draw(
+            st.lists(st.integers(1, 4), min_size=2, max_size=3)
+            .filter(lambda d: n <= math.prod(d) <= 8),
+            label="slot_dims",
+        )
+        e = random_orthogonal_ensemble(np.random.default_rng(seed), n, tuple(dims))
+        report = check_hiding(e, max_iterations=25)
+        _assert_matches_call_sites(e, report, data.draw(st.integers(1, 6), label="L"))
 
 
 class TestSamplingCrosscheck:

@@ -206,10 +206,6 @@ class TestIsPsd:
         check = is_psd(qubit("A1", np.diag([5.0, 3.0])))
         assert check.tol == pytest.approx(1e-10 * 6.0)
 
-    def test_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            is_psd(qubit("A1", PAULI_Z), tol=-1.0)
-
 
 class TestKernelProperties:
     """Partial transposition and tensor structure on random operators."""
