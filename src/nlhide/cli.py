@@ -218,7 +218,8 @@ def bounds(input_path: str, lmax: int, output: str | None, force: bool) -> None:
               help="Transcript JSONL destination (broadcast) or descriptor JSON (direct).")
 @click.option("--summary", "summary_path", type=click.Path(dir_okay=False), default=None,
               help="Summary CSV destination (stdout when omitted).")
-@click.option("--force", is_flag=True, help="Simulate an inadmissible ensemble.")
+@click.option("--force", is_flag=True,
+              help="Simulate an inadmissible ensemble (broadcast still needs orthogonal states).")
 @click.pass_context
 def simulate(
     ctx: click.Context,

@@ -32,11 +32,9 @@ from .tensor import (
     SlotStructure,
     hermitian_eigenvalues,
     hermitian_part,
-    identity,
     is_hermitian,
     is_psd,
     partial_transpose,
-    zero,
 )
 
 DEFAULT_SOLVER_TOL = 1e-8
@@ -82,6 +80,7 @@ class Povm:
 class DiscriminationResult:
     """Primal/dual pair with the POVM that realizes the primal value.
 
+    ``povm`` is ``None`` for dominance: the all-or-nothing measurement on the pivot.
     ``certificate_min_eigs[i]`` is the minimum eigenvalue of the symmetrized
     optimality operator for member ``i``; all entries nonnegative (up to the
     solver tolerance) certifies the POVM optimal.  ``dual_value`` is always a
@@ -91,7 +90,7 @@ class DiscriminationResult:
     primal_value: float
     dual_value: float
     gap: float
-    povm: Povm
+    povm: Povm | None
     certificate_min_eigs: tuple[float, ...]
     certified: bool
     iterations: int
@@ -360,15 +359,15 @@ def _dominance(
     return DominanceCheck(ok, tuple(out), pivot)
 
 
-def _dominance_result(e: Ensemble, check: DominanceCheck, povm: Povm) -> DiscriminationResult:
+def _dominance_result(e: Ensemble, check: DominanceCheck) -> DiscriminationResult:
     # With a passing dominance certificate the optimum is the pivot weight
-    # exactly; ``povm``, the all-or-nothing POVM on the pivot, realizes it.
+    # exactly; the all-or-nothing measurement on the pivot realizes it.
     value = float(e.probs[check.pivot])
     return DiscriminationResult(
         primal_value=value,
         dual_value=value,
         gap=0.0,
-        povm=povm,
+        povm=None,
         certificate_min_eigs=check.min_eigenvalues,
         certified=True,
         iterations=0,
@@ -393,55 +392,29 @@ def max_bipartition_bound(
 
     Per bipartition the states are transposed once; the dominance certificate
     is tried first (exact value, no iteration) and the solver runs only where
-    it fails.  Solver exceptions are collected per bipartition so a partial
-    table is still returned.
+    it fails.  Numerical failures (``LinAlgError``) are collected per cut so a
+    partial table is still returned; a contract violation (non-Hermitian state,
+    negative weight, bad ``tol``) is the same on every cut and raises at once.
     """
     results: dict[str, DiscriminationResult] = {}
     failures: dict[str, str] = {}
-    povm = None  # all-or-nothing on the pivot: one per scan, immutable, shared by every cut
     for bp in all_bipartitions(e.parties):
         key = bp.to_string()
         try:
             gammas = _transposed_states(e, bp)
             check = _dominance(e, gammas)
             if check.passed:
-                if povm is None:
-                    elements = [zero(e.slots)] * e.n
-                    elements[check.pivot] = identity(e.slots)
-                    povm = Povm(tuple(elements))
-                results[key] = _dominance_result(e, check, povm)
+                results[key] = _dominance_result(e, check)
             else:
                 results[key] = optimal_global(
                     e.probs, gammas, tol=tol, max_iterations=max_iterations
                 )
-        except (ValueError, np.linalg.LinAlgError) as exc:
+        except np.linalg.LinAlgError as exc:
             failures[key] = str(exc)
     if not results:
         raise ValueError(f"no bipartition could be bounded: {failures}")
     max_value = max(r.dual_value for r in results.values())
     return BipartitionScan(max_value, results, failures)
-
-
-def _party_major_vector(
-    e_slots: SlotStructure, local_vectors: Mapping[str, np.ndarray]
-) -> np.ndarray:
-    """Assemble a product vector given per-party local vectors.
-
-    Local vectors are Kronecker-multiplied party by party, then the axes are
-    permuted back to the operator's slot order (a party's slots need not be
-    contiguous after folding).
-    """
-    parties = e_slots.parties
-    vec = np.array([1.0], dtype=np.complex128)
-    party_major_slots: list[int] = []
-    for party in parties:
-        vec = np.kron(vec, local_vectors[party])
-        party_major_slots.extend(e_slots.slots_of(party))
-    dims_party_major = tuple(e_slots.slot_dims[k] for k in party_major_slots)
-    # position of each original slot inside the party-major ordering
-    position = {slot: pos for pos, slot in enumerate(party_major_slots)}
-    axes = tuple(position[slot] for slot in range(len(e_slots.slot_dims)))
-    return vec.reshape(dims_party_major).transpose(axes).reshape(-1)
 
 
 def product_basis_strategy_value(
@@ -458,9 +431,8 @@ def product_basis_strategy_value(
     never exceeds any partial-transpose upper bound.
     """
     slots = e.slots
-    parties = slots.parties
-    bases: dict[str, np.ndarray] = {}
-    for party in parties:
+    product = np.ones((1, 1), dtype=np.complex128)
+    for party in slots.parties:
         local_dim = slots.local_dim(party)
         if party not in per_party_bases:
             raise ValueError(f"missing basis for party {party!r}")
@@ -472,23 +444,21 @@ def product_basis_strategy_value(
         defect = float(np.max(np.abs(basis.conj().T @ basis - np.eye(local_dim))))
         if defect > 1e-10:
             raise ValueError(f"basis for {party!r} is not orthonormal (defect {defect:.3e})")
-        bases[party] = basis
+        product = np.kron(product, basis)
 
-    local_dims = [slots.local_dim(party) for party in parties]
+    # Column k of the product is outcome k's vector in np.ndindex order; one transpose
+    # makes it row k, in slot order (a party's slots need not be contiguous after folding).
+    party_major = [k for party in slots.parties for k in slots.slots_of(party)]
+    dims = [slots.slot_dims[k] for k in party_major]
+    axes = (len(dims), *np.argsort(party_major))
+    vectors = product.reshape(*dims, -1).transpose(axes).reshape(-1, slots.dim)
+
     value = 0.0
-    for flat in range(int(np.prod(local_dims))):
-        outcome: list[int] = []
-        rest = flat
-        for d in reversed(local_dims):
-            outcome.append(rest % d)
-            rest //= d
-        outcome.reverse()
-        guess = int(decide(tuple(outcome)))
+    outcomes = np.ndindex(*(slots.local_dim(party) for party in slots.parties))
+    for outcome, vec in zip(outcomes, vectors):
+        guess = int(decide(outcome))
         if not 0 <= guess < e.n:
             raise ValueError(f"decision {guess} out of range for {e.n} states")
-        vec = _party_major_vector(
-            slots, {p: bases[p][:, o] for p, o in zip(parties, outcome)}
-        )
         born = float((vec.conj() @ (e.states[guess].matrix @ vec)).real)
         value += e.probs[guess] * born
     return value

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
-from typing import IO, NamedTuple
+from typing import IO, Callable, NamedTuple
 
 import numpy as np
 
@@ -369,6 +370,23 @@ def _document_error(name: str, detail: str) -> InvalidEnsembleError:
     return InvalidEnsembleError(EnsembleDiagnostics((check,), ()))
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_integer(x) -> bool:  # an integral float such as 2.0 counts
+    return _is_number(x) and (isinstance(x, numbers.Integral) or float(x).is_integer())
+
+
+def _entries(values, ok: Callable[[object], bool], rule: str) -> list:
+    """The entries of a header list, each passing ``ok``; else a ``ValueError`` with ``rule``."""
+    values = list(values)
+    for x in values:
+        if not ok(x):
+            raise ValueError(f"{rule}, got {x!r}")
+    return values
+
+
 def from_document(doc: dict) -> Ensemble:
     """Parse and validate an ensemble document; rejects with diagnostics."""
     if not isinstance(doc, dict):
@@ -377,11 +395,14 @@ def from_document(doc: dict) -> Ensemble:
         if key not in doc:
             raise _document_error("schema", f"missing key {key!r}")
     try:
-        parties = PartySet(tuple(str(x) for x in doc["parties"]))
-        slot_dims = tuple(int(x) for x in doc["slot_dims"])
-        owners = tuple(parties.labels[int(k)] for k in doc["party_of_slot"])
-        slots = SlotStructure(slot_dims, owners)
-        probs = tuple(float(x) for x in doc["probs"])
+        labels = _entries(doc["parties"], lambda x: isinstance(x, str),
+                          "parties entries must be strings")
+        parties = PartySet(tuple(labels))
+        slot_dims = _entries(doc["slot_dims"], _is_integer, "slot_dims entries must be integers")
+        owners = _entries(doc["party_of_slot"], lambda k: _is_integer(k) and 0 <= k < len(labels),
+                          f"party_of_slot entries must be integers in 0..{len(labels) - 1}")
+        slots = SlotStructure(tuple(map(int, slot_dims)), tuple(labels[int(k)] for k in owners))
+        probs = _entries(doc["probs"], _is_number, "probs entries must be numbers")
         states = [MultiPartyOperator(_pairs_to_matrix(m), slots) for m in doc["states"]]
         ensemble = Ensemble(parties, probs, tuple(states))
     except InvalidEnsembleError:

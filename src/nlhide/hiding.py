@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
 
 from .discrimination import (
     DEFAULT_MAX_ITERATIONS,
@@ -273,7 +272,8 @@ def run_protocol(cfg: SchemeConfig, x: int, trials: int) -> ProtocolRun:
     run of ``k`` trials is the first ``k`` trials of any longer run.  The
     broadcast is the datum plus the class label modulo n, and global recovery
     subtracts the deterministically measured class.  Identical seeds produce
-    identical transcripts.
+    identical transcripts.  A non-orthogonal ensemble raises :class:`HidingError`
+    even with ``force``: its class measurement is not deterministic.
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -281,6 +281,9 @@ def run_protocol(cfg: SchemeConfig, x: int, trials: int) -> ProtocolRun:
     if not 0 <= x < n:
         raise ValueError(f"datum x={x} out of range 0..{n - 1}")
     cfg.report.require_admissible(cfg.force)
+    if not cfg.report.orthogonal:
+        raise HidingError("broadcast simulation needs orthogonal states: only then does "
+                          "the class measurement return the class deterministically")
 
     cdf = np.cumsum(np.asarray(cfg.ensemble.probs))
     cdf[-1] = 1.0
@@ -521,7 +524,9 @@ def sampling_crosscheck(
     diff = counts_structural[mask] - counts_born[mask]
     stat = float(np.sum(diff.astype(float) ** 2 / both[mask]))
     dof = int(mask.sum()) - 1
-    p_value = float(_chi2.sf(stat, dof)) if dof > 0 else 1.0
+    from scipy.stats import chi2  # imported here: it is slow, and no CLI command needs it
+
+    p_value = float(chi2.sf(stat, dof)) if dof > 0 else 1.0
     return CrosscheckResult(
         counts_structural=counts_structural,
         counts_born=counts_born,

@@ -7,8 +7,9 @@ sweep rather than LAPACK, fold distributions and coarse ensembles are
 enumerated over all index vectors, class measurements come from an
 eigensolve of every coarse state, fold counts are found by a step-by-step
 search, fold-bound tables clamp and branch at each call site, the
-fixed-point solver runs member by member over Python lists, and protocol
-transcripts are drawn and written one trial at a time.
+fixed-point solver runs member by member over Python lists, protocol
+transcripts are drawn and written one trial at a time, and product-basis
+strategy values assemble one product vector per outcome.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from nlhide.tensor import (
     DEFAULT_DIM_CAP,
     DimensionCapError,
     MultiPartyOperator,
+    SlotStructure,
     hermitian_eigensystem,
     hermitian_part,
 )
@@ -443,6 +445,65 @@ def fixed_point_by_members(
             prev_primal = primal
 
     return best_povm, best_iter, False
+
+
+# ---------------------------------------------------------------------------
+# product-basis strategy, one outcome at a time
+# ---------------------------------------------------------------------------
+
+# The per-outcome vector assembly and mixed-radix outcome decode that
+# ``product_basis_strategy_value`` replaced with one Kronecker product of the
+# party bases, kept unchanged as its differential reference.  It takes the
+# bases already checked and converted to complex arrays.
+
+
+def _party_major_vector(
+    e_slots: SlotStructure, local_vectors: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """Assemble a product vector given per-party local vectors.
+
+    Local vectors are Kronecker-multiplied party by party, then the axes are
+    permuted back to the operator's slot order (a party's slots need not be
+    contiguous after folding).
+    """
+    parties = e_slots.parties
+    vec = np.array([1.0], dtype=np.complex128)
+    party_major_slots: list[int] = []
+    for party in parties:
+        vec = np.kron(vec, local_vectors[party])
+        party_major_slots.extend(e_slots.slots_of(party))
+    dims_party_major = tuple(e_slots.slot_dims[k] for k in party_major_slots)
+    # position of each original slot inside the party-major ordering
+    position = {slot: pos for pos, slot in enumerate(party_major_slots)}
+    axes = tuple(position[slot] for slot in range(len(e_slots.slot_dims)))
+    return vec.reshape(dims_party_major).transpose(axes).reshape(-1)
+
+
+def product_basis_value_by_outcome(
+    e: Ensemble,
+    bases: Mapping[str, np.ndarray],
+    decide: Callable[[tuple[int, ...]], int],
+) -> float:
+    slots = e.slots
+    parties = slots.parties
+    local_dims = [slots.local_dim(party) for party in parties]
+    value = 0.0
+    for flat in range(int(np.prod(local_dims))):
+        outcome: list[int] = []
+        rest = flat
+        for d in reversed(local_dims):
+            outcome.append(rest % d)
+            rest //= d
+        outcome.reverse()
+        guess = int(decide(tuple(outcome)))
+        if not 0 <= guess < e.n:
+            raise ValueError(f"decision {guess} out of range for {e.n} states")
+        vec = _party_major_vector(
+            slots, {p: bases[p][:, o] for p, o in zip(parties, outcome)}
+        )
+        born = float((vec.conj() @ (e.states[guess].matrix @ vec)).real)
+        value += e.probs[guess] * born
+    return value
 
 
 # ---------------------------------------------------------------------------

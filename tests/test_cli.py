@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import nlhide
 from nlhide import Ensemble, cli, hiding, load_ensemble, save_ensemble
 from nlhide.cli import main
 
@@ -258,6 +263,15 @@ class TestSimulateCommand:
         header, row = result.output.splitlines()
         assert row.split(",")[header.split(",").index("recovery_ok")] == "0"
 
+    def test_forced_broadcast_of_non_orthogonal_states_exits_one(self, runner, tmp_path):
+        path = tmp_path / "overlap.json"
+        save_ensemble(overlapping_pair(), str(path))
+        result = runner.invoke(
+            main, ["simulate", str(path), "--L", "3", "--x", "1", "--force"]
+        )
+        assert_fails(result, 1)
+        assert "orthogonal" in result.output
+
     def test_inadmissible_needs_force(self, runner, parity2212_file):
         result = runner.invoke(
             main, ["simulate", str(parity2212_file), "--L", "2", "--x", "0", "--trials", "10"]
@@ -372,3 +386,12 @@ def test_one_report_per_command(runner, ghz22_file, monkeypatch, args, reports):
         result = runner.invoke(main, [args[0], str(ghz22_file), *args[1:]])
     assert result.exit_code == 0, result.output
     assert len(calls) == reports
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(nlhide.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, nlhide.cli; sys.exit('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -9,6 +9,7 @@ from nlhide import (
     Bipartition,
     ContractViolationError,
     Ensemble,
+    FoldSpec,
     MultiPartyOperator,
     PartySet,
     Povm,
@@ -16,6 +17,7 @@ from nlhide import (
     all_bipartitions,
     check_dominant_state,
     check_povm_optimality,
+    coarse_ensemble,
     ghz_state,
     identity,
     max_bipartition_bound,
@@ -35,6 +37,7 @@ from oracles import (
     dual_feasibility_margin,
     fixed_point_by_members,
     povm_value,
+    product_basis_value_by_outcome,
     random_density,
     random_hermitian,
     random_povm,
@@ -285,6 +288,11 @@ class TestBipartitionScan:
                 assert result.method == "dominance"
                 assert result.dual_value == pytest.approx(q_upper(e, bp).dual_value, abs=1e-8)
 
+    def test_dominance_cuts_carry_no_povm(self, ghz22):
+        result = max_bipartition_bound(ghz22).results["A1|A2"]
+        assert result.method == "dominance"
+        assert result.povm is None
+
     def test_one_transpose_per_state_and_cut(self, monkeypatch):
         rng = np.random.default_rng(5)
         slots = SlotStructure((2, 2, 2), ("A1", "A2", "A3"))
@@ -366,6 +374,29 @@ class TestProductBasisStrategy:
         value = product_basis_strategy_value(e, bases, decide)
         expected = 0.5 * (0.5 + 0.5) + 0.5 * (14 / 16)
         assert value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("decide", [lambda o: sum(o), lambda o: o[0] * 7 + o[-1]],
+                             ids=["sum", "first-last"])
+    @pytest.mark.parametrize("family", ["ghz23", "ghz32", "coarse22", "parity2212"])
+    def test_matches_per_outcome_vectors(self, request, family, decide):
+        # The replaced per-outcome assembly, bit for bit, on random unitary bases;
+        # coarse22 has the folded slot order A1 A2 A1 A2.
+        if family == "coarse22":
+            e = coarse_ensemble(FoldSpec(request.getfixturevalue("ghz22"), 2))
+        else:
+            e = request.getfixturevalue(family)
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            bases = {}
+            for p in e.parties.labels:
+                d = e.slots.local_dim(p)
+                bases[p], _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+
+            def rule(outcome):
+                return decide(outcome) % e.n
+
+            expected = product_basis_value_by_outcome(e, bases, rule)
+            assert product_basis_strategy_value(e, bases, rule) == expected
 
     def test_rejects_non_orthonormal_basis(self, ghz22):
         bases = {p: np.ones((2, 2), dtype=complex) for p in ghz22.parties.labels}

@@ -423,3 +423,35 @@ class TestPersistence:
         with pytest.raises(InvalidEnsembleError) as excinfo:
             load_ensemble(io.StringIO(json.dumps(doc)))
         assert [c.name for c in excinfo.value.diagnostics.failures] == ["schema"]
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("party_of_slot", [-1, -2]),  # negative indexing would swap the owners
+            ("party_of_slot", [0, 2]),  # past the last party
+            ("party_of_slot", [True, 0]),
+            ("party_of_slot", [0.5, 1]),
+            ("slot_dims", [2.9, 2.0]),
+            ("slot_dims", [True, 4]),  # would load as dims (1, 4)
+            ("probs", ["0.75", 0.25]),
+            ("probs", [True, 0.0]),
+            ("parties", ["A1", 2]),
+        ],
+        ids=["negative-party", "party-past-end", "bool-party", "fractional-party",
+             "fractional-dim", "bool-dim", "string-prob", "bool-prob", "int-party-label"],
+    )
+    def test_rejects_malformed_header_fields(self, ghz22, key, value):
+        doc = to_document(ghz22)
+        doc[key] = value
+        with pytest.raises(InvalidEnsembleError) as excinfo:
+            load_ensemble(io.StringIO(json.dumps(doc)))
+        assert [c.name for c in excinfo.value.diagnostics.failures] == ["schema"]
+
+    def test_integral_float_header_fields_load(self, ghz22):
+        doc = to_document(ghz22)
+        doc["slot_dims"] = [2.0, 2.0]
+        doc["party_of_slot"] = [0.0, 1.0]
+        doc["probs"] = [0.75, 0.25]
+        loaded = load_ensemble(io.StringIO(json.dumps(doc)))
+        assert loaded.slots == ghz22.slots
+        assert loaded.probs == ghz22.probs

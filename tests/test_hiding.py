@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nlhide import (
+    ContractViolationError,
     DimensionCapError,
     Ensemble,
     FoldSpec,
@@ -29,7 +30,7 @@ from nlhide import (
     transcripts_to_jsonl,
 )
 
-from nlhide import hiding
+from nlhide import discrimination, hiding
 from nlhide.hiding import _admissibility_verdict, _fold_count_for
 
 from oracles import (
@@ -50,6 +51,19 @@ def overlapping_pair():
         MultiPartyOperator(np.outer(plus, plus).astype(complex), slots),
     )
     return Ensemble(PartySet.of_size(2), (0.5, 0.5), states)
+
+
+def ghz_basis_triple(probs=(0.4, 0.35, 0.25)):
+    # (|000>+|111>)/sqrt2, (|000>-|111>)/sqrt2, (|001>+|110>)/sqrt2: orthogonal, and
+    # dominance fails on all three cuts, so the solver decides each of them.
+    slots = SlotStructure((2, 2, 2), ("A1", "A2", "A3"))
+    states = []
+    for a, b, sign in [(0, 7, 1.0), (0, 7, -1.0), (1, 6, 1.0)]:
+        vec = np.zeros(8, dtype=complex)
+        vec[a] = 1 / math.sqrt(2)
+        vec[b] = sign / math.sqrt(2)
+        states.append(MultiPartyOperator(np.outer(vec, vec.conj()), slots))
+    return Ensemble(PartySet.of_size(3), probs, tuple(states))
 
 
 def bell_mix(probs):
@@ -161,6 +175,34 @@ class TestCheckHiding:
         report = check_hiding(e, max_iterations=10)
         assert not report.q_certified["A1|A2"]
         assert report.admissible is False  # the starved POVM already beats 2/n
+
+
+    def test_contract_violations_raise_once(self):
+        # The same defect on every cut: its own error from the first, not a per-cut table.
+        e = ghz_basis_triple()
+        skewed = e.states[1].matrix.copy()
+        skewed[0, 1] += 0.06
+        states = (e.states[0], e.states[1].with_matrix(skewed), e.states[2])
+        with pytest.raises(ContractViolationError, match="^operator is not Hermitian"):
+            check_hiding(Ensemble(e.parties, e.probs, states))
+        with pytest.raises(ValueError, match="^weights must be nonnegative"):
+            check_hiding(ghz_basis_triple((0.6, 0.6, -0.2)))
+
+    def test_numerical_failure_leaves_a_partial_table(self, monkeypatch):
+        solve = discrimination.optimal_global
+        calls = []
+
+        def failing_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(discrimination, "optimal_global", failing_once)
+        report = check_hiding(ghz_basis_triple())
+        assert len(calls) == 3
+        assert list(report.solver_failures) == ["A1|A2A3"]
+        assert sorted(report.q_values) == ["A1A2|A3", "A1A3|A2"]
 
 
 class TestMinFolds:
@@ -333,6 +375,13 @@ class TestRunProtocol:
         run = run_protocol(cfg, x=3, trials=50)
         assert run.summary.recovery_rate == 1.0
         assert "no hiding guarantee" in run.summary.warning
+
+
+    def test_forced_non_orthogonal_run_refused(self):
+        # Recovery as z - y holds only when the class measurement is deterministic.
+        cfg = SchemeConfig.create(overlapping_pair(), 3, force=True)
+        with pytest.raises(HidingError, match="orthogonal"):
+            run_protocol(cfg, 1, 10)
 
 
 def _oracle_encoding(cfg, x):
