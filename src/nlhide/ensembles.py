@@ -42,9 +42,7 @@ class InvalidEnsembleError(ValueError):
 
     def __init__(self, diagnostics: "EnsembleDiagnostics"):
         self.diagnostics = diagnostics
-        lines = "; ".join(
-            f"{c.name}: residual {c.residual:.3e}" for c in diagnostics.failures
-        )
+        lines = "; ".join(f"{c.name}: {c.detail}" for c in diagnostics.failures)
         super().__init__(f"invalid ensemble: {lines}")
 
 

@@ -4,15 +4,17 @@ Preparing ``L`` independent states from a base ensemble and keeping only the
 modulo-n sum of the chosen indices yields a coarse ensemble with the same
 member count: class probabilities and class states are the L-fold cyclic
 convolutions of the base priors and of the weighted base states (states
-normalized), built fold by fold without enumerating ``n**L`` index vectors.
+normalized).  One convolution, :func:`_convolve`, serves both: it folds
+without enumerating ``n**L`` index vectors, and forms only the classes asked.
 Closed-form curves quantify how fast restricted-measurement bounds decay in
 ``L``; probability-only paths never materialize large matrices.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,69 +63,68 @@ def mod_sum(vec: Sequence[int], n: int) -> int:
 
 
 def fold_probs(probs: Sequence[float], n: int, L: int) -> np.ndarray:
-    """Class probabilities of the L-fold preparation: cyclic convolution.
-
-    Computed by iterated convolution, so no ``n**L`` enumeration happens and
-    arbitrary ``L`` is cheap.
-    """
-    p = np.asarray([float(x) for x in probs])
+    """Class probabilities of the L-fold preparation: :func:`_convolve` of the
+    priors, so no ``n**L`` enumeration happens and arbitrary ``L`` is cheap."""
+    p = [float(x) for x in probs]
     if len(p) != n:
         raise ValueError(f"expected {n} probabilities, got {len(p)}")
     if L < 0:
         raise ValueError(f"fold count must be >= 0, got {L}")
-    out = np.zeros(n)
-    out[0] = 1.0
-    for _ in range(L):
-        nxt = np.zeros(n)
-        for shift in range(n):
-            nxt += out[shift] * np.roll(p, shift)
-        out = nxt
-    return out
+    return np.array(_convolve(p, L, operator.mul, range(n)) if L else [1.0] + [0.0] * (n - 1))
 
 
-def _class_sums(spec: FoldSpec, members: Sequence[np.ndarray], cap: int) -> list[np.ndarray]:
-    """Class ``i`` sums the Kronecker products of all index vectors with modulo-n sum ``i``:
-    ``S_1 = members``, ``S_l[i] = sum_j S_{l-1}[j] (x) members[(i-j) mod n]``, in
-    ``n**2 * (L-1)`` products.  Raises :class:`DimensionCapError` before any product."""
-    if spec.explicit_dim > cap:
-        raise DimensionCapError(
-            f"explicit fold dimension {spec.explicit_dim} exceeds the dimension cap {cap}"
-        )
-    n = spec.n
+def _convolve(members: Sequence, L: int, product: Callable, classes: Sequence[int]) -> list:
+    """Classes ``classes`` of the L-fold cyclic convolution of ``members``: ``S_1 =
+    members``, ``S_l[i] = sum_j product(S_{l-1}[j], members[(i-j) mod n])``.  Each fold
+    takes ``n**2`` products, except the last, which forms only the named classes."""
+    n = len(members)
     sums = list(members)
-    for _ in range(spec.L - 1):
+    for fold in range(2, L + 1):
         folded = []
-        for i in range(n):
-            acc = np.kron(sums[0], members[i])
+        for i in classes if fold == L else range(n):
+            acc = product(sums[0], members[i])
             for j in range(1, n):
-                acc += np.kron(sums[j], members[(i - j) % n])
+                acc += product(sums[j], members[(i - j) % n])
             folded.append(acc)
         sums = folded
-    return sums
+    return sums if L > 1 else [sums[i] for i in classes]
+
+
+def _check_cap(spec: FoldSpec, cap: int) -> None:
+    if spec.explicit_dim > cap:
+        raise DimensionCapError(f"explicit fold dimension {spec.explicit_dim} exceeds the "
+                                f"dimension cap {cap}")
+
+
+def _coarse_states(spec: FoldSpec, cap: int, classes: Sequence[int]) -> tuple[tuple, list]:
+    """All class probabilities and the normalized states of ``classes``.  Raises
+    :class:`DimensionCapError`, then :class:`DegenerateClassError` if any class has
+    probability zero, before any Kronecker product."""
+    _check_cap(spec, cap)
+    base = spec.base
+    class_probs = tuple(float(p) for p in fold_probs(base.probs, spec.n, spec.L))
+    for i, prob in enumerate(class_probs):
+        if prob <= 1e-15:
+            raise DegenerateClassError(f"coarse class {i} has probability {prob:.3e}; "
+                                       "cannot normalize")
+    sums = _convolve([p * s.matrix for p, s in zip(base.probs, base.states)], spec.L, np.kron,
+                     classes)
+    slots = SlotStructure(base.slots.slot_dims * spec.L, base.slots.party_of_slot * spec.L)
+    states = [MultiPartyOperator(operator.itruediv(sums.pop(0), class_probs[i]), slots)
+              for i in classes]  # in place; each sum is released once its copy exists
+    return class_probs, states
 
 
 def coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:
     """Explicitly build the coarse ensemble of an L-fold preparation.
 
-    Class ``i`` is the cyclic convolution of the weighted states ``p_k rho_k``
-    (:func:`_class_sums`), normalized by :func:`fold_probs`.  The slot
+    Class ``i`` is :func:`_convolve` of the weighted states ``p_k rho_k`` under
+    ``np.kron``, normalized by its :func:`fold_probs` entry.  The slot
     structure repeats the base slots ``L`` times with party labels kept, so
     partial transposition over party bipartitions needs no index surgery.
     """
-    base = spec.base
-    class_sums = _class_sums(spec, [p * s.matrix for p, s in zip(base.probs, base.states)], cap)
-    class_probs = tuple(float(p) for p in fold_probs(base.probs, spec.n, spec.L))
-    for i, prob in enumerate(class_probs):
-        if prob <= 1e-15:
-            raise DegenerateClassError(
-                f"coarse class {i} has probability {prob:.3e}; cannot normalize"
-            )
-    slots = SlotStructure(base.slots.slot_dims * spec.L, base.slots.party_of_slot * spec.L)
-    states = []
-    for prob in class_probs:
-        total = class_sums.pop(0)  # released once its normalized copy exists
-        states.append(MultiPartyOperator(np.divide(total, prob, out=total), slots))
-    return Ensemble(base.parties, class_probs, tuple(states))
+    class_probs, states = _coarse_states(spec, cap, range(spec.n))
+    return Ensemble(spec.base.parties, class_probs, tuple(states))
 
 
 def uniform_coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:

@@ -12,14 +12,15 @@ Simulation never materializes ``dim**L`` matrices: the recovery measurement on
 an orthogonal ensemble returns the preparation class deterministically, so
 sampling the base priors suffices.  Direct encoding and the explicit-matrix
 cross-check (small ``L``) build that measurement without an eigensolve at
-``dim**L``: the cyclic convolution of the base support projectors is the
-projector onto each coarse class's support when the base states are orthogonal.
+``dim**L``: the cyclic convolution of the base support projectors (the one
+convolution of :mod:`nlhide.folding`, which forms only the classes a caller
+reads) is the projector onto each coarse class's support when the base states
+are orthogonal.  Direct encoding forms the coarse state of class ``x`` alone.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -32,7 +33,9 @@ from .discrimination import (
     max_bipartition_bound,
 )
 from .ensembles import ORTHOGONALITY_TOL, Ensemble, max_pairwise_overlap
-from .folding import FoldSpec, _class_sums, coarse_ensemble, fold_bound, fold_probs, mod_sum
+from .folding import (
+    FoldSpec, _check_cap, _coarse_states, _convolve, fold_bound, fold_probs, mod_sum,
+)
 from .partitions import all_partitions, coarser_bipartitions
 from .tensor import (
     DEFAULT_DIM_CAP,
@@ -313,16 +316,15 @@ def run_protocol(cfg: SchemeConfig, x: int, trials: int) -> ProtocolRun:
     return ProtocolRun(c_vecs, y, z, recovered, summary)
 
 
+_TRANSCRIPT_LINE = '{"c_vec":[%s],"recovered":%d,"seed":%d,"trial":%d,"x":%d,"y":%d,"z":%d}'
+
+
 def transcripts_to_jsonl(run: ProtocolRun) -> str:
-    """One JSON object per trial and line, key-sorted: byte-stable for a fixed seed."""
+    """One JSON object per trial and line, keys in sorted order: byte-stable for a fixed seed."""
     s = run.summary
     rows = zip(run.c_vecs.tolist(), run.y.tolist(), run.z.tolist(), run.recovered.tolist())
-    lines = [
-        json.dumps({"trial": t, "c_vec": c_vec, "x": s.x, "y": y, "z": z,
-                    "recovered": recovered, "seed": s.seed},
-                   sort_keys=True, separators=(",", ":"))
-        for t, (c_vec, y, z, recovered) in enumerate(rows)
-    ]
+    lines = [_TRANSCRIPT_LINE % (",".join(map(str, c_vec)), recovered, s.seed, t, s.x, y, z)
+             for t, (c_vec, y, z, recovered) in enumerate(rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -332,21 +334,19 @@ def class_measurement(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> list[np.nda
     ``Q_k`` is found at the base dimension, and is zero for a zero prior.  For
     orthogonal base states class ``i`` gets the projector onto the support of
     its coarse state, so the outcome identifies the class with certainty;
-    otherwise the elements need not form a POVM.  Any subspace unused by every
-    class is assigned to class 0.
+    otherwise the elements need not form a POVM.  Class 0 is formed as
+    ``I - (P_1 + ... + P_{n-1})``, so it also takes any subspace no class uses.
     """
+    _check_cap(spec, cap)
     supports = []
     for prob, state in zip(spec.base.probs, spec.base.states):
         vals, vecs = hermitian_eigensystem(state)
         basis = vecs[:, (vals > SUPPORT_CUTOFF * max(float(vals[-1]), 1.0)) & (prob > 0)]
         supports.append(basis @ basis.conj().T)
-    projectors = _class_sums(spec, supports, cap)
-    # P_0 plus the unused rest, I - (P_1 + ... + P_{n-1}), formed in P_0's buffer.
-    leftover = projectors[0]
-    leftover[...] = 0.0
-    np.fill_diagonal(leftover, 1.0)
-    leftover -= sum(projectors[2:], projectors[1])
-    return projectors
+    projectors = _convolve(supports, spec.L, np.kron, range(1, spec.n))
+    rest = np.eye(spec.explicit_dim, dtype=np.complex128)
+    rest -= sum(projectors[1:], projectors[0])
+    return [rest] + projectors
 
 
 @dataclass(frozen=True)
@@ -372,15 +372,15 @@ class DirectEncoding:
 def direct_encode(cfg: SchemeConfig, x: int, cap: int = DEFAULT_DIM_CAP) -> DirectEncoding:
     """Pick the coarse class state for ``x`` and verify exact recovery.
 
-    Builds the explicit coarse ensemble (dimension-capped) and the class
-    measurement, and checks that it identifies ``x`` with probability one;
-    a non-orthogonal ensemble never passes: its class measurement is no POVM.
+    Builds the explicit state of class ``x`` alone (dimension-capped) and the
+    class measurement, and checks that it identifies ``x`` with probability
+    one; a non-orthogonal ensemble never passes: its measurement is no POVM.
     """
     n = cfg.ensemble.n
     if not 0 <= x < n:
         raise ValueError(f"datum x={x} out of range 0..{n - 1}")
     spec = FoldSpec(cfg.ensemble, cfg.L)
-    state = coarse_ensemble(spec, cap=cap).states[x]
+    _, (state,) = _coarse_states(spec, cap, (x,))
     # Tr(rho P) = sum_kl rho_kl P_lk: O(dim**2) instead of a full product.
     probs = tuple(float(np.sum(state.matrix * proj.T).real)
                   for proj in class_measurement(spec, cap=cap))

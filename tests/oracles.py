@@ -177,6 +177,20 @@ def brute_force_fold_probs(probs, n: int, L: int) -> np.ndarray:
     return out
 
 
+# The per-shift ``np.roll`` loop that the one convolution in ``nlhide.folding``
+# replaced for priors, kept unchanged as its differential reference.
+def fold_probs_by_roll(probs, n: int, L: int) -> np.ndarray:
+    p = np.asarray([float(x) for x in probs])
+    out = np.zeros(n)
+    out[0] = 1.0
+    for _ in range(L):
+        nxt = np.zeros(n)
+        for shift in range(n):
+            nxt += out[shift] * np.roll(p, shift)
+        out = nxt
+    return out
+
+
 # The n**L enumeration that the cyclic convolution in ``nlhide.folding``
 # replaced, kept unchanged as its differential reference.
 def coarse_by_enumeration(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:

@@ -150,6 +150,15 @@ class TestCheckCommand:
         result = runner.invoke(main, ["check", str(bad)])
         assert result.exit_code == 2
 
+    def test_schema_error_names_the_reason(self, runner, tmp_path, ghz22_file):
+        doc = json.loads(ghz22_file.read_text(encoding="utf-8"))
+        doc["party_of_slot"] = [-1, 0]
+        bad = tmp_path / "bad-owner.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, ["check", str(bad)])
+        assert_fails(result, 2)
+        assert "schema: party_of_slot entries must be integers in 0..1, got -1" in result.output
+
     def test_missing_file_exits_two(self, runner, tmp_path):
         result = runner.invoke(main, ["check", str(tmp_path / "nope.json")])
         assert result.exit_code == 2

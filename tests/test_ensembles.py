@@ -447,6 +447,22 @@ class TestPersistence:
             load_ensemble(io.StringIO(json.dumps(doc)))
         assert [c.name for c in excinfo.value.diagnostics.failures] == ["schema"]
 
+    @pytest.mark.parametrize(
+        "key,value,reason",
+        [
+            ("party_of_slot", [-1, 0],
+             "schema: party_of_slot entries must be integers in 0..1, got -1"),
+            ("probs", [0.65, 0.25], "probability-sum: sum deviates from 1 by 1.000e-01"),
+        ],
+        ids=["schema", "probability-sum"],
+    )
+    def test_error_message_names_the_reason(self, ghz22, key, value, reason):
+        doc = to_document(ghz22)
+        doc[key] = value
+        with pytest.raises(InvalidEnsembleError) as excinfo:
+            load_ensemble(io.StringIO(json.dumps(doc)))
+        assert reason in str(excinfo.value)
+
     def test_integral_float_header_fields_load(self, ghz22):
         doc = to_document(ghz22)
         doc["slot_dims"] = [2.0, 2.0]

@@ -25,6 +25,7 @@ from oracles import (
     brute_force_fold_probs,
     coarse_by_enumeration,
     dft_fold_probs,
+    fold_probs_by_roll,
     random_density,
 )
 
@@ -81,6 +82,16 @@ class TestFoldProbs:
         np.testing.assert_allclose(
             fold_probs(probs, n, L), dft_fold_probs(probs, n, L), atol=1e-12
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), L=st.integers(0, 40),
+           zeros=st.integers(0, 7))
+    def test_matches_roll_loop_exactly(self, seed, n, L, zeros):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(n))
+        probs[rng.permutation(n)[:min(zeros, n - 1)]] = 0.0
+        probs /= probs.sum()
+        np.testing.assert_array_equal(fold_probs(probs, n, L), fold_probs_by_roll(probs, n, L))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="expected 3"):

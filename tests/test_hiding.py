@@ -397,12 +397,15 @@ def _oracle_encoding(cfg, x):
 
 def _assert_matches_oracle(cfg):
     spec = FoldSpec(cfg.ensemble, cfg.L)
+    coarse = coarse_ensemble(spec)
     got = class_measurement(spec)
-    want = class_measurement_by_eigh(coarse_ensemble(spec))
+    want = class_measurement_by_eigh(coarse)
     for a, b in zip(got, want):
         assert float(np.max(np.abs(a - b))) <= 1e-12
     for x in range(cfg.ensemble.n):
         enc = direct_encode(cfg, x)
+        # Class x alone, formed by the same convolution: the same bits.
+        np.testing.assert_array_equal(enc.state.matrix, coarse.states[x].matrix)
         probs, ok = _oracle_encoding(cfg, x)
         np.testing.assert_allclose(enc.class_probs, probs, rtol=0, atol=1e-12)
         assert enc.recovery_ok == ok
@@ -513,6 +516,23 @@ class TestDirectEncode:
         cfg = SchemeConfig.create(overlapping_pair(), folds, force=True)
         assert not cfg.report.orthogonal
         assert direct_encode(cfg, 1).recovery_ok is False
+
+    @pytest.mark.parametrize("family, folds, krons", [("ghz22", 5, 28), ("parity2212", 2, 16)])
+    def test_kron_count(self, request, monkeypatch, family, folds, krons):
+        cfg = SchemeConfig.create(request.getfixturevalue(family), folds, force=True)
+        calls = []
+        kron = np.kron
+
+        def counting_kron(a, b):
+            calls.append(1)
+            return kron(a, b)
+
+        monkeypatch.setattr(np, "kron", counting_kron)
+        direct_encode(cfg, 1)
+        # The last fold forms class x for the state (n products) and classes 1..n-1
+        # for the measurement (n * (n-1)); every earlier fold takes n**2 for each.
+        # Building all n classes of both would take 2 * n**2 * (L-1) = 32.
+        assert len(calls) == krons
 
     def test_eigensolves_stay_at_base_dimension(self, ghz22, monkeypatch):
         cfg = SchemeConfig.create(ghz22, 4)
