@@ -92,7 +92,7 @@ class _ExitCodeGroup(click.Group):
 @click.group(cls=_ExitCodeGroup)
 @click.option(
     "--cap",
-    type=int,
+    type=click.IntRange(min=1),
     default=DEFAULT_DIM_CAP,
     envvar="NLHIDE_DIM_CAP",
     show_default=True,

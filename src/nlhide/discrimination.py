@@ -26,15 +26,13 @@ import numpy as np
 from .ensembles import Ensemble
 from .partitions import Bipartition, all_bipartitions
 from .tensor import (
-    ContractViolationError,
     MultiPartyOperator,
-    PsdCheck,
     SlotStructure,
+    _partial_transpose,
+    _psd,
+    _require_hermitian,
     hermitian_eigenvalues,
     hermitian_part,
-    is_hermitian,
-    is_psd,
-    partial_transpose,
 )
 
 DEFAULT_SOLVER_TOL = 1e-8
@@ -105,15 +103,16 @@ def _validate_inputs(
     if len(ops) < 2:
         raise ValueError("discrimination needs at least two operators")
     w = np.asarray([float(x) for x in weights])
-    if np.any(w < 0):
+    if not np.all(w >= 0):  # also NaN
         raise ValueError(f"weights must be nonnegative, got {w.tolist()}")
     slots = ops[0].slots
     for k, op in enumerate(ops):
         if op.slots != slots:
             raise ValueError(f"operator {k} has a different slot structure")
-        if not is_hermitian(op):
-            raise ContractViolationError(f"operator {k} is not Hermitian")
-    mats = hermitian_part(np.stack([op.matrix for op in ops]))
+        _require_hermitian(op)
+    mats = np.stack([op.matrix for op in ops])
+    for mat in mats:  # one matrix at a time: no whole-stack temporaries
+        mat[...] = hermitian_part(mat)
     return w, mats, slots
 
 
@@ -256,11 +255,6 @@ def optimal_global(
     )
 
 
-def _transposed_states(e: Ensemble, x: Bipartition) -> list[MultiPartyOperator]:
-    side = set(x.side_a)
-    return [partial_transpose(state, side) for state in e.states]
-
-
 def q_upper(
     e: Ensemble,
     x: Bipartition,
@@ -273,9 +267,10 @@ def q_upper(
     The dual value upper-bounds the success probability of any measurement
     local to the bipartition ``x``, regardless of convergence.
     """
+    gammas = _partial_transpose(np.stack([s.matrix for s in e.states]), e.slots, x.side_a)
     return optimal_global(
         e.probs,
-        _transposed_states(e, x),
+        [MultiPartyOperator(g, e.slots) for g in gammas],
         tol=tol,
         method=method,
         max_iterations=max_iterations,
@@ -304,9 +299,8 @@ def check_povm_optimality(
     """
     if povm.slots != e.slots:
         raise ValueError("POVM slot structure does not match the ensemble")
-    gammas = _transposed_states(e, x)
     w = np.asarray(e.probs)
-    mats = np.stack([g.matrix for g in gammas])
+    mats = _partial_transpose(np.stack([s.matrix for s in e.states]), e.slots, x.side_a)
     povm_mats = np.stack([el.matrix for el in povm.elements])
     _, _, residuals = _certificate(w, mats, povm_mats)
     return OptimalityCheck(all(r >= -tol for r in residuals), residuals)
@@ -332,28 +326,26 @@ def check_dominant_state(
     pivot, zero elsewhere) is optimal, so callers may skip the solver.  The
     pivot defaults to the heaviest member (lowest index on ties).
     """
-    return _dominance(e, _transposed_states(e, x), pivot)
+    w, mats, slots = _validate_inputs(e.probs, e.states)
+    return _dominance(w, _partial_transpose(mats, slots, x.side_a, out=mats), pivot)
 
 
-def _dominance(
-    e: Ensemble,
-    gammas: Sequence[MultiPartyOperator],
-    pivot: int | None = None,
-) -> DominanceCheck:
-    """:func:`check_dominant_state` on states already transposed for the cut."""
+def _dominance(w: np.ndarray, gammas: np.ndarray, pivot: int | None = None) -> DominanceCheck:
+    """:func:`check_dominant_state` on a stack of exactly Hermitian transposed states,
+    so each difference is exactly Hermitian too and goes straight to ``eigvalsh``."""
+    n = len(w)
     if pivot is None:
-        pivot = int(np.argmax(e.probs))
-    if not 0 <= pivot < e.n:
-        raise ValueError(f"pivot {pivot} out of range for {e.n} states")
-    lead = e.probs[pivot] * gammas[pivot].matrix
+        pivot = int(np.argmax(w))
+    if not 0 <= pivot < n:
+        raise ValueError(f"pivot {pivot} out of range for {n} states")
+    lead = w[pivot] * gammas[pivot]
     out: list[float] = []
     ok = True
-    for i in range(e.n):
+    for i in range(n):
         if i == pivot:
             out.append(0.0)
             continue
-        diff = MultiPartyOperator(lead - e.probs[i] * gammas[i].matrix, e.slots)
-        check: PsdCheck = is_psd(diff)
+        check = _psd(np.linalg.eigvalsh(lead - w[i] * gammas[i]))
         out.append(check.min_eigenvalue)
         ok = ok and check.ok
     return DominanceCheck(ok, tuple(out), pivot)
@@ -390,25 +382,28 @@ def max_bipartition_bound(
 ) -> BipartitionScan:
     """Largest partial-transpose bound over all bipartitions, with a table.
 
-    Per bipartition the states are transposed once; the dominance certificate
-    is tried first (exact value, no iteration) and the solver runs only where
-    it fails.  Numerical failures (``LinAlgError``) are collected per cut so a
-    partial table is still returned; a contract violation (non-Hermitian state,
-    negative weight, bad ``tol``) is the same on every cut and raises at once.
+    The weights and states are checked once, so a non-Hermitian state or a negative
+    or NaN weight raises at once; one stack of their Hermitian parts is transposed
+    in place, each state once per cut.  Dominance is tried first (exact, no
+    iteration); only where it fails does the solver get the states as operators.
+    Numerical failures (``LinAlgError``) are collected per cut, for a partial table.
     """
+    w, gammas, slots = _validate_inputs(e.probs, e.states)
     results: dict[str, DiscriminationResult] = {}
     failures: dict[str, str] = {}
+    side: frozenset[str] = frozenset()  # the side ``gammas`` is transposed on
     for bp in all_bipartitions(e.parties):
         key = bp.to_string()
+        # Transposed on the last side, then on (last ^ this), the stack is transposed on this.
+        _partial_transpose(gammas, slots, side ^ set(bp.side_a), out=gammas)
+        side = frozenset(bp.side_a)
         try:
-            gammas = _transposed_states(e, bp)
-            check = _dominance(e, gammas)
+            check = _dominance(w, gammas)
             if check.passed:
                 results[key] = _dominance_result(e, check)
             else:
-                results[key] = optimal_global(
-                    e.probs, gammas, tol=tol, max_iterations=max_iterations
-                )
+                ops = [MultiPartyOperator(g, slots) for g in gammas]
+                results[key] = optimal_global(w, ops, tol=tol, max_iterations=max_iterations)
         except np.linalg.LinAlgError as exc:
             failures[key] = str(exc)
     if not results:

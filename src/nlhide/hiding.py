@@ -117,7 +117,7 @@ class HidingReport:
 def _fold_count_for(n: int, q: float, epsilon: float) -> int:
     """Smallest L >= 1 with ``fold_bound(n, max(q, 1/n), L) - 1/n <= epsilon``: the
     log of ``(n-1)/n * (n*q - 1)**L <= epsilon``, then settled on that float test."""
-    if epsilon <= 0:
+    if not epsilon > 0:  # also NaN
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     floor = 1.0 / n
     q = max(q, floor)

@@ -168,31 +168,34 @@ def tensor_power(op: MultiPartyOperator, count: int, cap: int = DEFAULT_DIM_CAP)
     return out
 
 
-def partial_transpose(op: MultiPartyOperator, side: Iterable[str]) -> MultiPartyOperator:
-    """Transpose the matrix indices of every slot owned by a party in ``side``.
-
-    ``side`` must be a nonempty proper subset of the parties of ``op``; the
-    slot structure of the result is unchanged.
-    """
-    side_set = frozenset(side)
-    labels = frozenset(op.slots.party_of_slot)
+def _partial_transpose(mats: np.ndarray, slots: SlotStructure, side: Iterable[str],
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`partial_transpose` of each matrix of an ``(n, dim, dim)`` stack, written
+    one at a time into ``out`` (a new stack by default; ``out=mats`` works in place)."""
+    side_set, labels = frozenset(side), frozenset(slots.party_of_slot)
     if not side_set or side_set == labels:
         raise ValueError(
             f"side {sorted(side_set)} is not a bipartition side of parties {sorted(labels)}"
         )
     if not side_set <= labels:
-        raise ValueError(
-            f"side contains unknown parties {sorted(side_set - labels)}"
-        )
-    dims = op.slots.slot_dims
+        raise ValueError(f"side contains unknown parties {sorted(side_set - labels)}")
+    dims = slots.slot_dims
     r = len(dims)
-    tens = op.matrix.reshape(dims + dims)
     axes = list(range(2 * r))
-    for k, party in enumerate(op.slots.party_of_slot):
+    for k, party in enumerate(slots.party_of_slot):
         if party in side_set:
             axes[k], axes[r + k] = axes[r + k], axes[k]
-    out = tens.transpose(axes).reshape(op.dim, op.dim)
-    return MultiPartyOperator(out, op.slots)
+    out = np.empty_like(mats) if out is None else out
+    for src, dst in zip(mats, out):  # numpy buffers the copy where the two overlap
+        dst.reshape(dims + dims)[...] = src.reshape(dims + dims).transpose(axes)
+    return out
+
+
+def partial_transpose(op: MultiPartyOperator, side: Iterable[str]) -> MultiPartyOperator:
+    """Transpose the matrix indices of every slot owned by a party in ``side``, a
+    nonempty proper subset of the parties of ``op``; the slot structure is kept.
+    The one-operator form of the stack kernel that the bipartition scan runs."""
+    return MultiPartyOperator(_partial_transpose(op.matrix[None], op.slots, side)[0], op.slots)
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
@@ -250,11 +253,13 @@ class PsdCheck(NamedTuple):
 
 
 def is_psd(op: MultiPartyOperator) -> PsdCheck:
-    """Decide ``op >= 0`` up to ``1e-10 * (1 + max|eigenvalue|)``, a tolerance
-    relative to the spectral scale of the operator; reports the minimum
-    eigenvalue and that tolerance.
-    """
-    vals = hermitian_eigenvalues(op)
+    """Decide ``op >= 0`` up to ``1e-10 * (1 + max|eigenvalue|)``, a tolerance relative
+    to the spectral scale of ``op``; reports the minimum eigenvalue and that tolerance."""
+    return _psd(hermitian_eigenvalues(op))
+
+
+def _psd(vals: np.ndarray) -> PsdCheck:
+    """The tolerance rule of :func:`is_psd`, on eigenvalues in ascending order."""
     lo = float(vals[0])
     hi = float(vals[-1])
     tol = 1e-10 * (1.0 + max(abs(lo), abs(hi)))

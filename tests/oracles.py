@@ -8,8 +8,9 @@ enumerated over all index vectors, class measurements come from an
 eigensolve of every coarse state, fold counts are found by a step-by-step
 search, fold-bound tables clamp and branch at each call site, the
 fixed-point solver runs member by member over Python lists, protocol
-transcripts are drawn and written one trial at a time, and product-basis
-strategy values assemble one product vector per outcome.
+transcripts are drawn and written one trial at a time, product-basis
+strategy values assemble one product vector per outcome, and dominance
+checks wrap every difference as an operator for ``is_psd``.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from nlhide.cli import _fmt
-from nlhide.discrimination import _CHECK_EVERY, _pinv_sqrt
+from nlhide.discrimination import _CHECK_EVERY, DominanceCheck, _pinv_sqrt
 from nlhide.ensembles import Ensemble
 from nlhide.folding import DegenerateClassError, FoldSpec, fold_bound, mod_sum
 from nlhide.hiding import CoalitionRow, HidingReport
-from nlhide.partitions import all_partitions, coarser_bipartitions
+from nlhide.partitions import Bipartition, all_partitions, coarser_bipartitions
 from nlhide.tensor import (
     DEFAULT_DIM_CAP,
     DimensionCapError,
@@ -34,6 +35,8 @@ from nlhide.tensor import (
     SlotStructure,
     hermitian_eigensystem,
     hermitian_part,
+    is_psd,
+    partial_transpose,
 )
 
 
@@ -518,6 +521,33 @@ def product_basis_value_by_outcome(
         born = float((vec.conj() @ (e.states[guess].matrix @ vec)).real)
         value += e.probs[guess] * born
     return value
+
+
+# ---------------------------------------------------------------------------
+# dominance, one operator per difference
+# ---------------------------------------------------------------------------
+
+def dominance_by_difference(
+    e: Ensemble, x: Bipartition, pivot: int | None = None
+) -> DominanceCheck:
+    """PSD checks of ``p_pivot G(rho_pivot) - p_i G(rho_i)``, the difference taken
+    on the raw transposed states and wrapped as an operator, so :func:`is_psd`
+    checks each one Hermitian and takes its Hermitian part."""
+    side = set(x.side_a)
+    gammas = [partial_transpose(state, side) for state in e.states]
+    if pivot is None:
+        pivot = int(np.argmax(e.probs))
+    lead = e.probs[pivot] * gammas[pivot].matrix
+    out: list[float] = []
+    ok = True
+    for i in range(e.n):
+        if i == pivot:
+            out.append(0.0)
+            continue
+        check = is_psd(MultiPartyOperator(lead - e.probs[i] * gammas[i].matrix, e.slots))
+        out.append(check.min_eigenvalue)
+        ok = ok and check.ok
+    return DominanceCheck(ok, tuple(out), pivot)
 
 
 # ---------------------------------------------------------------------------

@@ -354,13 +354,14 @@ class TestCoalitionCommand:
         (["bounds", "{pair}", "--lmax", "3", "-o", "{missing}/x.csv"], 2),
         (["check", "{pair}", "--tol", "nan"], 2),
         (["--cap", "8", "simulate", "{pair}", "--mode", "direct", "--L", "2", "--x", "0"], 3),
+        (["--cap", "0", "check", "{pair}"], 2),
         (["fold", "{pair}", "--L", "0", "-o", "{missing}/c.json"], 2),
         (["simulate", "{pair}", "--L", "0", "--x", "0"], 2),
         (["coalition", "{pair}", "--L", "0"], 2),
         (["simulate", "{pair}", "--L", "1", "--x", "0", "--trials", "0"], 2),
         (["simulate", "{pair}", "--mode", "direct", "--L", "3", "--x", "1", "--trials", "5"], 2),
     ],
-    ids=["direct-zero-prior-class", "bounds-missing-dir", "check-tol-nan", "direct-cap",
+    ids=["direct-zero-prior-class", "bounds-missing-dir", "check-tol-nan", "direct-cap", "cap-zero",
          "fold-L0", "simulate-L0", "coalition-L0", "simulate-trials0", "direct-trials"],
 )
 def test_errors_exit_with_their_code(runner, tmp_path, ghz22_file, zero_prior_file, args, code):

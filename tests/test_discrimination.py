@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from nlhide import (
     Ensemble,
     FoldSpec,
     MultiPartyOperator,
+    ParityBlockParams,
     PartySet,
     Povm,
     SlotStructure,
@@ -18,10 +20,12 @@ from nlhide import (
     check_dominant_state,
     check_povm_optimality,
     coarse_ensemble,
+    ghz_complement_ensemble,
     ghz_state,
     identity,
     max_bipartition_bound,
     optimal_global,
+    parity_block_ensemble,
     partial_transpose,
     product_basis_strategy_value,
     q_upper,
@@ -30,10 +34,11 @@ from nlhide import (
 
 from nlhide import discrimination
 from nlhide.discrimination import _certificate, _fixed_point_iteration
-from nlhide.tensor import hermitian_part
+from nlhide.tensor import _partial_transpose, hermitian_part
 
 from oracles import (
     certificate_by_members,
+    dominance_by_difference,
     dual_feasibility_margin,
     fixed_point_by_members,
     povm_value,
@@ -136,6 +141,8 @@ class TestOptimalGlobal:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
             optimal_global([-0.1, 1.1], [projector(KET0), projector(KET1)])
+        with pytest.raises(ValueError, match="^weights must be"):
+            optimal_global([math.nan, 0.5], [projector(KET0), projector(KET1)])
         with pytest.raises(ValueError, match="slot structure"):
             optimal_global(
                 [0.5, 0.5], [projector(KET0), identity(PAIR)]
@@ -298,17 +305,103 @@ class TestBipartitionScan:
         slots = SlotStructure((2, 2, 2), ("A1", "A2", "A3"))
         states = tuple(MultiPartyOperator(random_density(rng, 8), slots) for _ in range(3))
         e = Ensemble(PartySet.of_size(3), (0.5, 0.3, 0.2), states)
-        calls = []
+        transposed = []
 
-        def counting_transpose(op, side):
-            calls.append(side)
-            return partial_transpose(op, side)
+        def counting_transpose(mats, slots, side, out=None):
+            transposed.append(len(mats))
+            return _partial_transpose(mats, slots, side, out=out)
 
-        monkeypatch.setattr(discrimination, "partial_transpose", counting_transpose)
+        monkeypatch.setattr(discrimination, "_partial_transpose", counting_transpose)
         scan = max_bipartition_bound(e)
         # Dominance fails on every cut, so the solver reuses the transposed states.
         assert [r.method for r in scan.results.values()] == ["iterative"] * 3
-        assert len(calls) == e.n * 3
+        assert sum(transposed) == e.n * 3
+
+    def test_one_hermitian_check_per_state(self, ghz23, monkeypatch):
+        tensor = importlib.import_module("nlhide.tensor")  # ``nlhide.tensor`` is also a function
+        checked = []
+        real = tensor.is_hermitian
+
+        def counting(op):
+            checked.append(op)
+            return real(op)
+
+        monkeypatch.setattr(tensor, "is_hermitian", counting)
+        scan = max_bipartition_bound(ghz23)
+        # Three cuts, all decided by dominance: the states are checked once, not per cut.
+        assert [r.method for r in scan.results.values()] == ["dominance"] * 3
+        assert len(checked) == ghz23.n
+
+
+def _family_instances(cap):
+    """Every built-in family instance of dimension at most ``cap``, as test parameters."""
+    out = []
+    for d in range(2, cap + 1):
+        for m in range(2, cap.bit_length()):
+            if d**m <= cap:
+                out.append(pytest.param("ghz", (d, m), id=f"ghz-{d}-{m}"))
+            for s in range(1, cap.bit_length()):
+                for t in range(1, cap.bit_length()):
+                    if d ** (m * s * t) <= cap:
+                        out.append(pytest.param(
+                            "parity", (d, m, s, t), id=f"parity-{d}-{m}-{s}-{t}"))
+    return out
+
+
+SMALL_CAP = 64
+# Two and three parties; in the third, A1 owns two slots that are not adjacent.
+RANDOM_SLOTS = (
+    SlotStructure((2, 2), ("A1", "A2")),
+    SlotStructure((2, 3), ("A1", "A2")),
+    SlotStructure((2, 1, 3), ("A1", "A2", "A1")),
+    SlotStructure((2, 2, 2), ("A1", "A2", "A3")),
+)
+
+
+class TestArrayDominance:
+    """The array scan against the per-difference operator check it replaced:
+    on exactly Hermitian states the two agree bit for bit."""
+
+    @staticmethod
+    def _assert_matches_oracle(e, pivots=(None,)):
+        scan = max_bipartition_bound(e, max_iterations=25)
+        for bp in all_bipartitions(e.parties):
+            for pivot in pivots:
+                assert check_dominant_state(e, bp, pivot) == dominance_by_difference(e, bp, pivot)
+            want = dominance_by_difference(e, bp)
+            result = scan.results[bp.to_string()]
+            assert (result.method == "dominance") == want.passed
+            if want.passed:
+                assert result.certificate_min_eigs == want.min_eigenvalues
+
+    @pytest.mark.parametrize("family, params", _family_instances(SMALL_CAP))
+    def test_family_instances(self, family, params):
+        if family == "ghz":
+            e = ghz_complement_ensemble(*params, cap=SMALL_CAP)
+        else:
+            e = parity_block_ensemble(ParityBlockParams(*params), cap=SMALL_CAP)
+        self._assert_matches_oracle(e)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        slots=st.sampled_from(RANDOM_SLOTS),
+        n=st.integers(2, 4),
+        lead=st.floats(0.0, 1.0),
+    )
+    def test_random_hermitian_ensembles(self, seed, slots, n, lead):
+        rng = np.random.default_rng(seed)
+        dim = slots.dim
+        # Member 0 leans toward the maximally mixed state and the prior toward it,
+        # so dominance passes on some draws and fails on others.
+        mats = [random_density(rng, dim) for _ in range(n)]
+        mats[0] = lead * np.eye(dim) / dim + (1 - lead) * mats[0]
+        probs = lead * np.eye(n)[0] + (1 - lead) * rng.dirichlet(np.ones(n))
+        states = tuple(MultiPartyOperator(hermitian_part(m), slots) for m in mats)
+        e = Ensemble(PartySet.of_size(len(slots.parties)), tuple(probs), states)
+        for state in e.states:  # exactly Hermitian: the Hermitian part changes nothing
+            assert np.array_equal(state.matrix, state.matrix.conj().T)
+        self._assert_matches_oracle(e, pivots=(None, *range(n)))
 
 
 class TestGuessingFloor:

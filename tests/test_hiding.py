@@ -187,6 +187,9 @@ class TestCheckHiding:
             check_hiding(Ensemble(e.parties, e.probs, states))
         with pytest.raises(ValueError, match="^weights must be nonnegative"):
             check_hiding(ghz_basis_triple((0.6, 0.6, -0.2)))
+        # A NaN prior is a contract violation too, not a per-cut numerical failure.
+        with pytest.raises(ValueError, match="^weights must be"):
+            check_hiding(ghz_basis_triple((math.nan, 0.5, 0.5)))
 
     def test_numerical_failure_leaves_a_partial_table(self, monkeypatch):
         solve = discrimination.optimal_global
@@ -224,8 +227,9 @@ class TestMinFolds:
             min_folds(parity2212, 1e-3)
 
     def test_epsilon_validation(self, ghz22):
-        with pytest.raises(ValueError):
-            min_folds(ghz22, 0.0)
+        for epsilon in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="^epsilon must be positive"):
+                min_folds(ghz22, epsilon)
 
     @settings(max_examples=200, deadline=None)
     @given(
