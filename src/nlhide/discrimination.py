@@ -28,10 +28,9 @@ from .partitions import Bipartition, all_bipartitions
 from .tensor import (
     MultiPartyOperator,
     SlotStructure,
+    _hermitian,
     _partial_transpose,
     _psd,
-    _require_hermitian,
-    hermitian_eigenvalues,
     hermitian_part,
 )
 
@@ -41,44 +40,11 @@ _CHECK_EVERY = 25
 
 
 @dataclass(frozen=True)
-class Povm:
-    """Positive operators on a common slot structure summing to the identity."""
-
-    elements: tuple[MultiPartyOperator, ...]
-
-    def __post_init__(self):
-        elements = tuple(self.elements)
-        if not elements:
-            raise ValueError("a POVM needs at least one element")
-        slots = elements[0].slots
-        for k, el in enumerate(elements):
-            if el.slots != slots:
-                raise ValueError(f"POVM element {k} has a different slot structure")
-        object.__setattr__(self, "elements", elements)
-
-    @property
-    def slots(self) -> SlotStructure:
-        return self.elements[0].slots
-
-    def completeness_defect(self) -> float:
-        total = sum(el.matrix for el in self.elements)
-        return float(np.max(np.abs(total - np.eye(self.slots.dim))))
-
-    def min_eigenvalues(self) -> tuple[float, ...]:
-        return tuple(float(hermitian_eigenvalues(el)[0]) for el in self.elements)
-
-    def is_valid(self) -> bool:
-        return (
-            self.completeness_defect() <= 1e-10
-            and all(v >= -1e-10 for v in self.min_eigenvalues())
-        )
-
-
-@dataclass(frozen=True)
 class DiscriminationResult:
     """Primal/dual pair with the POVM that realizes the primal value.
 
-    ``povm`` is ``None`` for dominance: the all-or-nothing measurement on the pivot.
+    ``povm`` is the read-only ``(n, dim, dim)`` stack of POVM elements the solver
+    returned, or ``None`` for dominance: the all-or-nothing measurement on the pivot.
     ``certificate_min_eigs[i]`` is the minimum eigenvalue of the symmetrized
     optimality operator for member ``i``; all entries nonnegative (up to the
     solver tolerance) certifies the POVM optimal.  ``dual_value`` is always a
@@ -88,7 +54,7 @@ class DiscriminationResult:
     primal_value: float
     dual_value: float
     gap: float
-    povm: Povm | None
+    povm: np.ndarray | None
     certificate_min_eigs: tuple[float, ...]
     certified: bool
     iterations: int
@@ -106,13 +72,11 @@ def _validate_inputs(
     if not np.all(w >= 0):  # also NaN
         raise ValueError(f"weights must be nonnegative, got {w.tolist()}")
     slots = ops[0].slots
+    mats = np.empty((len(ops), slots.dim, slots.dim), dtype=np.complex128)
     for k, op in enumerate(ops):
         if op.slots != slots:
             raise ValueError(f"operator {k} has a different slot structure")
-        _require_hermitian(op)
-    mats = np.stack([op.matrix for op in ops])
-    for mat in mats:  # one matrix at a time: no whole-stack temporaries
-        mat[...] = hermitian_part(mat)
+        mats[k] = _hermitian(op.matrix)
     return w, mats, slots
 
 
@@ -225,11 +189,12 @@ def optimal_global(
     ``method`` is ``"auto"`` (closed form for two operators, iteration
     otherwise), ``"closed"`` (two operators only) or ``"iterative"``.  A
     result with ``gap > tol`` is returned flagged uncertified rather than
-    raising; its dual value is still a valid upper bound.
+    raising; its dual value is still a valid upper bound.  The result's ``povm``
+    is the solver's own ``(n, dim, dim)`` element stack, made read-only.
     """
     if not tol > 0:  # also NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
-    w, mats, slots = _validate_inputs(weights, ops)
+    w, mats, _ = _validate_inputs(weights, ops)
     if method == "auto":
         method = "closed" if len(mats) == 2 else "iterative"
     if method == "closed":
@@ -243,11 +208,12 @@ def optimal_global(
         )
     else:
         raise ValueError(f"unknown method {method!r}")
+    povm_mats.setflags(write=False)
     return DiscriminationResult(
         primal_value=primal,
         dual_value=dual,
         gap=dual - primal,
-        povm=Povm(tuple(MultiPartyOperator(m, slots) for m in povm_mats)),
+        povm=povm_mats,
         certificate_min_eigs=residuals,
         certified=bool(converged and dual - primal <= tol),
         iterations=iterations,
@@ -287,22 +253,25 @@ class OptimalityCheck(NamedTuple):
 def check_povm_optimality(
     e: Ensemble,
     x: Bipartition,
-    povm: Povm,
+    povm: np.ndarray,
     tol: float = DEFAULT_SOLVER_TOL,
 ) -> OptimalityCheck:
-    """Decide whether ``povm`` realizes the partial-transpose optimum.
+    """Decide whether ``povm``, an ``(e.n, e.dim, e.dim)`` stack of elements such as
+    a result's ``povm``, realizes the partial-transpose optimum; another shape raises.
 
     For each member the minimum eigenvalue of the symmetrized operator
     ``sum_j p_j G(rho_j) M_j - p_i G(rho_i)`` is reported; the POVM is optimal
     iff all of them are nonnegative.  Off-optimum the weighted average need
     not be Hermitian, so its Hermitian part is taken before the eigensolve.
     """
-    if povm.slots != e.slots:
-        raise ValueError("POVM slot structure does not match the ensemble")
+    povm = np.asarray(povm)
+    if povm.shape != (e.n, e.dim, e.dim):
+        raise ValueError(
+            f"POVM of shape {povm.shape} does not match the ensemble's {(e.n, e.dim, e.dim)}"
+        )
     w = np.asarray(e.probs)
     mats = _partial_transpose(np.stack([s.matrix for s in e.states]), e.slots, x.side_a)
-    povm_mats = np.stack([el.matrix for el in povm.elements])
-    _, _, residuals = _certificate(w, mats, povm_mats)
+    _, _, residuals = _certificate(w, mats, povm)
     return OptimalityCheck(all(r >= -tol for r in residuals), residuals)
 
 

@@ -20,12 +20,10 @@ import numpy as np
 from .partitions import PartySet
 from .tensor import (
     DEFAULT_DIM_CAP,
-    HERMITICITY_RTOL,
     DimensionCapError,
     MultiPartyOperator,
     SlotStructure,
-    hermitian_part,
-    hermiticity_defect,
+    _hermiticity,
     identity,
     tensor,
     tensor_power,
@@ -139,9 +137,8 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
     )
 
     for k, state in enumerate(e.states):
-        herm = hermiticity_defect(state.matrix)
-        scale = 1.0 + float(np.max(np.abs(state.matrix)))
-        hermitian = herm <= HERMITICITY_RTOL * scale
+        herm, part = _hermiticity(state.matrix)
+        hermitian = part is not None
         checks.append(
             CheckResult(f"hermitian[{k}]", hermitian, herm,
                         f"state {k} Hermiticity defect {herm:.3e}")
@@ -153,14 +150,16 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
             CheckResult(f"trace[{k}]", trace_residual <= TRACE_TOL, trace_residual,
                         f"state {k} trace deviates by {trace_residual:.3e}")
         )
-        min_eig = float(np.linalg.eigvalsh(hermitian_part(state.matrix))[0])
+        min_eig = float(np.linalg.eigvalsh(part)[0])
         ok = min_eig >= -PSD_WARN_TOL
         checks.append(
             CheckResult(f"psd[{k}]", ok, max(0.0, -min_eig),
                         f"state {k} minimum eigenvalue {min_eig:.3e}")
         )
-        # Eigensolver round-off on a PSD matrix reaches about dim * eps * scale.
-        if ok and min_eig < -state.dim * np.finfo(float).eps * scale:
+        # Eigensolver round-off on a PSD matrix reaches about dim * eps * (1 + max|entry|);
+        # that scale is read only for a negative eigenvalue.
+        if ok and min_eig < 0 and min_eig < -state.dim * np.finfo(float).eps * (
+                1.0 + float(np.max(np.abs(state.matrix)))):
             warnings.append(
                 f"state {k} minimum eigenvalue {min_eig:.3e} is negative within tolerance"
             )

@@ -159,6 +159,6 @@ def fold_bound(n: int, qx: float, L: int) -> float:
         raise ValueError(f"need n >= 2, got {n}")
     if L < 1:
         raise ValueError(f"fold count must be >= 1, got {L}")
-    if qx < 1.0 / n:
+    if not qx >= 1.0 / n:  # also NaN
         raise ValueError(f"bound {qx} is below the guessing floor 1/{n}")
     return min(1.0, 1.0 / n + (n - 1.0) / n * (n * qx - 1.0) ** L)

@@ -203,31 +203,41 @@ def hermitian_part(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.conj().swapaxes(-1, -2)) / 2.0
 
 
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    """max |A - A^dagger| entry-wise."""
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
+def _hermiticity(matrix: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """The Hermitian contract in one pass over one formed adjoint: the defect
+    ``max|A - A^dagger|`` and, when it is within ``HERMITICITY_RTOL * (1 + max|A|)``,
+    the Hermitian part ``(A + A^dagger) / 2`` (bit-identical to :func:`hermitian_part`),
+    else ``None``."""
+    adjoint = matrix.conj().T
+    defect = float(np.max(np.abs(matrix - adjoint)))
+    if not defect <= HERMITICITY_RTOL * (1.0 + float(np.max(np.abs(matrix)))):
+        return defect, None
+    part = matrix + adjoint
+    part /= 2.0  # in place: one full-size temporary fewer
+    return defect, part
+
+
+def _hermitian(matrix: np.ndarray) -> np.ndarray:
+    """The Hermitian part of a matrix that meets the contract; a violation raises
+    :class:`ContractViolationError` with the defect of the same pass."""
+    defect, part = _hermiticity(matrix)
+    if part is None:
+        raise ContractViolationError(f"operator is not Hermitian (defect {defect:.3e})")
+    return part
 
 
 def is_hermitian(op: MultiPartyOperator) -> bool:
-    scale = 1.0 + float(np.max(np.abs(op.matrix))) if op.matrix.size else 1.0
-    return hermiticity_defect(op.matrix) <= HERMITICITY_RTOL * scale
-
-
-def _require_hermitian(op: MultiPartyOperator) -> None:
-    if not is_hermitian(op):
-        raise ContractViolationError(
-            f"operator is not Hermitian (defect {hermiticity_defect(op.matrix):.3e})"
-        )
+    return _hermiticity(op.matrix)[1] is not None
 
 
 def hermitian_eigensystem(op: MultiPartyOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian operator.
+    """Eigenvalues (ascending) and eigenvectors of the Hermitian part of an operator
+    that meets the Hermitian contract (else :class:`ContractViolationError`).
 
     The reconstruction residual ``max|A - V diag(w) V^dagger|`` is checked
     against ``1e-10 * (1 + max|A|)`` before returning.
     """
-    _require_hermitian(op)
-    mat = hermitian_part(op.matrix)
+    mat = _hermitian(op.matrix)
     vals, vecs = np.linalg.eigh(mat)
     residual = float(np.max(np.abs(mat - (vecs * vals) @ vecs.conj().T)))
     scale = 1.0 + float(np.max(np.abs(mat)))
@@ -239,9 +249,9 @@ def hermitian_eigensystem(op: MultiPartyOperator) -> tuple[np.ndarray, np.ndarra
 
 
 def hermitian_eigenvalues(op: MultiPartyOperator) -> np.ndarray:
-    """All real eigenvalues of a Hermitian operator in nondecreasing order."""
-    _require_hermitian(op)
-    return np.linalg.eigvalsh(hermitian_part(op.matrix))
+    """All real eigenvalues, nondecreasing, of the Hermitian part of an operator that
+    meets the Hermitian contract (else :class:`ContractViolationError`)."""
+    return np.linalg.eigvalsh(_hermitian(op.matrix))
 
 
 class PsdCheck(NamedTuple):

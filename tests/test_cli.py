@@ -49,6 +49,16 @@ def zero_prior_file(tmp_path, ghz22_file):
     return path
 
 
+@pytest.fixture()
+def bad_herm_file(tmp_path, ghz22_file):
+    """The GHZ-complement (2,2) file with one off-diagonal entry of state 0 changed."""
+    doc = json.loads(ghz22_file.read_text())
+    doc["states"][0][0][1] = [0.25, 0]
+    path = tmp_path / "bad-herm.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def assert_fails(result, code):
     """Exit ``code`` with an ``error:`` line, through ``sys.exit``: an escaped
     exception (a traceback outside the test runner) lands in ``result.exception``."""
@@ -353,6 +363,7 @@ class TestCoalitionCommand:
         (["simulate", "{zero}", "--mode", "direct", "--L", "1", "--x", "0", "--force"], 2),
         (["bounds", "{pair}", "--lmax", "3", "-o", "{missing}/x.csv"], 2),
         (["check", "{pair}", "--tol", "nan"], 2),
+        (["check", "{herm}"], 2),
         (["--cap", "8", "simulate", "{pair}", "--mode", "direct", "--L", "2", "--x", "0"], 3),
         (["--cap", "0", "check", "{pair}"], 2),
         (["fold", "{pair}", "--L", "0", "-o", "{missing}/c.json"], 2),
@@ -361,11 +372,14 @@ class TestCoalitionCommand:
         (["simulate", "{pair}", "--L", "1", "--x", "0", "--trials", "0"], 2),
         (["simulate", "{pair}", "--mode", "direct", "--L", "3", "--x", "1", "--trials", "5"], 2),
     ],
-    ids=["direct-zero-prior-class", "bounds-missing-dir", "check-tol-nan", "direct-cap", "cap-zero",
-         "fold-L0", "simulate-L0", "coalition-L0", "simulate-trials0", "direct-trials"],
+    ids=["direct-zero-prior-class", "bounds-missing-dir", "check-tol-nan", "check-non-hermitian",
+         "direct-cap", "cap-zero", "fold-L0", "simulate-L0", "coalition-L0", "simulate-trials0",
+         "direct-trials"],
 )
-def test_errors_exit_with_their_code(runner, tmp_path, ghz22_file, zero_prior_file, args, code):
-    paths = {"pair": ghz22_file, "zero": zero_prior_file, "missing": tmp_path / "missing"}
+def test_errors_exit_with_their_code(runner, tmp_path, ghz22_file, zero_prior_file, bad_herm_file,
+                                     args, code):
+    paths = {"pair": ghz22_file, "zero": zero_prior_file, "herm": bad_herm_file,
+             "missing": tmp_path / "missing"}
     result = runner.invoke(main, [arg.format(**paths) for arg in args])
     assert_fails(result, code)
 

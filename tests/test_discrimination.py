@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from nlhide import (
     MultiPartyOperator,
     ParityBlockParams,
     PartySet,
-    Povm,
     SlotStructure,
     all_bipartitions,
     check_dominant_state,
@@ -61,6 +59,12 @@ def pair_ensemble(states, probs):
     return Ensemble(PartySet.of_size(2), probs, tuple(states))
 
 
+def assert_valid_povm(povm):
+    """The elements of an ``(n, dim, dim)`` stack sum to the identity and are PSD."""
+    assert np.max(np.abs(povm.sum(axis=0) - np.eye(povm.shape[-1]))) <= 1e-10
+    assert np.linalg.eigvalsh(povm)[:, 0].min() >= -1e-10
+
+
 KET0 = (1.0, 0.0)
 KET1 = (0.0, 1.0)
 KET_PLUS = (1 / math.sqrt(2), 1 / math.sqrt(2))
@@ -102,7 +106,7 @@ class TestOptimalGlobal:
         assert result.certified
         assert result.gap <= 1e-8
         assert result.primal_value == pytest.approx(2 / 3, abs=1e-8)
-        assert result.povm.is_valid()
+        assert_valid_povm(result.povm)
 
     def test_iterative_matches_closed_for_two_states(self):
         rng = np.random.default_rng(3)
@@ -135,8 +139,16 @@ class TestOptimalGlobal:
         assert (result.iterations, result.certified) == (0, False)
         assert result.primal_value == pytest.approx(1 / 3, abs=1e-14)
         assert result.dual_value >= result.primal_value
-        for el in result.povm.elements:
-            assert np.array_equal(el.matrix, np.eye(4) / 3)
+        assert np.array_equal(result.povm, np.broadcast_to(np.eye(4) / 3, (3, 4, 4)))
+
+    @pytest.mark.parametrize("method, n", [("closed", 2), ("iterative", 3)])
+    def test_povm_is_the_read_only_solver_stack(self, method, n):
+        rng = np.random.default_rng(6)
+        states = [MultiPartyOperator(random_density(rng, 4), PAIR) for _ in range(n)]
+        result = optimal_global([1 / n] * n, states, method=method)
+        assert result.povm.shape == (n, 4, 4)
+        assert not result.povm.flags.writeable
+        assert_valid_povm(result.povm)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -202,7 +214,7 @@ class TestQUpper:
 class TestPovmOptimality:
     def test_all_or_nothing_is_optimal_for_ghz22(self, ghz22):
         (bp,) = all_bipartitions(ghz22.parties)
-        povm = Povm((identity(ghz22.slots), zero(ghz22.slots)))
+        povm = np.stack([identity(ghz22.slots).matrix, zero(ghz22.slots).matrix])
         check = check_povm_optimality(ghz22, bp, povm)
         assert check.passed
         assert min(check.residuals) >= -1e-12
@@ -214,12 +226,7 @@ class TestPovmOptimality:
         )
         (bp,) = all_bipartitions(e.parties)
         m0 = np.diag([1.0, 0, 1, 0]).astype(complex)
-        povm = Povm(
-            (
-                MultiPartyOperator(m0, PAIR),
-                MultiPartyOperator(np.eye(4) - m0, PAIR),
-            )
-        )
+        povm = np.stack([m0, np.eye(4) - m0])
         assert check_povm_optimality(e, bp, povm).passed
 
     def test_suboptimal_povm_fails(self):
@@ -232,15 +239,22 @@ class TestPovmOptimality:
             (projector(KET0, slots), projector(KET_PLUS, slots)),
         )
         (bp,) = all_bipartitions(e.parties)
-        povm = Povm((identity(slots), zero(slots)))
+        povm = np.stack([identity(slots).matrix, zero(slots).matrix])
         check = check_povm_optimality(e, bp, povm)
         assert not check.passed
         assert min(check.residuals) == pytest.approx(-math.sqrt(2) / 4, abs=1e-12)
 
     def test_slot_mismatch_rejected(self, ghz22):
         (bp,) = all_bipartitions(ghz22.parties)
-        povm = Povm((identity(QUBIT), zero(QUBIT)))
-        with pytest.raises(ValueError, match="slot structure"):
+        povm = np.stack([identity(QUBIT).matrix, zero(QUBIT).matrix])
+        with pytest.raises(ValueError, match=r"shape \(2, 2, 2\) does not match .* \(2, 4, 4\)"):
+            check_povm_optimality(ghz22, bp, povm)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_element_count_must_match(self, ghz22, count):
+        (bp,) = all_bipartitions(ghz22.parties)
+        povm = np.broadcast_to(np.eye(4) / count, (count, 4, 4))
+        with pytest.raises(ValueError, match=rf"shape \({count}, 4, 4\) does not match"):
             check_povm_optimality(ghz22, bp, povm)
 
 
@@ -318,15 +332,14 @@ class TestBipartitionScan:
         assert sum(transposed) == e.n * 3
 
     def test_one_hermitian_check_per_state(self, ghz23, monkeypatch):
-        tensor = importlib.import_module("nlhide.tensor")  # ``nlhide.tensor`` is also a function
         checked = []
-        real = tensor.is_hermitian
+        real = discrimination._hermitian
 
-        def counting(op):
-            checked.append(op)
-            return real(op)
+        def counting(matrix):
+            checked.append(matrix)
+            return real(matrix)
 
-        monkeypatch.setattr(tensor, "is_hermitian", counting)
+        monkeypatch.setattr(discrimination, "_hermitian", counting)
         scan = max_bipartition_bound(ghz23)
         # Three cuts, all decided by dominance: the states are checked once, not per cut.
         assert [r.method for r in scan.results.values()] == ["dominance"] * 3

@@ -198,6 +198,13 @@ class TestCurves:
         with pytest.raises(ValueError, match="guessing floor"):
             fold_bound(4, 0.2, 1)
 
+    def test_fold_bound_rejects_nan(self):
+        # ``nan < 1/n`` is False, and ``min(1.0, nan)`` is 1.0: NaN read as a full bound.
+        with pytest.raises(ValueError, match="guessing floor"):
+            fold_bound(2, float("nan"), 3)
+        with pytest.raises(ValueError, match="eta0"):
+            exact_two_state_curve(float("nan"), 3)
+
     def test_fold_bound_never_exceeds_one(self):
         # max q 0.85 >= 2/3: uncapped, 1/3 + 2/3 * 1.55**L reads 1.367, 1.935, 2.816.
         assert [fold_bound(3, 0.85, L) for L in (1, 2, 3)] == [1.0, 1.0, 1.0]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlhide import (
     ContractViolationError,
@@ -10,11 +12,13 @@ from nlhide import (
     hermitian_eigensystem,
     hermitian_eigenvalues,
     identity,
+    is_hermitian,
     is_psd,
     partial_transpose,
     tensor,
     tensor_power,
 )
+from nlhide.tensor import HERMITICITY_RTOL, _hermitian, hermitian_part
 
 from oracles import (
     jacobi_eigenvalues,
@@ -184,6 +188,38 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(op), hermitian_eigensystem(op)[0],
             rtol=0, atol=1e-12 * scale,
         )
+
+
+class TestHermitianContract:
+    """The one-pass check-and-symmetrize against ``is_hermitian`` and ``hermitian_part``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3, 4, 6, 8]),
+           ratio=st.floats(0.5, 2.0))
+    def test_matches_predicate_and_hermitian_part(self, seed, dim, ratio):
+        # A Hermitian matrix plus an anti-Hermitian perturbation whose defect is
+        # ``ratio`` times the tolerance, measured on the unperturbed scale.
+        rng = np.random.default_rng(seed)
+        skew = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        skew = (skew - skew.conj().T) / 2.0
+        herm = random_hermitian(rng, dim)
+        tol = HERMITICITY_RTOL * (1.0 + np.max(np.abs(herm)))
+        mat = herm + skew * (ratio * tol / np.max(np.abs(2.0 * skew)))
+        op = MultiPartyOperator(mat, SlotStructure((dim,), ("A1",)))
+        if is_hermitian(op):
+            assert np.array_equal(_hermitian(op.matrix), hermitian_part(op.matrix))
+        else:
+            with pytest.raises(ContractViolationError, match="^operator is not Hermitian"):
+                _hermitian(op.matrix)
+
+    def test_both_sides_of_the_tolerance(self):
+        herm = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        tol = HERMITICITY_RTOL * 3.0
+        inside = herm + skew * (0.9 * tol / 2.0)
+        assert np.array_equal(_hermitian(inside), hermitian_part(inside))
+        with pytest.raises(ContractViolationError, match=r"^operator is not Hermitian \(defect"):
+            _hermitian(herm + skew * (1.1 * tol / 2.0))
 
 
 class TestIsPsd:
