@@ -110,14 +110,17 @@ def main(ctx: click.Context, cap: int) -> None:
 @click.option("--d", "d", type=int, required=True, help="Local level count (>= 2).")
 @click.option("--m", "m", type=int, required=True, help="Number of parties (>= 2).")
 @click.option("--s", "s", type=int, default=1, show_default=True,
-              help="Repetitions per block (kind 2).")
+              help="Repetitions per block (kind 2 only).")
 @click.option("--t", "t", type=int, default=1, show_default=True,
-              help="Block copies; the ensemble has 2**t states (kind 2).")
+              help="Block copies; the ensemble has 2**t states (kind 2 only).")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
 @click.pass_context
 def example(ctx: click.Context, kind: str, d: int, m: int, s: int, t: int, output: str) -> None:
     """Write a built-in example ensemble as JSON and print its diagnostics."""
     cap = ctx.obj["cap"]
+    for name in ("s", "t") if kind == "1" else ():
+        if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
+            _fail(EXIT_USAGE, f"--{name} has no effect for kind 1")
     if kind == "1":
         ensemble = ghz_complement_ensemble(d, m, cap=cap)
     else:

@@ -19,20 +19,13 @@ rule and the dual built by lifting the weighted POVM average to feasibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .ensembles import Ensemble
 from .partitions import Bipartition, all_bipartitions
-from .tensor import (
-    MultiPartyOperator,
-    SlotStructure,
-    _hermitian,
-    _partial_transpose,
-    _psd,
-    hermitian_part,
-)
+from .tensor import _hermitian, _partial_transpose, _psd, hermitian_part
 
 DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -62,22 +55,29 @@ class DiscriminationResult:
 
 
 def _validate_inputs(
-    weights: Sequence[float], ops: Sequence[MultiPartyOperator]
-) -> tuple[np.ndarray, np.ndarray, SlotStructure]:
-    if len(weights) != len(ops):
-        raise ValueError(f"{len(weights)} weights but {len(ops)} operators")
-    if len(ops) < 2:
+    weights: Sequence[float], matrices: Sequence[np.ndarray] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    if len(weights) != len(matrices):
+        raise ValueError(f"{len(weights)} weights but {len(matrices)} operators")
+    if len(matrices) < 2:
         raise ValueError("discrimination needs at least two operators")
     w = np.asarray([float(x) for x in weights])
     if not np.all(w >= 0):  # also NaN
         raise ValueError(f"weights must be nonnegative, got {w.tolist()}")
-    slots = ops[0].slots
-    mats = np.empty((len(ops), slots.dim, slots.dim), dtype=np.complex128)
-    for k, op in enumerate(ops):
-        if op.slots != slots:
-            raise ValueError(f"operator {k} has a different slot structure")
-        mats[k] = _hermitian(op.matrix)
-    return w, mats, slots
+    shapes = sorted({np.shape(m) for m in matrices})
+    if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+        raise ValueError(f"operators must be square matrices of one shape, got shapes {shapes}")
+    mats = np.empty((len(matrices), *shapes[0]), dtype=np.complex128)
+    for k, m in enumerate(matrices):
+        mats[k] = _hermitian(np.asarray(m))
+    return w, mats
+
+
+def _transposed(e: Ensemble, side: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The checked weights of ``e`` and the Hermitian parts of its states, each state
+    checked once and the one stack transposed on ``side`` in place."""
+    w, mats = _validate_inputs(e.probs, [s.matrix for s in e.states])
+    return w, _partial_transpose(mats, e.slots, side, out=mats)
 
 
 def _certificate(
@@ -105,8 +105,7 @@ def _closed_form_two(w: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, int]:
     delta = hermitian_part(w[0] * mats[0] - w[1] * mats[1])
     vals, vecs = np.linalg.eigh(delta)
     positive = vals > 0
-    m0 = (vecs[:, positive]) @ (vecs[:, positive]).conj().T
-    m0 = hermitian_part(m0)
+    m0 = hermitian_part(vecs[:, positive] @ vecs[:, positive].conj().T)
     m1 = np.eye(delta.shape[0], dtype=np.complex128) - m0
     return np.stack([m0, m1]), 1
 
@@ -179,13 +178,17 @@ def _fixed_point_iteration(
 
 def optimal_global(
     weights: Sequence[float],
-    ops: Sequence[MultiPartyOperator],
+    matrices: Sequence[np.ndarray] | np.ndarray,
     tol: float = DEFAULT_SOLVER_TOL,
     method: str = "auto",
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> DiscriminationResult:
-    """Maximize ``sum_i weights[i] * Tr(ops[i] M_i)`` over POVMs ``{M_i}``.
+    """Maximize ``sum_i weights[i] * Tr(matrices[i] M_i)`` over POVMs ``{M_i}``.
 
+    ``matrices`` is an ``(n, dim, dim)`` stack or a sequence of equal-shape square
+    arrays; no party structure is read.  Each must meet the Hermitian contract (else
+    :class:`ContractViolationError`) and is checked once per call; the solver works
+    on copies of their Hermitian parts, so the caller's arrays are not modified.
     ``method`` is ``"auto"`` (closed form for two operators, iteration
     otherwise), ``"closed"`` (two operators only) or ``"iterative"``.  A
     result with ``gap > tol`` is returned flagged uncertified rather than
@@ -194,7 +197,7 @@ def optimal_global(
     """
     if not tol > 0:  # also NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
-    w, mats, _ = _validate_inputs(weights, ops)
+    w, mats = _validate_inputs(weights, matrices)
     if method == "auto":
         method = "closed" if len(mats) == 2 else "iterative"
     if method == "closed":
@@ -231,16 +234,11 @@ def q_upper(
     """Discrimination optimum of the partially transposed ensemble.
 
     The dual value upper-bounds the success probability of any measurement
-    local to the bipartition ``x``, regardless of convergence.
+    local to the bipartition ``x``, regardless of convergence.  The transposed
+    states go to :func:`optimal_global` as one stack, which checks each once.
     """
     gammas = _partial_transpose(np.stack([s.matrix for s in e.states]), e.slots, x.side_a)
-    return optimal_global(
-        e.probs,
-        [MultiPartyOperator(g, e.slots) for g in gammas],
-        tol=tol,
-        method=method,
-        max_iterations=max_iterations,
-    )
+    return optimal_global(e.probs, gammas, tol=tol, method=method, max_iterations=max_iterations)
 
 
 class OptimalityCheck(NamedTuple):
@@ -263,15 +261,15 @@ def check_povm_optimality(
     ``sum_j p_j G(rho_j) M_j - p_i G(rho_i)`` is reported; the POVM is optimal
     iff all of them are nonnegative.  Off-optimum the weighted average need
     not be Hermitian, so its Hermitian part is taken before the eigensolve.
+    Each state is checked once against the Hermitian contract (else
+    :class:`ContractViolationError`) and its Hermitian part is transposed.
     """
     povm = np.asarray(povm)
     if povm.shape != (e.n, e.dim, e.dim):
         raise ValueError(
             f"POVM of shape {povm.shape} does not match the ensemble's {(e.n, e.dim, e.dim)}"
         )
-    w = np.asarray(e.probs)
-    mats = _partial_transpose(np.stack([s.matrix for s in e.states]), e.slots, x.side_a)
-    _, _, residuals = _certificate(w, mats, povm)
+    _, _, residuals = _certificate(*_transposed(e, x.side_a), povm)
     return OptimalityCheck(all(r >= -tol for r in residuals), residuals)
 
 
@@ -293,10 +291,10 @@ def check_dominant_state(
     When the check passes, the optimum of the transposed ensemble equals the
     pivot weight exactly and the all-or-nothing measurement (identity on the
     pivot, zero elsewhere) is optimal, so callers may skip the solver.  The
-    pivot defaults to the heaviest member (lowest index on ties).
+    pivot defaults to the heaviest member (lowest index on ties).  Each state is
+    checked once against the Hermitian contract (else :class:`ContractViolationError`).
     """
-    w, mats, slots = _validate_inputs(e.probs, e.states)
-    return _dominance(w, _partial_transpose(mats, slots, x.side_a, out=mats), pivot)
+    return _dominance(*_transposed(e, x.side_a), pivot)
 
 
 def _dominance(w: np.ndarray, gammas: np.ndarray, pivot: int | None = None) -> DominanceCheck:
@@ -308,16 +306,10 @@ def _dominance(w: np.ndarray, gammas: np.ndarray, pivot: int | None = None) -> D
     if not 0 <= pivot < n:
         raise ValueError(f"pivot {pivot} out of range for {n} states")
     lead = w[pivot] * gammas[pivot]
-    out: list[float] = []
-    ok = True
-    for i in range(n):
-        if i == pivot:
-            out.append(0.0)
-            continue
-        check = _psd(np.linalg.eigvalsh(lead - w[i] * gammas[i]))
-        out.append(check.min_eigenvalue)
-        ok = ok and check.ok
-    return DominanceCheck(ok, tuple(out), pivot)
+    checks = [_psd(np.linalg.eigvalsh(lead - w[i] * gammas[i])) for i in range(n) if i != pivot]
+    mins = [check.min_eigenvalue for check in checks]
+    mins.insert(pivot, 0.0)
+    return DominanceCheck(all(check.ok for check in checks), tuple(mins), pivot)
 
 
 def _dominance_result(e: Ensemble, check: DominanceCheck) -> DiscriminationResult:
@@ -354,25 +346,25 @@ def max_bipartition_bound(
     The weights and states are checked once, so a non-Hermitian state or a negative
     or NaN weight raises at once; one stack of their Hermitian parts is transposed
     in place, each state once per cut.  Dominance is tried first (exact, no
-    iteration); only where it fails does the solver get the states as operators.
+    iteration); only where it fails does the solver get the transposed stack, which
+    its own input guard checks once more.
     Numerical failures (``LinAlgError``) are collected per cut, for a partial table.
     """
-    w, gammas, slots = _validate_inputs(e.probs, e.states)
+    w, gammas = _validate_inputs(e.probs, [s.matrix for s in e.states])
     results: dict[str, DiscriminationResult] = {}
     failures: dict[str, str] = {}
     side: frozenset[str] = frozenset()  # the side ``gammas`` is transposed on
     for bp in all_bipartitions(e.parties):
         key = bp.to_string()
         # Transposed on the last side, then on (last ^ this), the stack is transposed on this.
-        _partial_transpose(gammas, slots, side ^ set(bp.side_a), out=gammas)
+        _partial_transpose(gammas, e.slots, side ^ set(bp.side_a), out=gammas)
         side = frozenset(bp.side_a)
         try:
             check = _dominance(w, gammas)
             if check.passed:
                 results[key] = _dominance_result(e, check)
             else:
-                ops = [MultiPartyOperator(g, slots) for g in gammas]
-                results[key] = optimal_global(w, ops, tol=tol, max_iterations=max_iterations)
+                results[key] = optimal_global(w, gammas, tol=tol, max_iterations=max_iterations)
         except np.linalg.LinAlgError as exc:
             failures[key] = str(exc)
     if not results:

@@ -132,7 +132,7 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
     )
     min_prob = min(e.probs)
     checks.append(
-        CheckResult("probability-nonnegative", min_prob >= -PROB_SUM_TOL,
+        CheckResult("probability-nonnegative", min_prob >= 0,
                     max(0.0, -min_prob), f"smallest probability {min_prob:.3e}")
     )
 

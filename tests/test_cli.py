@@ -50,6 +50,16 @@ def zero_prior_file(tmp_path, ghz22_file):
 
 
 @pytest.fixture()
+def negative_prior_file(tmp_path, ghz22_file):
+    """The GHZ-complement (2,2) file with priors that sum to 1 but one is -1e-13."""
+    doc = json.loads(ghz22_file.read_text())
+    doc["probs"] = [1.0000000000001, -1e-13]
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.fixture()
 def bad_herm_file(tmp_path, ghz22_file):
     """The GHZ-complement (2,2) file with one off-diagonal entry of state 0 changed."""
     doc = json.loads(ghz22_file.read_text())
@@ -96,6 +106,15 @@ class TestExampleCommand:
             ["example", "--kind", "1", "--d", "1", "--m", "2", "-o", str(tmp_path / "x.json")],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flags", [["--s", "5", "--t", "3"], ["--s", "2"], ["--t", "1"]])
+    def test_kind1_rejects_block_flags(self, runner, tmp_path, flags):
+        path = tmp_path / "x.json"
+        args = ["example", "--kind", "1", "--d", "2", "--m", "2", *flags, "-o", str(path)]
+        result = runner.invoke(main, args)
+        assert_fails(result, 2)
+        assert f"{flags[0]} has no effect for kind 1" in result.output
+        assert not path.exists()
 
     def test_cap_exceeded(self, runner, tmp_path):
         result = runner.invoke(
@@ -371,17 +390,21 @@ class TestCoalitionCommand:
         (["coalition", "{pair}", "--L", "0"], 2),
         (["simulate", "{pair}", "--L", "1", "--x", "0", "--trials", "0"], 2),
         (["simulate", "{pair}", "--mode", "direct", "--L", "3", "--x", "1", "--trials", "5"], 2),
+        (["check", "{negative}"], 2),
+        (["fold", "{negative}", "--L", "2", "-o", "{missing}/c.json"], 2),
     ],
     ids=["direct-zero-prior-class", "bounds-missing-dir", "check-tol-nan", "check-non-hermitian",
          "direct-cap", "cap-zero", "fold-L0", "simulate-L0", "coalition-L0", "simulate-trials0",
-         "direct-trials"],
+         "direct-trials", "check-negative-prior", "fold-negative-prior"],
 )
 def test_errors_exit_with_their_code(runner, tmp_path, ghz22_file, zero_prior_file, bad_herm_file,
-                                     args, code):
+                                     negative_prior_file, args, code):
     paths = {"pair": ghz22_file, "zero": zero_prior_file, "herm": bad_herm_file,
-             "missing": tmp_path / "missing"}
+             "negative": negative_prior_file, "missing": tmp_path / "missing"}
     result = runner.invoke(main, [arg.format(**paths) for arg in args])
     assert_fails(result, code)
+    if "{negative}" in args:
+        assert "probability-nonnegative" in result.output
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,9 +51,14 @@ QUBIT = SlotStructure((2,), ("A1",))
 PAIR = SlotStructure((2, 2), ("A1", "A2"))
 
 
-def projector(vec, slots=QUBIT):
+def ket(vec):
+    """The projector ``|vec><vec|`` as a plain matrix."""
     vec = np.asarray(vec, dtype=complex)
-    return MultiPartyOperator(np.outer(vec, vec.conj()), slots)
+    return np.outer(vec, vec.conj())
+
+
+def projector(vec, slots=QUBIT):
+    return MultiPartyOperator(ket(vec), slots)
 
 
 def pair_ensemble(states, probs):
@@ -74,16 +80,16 @@ HELSTROM_0_PLUS = 0.5 + math.sqrt(2) / 4  # half overlap-gap above fair coin
 
 class TestOptimalGlobal:
     def test_orthogonal_pure_states(self):
-        result = optimal_global([0.5, 0.5], [projector(KET0), projector(KET1)])
+        result = optimal_global([0.5, 0.5], [ket(KET0), ket(KET1)])
         assert result.primal_value == pytest.approx(1.0, abs=1e-12)
         assert result.gap <= 1e-12
         assert result.certified
 
     def test_overlapping_pure_states_closed_form(self):
-        result = optimal_global([0.5, 0.5], [projector(KET0), projector(KET_PLUS)])
+        result = optimal_global([0.5, 0.5], [ket(KET0), ket(KET_PLUS)])
         assert result.primal_value == pytest.approx(HELSTROM_0_PLUS, abs=1e-12)
         # cross-check: value = w1 Tr(B) + positive spectrum of (w0 A - w1 B)
-        delta = 0.5 * projector(KET0).matrix - 0.5 * projector(KET_PLUS).matrix
+        delta = 0.5 * ket(KET0) - 0.5 * ket(KET_PLUS)
         vals = np.linalg.eigvalsh(delta)
         assert result.primal_value == pytest.approx(0.5 + vals[vals > 0].sum(), abs=1e-12)
 
@@ -93,13 +99,13 @@ class TestOptimalGlobal:
         kets = [
             (math.cos(math.pi * k / 3), math.sin(math.pi * k / 3)) for k in range(3)
         ]
-        states = [projector(k) for k in kets]
+        states = [ket(k) for k in kets]
         weights = [1 / 3] * 3
-        srm = [(2 / 3) * s.matrix for s in states]
-        achieved = povm_value(weights, [s.matrix for s in states], srm)
+        srm = [(2 / 3) * s for s in states]
+        achieved = povm_value(weights, states, srm)
         assert achieved == pytest.approx(2 / 3, abs=1e-12)
         dual_op = np.eye(2) / 3
-        assert dual_feasibility_margin(dual_op, weights, [s.matrix for s in states]) >= -1e-12
+        assert dual_feasibility_margin(dual_op, weights, states) >= -1e-12
         assert np.trace(dual_op).real == pytest.approx(2 / 3, abs=1e-15)
 
         result = optimal_global(weights, states)
@@ -111,9 +117,7 @@ class TestOptimalGlobal:
     def test_iterative_matches_closed_for_two_states(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
-            states = [
-                MultiPartyOperator(random_density(rng, 4), PAIR) for _ in range(2)
-            ]
+            states = [random_density(rng, 4) for _ in range(2)]
             w = rng.random(2)
             w = (w / w.sum()).tolist()
             closed = optimal_global(w, states, method="closed")
@@ -125,7 +129,7 @@ class TestOptimalGlobal:
 
     def test_uncertified_when_budget_exhausted(self):
         rng = np.random.default_rng(4)
-        states = [MultiPartyOperator(random_density(rng, 4), PAIR) for _ in range(3)]
+        states = np.stack([random_density(rng, 4) for _ in range(3)])
         result = optimal_global([1 / 3] * 3, states, max_iterations=10)
         assert not result.certified
         assert result.gap > 0
@@ -134,7 +138,7 @@ class TestOptimalGlobal:
     def test_zero_budget_certifies_the_uniform_start(self):
         # No step runs, so no certificate comes out of the loop.
         rng = np.random.default_rng(4)
-        states = [MultiPartyOperator(random_density(rng, 4), PAIR) for _ in range(3)]
+        states = [random_density(rng, 4) for _ in range(3)]
         result = optimal_global([1 / 3] * 3, states, max_iterations=0)
         assert (result.iterations, result.certified) == (0, False)
         assert result.primal_value == pytest.approx(1 / 3, abs=1e-14)
@@ -144,7 +148,7 @@ class TestOptimalGlobal:
     @pytest.mark.parametrize("method, n", [("closed", 2), ("iterative", 3)])
     def test_povm_is_the_read_only_solver_stack(self, method, n):
         rng = np.random.default_rng(6)
-        states = [MultiPartyOperator(random_density(rng, 4), PAIR) for _ in range(n)]
+        states = np.stack([random_density(rng, 4) for _ in range(n)])
         result = optimal_global([1 / n] * n, states, method=method)
         assert result.povm.shape == (n, 4, 4)
         assert not result.povm.flags.writeable
@@ -152,24 +156,37 @@ class TestOptimalGlobal:
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            optimal_global([-0.1, 1.1], [projector(KET0), projector(KET1)])
+            optimal_global([-0.1, 1.1], [ket(KET0), ket(KET1)])
         with pytest.raises(ValueError, match="^weights must be"):
-            optimal_global([math.nan, 0.5], [projector(KET0), projector(KET1)])
-        with pytest.raises(ValueError, match="slot structure"):
-            optimal_global(
-                [0.5, 0.5], [projector(KET0), identity(PAIR)]
-            )
+            optimal_global([math.nan, 0.5], [ket(KET0), ket(KET1)])
+        with pytest.raises(ValueError, match=r"one shape, got shapes \[\(2, 2\), \(4, 4\)\]"):
+            optimal_global([0.5, 0.5], [ket(KET0), np.eye(4)])
+        with pytest.raises(ValueError, match=r"one shape, got shapes \[\(2, 3\)\]"):
+            optimal_global([0.5, 0.5], np.zeros((2, 2, 3)))
         with pytest.raises(ValueError, match="closed form"):
             optimal_global(
                 [1 / 3] * 3,
-                [projector(KET0), projector(KET1), projector(KET_PLUS)],
+                [ket(KET0), ket(KET1), ket(KET_PLUS)],
                 method="closed",
             )
         with pytest.raises(ValueError, match="tolerance"):
-            optimal_global([0.5, 0.5], [projector(KET0), projector(KET1)], tol=0)
-        skew = MultiPartyOperator(np.array([[0, 1], [0, 0]], dtype=complex), QUBIT)
+            optimal_global([0.5, 0.5], [ket(KET0), ket(KET1)], tol=0)
+        skew = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ContractViolationError):
-            optimal_global([0.5, 0.5], [skew, projector(KET0)])
+            optimal_global([0.5, 0.5], [skew, ket(KET0)])
+
+    @pytest.mark.parametrize("method, n", [("closed", 2), ("iterative", 3)])
+    def test_list_and_stack_agree_and_stack_is_kept(self, method, n):
+        rng = np.random.default_rng(8)
+        stack = np.stack([random_hermitian(rng, 4) + 2 * np.eye(4) for _ in range(n)])
+        before = stack.copy()
+        from_stack = optimal_global([1 / n] * n, stack, method=method)
+        from_list = optimal_global([1 / n] * n, list(before), method=method)
+        assert np.array_equal(stack, before)
+        for field in dataclasses.fields(from_stack):
+            # Every field compares equal; the POVM, an array, by its entries.
+            a, b = getattr(from_stack, field.name), getattr(from_list, field.name)
+            assert np.array_equal(a, b) if field.name == "povm" else a == b, field.name
 
 
 class TestQUpper:
@@ -249,6 +266,16 @@ class TestPovmOptimality:
         povm = np.stack([identity(QUBIT).matrix, zero(QUBIT).matrix])
         with pytest.raises(ValueError, match=r"shape \(2, 2, 2\) does not match .* \(2, 4, 4\)"):
             check_povm_optimality(ghz22, bp, povm)
+
+    def test_non_hermitian_state_rejected(self, ghz22):
+        (bp,) = all_bipartitions(ghz22.parties)
+        skewed = ghz22.states[1].matrix.copy()
+        skewed[0, 1] += 0.25
+        states = (ghz22.states[0], ghz22.states[1].with_matrix(skewed))
+        e = Ensemble(ghz22.parties, ghz22.probs, states)
+        povm = np.stack([identity(e.slots).matrix, zero(e.slots).matrix])
+        with pytest.raises(ContractViolationError, match="^operator is not Hermitian"):
+            check_povm_optimality(e, bp, povm)
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_element_count_must_match(self, ghz22, count):
@@ -344,6 +371,20 @@ class TestBipartitionScan:
         # Three cuts, all decided by dominance: the states are checked once, not per cut.
         assert [r.method for r in scan.results.values()] == ["dominance"] * 3
         assert len(checked) == ghz23.n
+
+
+@pytest.mark.parametrize(
+    "entry, extra",
+    [(q_upper, ()), (check_dominant_state, ()),
+     (check_povm_optimality, (np.broadcast_to(np.eye(8) / 2, (2, 8, 8)),))],
+    ids=["q_upper", "check_dominant_state", "check_povm_optimality"],
+)
+def test_entries_check_each_state_once(ghz23, monkeypatch, entry, extra):
+    checked = []
+    real = discrimination._hermitian
+    monkeypatch.setattr(discrimination, "_hermitian", lambda m: checked.append(1) or real(m))
+    entry(ghz23, all_bipartitions(ghz23.parties)[0], *extra)
+    assert len(checked) == ghz23.n
 
 
 def _family_instances(cap):

@@ -95,6 +95,13 @@ class TestValidate:
         assert fail.name == "probability-sum"
         assert fail.residual == pytest.approx(0.1)
 
+    def test_round_off_negative_probability_fails(self):
+        # The sum is within its tolerance, but a weight below zero is still one:
+        # the solver takes no negative weight, so the ensemble fails here, by name.
+        e = two_state(KET0, KET1, probs=(1.0 + 1e-13, -1e-13))
+        (fail,) = [c for c in validate(e).checks if not c.ok]
+        assert (fail.name, fail.residual) == ("probability-nonnegative", 1e-13)
+
     def test_trace_failure_for_scaled_state(self):
         slots = SlotStructure((2, 1), ("A1", "A2"))
         doubled = MultiPartyOperator(2 * np.outer(KET0, KET0), slots)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -206,6 +207,21 @@ class TestCheckHiding:
         assert len(calls) == 3
         assert list(report.solver_failures) == ["A1|A2A3"]
         assert sorted(report.q_values) == ["A1A2|A3", "A1A3|A2"]
+
+    def test_solver_cuts_build_no_operator(self, monkeypatch):
+        # Every cut is undecided, so the solver gets each transposed stack as it is:
+        # the states are checked n times up front and n times per cut by its guard.
+        e = ghz_basis_triple()
+        tensor = importlib.import_module("nlhide.tensor")  # the package binds the function
+        frozen, checked = [], []
+        real_frozen, real_hermitian = tensor._frozen_matrix, discrimination._hermitian
+        monkeypatch.setattr(tensor, "_frozen_matrix", lambda m: frozen.append(1) or real_frozen(m))
+        monkeypatch.setattr(
+            discrimination, "_hermitian", lambda m: checked.append(1) or real_hermitian(m)
+        )
+        scan = discrimination.max_bipartition_bound(e)
+        assert [r.method for r in scan.results.values()] == ["iterative"] * 3
+        assert (len(frozen), len(checked)) == (0, e.n + 3 * e.n)
 
 
 class TestMinFolds:
