@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from typing import IO, Callable, NamedTuple
 
@@ -335,31 +336,36 @@ def parity_block_size_condition(params: ParityBlockParams) -> SizeCondition:
 
 _REQUIRED_KEYS = ("parties", "slot_dims", "party_of_slot", "probs", "states")
 
+#: Each JSON number character becomes "0"; JSON whitespace is dropped.
+_NUMBER_MARKS = str.maketrans("0123456789.eE+-", "0" * 15, " \t\n\r")
+_NO_BRACKETS = str.maketrans("", "", "[]")
+_STATES_KEY = re.compile(r'"states"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
+#: The close of one state's last entry, row and matrix, and the comma after it.
+_STATE_END = re.compile(r"\][ \t\n\r]*\][ \t\n\r]*\][ \t\n\r]*,")
 
-def _matrix_to_pairs(matrix: np.ndarray) -> list:
-    """Complex matrix as nested lists with each entry an ``[re, im]`` pair."""
-    return np.stack([matrix.real, matrix.imag], -1).tolist()
+
+class _NotPlainStates(Exception):
+    """The document is not one the flat reader parses; ``json.loads`` reads it."""
 
 
 def _pairs_to_matrix(raw) -> np.ndarray:
-    """Inverse of :func:`_matrix_to_pairs`; rejects anything but (rows, cols, 2) numbers."""
-    pairs = np.array(raw)
+    """A (rows, cols, 2) array of ``[re, im]`` number pairs as a complex matrix;
+    rejects anything else."""
+    pairs = np.asarray(raw)
     if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
         raise ValueError(f"state must be rows of [re, im] number pairs, got {pairs.dtype} "
                          f"array of shape {pairs.shape}")
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
 
 
-def to_document(e: Ensemble) -> dict:
-    """Schema: parties, slot_dims, party_of_slot (indices), probs, states."""
-    party_index = {label: k for k, label in enumerate(e.parties.labels)}
-    return {
-        "parties": list(e.parties.labels),
-        "slot_dims": list(e.slots.slot_dims),
-        "party_of_slot": [party_index[p] for p in e.slots.party_of_slot],
-        "probs": list(e.probs),
-        "states": [_matrix_to_pairs(state.matrix) for state in e.states],
-    }
+def _matrix_text(matrix: np.ndarray) -> str:
+    """The JSON text of a C-ordered complex matrix as rows of ``[re, im]`` pairs:
+    one flat ``json.dumps`` per row, with the pair brackets put back in."""
+    rows = []
+    for row in matrix:
+        numbers = iter(json.dumps(row.view(np.float64).tolist())[1:-1].split(", "))
+        rows.append("[[" + "],[".join(map(",".join, zip(numbers, numbers))) + "]]")
+    return "[" + ",".join(rows) + "]"
 
 
 def _document_error(name: str, detail: str) -> InvalidEnsembleError:
@@ -384,6 +390,27 @@ def _entries(values, ok: Callable[[object], bool], rule: str) -> list:
     return values
 
 
+def _header(doc: dict) -> tuple[PartySet, SlotStructure, list]:
+    """Parties, slots and probabilities of a document; raises ``TypeError``,
+    ``ValueError``, ``IndexError`` or ``KeyError`` on a malformed header."""
+    labels = _entries(doc["parties"], lambda x: isinstance(x, str),
+                      "parties entries must be strings")
+    parties = PartySet(tuple(labels))
+    slot_dims = _entries(doc["slot_dims"], _is_integer, "slot_dims entries must be integers")
+    owners = _entries(doc["party_of_slot"], lambda k: _is_integer(k) and 0 <= k < len(labels),
+                      f"party_of_slot entries must be integers in 0..{len(labels) - 1}")
+    slots = SlotStructure(tuple(map(int, slot_dims)), tuple(labels[int(k)] for k in owners))
+    probs = _entries(doc["probs"], _is_number, "probs entries must be numbers")
+    return parties, slots, probs
+
+
+def _validated(ensemble: Ensemble) -> Ensemble:
+    diagnostics = validate(ensemble)
+    if not diagnostics.passed:
+        raise InvalidEnsembleError(diagnostics)
+    return ensemble
+
+
 def from_document(doc: dict) -> Ensemble:
     """Parse and validate an ensemble document; rejects with diagnostics."""
     if not isinstance(doc, dict):
@@ -392,43 +419,131 @@ def from_document(doc: dict) -> Ensemble:
         if key not in doc:
             raise _document_error("schema", f"missing key {key!r}")
     try:
-        labels = _entries(doc["parties"], lambda x: isinstance(x, str),
-                          "parties entries must be strings")
-        parties = PartySet(tuple(labels))
-        slot_dims = _entries(doc["slot_dims"], _is_integer, "slot_dims entries must be integers")
-        owners = _entries(doc["party_of_slot"], lambda k: _is_integer(k) and 0 <= k < len(labels),
-                          f"party_of_slot entries must be integers in 0..{len(labels) - 1}")
-        slots = SlotStructure(tuple(map(int, slot_dims)), tuple(labels[int(k)] for k in owners))
-        probs = _entries(doc["probs"], _is_number, "probs entries must be numbers")
+        parties, slots, probs = _header(doc)
         states = [MultiPartyOperator(_pairs_to_matrix(m), slots) for m in doc["states"]]
         ensemble = Ensemble(parties, probs, tuple(states))
     except InvalidEnsembleError:
         raise
     except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise _document_error("schema", str(exc)) from exc
-    diagnostics = validate(ensemble)
-    if not diagnostics.passed:
-        raise InvalidEnsembleError(diagnostics)
-    return ensemble
+    return _validated(ensemble)
+
+
+def _nested(inner: str, count: int) -> str:
+    return "[" + ",".join([inner] * count) + "]"
+
+
+def _states_span(text: str) -> tuple[int, int]:
+    """Where the array value of the first ``"states"`` key starts and ends.
+
+    A key that follows a backslash is the end of another key.  The value runs to
+    the last ``]`` before the next ``"`` or ``}``, since an array of numbers holds
+    neither.  :func:`_header_document` checks that the key is the document's one
+    ``states`` key, and the layout check in :func:`_load_plain` that the span is
+    its whole value."""
+    match = _STATES_KEY.search(text)
+    if match is None or text[match.start() - 1:match.start()] == "\\":
+        raise _NotPlainStates
+    start = match.end()
+    stop = min((i for i in (text.find('"', start), text.find("}", start)) if i >= 0),
+               default=len(text))
+    return start, text.rfind("]", start, stop) + 1
+
+
+def _header_document(text: str, start: int, end: int) -> dict:
+    """``json.loads`` of the text with ``text[start:end]`` replaced by ``[]``; it must
+    be an object whose only ``states`` key, anywhere, is its own."""
+    objects: list[list] = []
+
+    def collect(pairs: list) -> dict:
+        objects.append(pairs)
+        return dict(pairs)
+
+    try:
+        doc = json.loads(text[:start] + "[]" + text[end:], object_pairs_hook=collect)
+    except json.JSONDecodeError as exc:
+        raise _NotPlainStates from exc
+    keys = [key for pairs in objects for key, _ in pairs]
+    if not isinstance(doc, dict) or "states" not in doc or keys.count("states") != 1:
+        raise _NotPlainStates
+    return doc
+
+
+def _load_plain(text: str) -> Ensemble:
+    """:func:`from_document` of ``json.loads(text)``, for a document whose states
+    are plain ``(n, dim, dim, 2)`` number arrays, without nested number lists.
+
+    Only the header goes through ``json.loads`` whole.  The states text must have
+    exactly the bracket layout that ``len(probs)`` and ``slot_dims`` imply, with
+    number characters only between an entry's brackets; ``json.loads`` then reads
+    each state's numbers as one flat array, so JSON's number grammar decides what
+    a number is.  Raises :class:`_NotPlainStates` for any other document, and for
+    any malformed one, so that ``json.loads`` and :func:`from_document` give the
+    diagnostics."""
+    start, end = _states_span(text)
+    try:
+        parties, slots, probs = _header(_header_document(text, start, end))
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        raise _NotPlainStates from exc
+    states_text, n, dim = text[start:end], len(probs), slots.dim
+    if n * dim * dim > len(states_text):  # bounds the layout built below
+        raise _NotPlainStates
+    marks = states_text.translate(_NUMBER_MARKS)
+    layout = _nested(_nested(_nested("[,]", dim), dim), n)
+    # A number next to a bracket that is not its entry's is stray; brackets dropped
+    # below would join it to a neighbour.
+    if "0[" in marks or "]0" in marks or marks.translate({ord("0"): None}) != layout:
+        raise _NotPlainStates
+    del marks, layout
+    try:
+        states = [
+            MultiPartyOperator(_pairs_to_matrix(np.array(
+                json.loads("[" + chunk.translate(_NO_BRACKETS) + "]")).reshape(dim, dim, 2)),
+                slots)
+            for chunk in _STATE_END.split(states_text)
+        ]
+        ensemble = Ensemble(parties, probs, tuple(states))
+    except ValueError as exc:  # JSON, shape, dtype, finiteness or member-count errors
+        raise _NotPlainStates from exc
+    return _validated(ensemble)
 
 
 def save_ensemble(e: Ensemble, sink: str | IO[str]) -> None:
-    # json.dumps runs the C encoder; json.dump would use the pure-Python one.
-    text = json.dumps(to_document(e), sort_keys=True, separators=(",", ":"))
+    """Write ``e`` as compact JSON with sorted keys, one state at a time."""
+    party_index = {label: k for k, label in enumerate(e.parties.labels)}
+    header = json.dumps({
+        "parties": list(e.parties.labels),
+        "slot_dims": list(e.slots.slot_dims),
+        "party_of_slot": [party_index[p] for p in e.slots.party_of_slot],
+        "probs": list(e.probs),
+    }, sort_keys=True, separators=(",", ":"))
+
+    def write(handle: IO[str]) -> None:
+        # "states" sorts after every header key, so it closes the object.
+        handle.write(header[:-1] + ',"states":[')
+        for k, state in enumerate(e.states):
+            handle.write(("," if k else "") + _matrix_text(state.matrix))
+        handle.write("]}")
+
     if isinstance(sink, str):
         with open(sink, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            write(handle)
     else:
-        sink.write(text)
+        write(sink)
 
 
 def load_ensemble(source: str | IO[str]) -> Ensemble:
+    if isinstance(source, str):
+        with open(source, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    else:
+        text = source.read()
     try:
-        if isinstance(source, str):
-            with open(source, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        else:
-            doc = json.load(source)
+        return _load_plain(text)
+    except _NotPlainStates:
+        pass
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _document_error("schema", f"not valid JSON: {exc}") from exc
     return from_document(doc)

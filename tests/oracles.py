@@ -9,8 +9,10 @@ eigensolve of every coarse state, fold counts are found by a step-by-step
 search, fold-bound tables clamp and branch at each call site, the
 fixed-point solver runs member by member over Python lists, protocol
 transcripts are drawn and written one trial at a time, product-basis
-strategy values assemble one product vector per outcome, and dominance
-checks wrap every difference as an operator for ``is_psd``.
+strategy values assemble one product vector per outcome, dominance
+checks wrap every difference as an operator for ``is_psd``, and ensemble
+files are written from and read into nested Python lists by whole-document
+``json`` calls.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from nlhide.cli import _fmt
 from nlhide.discrimination import _CHECK_EVERY, DominanceCheck, _pinv_sqrt
-from nlhide.ensembles import Ensemble
+from nlhide.ensembles import Ensemble, _document_error, from_document
 from nlhide.folding import DegenerateClassError, FoldSpec, fold_bound, mod_sum
 from nlhide.hiding import CoalitionRow, HidingReport
 from nlhide.partitions import Bipartition, all_partitions, coarser_bipartitions
@@ -548,6 +550,43 @@ def dominance_by_difference(
         out.append(check.min_eigenvalue)
         ok = ok and check.ok
     return DominanceCheck(ok, tuple(out), pivot)
+
+
+# ---------------------------------------------------------------------------
+# ensemble files
+# ---------------------------------------------------------------------------
+
+def matrix_to_pairs(matrix: np.ndarray) -> list:
+    """Complex matrix as nested lists with each entry an ``[re, im]`` pair."""
+    return np.stack([matrix.real, matrix.imag], -1).tolist()
+
+
+def to_document(e: Ensemble) -> dict:
+    """Schema: parties, slot_dims, party_of_slot (indices), probs, states."""
+    party_index = {label: k for k, label in enumerate(e.parties.labels)}
+    return {
+        "parties": list(e.parties.labels),
+        "slot_dims": list(e.slots.slot_dims),
+        "party_of_slot": [party_index[p] for p in e.slots.party_of_slot],
+        "probs": list(e.probs),
+        "states": [matrix_to_pairs(state.matrix) for state in e.states],
+    }
+
+
+def saved_text_by_document(e: Ensemble) -> str:
+    """The file text of ``e`` as one ``json.dumps`` of its nested-list document."""
+    return json.dumps(to_document(e), sort_keys=True, separators=(",", ":"))
+
+
+def load_by_document(text: str) -> Ensemble:
+    """The whole document through one ``json.loads`` into nested lists, then
+    :func:`nlhide.ensembles.from_document`, which reads each state with
+    ``_pairs_to_matrix``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _document_error("schema", f"not valid JSON: {exc}") from exc
+    return from_document(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,21 @@ class TestCheckCommand:
         assert_fails(result, 2)
         assert "schema: party_of_slot entries must be integers in 0..1, got -1" in result.output
 
+    def test_leading_zero_number_exits_two(self, runner, tmp_path, ghz22_file):
+        text = ghz22_file.read_text(encoding="utf-8")
+        bad = tmp_path / "leading-zero.json"
+        bad.write_text(text.replace('"states":[[[[0.', '"states":[[[[00.', 1), encoding="utf-8")
+        result = runner.invoke(main, ["check", str(bad)])
+        assert_fails(result, 2)
+        assert "schema: not valid JSON" in result.output
+
+    def test_indented_file_gives_the_same_report(self, runner, tmp_path, parity2212_file):
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(json.loads(parity2212_file.read_text()), indent=1))
+        outputs = [runner.invoke(main, ["check", str(path), "--format", "json"]).output
+                   for path in (parity2212_file, indented)]
+        assert outputs[0] == outputs[1]
+
     def test_missing_file_exits_two(self, runner, tmp_path):
         result = runner.invoke(main, ["check", str(tmp_path / "nope.json")])
         assert result.exit_code == 2

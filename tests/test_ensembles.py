@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,9 +32,13 @@ from nlhide import (
     tensor_power,
     validate,
 )
-from nlhide.ensembles import pairwise_overlaps, to_document
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import random_density
+from nlhide import ensembles
+from nlhide.ensembles import pairwise_overlaps
+
+from oracles import load_by_document, random_density, saved_text_by_document, to_document
 
 
 def qubit_pair_state(vec):
@@ -478,3 +483,182 @@ class TestPersistence:
         loaded = load_ensemble(io.StringIO(json.dumps(doc)))
         assert loaded.slots == ghz22.slots
         assert loaded.probs == ghz22.probs
+
+
+def random_ensemble(seed: int) -> Ensemble:
+    """Two or three members on one or two slots of dimension 1..3; each state is a
+    random density matrix or a basis projector, whose entries are all integral."""
+    rng = np.random.default_rng(seed)
+    slot_dims = tuple(int(d) for d in rng.integers(1, 4, size=rng.integers(1, 3)))
+    parties = PartySet.of_size(max(2, len(slot_dims)))
+    slots = SlotStructure(slot_dims + (1,) * (len(parties.labels) - len(slot_dims)),
+                          parties.labels)
+    n = int(rng.integers(2, 4))
+    states = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            states.append(random_density(rng, slots.dim))
+        else:
+            states.append(np.diag(np.eye(slots.dim)[rng.integers(slots.dim)]).astype(complex))
+    return Ensemble(parties, tuple(rng.dirichlet(np.ones(n))),
+                    tuple(MultiPartyOperator(m, slots) for m in states))
+
+
+def _integral_as_int(value):
+    if isinstance(value, list):
+        return [_integral_as_int(v) for v in value]
+    return int(value) if value.is_integer() else value
+
+
+LAYOUTS = {
+    "compact": saved_text_by_document,
+    "indent": lambda e: json.dumps(to_document(e), indent=1),
+    "default-separators": lambda e: json.dumps(to_document(e)),
+    "integral-as-int": lambda e: json.dumps(
+        dict(to_document(e), states=_integral_as_int(to_document(e)["states"]))),
+}
+
+
+def _outcome(load, text):
+    """What a loader makes of a text: the loaded fields with each matrix's bytes,
+    or the failed check names and the message."""
+    try:
+        e = load(text)
+    except InvalidEnsembleError as exc:
+        return [c.name for c in exc.diagnostics.failures], str(exc)
+    return e.parties, e.slots, e.probs, [s.matrix.tobytes() for s in e.states]
+
+
+def _load_text(text):
+    return load_ensemble(io.StringIO(text))
+
+
+#: A valid two-state document whose states are diag(0.75, 0.25) and the |+><+| projector.
+PLAIN = (
+    '{"parties":["A1","A2"],"party_of_slot":[0,1],"probs":[0.5,0.5],"slot_dims":[2,1],'
+    '"states":[[[[0.75,0.0],[0.0,0.0]],[[0.0,0.0],[0.25,0.0]]],'
+    '[[[0.5,0.0],[0.5,0.0]],[[0.5,0.0],[0.5,0.0]]]]}'
+)
+_HEADER, _STATES = PLAIN[1:-1].split(',"states":')
+
+EDITED_DOCUMENTS = {
+    "leading-zero": PLAIN.replace('"states":[[[[0.', '"states":[[[[00.'),
+    "plus-sign": PLAIN.replace("[[[[0.75", "[[[[+0.75"),
+    "bare-fraction": PLAIN.replace("[[[[0.75", "[[[[.75"),
+    "bare-point": PLAIN.replace("[[[[0.75", "[[[[1."),
+    "lone-minus": PLAIN.replace("[[[[0.75", "[[[[-"),
+    "lone-exponent": PLAIN.replace("[[[[0.75", "[[[[e"),
+    "space-in-number": PLAIN.replace("[[[[0.75", "[[[[0.7 5"),
+    "nan": PLAIN.replace("[[[[0.75", "[[[[NaN"),
+    "true": PLAIN.replace("[[[[0.75", "[[[[true"),
+    "string": PLAIN.replace("[[[[0.75", '[[[["0.75"'),
+    "overflow": PLAIN.replace("[[[[0.75", "[[[[1e999"),
+    "huge-int": PLAIN.replace("[[[[0.75", "[[[[" + "9" * 400),
+    "exponent-form": PLAIN.replace("[[[[0.75", "[[[[7.5E-1"),
+    "int-entries": PLAIN.replace("[[[[0.75,0.0],[0.0,0.0]],[[0.0,0.0],[0.25,0.0]]]",
+                                 "[[[[1,0],[0,0]],[[0,0],[0,0]]]"),
+    "triple": PLAIN.replace("[[[[0.75,0.0]", "[[[[0.75,0.0,0.0]"),
+    "ragged-row": PLAIN.replace("[[0.0,0.0],[0.25,0.0]]", "[[0.0,0.0]]"),
+    "missing-bracket": PLAIN.replace("[0.25,0.0]]]", "[0.25,0.0]]"),
+    "empty-entry": PLAIN.replace("[[[[0.75,0.0]", "[[[[,0.0]"),
+    "stray-number-before-entry": PLAIN.replace("[[[[0.75,0.0]", "[[[0.75[,0.0]"),
+    "stray-number-after-entry": PLAIN.replace("[0.75,0.0],[", "[0.75,0.0]5,["),
+    "duplicate-states-last-empty": PLAIN[:-1] + ',"states":[]}',
+    "duplicate-states-first-empty": PLAIN.replace('"states":', '"states":[],"states":'),
+    "states-party-label": PLAIN.replace('["A1","A2"]', '["states","A2"]'),
+    "states-first": '{"states":' + _STATES + "," + _HEADER + "}",
+    "escaped-states-key": PLAIN.replace('"states":', '"st\\u0061tes":'),
+    "escaped-key-nested-states": PLAIN.replace(
+        '"states":', '"st\\u0061tes":[],"extra":{"states":')[:-1] + "}}",
+    "escaped-quote-key": PLAIN.replace('"states":', '"st\\u0061tes":[],"x\\"states":'),
+    "states-null": '{' + _HEADER + ',"states":null}',
+    "count-disagrees": PLAIN.replace('"probs":[0.5,0.5]', '"probs":[0.5,0.25,0.25]'),
+    "one-member": PLAIN.replace('"probs":[0.5,0.5]', '"probs":[1.0]'),
+    "shape-disagrees": PLAIN.replace('"slot_dims":[2,1]', '"slot_dims":[2,2]'),
+    "huge-slot-dims": PLAIN.replace('"slot_dims":[2,1]', '"slot_dims":[65536,65536]'),
+    "missing-probs": PLAIN.replace('"probs":[0.5,0.5],', ""),
+    "not-hermitian": PLAIN.replace("[0.75,0.0],[0.0,0.0]", "[0.75,0.0],[9.0,0.0]"),
+    "probability-sum": PLAIN.replace('"probs":[0.5,0.5]', '"probs":[0.65,0.25]'),
+    "whitespace": PLAIN.replace(",", " ,\n ").replace("[", "[\t").replace("]", "\r]"),
+    "top-level-array": "[" + PLAIN + "]",
+    "trailing-data": PLAIN + " 1",
+}
+
+
+class TestFlatReader:
+    """``load_ensemble`` against the whole-document reader of the oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(sorted(LAYOUTS)))
+    def test_well_formed_documents_load_bit_identical(self, seed, layout):
+        text = LAYOUTS[layout](random_ensemble(seed))
+        expected = _outcome(load_by_document, text)
+        # The flat path reads these documents itself, with no fallback.
+        assert _outcome(ensembles._load_plain, text) == expected
+        assert _outcome(_load_text, text) == expected
+
+    @pytest.mark.parametrize("text", EDITED_DOCUMENTS.values(), ids=EDITED_DOCUMENTS.keys())
+    def test_edited_documents_match_document_reader(self, text):
+        assert _outcome(_load_text, text) == _outcome(load_by_document, text)
+
+    def test_edited_documents_include_accepted_and_rejected(self):
+        accepted = [k for k, text in EDITED_DOCUMENTS.items()
+                    if not isinstance(_outcome(load_by_document, text)[0], list)]
+        assert {"int-entries", "states-first", "escaped-states-key"} <= set(accepted)
+        assert "leading-zero" not in accepted
+
+    @pytest.mark.parametrize("name", ["states-first", "states-party-label", "int-entries",
+                                      "exponent-form", "whitespace", "not-hermitian"])
+    def test_flat_path_reads_plain_layouts_itself(self, name):
+        text = EDITED_DOCUMENTS[name]
+        assert _outcome(ensembles._load_plain, text) == _outcome(load_by_document, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(position=st.integers(len(_HEADER) + 11, len(PLAIN) - 1),
+           cut=st.integers(0, 2), insert=st.sampled_from(list('0159.eE+-[],"N ') + [""]))
+    def test_single_edits_match_document_reader(self, position, cut, insert):
+        text = PLAIN[:position] + insert + PLAIN[position + cut:]
+        assert _outcome(_load_text, text) == _outcome(load_by_document, text)
+
+    def test_load_peak_memory_is_bounded(self, parity2222, tmp_path):
+        path = tmp_path / "parity.json"  # dim 256, four states, 2.7 MB
+        save_ensemble(parity2222, str(path))
+        tracemalloc.start()
+        try:
+            load_ensemble(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+
+SPECIAL_ENTRIES = (-0.0, 1e-300, 5e-324, 2.5e-310)
+SPECIAL_PROBS = SPECIAL_ENTRIES + (math.nan, math.inf, -math.inf)
+
+
+class TestWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), entry=st.sampled_from(SPECIAL_ENTRIES),
+           prob=st.sampled_from(SPECIAL_PROBS))
+    def test_saved_bytes_match_document_writer(self, seed, entry, prob):
+        # Operators reject non-finite entries; probabilities are not checked until
+        # validation, so NaN and infinities are written from there.
+        rng = np.random.default_rng(seed)
+        e = random_ensemble(seed)
+        states = []
+        for state in e.states:
+            matrix = state.matrix.copy()
+            matrix.reshape(-1).view(np.float64)[rng.integers(2 * e.dim ** 2, size=2)] = entry
+            states.append(state.with_matrix(matrix))
+        probs = list(e.probs)
+        probs[rng.integers(e.n)] = prob
+        e = Ensemble(e.parties, tuple(probs), tuple(states))
+        buffer = io.StringIO()
+        save_ensemble(e, buffer)
+        assert buffer.getvalue() == saved_text_by_document(e)
+
+    @pytest.mark.parametrize("name", ["ghz22", "parity2212"])
+    def test_family_bytes_match_document_writer(self, name, request, tmp_path):
+        e = request.getfixturevalue(name)
+        save_ensemble(e, str(tmp_path / "e.json"))
+        assert (tmp_path / "e.json").read_text(encoding="utf-8") == saved_text_by_document(e)
