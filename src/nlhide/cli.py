@@ -5,17 +5,16 @@ Subcommands: ``example`` (write a built-in ensemble file), ``check``
 protocol runs), ``fold`` (emit an explicit coarse ensemble) and ``coalition``
 (per-coalition bound table).  Exit codes: 0 success/admissible, 1
 inadmissible (and only that), 2 any input, parameter or file error, 3
-dimension cap, 4 undecided (uncertified solver); the command group maps
-library errors to these codes in one place.  All output is deterministic
-given flags, input file and seed; CSV uses '.' decimals with 17 significant
-digits.
+dimension cap, 4 undecided (uncertified solver); a command returns its code or
+raises, and the command group maps errors to codes and exits in one place.
+All output is deterministic given flags, input file and seed; CSV uses '.'
+decimals with 17 significant digits.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import NoReturn
 
 import click
 from click.core import ParameterSource
@@ -54,11 +53,6 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _fail(code: int, message: str) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
 def _emit(text: str, path: str | None) -> None:
     """Write ``text`` to ``path``, or to stdout when no path is given."""
     if path is None:
@@ -72,21 +66,31 @@ def _load(path: str) -> Ensemble:
     try:
         return load_ensemble(path)
     except (InvalidEnsembleError, OSError) as exc:
-        _fail(EXIT_USAGE, f"cannot load ensemble from {path}: {exc}")
+        raise ValueError(f"cannot load ensemble from {path}: {exc}") from exc
 
 
 class _ExitCodeGroup(click.Group):
-    """Maps the library's errors to exit codes, for every command."""
+    """Maps the exit code a command returns, or the library error it raises, to the
+    process exit, for every command.
+
+    The exit is raised only after the command's frame is gone, so the exception
+    that ends an in-process call keeps none of the command's locals alive."""
 
     def invoke(self, ctx: click.Context):
+        message = None
         try:
-            return super().invoke(ctx)
+            code = super().invoke(ctx)
         except DimensionCapError as exc:
-            _fail(EXIT_DIM_CAP, str(exc))
+            code, message = EXIT_DIM_CAP, str(exc)
         except HidingError as exc:
-            _fail(EXIT_INADMISSIBLE, str(exc))
+            code, message = EXIT_INADMISSIBLE, str(exc)
         except (ValueError, OSError) as exc:
-            _fail(EXIT_USAGE, str(exc))
+            code, message = EXIT_USAGE, str(exc)
+        if message is not None:
+            click.echo(f"error: {message}", err=True)
+        if code:
+            sys.exit(code)
+        return code
 
 
 @click.group(cls=_ExitCodeGroup)
@@ -120,7 +124,7 @@ def example(ctx: click.Context, kind: str, d: int, m: int, s: int, t: int, outpu
     cap = ctx.obj["cap"]
     for name in ("s", "t") if kind == "1" else ():
         if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
-            _fail(EXIT_USAGE, f"--{name} has no effect for kind 1")
+            raise ValueError(f"--{name} has no effect for kind 1")
     if kind == "1":
         ensemble = ghz_complement_ensemble(d, m, cap=cap)
     else:
@@ -176,7 +180,7 @@ def _report_lines(report: HidingReport) -> list[str]:
               show_default=True, help="Solver certification tolerance (> 0).")
 @click.option("--max-iterations", type=click.IntRange(min=0), default=100_000,
               show_default=True, help="Solver iteration budget per bipartition.")
-def check(input_path: str, fmt: str, tol: float, max_iterations: int) -> None:
+def check(input_path: str, fmt: str, tol: float, max_iterations: int) -> int:
     """Admissibility report for an ensemble file."""
     ensemble = _load(input_path)
     report = check_hiding(ensemble, tol=tol, max_iterations=max_iterations)
@@ -185,7 +189,7 @@ def check(input_path: str, fmt: str, tol: float, max_iterations: int) -> None:
     else:
         for line in _report_lines(report):
             click.echo(line)
-    sys.exit({True: EXIT_OK, False: EXIT_INADMISSIBLE, None: EXIT_UNDECIDED}[report.admissible])
+    return {True: EXIT_OK, False: EXIT_INADMISSIBLE, None: EXIT_UNDECIDED}[report.admissible]
 
 
 @main.command()
@@ -240,10 +244,10 @@ def simulate(
     cap = ctx.obj["cap"]
     for name in ("trials", "seed") if mode == "direct" else ():
         if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
-            _fail(EXIT_USAGE, f"--{name} has no effect in direct mode")
+            raise ValueError(f"--{name} has no effect in direct mode")
     ensemble = _load(input_path)
     if not 0 <= x < ensemble.n:
-        _fail(EXIT_USAGE, f"--x {x} out of range 0..{ensemble.n - 1}")
+        raise ValueError(f"--x {x} out of range 0..{ensemble.n - 1}")
     cfg = SchemeConfig.create(ensemble, folds, seed=seed, force=force)
 
     if mode == "direct":

@@ -8,6 +8,12 @@ can achieve.  Every result carries a duality certificate: a feasible dual
 operator built from the returned POVM, so the reported gap is trustworthy
 even when the iteration stops early.
 
+:func:`max_bipartition_bound` first tries, on every cut, whether the heaviest
+weighted transposed state dominates the others.  That is a yes/no question per
+difference, so it is answered by a Cholesky factor of the difference shifted by
+less than the PSD tolerance; an eigenvalue solve runs only where the factor
+fails, and the solver only where dominance fails.
+
 Two solver paths exist.  For two operators the exact closed form is used:
 the optimum is ``w1 Tr(B) + sum of positive eigenvalues of (w0 A - w1 B)``
 achieved by the projector onto the positive eigenspace.  For more operators
@@ -25,7 +31,7 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .partitions import Bipartition, all_bipartitions
-from .tensor import _hermitian, _partial_transpose, _psd, hermitian_part
+from .tensor import _factor_bound, _hermitian, _partial_transpose, _psd, hermitian_part
 
 DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -40,8 +46,12 @@ class DiscriminationResult:
     returned, or ``None`` for dominance: the all-or-nothing measurement on the pivot.
     ``certificate_min_eigs[i]`` is the minimum eigenvalue of the symmetrized
     optimality operator for member ``i``; all entries nonnegative (up to the
-    solver tolerance) certifies the POVM optimal.  ``dual_value`` is always a
-    valid upper bound on the optimum, converged or not.
+    solver tolerance) certifies the POVM optimal.  For a dominance result it is a
+    lower bound on the minimum eigenvalue of ``p_pivot G(rho_pivot) - p_i G(rho_i)``,
+    0.0 at the pivot: ``-t`` where a Cholesky factor of the difference plus ``t I``
+    decided it, the exact minimum eigenvalue where ``eigvalsh`` did.  Either lies
+    within the PSD tolerance of zero.  ``dual_value`` is always a valid upper bound
+    on the optimum, converged or not.
     """
 
     primal_value: float
@@ -292,14 +302,10 @@ def check_dominant_state(
     pivot weight exactly and the all-or-nothing measurement (identity on the
     pivot, zero elsewhere) is optimal, so callers may skip the solver.  The
     pivot defaults to the heaviest member (lowest index on ties).  Each state is
-    checked once against the Hermitian contract (else :class:`ContractViolationError`).
+    checked once against the Hermitian contract (else :class:`ContractViolationError`),
+    so each difference of the exactly Hermitian parts goes straight to ``eigvalsh``.
     """
-    return _dominance(*_transposed(e, x.side_a), pivot)
-
-
-def _dominance(w: np.ndarray, gammas: np.ndarray, pivot: int | None = None) -> DominanceCheck:
-    """:func:`check_dominant_state` on a stack of exactly Hermitian transposed states,
-    so each difference is exactly Hermitian too and goes straight to ``eigvalsh``."""
+    w, gammas = _transposed(e, x.side_a)
     n = len(w)
     if pivot is None:
         pivot = int(np.argmax(w))
@@ -310,6 +316,32 @@ def _dominance(w: np.ndarray, gammas: np.ndarray, pivot: int | None = None) -> D
     mins = [check.min_eigenvalue for check in checks]
     mins.insert(pivot, 0.0)
     return DominanceCheck(all(check.ok for check in checks), tuple(mins), pivot)
+
+
+def _scan_dominance(w: np.ndarray, gammas: np.ndarray) -> DominanceCheck | None:
+    """The bipartition scan's dominance test on the heaviest member, or ``None`` at the
+    first difference that fails it.
+
+    Each difference is decided by :func:`_factor_bound`, whose ``-t`` is reported as
+    its bound; only where the factor fails does ``eigvalsh`` decide it, by the rule of
+    :func:`check_dominant_state`, and report the exact minimum eigenvalue."""
+    pivot = int(np.argmax(w))
+    mins = [0.0] * len(w)
+    for i in range(len(w)):
+        if i == pivot:
+            continue
+        # No lead term is kept across differences: the factor holds two more
+        # dim x dim arrays while it runs, so this keeps the parent's peak.
+        diff = w[pivot] * gammas[pivot]
+        diff -= w[i] * gammas[i]
+        bound = _factor_bound(diff)
+        if bound is None:
+            check = _psd(np.linalg.eigvalsh(diff))
+            if not check.ok:
+                return None
+            bound = check.min_eigenvalue
+        mins[i] = bound
+    return DominanceCheck(True, tuple(mins), pivot)
 
 
 def _dominance_result(e: Ensemble, check: DominanceCheck) -> DiscriminationResult:
@@ -345,8 +377,11 @@ def max_bipartition_bound(
 
     The weights and states are checked once, so a non-Hermitian state or a negative
     or NaN weight raises at once; one stack of their Hermitian parts is transposed
-    in place, each state once per cut.  Dominance is tried first (exact, no
-    iteration); only where it fails does the solver get the transposed stack, which
+    in place, each state once per cut.  Dominance of the heaviest member is tried
+    first (exact, no iteration): each difference is decided by a Cholesky factor of
+    it shifted by ``t = PSD_RTOL * (1 + max|diagonal|)``, which never exceeds the PSD
+    tolerance, and by ``eigvalsh`` only where the factor fails.  The first difference
+    that both reject hands the cut to the solver, with the transposed stack, which
     its own input guard checks once more.
     Numerical failures (``LinAlgError``) are collected per cut, for a partial table.
     """
@@ -360,8 +395,8 @@ def max_bipartition_bound(
         _partial_transpose(gammas, e.slots, side ^ set(bp.side_a), out=gammas)
         side = frozenset(bp.side_a)
         try:
-            check = _dominance(w, gammas)
-            if check.passed:
+            check = _scan_dominance(w, gammas)
+            if check is not None:
                 results[key] = _dominance_result(e, check)
             else:
                 results[key] = optimal_global(w, gammas, tol=tol, max_iterations=max_iterations)

@@ -14,6 +14,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Callable, NamedTuple
 
 import numpy as np
@@ -350,11 +351,13 @@ class _NotPlainStates(Exception):
 
 def _pairs_to_matrix(raw) -> np.ndarray:
     """A (rows, cols, 2) array of ``[re, im]`` number pairs as a complex matrix;
-    rejects anything else."""
+    rejects anything else, booleans among numbers included (numpy reads them as 0 and 1)."""
     pairs = np.asarray(raw)
     if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
         raise ValueError(f"state must be rows of [re, im] number pairs, got {pairs.dtype} "
                          f"array of shape {pairs.shape}")
+    if pairs is not raw and bool in set(map(type, chain.from_iterable(chain.from_iterable(raw)))):
+        raise ValueError("state entries must be numbers, got true or false")
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
 
 

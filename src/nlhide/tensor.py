@@ -21,6 +21,9 @@ DEFAULT_DIM_CAP = 4096
 #: Relative tolerance for the "flagged Hermitian" contract.
 HERMITICITY_RTOL = 1e-12
 
+#: Relative tolerance of the PSD test: ``A >= 0`` up to ``PSD_RTOL * (1 + max|eigenvalue|)``.
+PSD_RTOL = 1e-10
+
 
 class DimensionCapError(ValueError):
     """A construction would exceed the configured dimension cap."""
@@ -263,7 +266,7 @@ class PsdCheck(NamedTuple):
 
 
 def is_psd(op: MultiPartyOperator) -> PsdCheck:
-    """Decide ``op >= 0`` up to ``1e-10 * (1 + max|eigenvalue|)``, a tolerance relative
+    """Decide ``op >= 0`` up to ``PSD_RTOL * (1 + max|eigenvalue|)``, a tolerance relative
     to the spectral scale of ``op``; reports the minimum eigenvalue and that tolerance."""
     return _psd(hermitian_eigenvalues(op))
 
@@ -272,5 +275,26 @@ def _psd(vals: np.ndarray) -> PsdCheck:
     """The tolerance rule of :func:`is_psd`, on eigenvalues in ascending order."""
     lo = float(vals[0])
     hi = float(vals[-1])
-    tol = 1e-10 * (1.0 + max(abs(lo), abs(hi)))
+    tol = PSD_RTOL * (1.0 + max(abs(lo), abs(hi)))
     return PsdCheck(lo >= -tol, lo, tol)
+
+
+def _factor_bound(matrix: np.ndarray) -> float | None:
+    """``-t`` when ``matrix + t I`` has a Cholesky factor, with
+    ``t = PSD_RTOL * (1 + max|diagonal|)``; ``None`` when the factor fails.
+
+    For an exactly Hermitian matrix ``|A_ii| <= max|eigenvalue|``, so ``t`` never
+    exceeds the tolerance of :func:`_psd`, and a factor proves what :func:`_psd`
+    would accept: every eigenvalue is above ``-t``.  The shift is added in place and
+    the diagonal restored bit for bit, so a failed matrix can go on to ``eigvalsh``.
+    """
+    diagonal = matrix.diagonal().copy()
+    shift = PSD_RTOL * (1.0 + float(np.max(np.abs(diagonal))))
+    np.fill_diagonal(matrix, diagonal + shift)
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return None
+    finally:
+        np.fill_diagonal(matrix, diagonal)
+    return -shift

@@ -535,21 +535,30 @@ def dominance_by_difference(
     """PSD checks of ``p_pivot G(rho_pivot) - p_i G(rho_i)``, the difference taken
     on the raw transposed states and wrapped as an operator, so :func:`is_psd`
     checks each one Hermitian and takes its Hermitian part."""
+    pivot, checks = _difference_checks(e, x, pivot)
+    mins = tuple(0.0 if check is None else check.min_eigenvalue for check in checks)
+    return DominanceCheck(all(check is None or check.ok for check in checks), mins, pivot)
+
+
+def dominance_tolerances(e: Ensemble, x: Bipartition, pivot: int | None = None) -> tuple:
+    """The :func:`is_psd` tolerance of each difference of :func:`dominance_by_difference`,
+    0.0 at the pivot."""
+    _, checks = _difference_checks(e, x, pivot)
+    return tuple(0.0 if check is None else check.tol for check in checks)
+
+
+def _difference_checks(e: Ensemble, x: Bipartition, pivot: int | None) -> tuple[int, list]:
     side = set(x.side_a)
     gammas = [partial_transpose(state, side) for state in e.states]
     if pivot is None:
         pivot = int(np.argmax(e.probs))
     lead = e.probs[pivot] * gammas[pivot].matrix
-    out: list[float] = []
-    ok = True
-    for i in range(e.n):
-        if i == pivot:
-            out.append(0.0)
-            continue
-        check = is_psd(MultiPartyOperator(lead - e.probs[i] * gammas[i].matrix, e.slots))
-        out.append(check.min_eigenvalue)
-        ok = ok and check.ok
-    return DominanceCheck(ok, tuple(out), pivot)
+    checks = [
+        None if i == pivot
+        else is_psd(MultiPartyOperator(lead - e.probs[i] * gammas[i].matrix, e.slots))
+        for i in range(e.n)
+    ]
+    return pivot, checks
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,23 @@ class TestCheckCommand:
         assert "0.5625 >= 0.5" in result.output
         assert "admissible: no" in result.output
 
+    @pytest.mark.parametrize("name, code", [("ghz22_file", 0), ("parity2212_file", 1)])
+    def test_exit_holds_no_ensemble_or_report(self, runner, request, name, code):
+        # CliRunner keeps the exit's traceback; no frame in it may pin the command's work.
+        result = runner.invoke(main, ["check", str(request.getfixturevalue(name))])
+        assert result.exit_code == code
+        exc, frames = result.exc_info[1], []
+        while exc is not None:
+            tb = exc.__traceback__
+            while tb is not None:
+                frames.append(tb.tb_frame)
+                tb = tb.tb_next
+            exc = exc.__context__
+        assert frames
+        held = [type(v).__name__ for frame in frames for v in frame.f_locals.values()
+                if isinstance(v, (Ensemble, hiding.HidingReport))]
+        assert held == []
+
     def test_json_format(self, runner, ghz22_file):
         result = runner.invoke(main, ["check", str(ghz22_file), "--format", "json"])
         assert result.exit_code == 0

@@ -33,11 +33,12 @@ from nlhide import (
 
 from nlhide import discrimination
 from nlhide.discrimination import _certificate, _fixed_point_iteration
-from nlhide.tensor import _partial_transpose, hermitian_part
+from nlhide.tensor import PSD_RTOL, _partial_transpose, _psd, hermitian_part
 
 from oracles import (
     certificate_by_members,
     dominance_by_difference,
+    dominance_tolerances,
     dual_feasibility_margin,
     fixed_point_by_members,
     povm_value,
@@ -412,9 +413,26 @@ RANDOM_SLOTS = (
 )
 
 
+def _difference_ensemble(lowest):
+    """Two members at weight 1/2, the second zero, whose one dominance difference on
+    the cut is ``D = U diag(1000, 0, ..., 0, lowest) U^dagger`` bit for bit, ``U`` a
+    random unitary; returns the ensemble and ``D``."""
+    slots = SlotStructure((4, 4), ("A1", "A2"))
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    spectrum = np.zeros(16)
+    spectrum[0], spectrum[-1] = 1000.0, lowest
+    d = hermitian_part((u * spectrum) @ u.conj().T)
+    (bp,) = all_bipartitions(PartySet.of_size(2))
+    # The transpose is an involution and the weight 1/2 halves 2D exactly.
+    lead = partial_transpose(MultiPartyOperator(2 * d, slots), bp.side_a)
+    return Ensemble(PartySet.of_size(2), (0.5, 0.5), (lead, zero(slots))), d
+
+
 class TestArrayDominance:
-    """The array scan against the per-difference operator check it replaced:
-    on exactly Hermitian states the two agree bit for bit."""
+    """The array scan against the per-difference operator check that
+    ``check_dominant_state`` still runs: the same verdict on every cut, and a
+    reported bound between ``-tol`` and the exact minimum eigenvalue."""
 
     @staticmethod
     def _assert_matches_oracle(e, pivots=(None,)):
@@ -422,11 +440,40 @@ class TestArrayDominance:
         for bp in all_bipartitions(e.parties):
             for pivot in pivots:
                 assert check_dominant_state(e, bp, pivot) == dominance_by_difference(e, bp, pivot)
-            want = dominance_by_difference(e, bp)
+            want = check_dominant_state(e, bp)
             result = scan.results[bp.to_string()]
             assert (result.method == "dominance") == want.passed
             if want.passed:
-                assert result.certificate_min_eigs == want.min_eigenvalues
+                tols = dominance_tolerances(e, bp)
+                for got, exact, tol in zip(result.certificate_min_eigs, want.min_eigenvalues, tols):
+                    assert -tol <= got <= exact + 1e-15
+
+    @pytest.mark.parametrize(
+        "lowest, by_factor, method",
+        [(0.0, True, "dominance"), (-0.5, False, "dominance"), (-2.0, False, "closed")],
+        ids=["zero", "half-tol-below", "two-tol-below"],
+    )
+    def test_factor_boundary(self, monkeypatch, lowest, by_factor, method):
+        # ``lowest`` in units of the PSD tolerance of D, whose largest eigenvalue is 1000.
+        tol = PSD_RTOL * (1.0 + 1000.0)
+        e, d = _difference_ensemble(lowest * tol)
+        exact = np.linalg.eigvalsh(d)
+        assert _psd(exact).tol == pytest.approx(tol)
+        shift = PSD_RTOL * (1.0 + np.max(np.abs(d.diagonal())))
+        assert shift <= tol / 4  # so the factor of D + shift I fails below -tol/4
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+        (result,) = max_bipartition_bound(e).results.values()
+        monkeypatch.undo()
+        assert result.method == method
+        assert (not calls) == by_factor
+        if by_factor:
+            assert result.certificate_min_eigs == (0.0, -shift)
+        elif method == "dominance":
+            assert result.certificate_min_eigs == (0.0, exact[0])
+        else:
+            assert result.certified and result.primal_value == pytest.approx(1000.0)
 
     @pytest.mark.parametrize("family, params", _family_instances(SMALL_CAP))
     def test_family_instances(self, family, params):

@@ -551,6 +551,7 @@ EDITED_DOCUMENTS = {
     "space-in-number": PLAIN.replace("[[[[0.75", "[[[[0.7 5"),
     "nan": PLAIN.replace("[[[[0.75", "[[[[NaN"),
     "true": PLAIN.replace("[[[[0.75", "[[[[true"),
+    "false": PLAIN.replace("[[[[0.75,0.0]", "[[[[0.75,false]"),
     "string": PLAIN.replace("[[[[0.75", '[[[["0.75"'),
     "overflow": PLAIN.replace("[[[[0.75", "[[[[1e999"),
     "huge-int": PLAIN.replace("[[[[0.75", "[[[[" + "9" * 400),
@@ -606,6 +607,13 @@ class TestFlatReader:
                     if not isinstance(_outcome(load_by_document, text)[0], list)]
         assert {"int-entries", "states-first", "escaped-states-key"} <= set(accepted)
         assert "leading-zero" not in accepted
+
+    @pytest.mark.parametrize("name", ["true", "false"])
+    def test_boolean_entries_are_schema_errors(self, name):
+        # Among numbers numpy would read a boolean as 1.0 or 0.0; the header checks reject it too.
+        text = EDITED_DOCUMENTS[name]
+        message = "invalid ensemble: schema: state entries must be numbers, got true or false"
+        assert _outcome(load_by_document, text) == (["schema"], message)
 
     @pytest.mark.parametrize("name", ["states-first", "states-party-label", "int-entries",
                                       "exponent-form", "whitespace", "not-hermitian"])
