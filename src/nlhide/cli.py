@@ -48,6 +48,9 @@ EXIT_USAGE = 2
 EXIT_DIM_CAP = 3
 EXIT_UNDECIDED = 4
 
+#: Trials per transcript write: the JSONL text held at once stays bounded.
+_TRANSCRIPT_BLOCK = 10_000
+
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
@@ -265,7 +268,9 @@ def simulate(
     else:
         run = run_protocol(cfg, x, trials)
         if transcripts is not None:
-            _emit(transcripts_to_jsonl(run), transcripts)
+            with open(transcripts, "w", encoding="utf-8") as handle:
+                for first in range(0, trials, _TRANSCRIPT_BLOCK):
+                    handle.write(transcripts_to_jsonl(run, first, first + _TRANSCRIPT_BLOCK))
         s = run.summary
         header = ",".join(["trials,x,L,seed,mode,recovery_rate"]
                           + [f"count_{j}" for j in range(ensemble.n)]

@@ -86,7 +86,7 @@ def _validate_inputs(
 def _transposed(e: Ensemble, side: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
     """The checked weights of ``e`` and the Hermitian parts of its states, each state
     checked once and the one stack transposed on ``side`` in place."""
-    w, mats = _validate_inputs(e.probs, [s.matrix for s in e.states])
+    w, mats = _validate_inputs(e.probs, e.stack)
     return w, _partial_transpose(mats, e.slots, side, out=mats)
 
 
@@ -247,7 +247,7 @@ def q_upper(
     local to the bipartition ``x``, regardless of convergence.  The transposed
     states go to :func:`optimal_global` as one stack, which checks each once.
     """
-    gammas = _partial_transpose(np.stack([s.matrix for s in e.states]), e.slots, x.side_a)
+    gammas = _partial_transpose(e.stack, e.slots, x.side_a)
     return optimal_global(e.probs, gammas, tol=tol, method=method, max_iterations=max_iterations)
 
 
@@ -385,7 +385,7 @@ def max_bipartition_bound(
     its own input guard checks once more.
     Numerical failures (``LinAlgError``) are collected per cut, for a partial table.
     """
-    w, gammas = _validate_inputs(e.probs, [s.matrix for s in e.states])
+    w, gammas = _validate_inputs(e.probs, e.stack)
     results: dict[str, DiscriminationResult] = {}
     failures: dict[str, str] = {}
     side: frozenset[str] = frozenset()  # the side ``gammas`` is transposed on

@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import IO, Callable, NamedTuple
 
@@ -27,7 +27,6 @@ from .tensor import (
     SlotStructure,
     _hermiticity,
     identity,
-    tensor,
     tensor_power,
 )
 
@@ -50,34 +49,49 @@ class InvalidEnsembleError(ValueError):
 class Ensemble:
     """Probabilities ``probs[i]`` paired with states ``states[i]``.
 
-    Construction checks only structure (at least two members, matching
-    lengths, one shared slot structure, parties consistent with the slots).
-    Numerical invariants are reported by :func:`validate`.
+    The states live in one C-ordered, read-only ``(n, dim, dim)`` complex128
+    array, ``stack``; ``states[i].matrix`` is a view of row ``i``.  The
+    constructor copies the states' matrices into a new stack.  Construction
+    checks only structure (at least two members, matching lengths, one shared
+    slot structure, parties consistent with the slots).  Numerical invariants
+    are reported by :func:`validate`.
     """
 
     parties: PartySet
     probs: tuple[float, ...]
     states: tuple[MultiPartyOperator, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
         states = tuple(self.states)
-        if len(probs) != len(states):
-            raise ValueError(
-                f"{len(probs)} probabilities but {len(states)} states"
-            )
-        if len(probs) < 2:
-            raise ValueError("an ensemble needs at least two members")
+        probs = _member_probs(self.probs, len(states))
         slots = states[0].slots
         for k, state in enumerate(states):
             if state.slots != slots:
                 raise ValueError(f"state {k} has a different slot structure")
+        self._hold(probs, np.stack([state.matrix for state in states]), slots)
+
+    @classmethod
+    def _of_stack(cls, parties: PartySet, probs, stack: np.ndarray,
+                  slots: SlotStructure) -> "Ensemble":
+        """The ensemble that holds ``stack`` itself, made read-only: no copy, for a
+        C-ordered complex128 ``(len(probs), dim, dim)`` array that the library has
+        just made and that nothing writes again.  The checks are the constructor's."""
+        ensemble = object.__new__(cls)
+        object.__setattr__(ensemble, "parties", parties)
+        ensemble._hold(_member_probs(probs, len(stack)), stack, slots)
+        return ensemble
+
+    def _hold(self, probs: tuple[float, ...], stack: np.ndarray, slots: SlotStructure) -> None:
         if set(slots.parties) != set(self.parties.labels):
             raise ValueError(
                 f"slot parties {slots.parties} do not match party set {self.parties.labels}"
             )
+        stack.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "states",
+                           tuple(MultiPartyOperator._frozen(row, slots) for row in stack))
 
     @property
     def n(self) -> int:
@@ -85,11 +99,21 @@ class Ensemble:
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.stack.shape[1]
 
     @property
     def slots(self) -> SlotStructure:
         return self.states[0].slots
+
+
+def _member_probs(probs, count: int) -> tuple[float, ...]:
+    """``probs`` as floats, for ``count`` members; at least two, one probability each."""
+    probs = tuple(float(p) for p in probs)
+    if len(probs) != count:
+        raise ValueError(f"{len(probs)} probabilities but {count} states")
+    if len(probs) < 2:
+        raise ValueError("an ensemble needs at least two members")
+    return probs
 
 
 class CheckResult(NamedTuple):
@@ -138,8 +162,8 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
                     max(0.0, -min_prob), f"smallest probability {min_prob:.3e}")
     )
 
-    for k, state in enumerate(e.states):
-        herm, part = _hermiticity(state.matrix)
+    for k, matrix in enumerate(e.stack):
+        herm, part = _hermiticity(matrix)
         hermitian = part is not None
         checks.append(
             CheckResult(f"hermitian[{k}]", hermitian, herm,
@@ -147,7 +171,8 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
         )
         if not hermitian:
             continue  # eigenvalues of a non-Hermitian matrix are meaningless here
-        trace_residual = abs(state.trace().real - 1.0) + abs(state.trace().imag)
+        trace = complex(np.trace(matrix))
+        trace_residual = abs(trace.real - 1.0) + abs(trace.imag)
         checks.append(
             CheckResult(f"trace[{k}]", trace_residual <= TRACE_TOL, trace_residual,
                         f"state {k} trace deviates by {trace_residual:.3e}")
@@ -160,8 +185,8 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
         )
         # Eigensolver round-off on a PSD matrix reaches about dim * eps * (1 + max|entry|);
         # that scale is read only for a negative eigenvalue.
-        if ok and min_eig < 0 and min_eig < -state.dim * np.finfo(float).eps * (
-                1.0 + float(np.max(np.abs(state.matrix)))):
+        if ok and min_eig < 0 and min_eig < -e.dim * np.finfo(float).eps * (
+                1.0 + float(np.max(np.abs(matrix)))):
             warnings.append(
                 f"state {k} minimum eigenvalue {min_eig:.3e} is negative within tolerance"
             )
@@ -176,7 +201,7 @@ def pairwise_overlaps(e: Ensemble) -> np.ndarray:
     for i in range(n):
         for j in range(i + 1, n):
             # Tr(AB) = sum_kl A_kl B_lk: O(dim**2) instead of a full product.
-            val = abs(np.sum(e.states[i].matrix * e.states[j].matrix.T))
+            val = abs(np.sum(e.stack[i] * e.stack[j].T))
             out[i, j] = out[j, i] = val
     return out
 
@@ -204,7 +229,7 @@ def ghz_state(d: int, m: int, cap: int = DEFAULT_DIM_CAP) -> MultiPartyOperator:
     stride = (dim - 1) // (d - 1)  # index of |i i ... i> is i * (d^m - 1)/(d - 1)
     psi[np.arange(d) * stride] = 1.0 / math.sqrt(d)
     slots = SlotStructure((d,) * m, PartySet.of_size(m).labels)
-    return MultiPartyOperator(np.outer(psi, psi.conj()), slots)
+    return MultiPartyOperator._frozen(np.outer(psi, psi.conj()), slots)
 
 
 def ghz_complement_ensemble(d: int, m: int, cap: int = DEFAULT_DIM_CAP) -> Ensemble:
@@ -216,13 +241,11 @@ def ghz_complement_ensemble(d: int, m: int, cap: int = DEFAULT_DIM_CAP) -> Ensem
     """
     proj = ghz_state(d, m, cap=cap)
     dim = proj.dim
-    complement = (np.eye(dim, dtype=np.complex128) - proj.matrix) / (dim - 1)
-    heavy = MultiPartyOperator(complement, proj.slots)
-    return Ensemble(
-        PartySet.of_size(m),
-        ((dim - 1) / dim, 1 / dim),
-        (heavy, proj),
-    )
+    stack = np.empty((2, dim, dim), dtype=np.complex128)
+    np.subtract(np.eye(dim, dtype=np.complex128), proj.matrix, out=stack[0])
+    stack[0] /= dim - 1
+    stack[1] = proj.matrix
+    return Ensemble._of_stack(PartySet.of_size(m), ((dim - 1) / dim, 1 / dim), stack, proj.slots)
 
 
 @dataclass(frozen=True)
@@ -297,20 +320,18 @@ def parity_block_ensemble(
     params.check_cap(cap)
     lam0, lam1, sig0, sig1 = parity_blocks(params.d, params.m, params.s, cap=cap)
     weights = (lam0, lam1)
-    blocks = (sig0, sig1)
+    blocks = (sig0.matrix, sig1.matrix)
     probs: list[float] = []
-    states: list[MultiPartyOperator] = []
-    for i in range(params.n):
+    stack = np.empty((params.n, params.dim, params.dim), dtype=np.complex128)
+    for i, row in enumerate(stack):
         digits = [_bit(i, k) for k in range(1, params.t + 1)]
-        prob = 1.0
-        state = blocks[digits[0]]
+        matrix = blocks[digits[0]]
         for b in digits[1:]:
-            state = tensor(state, blocks[b], cap=cap)
-        for b in digits:
-            prob *= weights[b]
-        probs.append(prob)
-        states.append(state)
-    return Ensemble(PartySet.of_size(params.m), tuple(probs), tuple(states))
+            matrix = np.kron(matrix, blocks[b])
+        row[...] = matrix
+        probs.append(math.prod(weights[b] for b in digits))
+    slots = SlotStructure(sig0.slots.slot_dims * params.t, sig0.slots.party_of_slot * params.t)
+    return Ensemble._of_stack(PartySet.of_size(params.m), probs, stack, slots)
 
 
 class SizeCondition(NamedTuple):
@@ -339,10 +360,12 @@ _REQUIRED_KEYS = ("parties", "slot_dims", "party_of_slot", "probs", "states")
 
 #: Each JSON number character becomes "0"; JSON whitespace is dropped.
 _NUMBER_MARKS = str.maketrans("0123456789.eE+-", "0" * 15, " \t\n\r")
+_NO_MARKS = str.maketrans("", "", "0")
 _NO_BRACKETS = str.maketrans("", "", "[]")
 _STATES_KEY = re.compile(r'"states"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
-#: The close of one state's last entry, row and matrix, and the comma after it.
-_STATE_END = re.compile(r"\][ \t\n\r]*\][ \t\n\r]*\][ \t\n\r]*,")
+_SPACE = re.compile(r"[ \t\n\r]*")
+#: The close of a row's last entry and of the row.
+_ROW_END = re.compile(r"\][ \t\n\r]*\]")
 
 
 class _NotPlainStates(Exception):
@@ -472,41 +495,76 @@ def _header_document(text: str, start: int, end: int) -> dict:
     return doc
 
 
+def _after(text: str, pos: int, char: str) -> int:
+    """The position after ``char``, which must come next after ``pos``, past JSON whitespace."""
+    pos = _SPACE.match(text, pos).end()
+    if text[pos:pos + 1] != char:
+        raise _NotPlainStates
+    return pos + 1
+
+
+def _read_row(text: str, pos: int, end: int, layout: str, out: np.ndarray) -> int:
+    """Read the row of ``[re, im]`` pairs that starts after ``pos``, past JSON whitespace,
+    into ``out``, its ``2 * dim`` floats; returns the position after the row.
+
+    The row must have the bracket layout ``layout`` with number characters only
+    between an entry's brackets; ``json.loads`` then reads its numbers as one flat
+    array, so JSON's number grammar decides what a number is.  A row of numbers
+    numpy would not read as int64 or float64 is left to :func:`from_document`."""
+    pos = _SPACE.match(text, pos).end()
+    close = _ROW_END.search(text, pos, end)
+    if close is None:
+        raise _NotPlainStates
+    row = text[pos:close.end()]
+    marks = row.translate(_NUMBER_MARKS)
+    # A number next to a bracket that is not its entry's is stray; brackets dropped
+    # below would join it to a neighbour.
+    if "0[" in marks or "]0" in marks or marks.translate(_NO_MARKS) != layout:
+        raise _NotPlainStates
+    values = np.array(json.loads("[" + row.translate(_NO_BRACKETS) + "]"))
+    if values.dtype.kind not in "fi":
+        raise _NotPlainStates
+    out[...] = values
+    return close.end()
+
+
 def _load_plain(text: str) -> Ensemble:
     """:func:`from_document` of ``json.loads(text)``, for a document whose states
     are plain ``(n, dim, dim, 2)`` number arrays, without nested number lists.
 
-    Only the header goes through ``json.loads`` whole.  The states text must have
-    exactly the bracket layout that ``len(probs)`` and ``slot_dims`` imply, with
-    number characters only between an entry's brackets; ``json.loads`` then reads
-    each state's numbers as one flat array, so JSON's number grammar decides what
-    a number is.  Raises :class:`_NotPlainStates` for any other document, and for
-    any malformed one, so that ``json.loads`` and :func:`from_document` give the
-    diagnostics."""
+    Only the header goes through ``json.loads`` whole.  The states are read one
+    row at a time, by :func:`_read_row`, straight into the ensemble's stack, so
+    the states text is never copied whole; the separators between rows and states
+    must be JSON's, and the last state must close the ``states`` value.  Raises
+    :class:`_NotPlainStates` for any other document, and for any malformed one, so
+    that ``json.loads`` and :func:`from_document` give the diagnostics."""
     start, end = _states_span(text)
     try:
         parties, slots, probs = _header(_header_document(text, start, end))
     except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise _NotPlainStates from exc
-    states_text, n, dim = text[start:end], len(probs), slots.dim
-    if n * dim * dim > len(states_text):  # bounds the layout built below
+    n, dim = len(probs), slots.dim
+    # An entry and the comma or bracket after it take six characters at least;
+    # this bounds the stack allocated below by the size of the text.
+    if 6 * n * dim * dim > end - start:
         raise _NotPlainStates
-    marks = states_text.translate(_NUMBER_MARKS)
-    layout = _nested(_nested(_nested("[,]", dim), dim), n)
-    # A number next to a bracket that is not its entry's is stray; brackets dropped
-    # below would join it to a neighbour.
-    if "0[" in marks or "]0" in marks or marks.translate({ord("0"): None}) != layout:
-        raise _NotPlainStates
-    del marks, layout
+    stack = np.empty((n, dim, dim), dtype=np.complex128)
+    layout = _nested("[,]", dim)
     try:
-        states = [
-            MultiPartyOperator(_pairs_to_matrix(np.array(
-                json.loads("[" + chunk.translate(_NO_BRACKETS) + "]")).reshape(dim, dim, 2)),
-                slots)
-            for chunk in _STATE_END.split(states_text)
-        ]
-        ensemble = Ensemble(parties, probs, tuple(states))
-    except ValueError as exc:  # JSON, shape, dtype, finiteness or member-count errors
+        pos = start + 1  # after the "[" that opens the states
+        for k, matrix in enumerate(stack):
+            if k:
+                pos = _after(text, pos, ",")
+            pos = _after(text, pos, "[")
+            for r, row in enumerate(matrix.view(np.float64)):
+                if r:
+                    pos = _after(text, pos, ",")
+                pos = _read_row(text, pos, end, layout, row)
+            pos = _after(text, pos, "]")
+        if _after(text, pos, "]") != end:
+            raise _NotPlainStates
+        ensemble = Ensemble._of_stack(parties, probs, stack, slots)
+    except ValueError as exc:  # JSON, finiteness or member-count errors
         raise _NotPlainStates from exc
     return _validated(ensemble)
 

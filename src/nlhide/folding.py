@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ensembles import Ensemble
-from .tensor import DEFAULT_DIM_CAP, DimensionCapError, MultiPartyOperator, SlotStructure
+from .tensor import DEFAULT_DIM_CAP, DimensionCapError, SlotStructure
 
 
 class DegenerateClassError(ValueError):
@@ -96,10 +96,12 @@ def _check_cap(spec: FoldSpec, cap: int) -> None:
                                 f"dimension cap {cap}")
 
 
-def _coarse_states(spec: FoldSpec, cap: int, classes: Sequence[int]) -> tuple[tuple, list]:
-    """All class probabilities and the normalized states of ``classes``.  Raises
-    :class:`DimensionCapError`, then :class:`DegenerateClassError` if any class has
-    probability zero, before any Kronecker product."""
+def _coarse_states(spec: FoldSpec, cap: int, classes: Sequence[int]
+                   ) -> tuple[tuple[float, ...], SlotStructure, list[np.ndarray]]:
+    """All class probabilities, the folded slot structure, and the normalized state
+    matrices of ``classes``.  Raises :class:`DimensionCapError`, then
+    :class:`DegenerateClassError` if any class has probability zero, before any
+    Kronecker product."""
     _check_cap(spec, cap)
     base = spec.base
     class_probs = tuple(float(p) for p in fold_probs(base.probs, spec.n, spec.L))
@@ -107,12 +109,11 @@ def _coarse_states(spec: FoldSpec, cap: int, classes: Sequence[int]) -> tuple[tu
         if prob <= 1e-15:
             raise DegenerateClassError(f"coarse class {i} has probability {prob:.3e}; "
                                        "cannot normalize")
-    sums = _convolve([p * s.matrix for p, s in zip(base.probs, base.states)], spec.L, np.kron,
-                     classes)
+    sums = _convolve([p * m for p, m in zip(base.probs, base.stack)], spec.L, np.kron, classes)
+    for i, matrix in zip(classes, sums):
+        matrix /= class_probs[i]  # in place: each sum is a new array
     slots = SlotStructure(base.slots.slot_dims * spec.L, base.slots.party_of_slot * spec.L)
-    states = [MultiPartyOperator(operator.itruediv(sums.pop(0), class_probs[i]), slots)
-              for i in classes]  # in place; each sum is released once its copy exists
-    return class_probs, states
+    return class_probs, slots, sums
 
 
 def coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:
@@ -123,15 +124,18 @@ def coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:
     structure repeats the base slots ``L`` times with party labels kept, so
     partial transposition over party bipartitions needs no index surgery.
     """
-    class_probs, states = _coarse_states(spec, cap, range(spec.n))
-    return Ensemble(spec.base.parties, class_probs, tuple(states))
+    class_probs, slots, sums = _coarse_states(spec, cap, range(spec.n))
+    stack = np.empty((spec.n, slots.dim, slots.dim), dtype=np.complex128)
+    for row in stack:
+        row[...] = sums.pop(0)  # each sum is released once its row holds it
+    return Ensemble._of_stack(spec.base.parties, class_probs, stack, slots)
 
 
 def uniform_coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:
     """The coarse states re-weighted uniformly: the direct-encoding ensemble."""
     coarse = coarse_ensemble(spec, cap=cap)
-    uniform = (1.0 / spec.n,) * spec.n
-    return Ensemble(coarse.parties, uniform, coarse.states)
+    return Ensemble._of_stack(coarse.parties, (1.0 / spec.n,) * spec.n, coarse.stack,
+                              coarse.slots)
 
 
 def exact_two_state_curve(eta0: float, lmax: int) -> list[float]:

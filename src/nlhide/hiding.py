@@ -316,16 +316,32 @@ def run_protocol(cfg: SchemeConfig, x: int, trials: int) -> ProtocolRun:
     return ProtocolRun(c_vecs, y, z, recovered, summary)
 
 
-_TRANSCRIPT_LINE = '{"c_vec":[%s],"recovered":%d,"seed":%d,"trial":%d,"x":%d,"y":%d,"z":%d}'
+_TRANSCRIPT_LINE = '{"c_vec":[%s],"recovered":%d,"seed":%d,"trial":%d,"x":%d,"y":%d,"z":%d}\n'
 
 
-def transcripts_to_jsonl(run: ProtocolRun) -> str:
-    """One JSON object per trial and line, keys in sorted order: byte-stable for a fixed seed."""
+def transcripts_to_jsonl(run: ProtocolRun, start: int = 0, stop: int | None = None) -> str:
+    """One JSON object per trial and line, keys in sorted order: byte-stable for a fixed seed.
+
+    ``start`` and ``stop`` pick trials as a slice does, so the texts of consecutive
+    blocks join into the text of the whole run."""
     s = run.summary
-    rows = zip(run.c_vecs.tolist(), run.y.tolist(), run.z.tolist(), run.recovered.tolist())
-    lines = [_TRANSCRIPT_LINE % (",".join(map(str, c_vec)), recovered, s.seed, t, s.x, y, z)
-             for t, (c_vec, y, z, recovered) in enumerate(rows)]
-    return "\n".join(lines) + "\n"
+    block = range(len(run.y))[start:stop]
+    part = slice(block.start, block.stop)
+    rows = zip(block, run.c_vecs[part].tolist(), run.y[part].tolist(), run.z[part].tolist(),
+               run.recovered[part].tolist())
+    return "".join([_TRANSCRIPT_LINE % (",".join(map(str, c_vec)), recovered, s.seed, t, s.x, y, z)
+                    for t, c_vec, y, z, recovered in rows])
+
+
+def _class_projectors(spec: FoldSpec, cap: int) -> list[np.ndarray]:
+    """The elements of :func:`class_measurement` for classes ``1..n-1``."""
+    _check_cap(spec, cap)
+    supports = []
+    for prob, state in zip(spec.base.probs, spec.base.states):
+        vals, vecs = hermitian_eigensystem(state)
+        basis = vecs[:, (vals > SUPPORT_CUTOFF * max(float(vals[-1]), 1.0)) & (prob > 0)]
+        supports.append(basis @ basis.conj().T)
+    return _convolve(supports, spec.L, np.kron, range(1, spec.n))
 
 
 def class_measurement(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> list[np.ndarray]:
@@ -337,13 +353,7 @@ def class_measurement(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> list[np.nda
     otherwise the elements need not form a POVM.  Class 0 is formed as
     ``I - (P_1 + ... + P_{n-1})``, so it also takes any subspace no class uses.
     """
-    _check_cap(spec, cap)
-    supports = []
-    for prob, state in zip(spec.base.probs, spec.base.states):
-        vals, vecs = hermitian_eigensystem(state)
-        basis = vecs[:, (vals > SUPPORT_CUTOFF * max(float(vals[-1]), 1.0)) & (prob > 0)]
-        supports.append(basis @ basis.conj().T)
-    projectors = _convolve(supports, spec.L, np.kron, range(1, spec.n))
+    projectors = _class_projectors(spec, cap)
     rest = np.eye(spec.explicit_dim, dtype=np.complex128)
     rest -= sum(projectors[1:], projectors[0])
     return [rest] + projectors
@@ -375,15 +385,18 @@ def direct_encode(cfg: SchemeConfig, x: int, cap: int = DEFAULT_DIM_CAP) -> Dire
     Builds the explicit state of class ``x`` alone (dimension-capped) and the
     class measurement, and checks that it identifies ``x`` with probability
     one; a non-orthogonal ensemble never passes: its measurement is no POVM.
+    Class 0's element ``I - (P_1 + ... + P_{n-1})`` is not formed: its
+    probability is ``Tr(rho) - sum_{i>=1} Tr(rho P_i)``.
     """
     n = cfg.ensemble.n
     if not 0 <= x < n:
         raise ValueError(f"datum x={x} out of range 0..{n - 1}")
     spec = FoldSpec(cfg.ensemble, cfg.L)
-    _, (state,) = _coarse_states(spec, cap, (x,))
+    _, slots, (matrix,) = _coarse_states(spec, cap, (x,))
+    state = MultiPartyOperator._frozen(matrix, slots)
     # Tr(rho P) = sum_kl rho_kl P_lk: O(dim**2) instead of a full product.
-    probs = tuple(float(np.sum(state.matrix * proj.T).real)
-                  for proj in class_measurement(spec, cap=cap))
+    rest = [float(np.sum(matrix * proj.T).real) for proj in _class_projectors(spec, cap)]
+    probs = (state.trace().real - math.fsum(rest), *rest)
     ok = cfg.report.orthogonal and all(
         abs(p - float(j == x)) <= RECOVERY_TOL for j, p in enumerate(probs))
     return DirectEncoding(x=x, L=cfg.L, state=state, class_probs=probs, recovery_ok=ok)
@@ -451,8 +464,7 @@ class CrosscheckResult(NamedTuple):
 
 
 def _state_diagonals(e: Ensemble) -> np.ndarray:
-    diags = np.stack([np.clip(state.matrix.diagonal().real, 0.0, None)
-                      for state in e.states])
+    diags = np.clip(e.stack.diagonal(axis1=1, axis2=2).real, 0.0, None)
     return diags / diags.sum(axis=1, keepdims=True)
 
 

@@ -94,30 +94,43 @@ class SlotStructure:
         )
 
 
-def _frozen_matrix(matrix: np.ndarray) -> np.ndarray:
-    out = np.array(matrix, dtype=np.complex128, copy=True, order="C")
-    out.setflags(write=False)
-    return out
+def _frozen_matrix(mat: np.ndarray, slots: SlotStructure) -> np.ndarray:
+    """``mat``, a C-ordered complex128 array, checked against ``slots`` and made read-only."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat.view(np.float64))):
+        raise ValueError("operator matrix contains non-finite entries")
+    if mat.shape[0] != slots.dim:
+        raise ValueError(
+            f"matrix dimension {mat.shape[0]} does not match slot product {slots.dim}"
+        )
+    mat.setflags(write=False)
+    return mat
 
 
 @dataclass(frozen=True)
 class MultiPartyOperator:
-    """A dense complex square matrix annotated with a slot structure."""
+    """A dense complex square matrix annotated with a slot structure.
+
+    The constructor holds a read-only copy of the caller's matrix, so a later
+    write to the caller's array cannot change the operator."""
 
     matrix: np.ndarray
     slots: SlotStructure
 
     def __post_init__(self):
-        mat = _frozen_matrix(self.matrix)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat.view(np.float64))):
-            raise ValueError("operator matrix contains non-finite entries")
-        if mat.shape[0] != self.slots.dim:
-            raise ValueError(
-                f"matrix dimension {mat.shape[0]} does not match slot product {self.slots.dim}"
-            )
-        object.__setattr__(self, "matrix", mat)
+        mat = np.array(self.matrix, dtype=np.complex128, copy=True, order="C")
+        object.__setattr__(self, "matrix", _frozen_matrix(mat, self.slots))
+
+    @classmethod
+    def _frozen(cls, matrix: np.ndarray, slots: SlotStructure) -> "MultiPartyOperator":
+        """The operator that holds ``matrix`` itself, made read-only: no copy, for a
+        C-ordered complex128 array (or a view of one) that the library has just made
+        and that nothing writes again.  The checks are the constructor's."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "slots", slots)
+        object.__setattr__(op, "matrix", _frozen_matrix(matrix, slots))
+        return op
 
     @property
     def dim(self) -> int:
@@ -136,7 +149,7 @@ class MultiPartyOperator:
 
 
 def identity(slots: SlotStructure) -> MultiPartyOperator:
-    return MultiPartyOperator(np.eye(slots.dim, dtype=np.complex128), slots)
+    return MultiPartyOperator._frozen(np.eye(slots.dim, dtype=np.complex128), slots)
 
 
 def zero(slots: SlotStructure) -> MultiPartyOperator:
@@ -158,7 +171,7 @@ def tensor(
         raise DimensionCapError(
             f"tensor product dimension {out_dim} exceeds the dimension cap {cap}"
         )
-    return MultiPartyOperator(np.kron(a.matrix, b.matrix), a.slots.concat(b.slots))
+    return MultiPartyOperator._frozen(np.kron(a.matrix, b.matrix), a.slots.concat(b.slots))
 
 
 def tensor_power(op: MultiPartyOperator, count: int, cap: int = DEFAULT_DIM_CAP) -> MultiPartyOperator:

@@ -293,6 +293,17 @@ class TestSimulateCommand:
         assert transcript["x"] == 1
         assert transcript["recovered"] == 1
 
+    def test_transcript_written_in_blocks_is_the_whole_run(self, runner, ghz22_file, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(cli, "_TRANSCRIPT_BLOCK", 64)  # 500 trials: 8 blocks, the last short
+        out = tmp_path / "t.jsonl"
+        result = runner.invoke(main, ["simulate", str(ghz22_file), "--L", "3", "--x", "1",
+                                      "--trials", "500", "--seed", "42", "--transcripts", str(out)])
+        assert result.exit_code == 0, result.output
+        cfg = hiding.SchemeConfig.create(load_ensemble(str(ghz22_file)), 3, seed=42)
+        run = hiding.run_protocol(cfg, 1, 500)
+        assert out.read_text(encoding="utf-8") == hiding.transcripts_to_jsonl(run)
+
     def test_negative_seed_exits_two(self, runner, ghz22_file):
         result = runner.invoke(
             main, ["simulate", str(ghz22_file), "--L", "3", "--x", "1", "--seed", "-1"]

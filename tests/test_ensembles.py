@@ -71,6 +71,32 @@ class TestEnsembleStructure:
         with pytest.raises(ValueError):
             Ensemble(PartySet.of_size(2), (0.5, 0.5), (a, b))
 
+    def test_writing_the_callers_array_changes_nothing(self):
+        slots = SlotStructure((2, 1), ("A1", "A2"))
+        matrix = np.diag([1.0, 0.0]).astype(complex)
+        e = Ensemble(PartySet.of_size(2), (0.5, 0.5),
+                     (MultiPartyOperator(matrix, slots), MultiPartyOperator(np.eye(2) / 2, slots)))
+        before = e.stack.copy()
+        matrix[...] = 7.0
+        assert e.stack.tobytes() == before.tobytes()
+        assert e.states[0].matrix.tobytes() == before[0].tobytes()
+
+    @pytest.mark.parametrize("build", [
+        lambda e: e,
+        lambda e: load_ensemble(io.StringIO(saved_text_by_document(e))),
+        lambda e: coarse_ensemble(FoldSpec(e, 2)),
+    ], ids=["constructor", "loader", "coarse"])
+    def test_states_are_read_only_views_of_one_stack(self, parity2212, build):
+        e = build(parity2212)
+        assert e.stack.shape == (e.n, e.dim, e.dim) and e.stack.dtype == np.complex128
+        assert e.stack.flags.c_contiguous and not e.stack.flags.writeable
+        for k, state in enumerate(e.states):
+            assert not state.matrix.flags.writeable
+            assert np.shares_memory(state.matrix, e.stack)
+            assert state.matrix.tobytes() == e.stack[k].tobytes()
+        with pytest.raises(ValueError):
+            e.stack[0, 0, 0] = 1.0
+
 
 class TestValidate:
     def test_example_family_passes(self):
@@ -358,6 +384,14 @@ class TestPersistence:
         for a, b in zip(loaded.states, ghz22.states):
             assert float(np.max(np.abs(a.matrix - b.matrix))) == 0.0
 
+    @pytest.mark.parametrize("name", ["ghz22", "ghz33", "parity2212", "parity2222"])
+    def test_round_trip_stack_is_bit_identical(self, name, request):
+        e = request.getfixturevalue(name)
+        buffer = io.StringIO()
+        save_ensemble(e, buffer)
+        buffer.seek(0)
+        assert load_ensemble(buffer).stack.tobytes() == e.stack.tobytes()
+
     def test_round_trip_parity_family(self, parity2212):
         buffer = io.StringIO()
         save_ensemble(parity2212, buffer)
@@ -637,7 +671,9 @@ class TestFlatReader:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        # The text and the stack (2.7 + 4.2 MB), once more for the read and for
+        # validation's dim x dim temporaries: no copy of the states text, no nested lists.
+        assert peak < 2 * (path.stat().st_size + parity2222.stack.nbytes)
 
 
 SPECIAL_ENTRIES = (-0.0, 1e-300, 5e-324, 2.5e-310)

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,7 +216,8 @@ class TestCheckHiding:
         tensor = importlib.import_module("nlhide.tensor")  # the package binds the function
         frozen, checked = [], []
         real_frozen, real_hermitian = tensor._frozen_matrix, discrimination._hermitian
-        monkeypatch.setattr(tensor, "_frozen_matrix", lambda m: frozen.append(1) or real_frozen(m))
+        monkeypatch.setattr(tensor, "_frozen_matrix",
+                            lambda *args: frozen.append(1) or real_frozen(*args))
         monkeypatch.setattr(
             discrimination, "_hermitian", lambda m: checked.append(1) or real_hermitian(m)
         )
@@ -332,6 +334,13 @@ class TestRunProtocol:
         full = transcripts_to_jsonl(run_protocol(cfg, x=0, trials=1000))
         for k in (1, 7, 999):
             assert full.startswith(transcripts_to_jsonl(run_protocol(cfg, x=0, trials=k)))
+
+    def test_blocks_join_into_the_whole_text(self, ghz22):
+        run = run_protocol(SchemeConfig.create(ghz22, 3, seed=5), x=1, trials=250)
+        whole = transcripts_to_jsonl(run)
+        assert "".join(transcripts_to_jsonl(run, k, k + 64) for k in range(0, 250, 64)) == whole
+        assert transcripts_to_jsonl(run, 100) == whole.split("\n", 100)[-1]
+        assert transcripts_to_jsonl(run, 250) == ""
 
     @pytest.mark.parametrize("ensemble, L, x, seed", [
         ("ghz22", 3, 1, 42), ("ghz22", 6, 0, 2**40), ("parity2212", 2, 3, 7),
@@ -568,6 +577,20 @@ class TestDirectEncode:
         enc = direct_encode(cfg, 1)
         assert enc.state.dim == 256 and enc.recovery_ok
         assert dims and set(dims) == {4}
+
+    def test_peak_memory_is_three_explicit_matrices(self, ghz22):
+        # The class state, the last fold's sum and one Kronecker product (or, later,
+        # the class-1 element and one product with the state): the state is not
+        # copied and class 0's element I - P_1 is not formed.
+        cfg = SchemeConfig.create(ghz22, 5)
+        tracemalloc.start()
+        try:
+            enc = direct_encode(cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert enc.state.dim == 1024 and enc.recovery_ok
+        assert peak < 3.5 * enc.state.matrix.nbytes
 
 
 class TestCoalitionReport:
