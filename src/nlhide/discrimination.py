@@ -12,7 +12,9 @@ even when the iteration stops early.
 weighted transposed state dominates the others.  That is a yes/no question per
 difference, so it is answered by a Cholesky factor of the difference shifted by
 less than the PSD tolerance; an eigenvalue solve runs only where the factor
-fails, and the solver only where dominance fails.
+fails, and the solver only where dominance fails.  Every difference on a cut is
+block diagonal on the connected components of the transposed states' joint
+nonzero pattern, so each factor and eigenvalue solve runs block by block.
 
 Two solver paths exist.  For two operators the exact closed form is used:
 the optimum is ``w1 Tr(B) + sum of positive eigenvalues of (w0 A - w1 B)``
@@ -31,7 +33,8 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .partitions import Bipartition, all_bipartitions
-from .tensor import _factor_bound, _hermitian, _partial_transpose, _psd, hermitian_part
+from .tensor import (_blocks, _components, _eigenvalues, _factor_bound, _hermitian,
+                     _partial_transpose, _psd, _support, hermitian_part)
 
 DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -48,10 +51,10 @@ class DiscriminationResult:
     optimality operator for member ``i``; all entries nonnegative (up to the
     solver tolerance) certifies the POVM optimal.  For a dominance result it is a
     lower bound on the minimum eigenvalue of ``p_pivot G(rho_pivot) - p_i G(rho_i)``,
-    0.0 at the pivot: ``-t`` where a Cholesky factor of the difference plus ``t I``
-    decided it, the exact minimum eigenvalue where ``eigvalsh`` did.  Either lies
-    within the PSD tolerance of zero.  ``dual_value`` is always a valid upper bound
-    on the optimum, converged or not.
+    0.0 at the pivot: ``-t`` where Cholesky factors of the difference's blocks plus
+    ``t I`` decided it, the least eigenvalue over its blocks where ``eigvalsh`` did.
+    Either lies within the PSD tolerance of zero.  ``dual_value`` is always a valid
+    upper bound on the optimum, converged or not.
     """
 
     primal_value: float
@@ -303,7 +306,9 @@ def check_dominant_state(
     pivot, zero elsewhere) is optimal, so callers may skip the solver.  The
     pivot defaults to the heaviest member (lowest index on ties).  Each state is
     checked once against the Hermitian contract (else :class:`ContractViolationError`),
-    so each difference of the exactly Hermitian parts goes straight to ``eigvalsh``.
+    so each difference of the exactly Hermitian parts goes straight to ``eigvalsh``,
+    one batched call per block size of the transposed states' joint nonzero pattern;
+    each returned minimum eigenvalue is the least over the blocks of its difference.
     """
     w, gammas = _transposed(e, x.side_a)
     n = len(w)
@@ -311,32 +316,46 @@ def check_dominant_state(
         pivot = int(np.argmax(w))
     if not 0 <= pivot < n:
         raise ValueError(f"pivot {pivot} out of range for {n} states")
-    lead = w[pivot] * gammas[pivot]
-    checks = [_psd(np.linalg.eigvalsh(lead - w[i] * gammas[i])) for i in range(n) if i != pivot]
+    groups = _components(_support(gammas))
+    checks = [_psd(_eigenvalues(_difference(w, gammas, groups, pivot, i)))
+              for i in range(n) if i != pivot]
     mins = [check.min_eigenvalue for check in checks]
     mins.insert(pivot, 0.0)
     return DominanceCheck(all(check.ok for check in checks), tuple(mins), pivot)
 
 
-def _scan_dominance(w: np.ndarray, gammas: np.ndarray) -> DominanceCheck | None:
-    """The bipartition scan's dominance test on the heaviest member, or ``None`` at the
-    first difference that fails it.
+def _difference(w: np.ndarray, gammas: np.ndarray, groups: list[np.ndarray],
+                pivot: int, i: int) -> list[np.ndarray]:
+    """The diagonal blocks of ``w[pivot] G_pivot - w[i] G_i`` on ``groups``, one new
+    stack per block size; only the two states' blocks are gathered."""
+    diffs = []
+    for lead, other in zip(_blocks(gammas[pivot], groups), _blocks(gammas[i], groups)):
+        diff = w[pivot] * lead
+        diff -= w[i] * other
+        diffs.append(diff)
+    return diffs
 
-    Each difference is decided by :func:`_factor_bound`, whose ``-t`` is reported as
-    its bound; only where the factor fails does ``eigvalsh`` decide it, by the rule of
-    :func:`check_dominant_state`, and report the exact minimum eigenvalue."""
+
+def _scan_dominance(w: np.ndarray, gammas: np.ndarray,
+                    groups: list[np.ndarray]) -> DominanceCheck | None:
+    """The bipartition scan's dominance test on the heaviest member, or ``None`` at the
+    first difference that fails it; ``gammas`` is block diagonal on ``groups``.
+
+    Each difference is decided by :func:`_factor_bound` on its blocks, whose ``-t`` is
+    reported as its bound; only where a factor fails does ``eigvalsh`` of every block
+    decide it, by the rule of :func:`check_dominant_state`, and report the least
+    eigenvalue over the blocks."""
     pivot = int(np.argmax(w))
     mins = [0.0] * len(w)
     for i in range(len(w)):
         if i == pivot:
             continue
         # No lead term is kept across differences: the factor holds two more
-        # dim x dim arrays while it runs, so this keeps the parent's peak.
-        diff = w[pivot] * gammas[pivot]
-        diff -= w[i] * gammas[i]
+        # arrays of the blocks' size while it runs, and a lead term would be a third.
+        diff = _difference(w, gammas, groups, pivot, i)
         bound = _factor_bound(diff)
         if bound is None:
-            check = _psd(np.linalg.eigvalsh(diff))
+            check = _psd(_eigenvalues(diff))
             if not check.ok:
                 return None
             bound = check.min_eigenvalue
@@ -377,25 +396,34 @@ def max_bipartition_bound(
 
     The weights and states are checked once, so a non-Hermitian state or a negative
     or NaN weight raises at once; one stack of their Hermitian parts is transposed
-    in place, each state once per cut.  Dominance of the heaviest member is tried
-    first (exact, no iteration): each difference is decided by a Cholesky factor of
-    it shifted by ``t = PSD_RTOL * (1 + max|diagonal|)``, which never exceeds the PSD
-    tolerance, and by ``eigvalsh`` only where the factor fails.  The first difference
-    that both reject hands the cut to the solver, with the transposed stack, which
-    its own input guard checks once more.
+    in place, each state once per cut, and the boolean pattern of their joint nonzero
+    entries with it.  Dominance of the heaviest member is tried first (exact, no
+    iteration).  Each difference is block diagonal on the connected components of
+    that pattern, and is decided by Cholesky factors of its blocks shifted by
+    ``t = PSD_RTOL * (1 + max|diagonal|)`` of the whole difference, which never
+    exceeds the PSD tolerance; where a factor fails, ``eigvalsh`` of every block
+    decides by the PSD rule on the least and largest eigenvalue.  A fully dense
+    pattern is one block, the whole matrix.  The first difference that both reject
+    hands the cut to the solver, with the whole transposed stack, which its own
+    input guard checks once more.
     Numerical failures (``LinAlgError``) are collected per cut, for a partial table.
     """
     w, gammas = _validate_inputs(e.probs, e.stack)
+    # Transposition only moves entries, so the pattern of the transposed stack is
+    # the transposed pattern; it follows the stack from cut to cut.
+    pattern = _support(gammas)[None]
     results: dict[str, DiscriminationResult] = {}
     failures: dict[str, str] = {}
     side: frozenset[str] = frozenset()  # the side ``gammas`` is transposed on
     for bp in all_bipartitions(e.parties):
         key = bp.to_string()
         # Transposed on the last side, then on (last ^ this), the stack is transposed on this.
-        _partial_transpose(gammas, e.slots, side ^ set(bp.side_a), out=gammas)
+        flip = side ^ set(bp.side_a)
+        _partial_transpose(gammas, e.slots, flip, out=gammas)
+        _partial_transpose(pattern, e.slots, flip, out=pattern)
         side = frozenset(bp.side_a)
         try:
-            check = _scan_dominance(w, gammas)
+            check = _scan_dominance(w, gammas, _components(pattern[0]))
             if check is not None:
                 results[key] = _dominance_result(e, check)
             else:

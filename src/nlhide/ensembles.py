@@ -25,7 +25,11 @@ from .tensor import (
     DimensionCapError,
     MultiPartyOperator,
     SlotStructure,
+    _blocks,
+    _components,
+    _eigenvalues,
     _hermiticity,
+    _support,
     identity,
     tensor_power,
 )
@@ -146,7 +150,9 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
     failures.  A state whose minimum eigenvalue is within ``-1e-10`` of zero
     passes the PSD check; it draws a warning (file round-trip noise) only when
     it lies below the eigensolver's round-off floor
-    ``dim * eps * (1 + max |entry|)``.
+    ``dim * eps * (1 + max |entry|)``.  The minimum eigenvalue is the least over
+    the diagonal blocks of the state's nonzero pattern, from one batched
+    ``eigvalsh`` per block size; a dense state is one block.
     """
     checks: list[CheckResult] = []
     warnings: list[str] = []
@@ -177,7 +183,8 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
             CheckResult(f"trace[{k}]", trace_residual <= TRACE_TOL, trace_residual,
                         f"state {k} trace deviates by {trace_residual:.3e}")
         )
-        min_eig = float(np.linalg.eigvalsh(part)[0])
+        groups = _components(_support(part[None]))
+        min_eig = float(_eigenvalues(_blocks(part, groups))[0])
         ok = min_eig >= -PSD_WARN_TOL
         checks.append(
             CheckResult(f"psd[{k}]", ok, max(0.0, -min_eig),

@@ -24,6 +24,9 @@ HERMITICITY_RTOL = 1e-12
 #: Relative tolerance of the PSD test: ``A >= 0`` up to ``PSD_RTOL * (1 + max|eigenvalue|)``.
 PSD_RTOL = 1e-10
 
+#: Pattern entries whose edges one pass of :func:`_components` lists at a time.
+_EDGE_CHUNK = 1 << 20
+
 
 class DimensionCapError(ValueError):
     """A construction would exceed the configured dimension cap."""
@@ -292,22 +295,85 @@ def _psd(vals: np.ndarray) -> PsdCheck:
     return PsdCheck(lo >= -tol, lo, tol)
 
 
-def _factor_bound(matrix: np.ndarray) -> float | None:
-    """``-t`` when ``matrix + t I`` has a Cholesky factor, with
-    ``t = PSD_RTOL * (1 + max|diagonal|)``; ``None`` when the factor fails.
+def _support(stack: np.ndarray) -> np.ndarray:
+    """Where any matrix of an ``(n, dim, dim)`` complex stack has a nonzero entry, as a
+    boolean ``(dim, dim)`` array; one matrix at a time, on its real and imaginary parts."""
+    parts = np.zeros((stack.shape[1], 2 * stack.shape[2]), dtype=bool)
+    for matrix in stack:
+        parts |= matrix.view(np.float64) != 0
+    # An entry's two flags, read as one 16-bit integer, are nonzero iff either is.
+    return parts.view(np.uint16) != 0
+
+
+def _components(pattern: np.ndarray) -> list[np.ndarray]:
+    """The connected components of a symmetric boolean ``(dim, dim)`` pattern, read as
+    an adjacency matrix: one ``(count, size)`` index array per block size, ascending,
+    each row one component's indices in ascending order.
+
+    A Hermitian matrix whose nonzero entries lie in ``pattern`` is block diagonal on
+    these index groups, so its spectrum is the union of the blocks' spectra.  Each
+    index takes the least label among its own and its neighbours' and then its
+    label's label (pointer jumping), until no label moves; a label is always an
+    index of the same component, and at rest every edge joins equal labels.  A pass
+    reads the edges of at most ``_EDGE_CHUNK`` pattern entries at a time, so a dense
+    pattern never holds all its edges at once.  A fully dense pattern is one block
+    of all indices, in order."""
+    dim = pattern.shape[0]
+    rows_per_chunk = max(1, _EDGE_CHUNK // dim)
+    labels = np.arange(dim)
+    while True:
+        least = labels.copy()
+        for start in range(0, dim, rows_per_chunk):
+            rows, cols = np.divmod(np.flatnonzero(pattern[start:start + rows_per_chunk]), dim)
+            np.minimum.at(least, rows + start, labels[cols])
+        least = least[least]
+        if np.array_equal(least, labels):
+            break
+        labels = least
+    sizes = np.bincount(labels)[labels]
+    order = np.lexsort((labels, sizes))  # by block size, then block; stable within a block
+    sizes = sizes[order]
+    ends = [*(np.flatnonzero(np.diff(sizes)) + 1).tolist(), dim]
+    return [order[start:end].reshape(-1, sizes[start])
+            for start, end in zip([0, *ends], ends)]
+
+
+def _blocks(matrix: np.ndarray, groups: list[np.ndarray]) -> list[np.ndarray]:
+    """For each ``(count, size)`` index array of :func:`_components`, the
+    ``(count, size, size)`` stack of the diagonal blocks of ``matrix`` on it: a
+    gathered copy, or for one block of the whole matrix a view of ``matrix``."""
+    return [matrix[None] if group.shape[1] == matrix.shape[-1]
+            else matrix[group[:, :, None], group[:, None, :]] for group in groups]
+
+
+def _eigenvalues(blocks: list[np.ndarray]) -> np.ndarray:
+    """All eigenvalues, ascending, of a Hermitian matrix given by its diagonal blocks,
+    in stacks of one size each: one batched ``eigvalsh`` per stack.  For one block of
+    the whole matrix this is ``eigvalsh`` of the matrix."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
+
+
+def _factor_bound(blocks: list[np.ndarray]) -> float | None:
+    """``-t`` when ``A + t I`` has a Cholesky factor, with
+    ``t = PSD_RTOL * (1 + max|diagonal of A|)``; ``None`` when the factor fails.
+    ``A`` is given by its diagonal blocks, in stacks of one size each, so one batched
+    factor per stack decides it, with the shift ``t`` of the whole matrix.
 
     For an exactly Hermitian matrix ``|A_ii| <= max|eigenvalue|``, so ``t`` never
     exceeds the tolerance of :func:`_psd`, and a factor proves what :func:`_psd`
     would accept: every eigenvalue is above ``-t``.  The shift is added in place and
-    the diagonal restored bit for bit, so a failed matrix can go on to ``eigvalsh``.
+    the diagonals restored bit for bit, so failed blocks can go on to
+    :func:`_eigenvalues`.
     """
-    diagonal = matrix.diagonal().copy()
-    shift = PSD_RTOL * (1.0 + float(np.max(np.abs(diagonal))))
-    np.fill_diagonal(matrix, diagonal + shift)
-    try:
-        np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        return None
-    finally:
-        np.fill_diagonal(matrix, diagonal)
+    diagonals = [np.einsum("...ii->...i", block) for block in blocks]  # writable views
+    shift = PSD_RTOL * (1.0 + max(float(np.abs(d).max()) for d in diagonals))
+    for block, diagonal in zip(blocks, diagonals):
+        entries = diagonal.copy()
+        diagonal += shift
+        try:
+            np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return None
+        finally:
+            diagonal[...] = entries
     return -shift

@@ -10,7 +10,8 @@ search, fold-bound tables clamp and branch at each call site, the
 fixed-point solver runs member by member over Python lists, protocol
 transcripts are drawn and written one trial at a time, product-basis
 strategy values assemble one product vector per outcome, dominance
-checks wrap every difference as an operator for ``is_psd``, and ensemble
+checks wrap every difference as an operator for ``is_psd``, PSD tests run
+on the whole matrix instead of its diagonal blocks, and ensemble
 files are written from and read into nested Python lists by whole-document
 ``json`` calls.
 """
@@ -32,9 +33,15 @@ from nlhide.hiding import CoalitionRow, HidingReport
 from nlhide.partitions import Bipartition, all_partitions, coarser_bipartitions
 from nlhide.tensor import (
     DEFAULT_DIM_CAP,
+    PSD_RTOL,
     DimensionCapError,
     MultiPartyOperator,
     SlotStructure,
+    _blocks,
+    _components,
+    _eigenvalues,
+    _factor_bound,
+    _psd,
     hermitian_eigensystem,
     hermitian_part,
     is_psd,
@@ -559,6 +566,47 @@ def _difference_checks(e: Ensemble, x: Bipartition, pivot: int | None) -> tuple[
         for i in range(e.n)
     ]
     return pivot, checks
+
+
+# ---------------------------------------------------------------------------
+# PSD tests on the whole matrix
+# ---------------------------------------------------------------------------
+
+# The Cholesky test that the per-block factors in ``nlhide.tensor`` replaced, on
+# the whole matrix, kept unchanged as their differential reference.
+def factor_bound_dense(matrix: np.ndarray) -> float | None:
+    diagonal = matrix.diagonal().copy()
+    shift = PSD_RTOL * (1.0 + float(np.max(np.abs(diagonal))))
+    np.fill_diagonal(matrix, diagonal + shift)
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return None
+    finally:
+        np.fill_diagonal(matrix, diagonal)
+    return -shift
+
+
+def assert_blocks_match_dense(stack: np.ndarray, pattern: np.ndarray) -> None:
+    """For each matrix of an ``(n, dim, dim)`` Hermitian stack whose nonzero entries lie
+    in ``pattern``, the per-block tests of ``nlhide.tensor`` agree with dense
+    ``eigvalsh`` + ``_psd`` and :func:`factor_bound_dense`: the same verdicts and
+    Cholesky bound, and eigenvalues within ``1e-12 * (1 + spectral scale)``; the
+    factor leaves the blocks bit for bit as it found them."""
+    groups = _components(pattern)
+    for matrix in stack:
+        mine = _blocks(matrix, groups)
+        dense = np.linalg.eigvalsh(matrix)
+        spectrum = _eigenvalues(mine)
+        slack = 1e-12 * (1.0 + max(abs(dense[0]), abs(dense[-1])))
+        assert spectrum.shape == dense.shape
+        assert np.max(np.abs(spectrum - dense)) <= slack
+        got, want = _psd(spectrum), _psd(dense)
+        assert got.ok == want.ok
+        assert abs(got.min_eigenvalue - want.min_eigenvalue) <= slack
+        before = [b.tobytes() for b in mine]
+        assert _factor_bound(mine) == factor_bound_dense(matrix.copy())
+        assert [b.tobytes() for b in mine] == before
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,11 @@ from nlhide import (
 
 from nlhide import discrimination
 from nlhide.discrimination import _certificate, _fixed_point_iteration
-from nlhide.tensor import PSD_RTOL, _partial_transpose, _psd, hermitian_part
+from nlhide.ensembles import validate
+from nlhide.tensor import PSD_RTOL, _partial_transpose, _psd, _support, hermitian_part
 
 from oracles import (
+    assert_blocks_match_dense,
     certificate_by_members,
     dominance_by_difference,
     dominance_tolerances,
@@ -350,14 +352,28 @@ class TestBipartitionScan:
         transposed = []
 
         def counting_transpose(mats, slots, side, out=None):
-            transposed.append(len(mats))
+            transposed.append((mats.dtype, len(mats)))
             return _partial_transpose(mats, slots, side, out=out)
 
         monkeypatch.setattr(discrimination, "_partial_transpose", counting_transpose)
         scan = max_bipartition_bound(e)
-        # Dominance fails on every cut, so the solver reuses the transposed states.
+        # Dominance fails on every cut, so the solver reuses the transposed states;
+        # beside them only the boolean pattern of their nonzero entries is transposed.
         assert [r.method for r in scan.results.values()] == ["iterative"] * 3
-        assert sum(transposed) == e.n * 3
+        assert sum(count for dtype, count in transposed if dtype == complex) == e.n * 3
+        assert transposed.count((np.dtype(bool), 1)) == 3
+
+    def test_blocks_follow_the_transposed_pattern(self):
+        # The coupling of |Phi+><Phi+| sits at (0, 3); on the cut it moves to (1, 2),
+        # where it makes the difference indefinite.  Blocks of the untransposed
+        # pattern would see only a positive diagonal there and report dominance.
+        phi = ket([1, 0, 0, 1]) / 2
+        lead = MultiPartyOperator(0.9 * phi + 0.1 * np.eye(4) / 4, PAIR)
+        e = pair_ensemble([lead, MultiPartyOperator(ket([1, 0, 0, 0]), PAIR)], (0.9, 0.1))
+        (bp,) = all_bipartitions(e.parties)
+        assert not check_dominant_state(e, bp).passed
+        assert not dominance_by_difference(e, bp).passed
+        assert max_bipartition_bound(e).results[bp.to_string()].method == "closed"
 
     def test_one_hermitian_check_per_state(self, ghz23, monkeypatch):
         checked = []
@@ -403,6 +419,12 @@ def _family_instances(cap):
     return out
 
 
+def _family(family, params, cap):
+    if family == "ghz":
+        return ghz_complement_ensemble(*params, cap=cap)
+    return parity_block_ensemble(ParityBlockParams(*params), cap=cap)
+
+
 SMALL_CAP = 64
 # Two and three parties; in the third, A1 owns two slots that are not adjacent.
 RANDOM_SLOTS = (
@@ -439,7 +461,14 @@ class TestArrayDominance:
         scan = max_bipartition_bound(e, max_iterations=25)
         for bp in all_bipartitions(e.parties):
             for pivot in pivots:
-                assert check_dominant_state(e, bp, pivot) == dominance_by_difference(e, bp, pivot)
+                # Per-block eigenvalues differ from the dense ones by round-off only:
+                # the same verdict, and each minimum within 1e-12 * (1 + spectral scale).
+                got = check_dominant_state(e, bp, pivot)
+                dense = dominance_by_difference(e, bp, pivot)
+                assert (got.passed, got.pivot) == (dense.passed, dense.pivot)
+                for a, b, tol in zip(got.min_eigenvalues, dense.min_eigenvalues,
+                                     dominance_tolerances(e, bp, pivot)):
+                    assert abs(a - b) <= 1e-12 * tol / PSD_RTOL
             want = check_dominant_state(e, bp)
             result = scan.results[bp.to_string()]
             assert (result.method == "dominance") == want.passed
@@ -477,11 +506,7 @@ class TestArrayDominance:
 
     @pytest.mark.parametrize("family, params", _family_instances(SMALL_CAP))
     def test_family_instances(self, family, params):
-        if family == "ghz":
-            e = ghz_complement_ensemble(*params, cap=SMALL_CAP)
-        else:
-            e = parity_block_ensemble(ParityBlockParams(*params), cap=SMALL_CAP)
-        self._assert_matches_oracle(e)
+        self._assert_matches_oracle(_family(family, params, SMALL_CAP))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -503,6 +528,79 @@ class TestArrayDominance:
         for state in e.states:  # exactly Hermitian: the Hermitian part changes nothing
             assert np.array_equal(state.matrix, state.matrix.conj().T)
         self._assert_matches_oracle(e, pivots=(None, *range(n)))
+
+
+class TestBlockPath:
+    """On every built-in family instance of dimension at most 64, the per-block PSD
+    tests agree with the dense ones on what ``validate`` and the scan decide."""
+
+    @pytest.mark.parametrize("family, params", _family_instances(SMALL_CAP))
+    def test_validate(self, family, params):
+        e = _family(family, params, SMALL_CAP)
+        psd = [c for c in validate(e).checks if c.name.startswith("psd")]
+        for state, check in zip(e.stack, psd):
+            one = hermitian_part(state)[None]
+            assert_blocks_match_dense(one, _support(one))
+            dense = float(np.linalg.eigvalsh(one[0])[0])
+            assert check.ok == (dense >= -1e-10)
+            assert abs(check.residual - max(0.0, -dense)) <= 1e-12
+
+    @pytest.mark.parametrize("family, params", _family_instances(SMALL_CAP))
+    def test_scan(self, family, params):
+        e = _family(family, params, SMALL_CAP)
+        w, herm = np.asarray(e.probs), hermitian_part(e.stack)
+        pivot = int(np.argmax(w))
+        for bp in all_bipartitions(e.parties):
+            gammas = _partial_transpose(herm, e.slots, bp.side_a)
+            # The pattern of the transposed stack is the transposed pattern.
+            pattern = _partial_transpose(_support(herm)[None], e.slots, bp.side_a)[0]
+            assert np.array_equal(pattern, _support(gammas))
+            diffs = w[pivot] * gammas[pivot] - w[:, None, None] * gammas
+            assert_blocks_match_dense(np.delete(diffs, pivot, axis=0), pattern)
+
+
+class TestBlockScaling:
+    """No factor or eigensolve of ``validate`` and the scan sees a matrix larger than
+    the largest block of the states' joint pattern."""
+
+    @staticmethod
+    def _largest_eigen_dim(monkeypatch, e):
+        seen = [0]
+        # tensor, ensembles and discrimination all call these through np.linalg.
+        for name in ("cholesky", "eigvalsh"):
+            def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
+                seen[0] = max(seen[0], np.shape(a)[-1])
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        validate(e)
+        scan = max_bipartition_bound(e)
+        monkeypatch.undo()
+        assert not scan.failures
+        return seen[0], scan
+
+    def test_ghz_complement_2_10(self, monkeypatch):
+        e = ghz_complement_ensemble(2, 10, cap=1024)
+        largest, scan = self._largest_eigen_dim(monkeypatch, e)
+        assert len(scan.results) == 511
+        assert largest <= 2
+
+    def test_parity_2_2_5_1(self, monkeypatch):
+        e = parity_block_ensemble(ParityBlockParams(2, 2, 5, 1), cap=1024)
+        largest, scan = self._largest_eigen_dim(monkeypatch, e)
+        assert [r.method for r in scan.results.values()] == ["dominance"]
+        assert largest <= 32
+
+    def test_dense_random_pair_is_one_block(self, monkeypatch):
+        # Every entry nonzero: one block, today's call on the whole matrix.
+        rng = np.random.default_rng(4)
+        lead = 0.9 * np.eye(16) / 16 + 0.1 * random_density(rng, 16)
+        states = tuple(MultiPartyOperator(hermitian_part(m), SlotStructure((4, 4), ("A1", "A2")))
+                       for m in (lead, random_density(rng, 16)))
+        e = Ensemble(PartySet.of_size(2), (0.999, 0.001), states)
+        assert _support(e.stack).all()
+        largest, scan = self._largest_eigen_dim(monkeypatch, e)
+        assert [r.method for r in scan.results.values()] == ["dominance"]
+        assert largest == e.dim
 
 
 class TestGuessingFloor:

@@ -18,9 +18,22 @@ from nlhide import (
     tensor,
     tensor_power,
 )
-from nlhide.tensor import HERMITICITY_RTOL, _hermitian, hermitian_part
+from nlhide.tensor import (
+    HERMITICITY_RTOL,
+    PSD_RTOL,
+    _blocks,
+    _components,
+    _eigenvalues,
+    _factor_bound,
+    _hermitian,
+    _psd,
+    _support,
+    hermitian_part,
+)
 
 from oracles import (
+    assert_blocks_match_dense,
+    factor_bound_dense,
     jacobi_eigenvalues,
     partial_transpose_entrywise,
     random_density,
@@ -241,6 +254,111 @@ class TestIsPsd:
     def test_tolerance_is_reported(self):
         check = is_psd(qubit("A1", np.diag([5.0, 3.0])))
         assert check.tol == pytest.approx(1e-10 * 6.0)
+
+
+def _permuted_blocks(rng, sizes, zero_rows, lowest):
+    """A Hermitian matrix that is block diagonal, on blocks of ``sizes`` and
+    ``zero_rows`` zero rows, under a random permutation of its indices; returns it
+    with its blocks as index sets.  With ``lowest`` set, each block is
+    ``U diag(spectrum) U^dagger`` with ``U`` a random unitary and its spectrum in
+    [0, 1000], the first block's largest eigenvalue 1000 and the last block's
+    smallest ``lowest`` times the PSD tolerance ``PSD_RTOL * (1 + 1000)``."""
+    dim = sum(sizes) + zero_rows
+    order = rng.permutation(dim)
+    matrix = np.zeros((dim, dim), dtype=np.complex128)
+    blocks = [frozenset([int(i)]) for i in order[sum(sizes):]]
+    start = 0
+    for k, size in enumerate(sizes):
+        index = np.sort(order[start:start + size])
+        start += size
+        if lowest is None:
+            block = random_hermitian(rng, size)
+        else:
+            spectrum = rng.uniform(0.0, 1000.0, size)
+            if k == 0:
+                spectrum[0] = 1000.0
+            if k == len(sizes) - 1:
+                spectrum[-1] = lowest * PSD_RTOL * (1.0 + 1000.0)
+            u, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+            block = hermitian_part((u * spectrum) @ u.conj().T)
+        matrix[np.ix_(index, index)] = block
+        blocks.append(frozenset(index.tolist()))
+    return matrix, blocks
+
+
+class TestBlocks:
+    """PSD tests on the diagonal blocks of a matrix's nonzero pattern against the same
+    tests on the whole matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 5), min_size=2, max_size=6),
+        zero_rows=st.integers(0, 3),
+        lowest=st.sampled_from([None, 0.0, -0.5, -2.0]),
+    )
+    def test_permuted_blocks_match_dense(self, seed, sizes, zero_rows, lowest):
+        matrix, blocks = _permuted_blocks(np.random.default_rng(seed), sizes, zero_rows, lowest)
+        stack = matrix[None]
+        pattern = _support(stack)
+        groups = _components(pattern)
+        assert {frozenset(row.tolist()) for g in groups for row in g} == set(blocks)
+        assert [g.shape[1] for g in groups] == sorted({len(b) for b in blocks})
+        for g in groups:
+            assert np.all(np.diff(g, axis=1) > 0)  # each block's indices ascending
+        assert_blocks_match_dense(stack, pattern)
+
+    @pytest.mark.parametrize("lowest, by_factor, ok", [
+        (0.0, True, True), (-0.5, None, True), (-2.0, False, False),
+    ], ids=["zero", "half-tol-below", "two-tol-below"])
+    def test_lowest_eigenvalue_cases(self, lowest, by_factor, ok):
+        # Many blocks of four, so the one at lowest * tol is one among many.
+        matrix, _ = _permuted_blocks(np.random.default_rng(1), [4] * 8, 2, lowest)
+        stack = matrix[None]
+        blocks = _blocks(matrix, _components(_support(stack)))
+        assert [b.shape for b in blocks] == [(2, 1, 1), (8, 4, 4)]
+        if by_factor is not None:  # at -tol/2 the shift may or may not lift the factor
+            assert (_factor_bound(blocks) is not None) == by_factor
+        check = _psd(_eigenvalues(blocks))
+        assert check.ok == ok
+        assert check.min_eigenvalue == pytest.approx(min(lowest, 0.0) * check.tol, abs=1e-9)
+        assert_blocks_match_dense(stack, _support(stack))
+
+    def test_dense_matrix_is_one_block_and_todays_call(self):
+        matrix = random_hermitian(np.random.default_rng(2), 12)
+        stack = matrix[None]
+        (group,) = _components(_support(stack))
+        assert np.array_equal(group, np.arange(12)[None])
+        (block,) = _blocks(matrix, [group])
+        assert np.shares_memory(block, matrix)  # a view: nothing is gathered
+        assert np.array_equal(_eigenvalues([block]), np.linalg.eigvalsh(matrix))
+        shifted = random_density(np.random.default_rng(3), 12)[None]
+        assert _factor_bound([shifted.copy()]) == factor_bound_dense(shifted[0].copy())
+        assert_blocks_match_dense(stack, _support(stack))
+
+    def test_zero_matrix_is_all_one_by_one_blocks(self):
+        stack = np.zeros((1, 5, 5), dtype=np.complex128)
+        (group,) = _components(_support(stack))
+        assert np.array_equal(group, np.arange(5)[:, None])
+        assert_blocks_match_dense(stack, _support(stack))
+
+    def test_support_is_the_union_over_the_stack(self):
+        stack = np.zeros((2, 4, 4), dtype=np.complex128)
+        stack[0, 0, 3] = stack[0, 3, 0] = 1.0
+        stack[1, 1, 2] = 1j  # an imaginary entry alone counts
+        stack[1, 2, 1] = -1j
+        expected = np.zeros((4, 4), dtype=bool)
+        expected[[0, 3, 1, 2], [3, 0, 2, 1]] = True
+        assert np.array_equal(_support(stack), expected)
+        groups = _components(_support(stack))
+        assert [g.tolist() for g in groups] == [[[0, 3], [1, 2]]]
+
+    def test_chain_joins_across_pointer_jumps(self):
+        # A path 0-5-1-4-2-3 visits its indices out of order: one block of six.
+        pattern = np.eye(7, dtype=bool)
+        for a, b in [(0, 5), (5, 1), (1, 4), (4, 2), (2, 3)]:
+            pattern[a, b] = pattern[b, a] = True
+        assert [g.tolist() for g in _components(pattern)] == [[[6]], [[0, 1, 2, 3, 4, 5]]]
 
 
 class TestKernelProperties:
