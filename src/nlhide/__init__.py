@@ -8,15 +8,10 @@ from .tensor import (
     MultiPartyOperator,
     PsdCheck,
     SlotStructure,
-    hermitian_eigenvalues,
     hermitian_eigensystem,
-    identity,
-    is_hermitian,
     is_psd,
     partial_transpose,
     tensor,
-    tensor_power,
-    zero,
 )
 from .partitions import (
     Bipartition,
@@ -25,8 +20,6 @@ from .partitions import (
     all_bipartitions,
     all_partitions,
     coarser_bipartitions,
-    is_coarser,
-    trivial_partition,
 )
 from .ensembles import (
     Ensemble,
@@ -35,12 +28,10 @@ from .ensembles import (
     ParityBlockParams,
     ghz_complement_ensemble,
     ghz_state,
-    is_orthogonal,
     load_ensemble,
     max_pairwise_overlap,
     parity_block_ensemble,
     parity_block_size_condition,
-    parity_blocks,
     save_ensemble,
     validate,
 )

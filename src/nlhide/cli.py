@@ -87,7 +87,7 @@ class _ExitCodeGroup(click.Group):
             code, message = EXIT_DIM_CAP, str(exc)
         except HidingError as exc:
             code, message = EXIT_INADMISSIBLE, str(exc)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             code, message = EXIT_USAGE, str(exc)
         if message is not None:
             click.echo(f"error: {message}", err=True)

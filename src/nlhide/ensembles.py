@@ -14,6 +14,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from typing import IO, Callable, NamedTuple
 
@@ -30,8 +31,6 @@ from .tensor import (
     _eigenvalues,
     _hermiticity,
     _support,
-    identity,
-    tensor_power,
 )
 
 PROB_SUM_TOL = 1e-12
@@ -217,11 +216,6 @@ def max_pairwise_overlap(e: Ensemble) -> float:
     return float(np.max(pairwise_overlaps(e)))
 
 
-def is_orthogonal(e: Ensemble, tol: float = ORTHOGONALITY_TOL) -> bool:
-    """True iff all distinct states have overlap ``Tr(rho_i rho_j) <= tol``."""
-    return max_pairwise_overlap(e) <= tol
-
-
 def ghz_state(d: int, m: int, cap: int = DEFAULT_DIM_CAP) -> MultiPartyOperator:
     """Rank-1 projector onto the m-party, d-level maximally correlated state.
 
@@ -285,30 +279,6 @@ class ParityBlockParams:
             )
 
 
-def parity_blocks(
-    d: int, m: int, s: int, cap: int = DEFAULT_DIM_CAP
-) -> tuple[float, float, MultiPartyOperator, MultiPartyOperator]:
-    """Weights and states of the even/odd parity blocks on ``s`` repetitions.
-
-    Returns ``(weight_even, weight_odd, block_even, block_odd)`` where the
-    blocks are the normalized sum and difference of the s-fold identity and
-    the s-fold GHZ reflection ``(1 - 2 P)``.
-    """
-    proj = ghz_state(d, m, cap=cap)
-    base_dim = proj.dim
-    one = identity(proj.slots)
-    reflect = one.with_matrix(one.matrix - 2.0 * proj.matrix)
-    pi0 = tensor_power(one, s, cap=cap)
-    pi1 = tensor_power(reflect, s, cap=cap)
-    plus = base_dim**s + (base_dim - 2) ** s
-    minus = base_dim**s - (base_dim - 2) ** s
-    weight_even = plus / (2 * base_dim**s)
-    weight_odd = minus / (2 * base_dim**s)
-    block_even = pi0.with_matrix((pi0.matrix + pi1.matrix) / plus)
-    block_odd = pi0.with_matrix((pi0.matrix - pi1.matrix) / minus)
-    return weight_even, weight_odd, block_even, block_odd
-
-
 def _bit(i: int, k: int) -> int:
     # k-th binary digit of i, k = 1 least significant.
     return (i >> (k - 1)) & 1
@@ -325,9 +295,16 @@ def parity_block_ensemble(
     ``s * t`` qudits, ordered copy-major.
     """
     params.check_cap(cap)
-    lam0, lam1, sig0, sig1 = parity_blocks(params.d, params.m, params.s, cap=cap)
-    weights = (lam0, lam1)
-    blocks = (sig0.matrix, sig1.matrix)
+    proj = ghz_state(params.d, params.m, cap=cap)
+    base, s = proj.dim, params.s
+    # The even and odd blocks are the normalized sum and difference of the s-fold
+    # identity and the s-fold GHZ reflection 1 - 2P.
+    one = np.eye(base, dtype=np.complex128)
+    pi0 = reduce(np.kron, [one] * s)
+    pi1 = reduce(np.kron, [one - 2.0 * proj.matrix] * s)
+    plus, minus = base**s + (base - 2) ** s, base**s - (base - 2) ** s
+    weights = (plus / (2 * base**s), minus / (2 * base**s))
+    blocks = ((pi0 + pi1) / plus, (pi0 - pi1) / minus)
     probs: list[float] = []
     stack = np.empty((params.n, params.dim, params.dim), dtype=np.complex128)
     for i, row in enumerate(stack):
@@ -337,7 +314,8 @@ def parity_block_ensemble(
             matrix = np.kron(matrix, blocks[b])
         row[...] = matrix
         probs.append(math.prod(weights[b] for b in digits))
-    slots = SlotStructure(sig0.slots.slot_dims * params.t, sig0.slots.party_of_slot * params.t)
+    slots = SlotStructure(proj.slots.slot_dims * (s * params.t),
+                          proj.slots.party_of_slot * (s * params.t))
     return Ensemble._of_stack(PartySet.of_size(params.m), probs, stack, slots)
 
 

@@ -1,4 +1,4 @@
-"""Party sets, set partitions, bipartitions and the coarser-than order.
+"""Party sets, set partitions, and the bipartitions of a party set or coarser than a partition.
 
 Every discrimination bound is indexed by a bipartition of the party set, and
 coalition analysis walks the full partition lattice.  Partitions are kept in a
@@ -72,10 +72,6 @@ class Partition:
         object.__setattr__(self, "blocks", _canonical_blocks(self.parties, self.blocks))
 
     @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-    @property
     def is_trivial(self) -> bool:
         return len(self.blocks) == 1
 
@@ -110,10 +106,6 @@ class Bipartition:
 
     def to_string(self) -> str:
         return self.as_partition().to_string()
-
-
-def trivial_partition(parties: PartySet) -> Partition:
-    return Partition(parties, (tuple(parties.labels),))
 
 
 def all_bipartitions(parties: PartySet) -> list[Bipartition]:
@@ -158,20 +150,11 @@ def all_partitions(parties: PartySet) -> list[Partition]:
         )
     out: list[Partition] = []
     for string in _restricted_growth_strings(m):
-        block_count = max(string) + 1
-        blocks: list[list[str]] = [[] for _ in range(block_count)]
+        blocks: list[list[str]] = [[] for _ in range(max(string) + 1)]
         for label, block_index in zip(parties.labels, string):
             blocks[block_index].append(label)
         out.append(Partition(parties, tuple(tuple(b) for b in blocks)))
     return out
-
-
-def is_coarser(x: Partition, y: Partition) -> bool:
-    """True iff every block of ``y`` is contained in some block of ``x``."""
-    if x.parties != y.parties:
-        raise ValueError("partitions live on different party sets")
-    x_sets = [set(block) for block in x.blocks]
-    return all(any(set(block) <= xs for xs in x_sets) for block in y.blocks)
 
 
 def coarser_bipartitions(x: Partition) -> list[Bipartition]:

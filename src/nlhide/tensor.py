@@ -139,24 +139,8 @@ class MultiPartyOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def parties(self) -> tuple[str, ...]:
-        return self.slots.parties
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def with_matrix(self, matrix: np.ndarray) -> "MultiPartyOperator":
-        """Same slot structure, new entries."""
-        return MultiPartyOperator(matrix, self.slots)
-
-
-def identity(slots: SlotStructure) -> MultiPartyOperator:
-    return MultiPartyOperator._frozen(np.eye(slots.dim, dtype=np.complex128), slots)
-
-
-def zero(slots: SlotStructure) -> MultiPartyOperator:
-    return MultiPartyOperator(np.zeros((slots.dim, slots.dim), dtype=np.complex128), slots)
 
 
 def tensor(
@@ -175,16 +159,6 @@ def tensor(
             f"tensor product dimension {out_dim} exceeds the dimension cap {cap}"
         )
     return MultiPartyOperator._frozen(np.kron(a.matrix, b.matrix), a.slots.concat(b.slots))
-
-
-def tensor_power(op: MultiPartyOperator, count: int, cap: int = DEFAULT_DIM_CAP) -> MultiPartyOperator:
-    """``count``-fold Kronecker power of ``op`` (party labels repeated)."""
-    if count < 1:
-        raise ValueError(f"tensor power needs count >= 1, got {count}")
-    out = op
-    for _ in range(count - 1):
-        out = tensor(out, op, cap=cap)
-    return out
 
 
 def _partial_transpose(mats: np.ndarray, slots: SlotStructure, side: Iterable[str],
@@ -245,10 +219,6 @@ def _hermitian(matrix: np.ndarray) -> np.ndarray:
     return part
 
 
-def is_hermitian(op: MultiPartyOperator) -> bool:
-    return _hermiticity(op.matrix)[1] is not None
-
-
 def hermitian_eigensystem(op: MultiPartyOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of the Hermitian part of an operator
     that meets the Hermitian contract (else :class:`ContractViolationError`).
@@ -267,12 +237,6 @@ def hermitian_eigensystem(op: MultiPartyOperator) -> tuple[np.ndarray, np.ndarra
     return vals, vecs
 
 
-def hermitian_eigenvalues(op: MultiPartyOperator) -> np.ndarray:
-    """All real eigenvalues, nondecreasing, of the Hermitian part of an operator that
-    meets the Hermitian contract (else :class:`ContractViolationError`)."""
-    return np.linalg.eigvalsh(_hermitian(op.matrix))
-
-
 class PsdCheck(NamedTuple):
     """Outcome of a positive-semidefiniteness test."""
 
@@ -283,8 +247,9 @@ class PsdCheck(NamedTuple):
 
 def is_psd(op: MultiPartyOperator) -> PsdCheck:
     """Decide ``op >= 0`` up to ``PSD_RTOL * (1 + max|eigenvalue|)``, a tolerance relative
-    to the spectral scale of ``op``; reports the minimum eigenvalue and that tolerance."""
-    return _psd(hermitian_eigenvalues(op))
+    to the spectral scale of ``op``; reports the minimum eigenvalue and that tolerance.
+    ``op`` must meet the Hermitian contract (else :class:`ContractViolationError`)."""
+    return _psd(np.linalg.eigvalsh(_hermitian(op.matrix)))
 
 
 def _psd(vals: np.ndarray) -> PsdCheck:

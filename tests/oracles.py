@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here deliberately avoids the code paths it checks: partitions are
-enumerated recursively instead of via growth strings, partial transposition
+enumerated recursively instead of via growth strings, the coarser-than order
+compares block sets, the parity-block family is built from the GHZ reflection
+and its own GHZ vector in explicit loops, partial transposition
 walks indices entry by entry, eigenvalues come from a small cyclic Jacobi
 sweep rather than LAPACK, fold distributions and coarse ensembles are
 enumerated over all index vectors, class measurements come from an
@@ -30,7 +32,7 @@ from nlhide.discrimination import _CHECK_EVERY, DominanceCheck, _pinv_sqrt
 from nlhide.ensembles import Ensemble, _document_error, from_document
 from nlhide.folding import DegenerateClassError, FoldSpec, fold_bound, mod_sum
 from nlhide.hiding import CoalitionRow, HidingReport
-from nlhide.partitions import Bipartition, all_partitions, coarser_bipartitions
+from nlhide.partitions import Bipartition, Partition, all_partitions, coarser_bipartitions
 from nlhide.tensor import (
     DEFAULT_DIM_CAP,
     PSD_RTOL,
@@ -77,6 +79,14 @@ def brute_force_bipartition_sides(labels: tuple[str, ...]) -> set[frozenset[str]
     return sides
 
 
+def is_coarser(x: Partition, y: Partition) -> bool:
+    """True iff every block of ``y`` is contained in some block of ``x``."""
+    if x.parties != y.parties:
+        raise ValueError("partitions live on different party sets")
+    x_sets = [set(block) for block in x.blocks]
+    return all(any(set(block) <= xs for xs in x_sets) for block in y.blocks)
+
+
 def bell_number(m: int) -> int:
     table = [1]
     for _ in range(m):
@@ -85,6 +95,47 @@ def bell_number(m: int) -> int:
             nxt.append(nxt[-1] + value)
         table = nxt
     return table[0]
+
+
+# ---------------------------------------------------------------------------
+# built-in families
+# ---------------------------------------------------------------------------
+
+def reflection_powers(d: int, m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``s``-fold Kronecker powers of the identity and of the GHZ reflection
+    ``R = I - 2P``, each a left-folded ``np.kron`` chain; ``P`` is the outer product
+    of the vector with ``1/sqrt(d)`` at every index ``i (1 + d + ... + d^{m-1})``."""
+    dim = d**m
+    psi = np.zeros(dim, dtype=np.complex128)
+    for i in range(d):
+        psi[sum(i * d**k for k in range(m))] = 1.0 / math.sqrt(d)
+    one = np.eye(dim, dtype=np.complex128)
+    reflect = one - 2.0 * np.outer(psi, psi.conj())
+    pi0, pi1 = one, reflect
+    for _ in range(s - 1):
+        pi0, pi1 = np.kron(pi0, one), np.kron(pi1, reflect)
+    return pi0, pi1
+
+
+def parity_family_by_reflection(d: int, m: int, s: int, t: int) -> tuple[tuple, np.ndarray]:
+    """Priors and ``(2**t, dim, dim)`` stack of the parity-block family: the blocks
+    ``(I ± R^{⊗s}) / (d^{ms} ± (d^m - 2)^s)`` with weights ``(d^{ms} ± (d^m - 2)^s) /
+    (2 d^{ms})``; member ``i`` is the Kronecker product, copy by copy, of the blocks
+    its binary digits name (least significant first)."""
+    pi0, pi1 = reflection_powers(d, m, s)
+    base = d**m
+    plus, minus = base**s + (base - 2) ** s, base**s - (base - 2) ** s
+    weights = (plus / (2 * base**s), minus / (2 * base**s))
+    blocks = ((pi0 + pi1) / plus, (pi0 - pi1) / minus)
+    probs, members = [], []
+    for i in range(2**t):
+        digits = [(i >> k) & 1 for k in range(t)]
+        member = blocks[digits[0]]
+        for b in digits[1:]:
+            member = np.kron(member, blocks[b])
+        members.append(member)
+        probs.append(math.prod(weights[b] for b in digits))
+    return tuple(probs), np.stack(members)
 
 
 # ---------------------------------------------------------------------------

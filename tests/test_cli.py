@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -92,6 +93,17 @@ class TestExampleCommand:
         ensemble = load_ensemble(str(path))
         assert ensemble.n == 4
         assert ensemble.dim == 256
+
+    @pytest.mark.parametrize("args, digest", [
+        (["--kind", "1", "--d", "2", "--m", "2"],
+         "a7f23bb993dcf0470add15341f7b9352869963f294fd86b577c2997409854c5e"),
+        (["--kind", "2", "--d", "2", "--m", "2", "--s", "2", "--t", "2"],
+         "2b1beba671a697e672df79c360e2e1d55a2aaf24e31c86f6f2c6c9c72510ea25"),
+    ], ids=["pair", "blocks"])
+    def test_same_ensemble_gives_the_same_bytes(self, runner, tmp_path, args, digest):
+        # The README's pair.json and blocks.json, pinned by their sha256.
+        path = write_example(runner, tmp_path, args)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_diagnostics_printed(self, runner, tmp_path):
         path = tmp_path / "e.json"
@@ -448,6 +460,26 @@ def test_errors_exit_with_their_code(runner, tmp_path, ghz22_file, zero_prior_fi
     assert_fails(result, code)
     if "{negative}" in args:
         assert "probability-nonnegative" in result.output
+
+
+@pytest.mark.parametrize(
+    "target, args",
+    [
+        ("run_protocol", ["simulate", "{pair}", "--L", "3", "--x", "1", "--trials", "5"]),
+        ("load_ensemble", ["check", "{pair}"]),
+    ],
+    ids=["simulate", "check"],
+)
+def test_job_too_large_for_memory_exits_two(runner, ghz22_file, monkeypatch, target, args):
+    # Stands in for numpy's allocation error; a test never asks for the real allocation.
+    def too_large(*a, **kw):
+        raise MemoryError("Unable to allocate 2.18 TiB for an array with shape (100000000000, 3)")
+
+    monkeypatch.setattr(cli, target, too_large)
+    result = runner.invoke(main, [arg.format(pair=ghz22_file) for arg in args])
+    assert_fails(result, 2)
+    assert result.output.splitlines() == [
+        "error: Unable to allocate 2.18 TiB for an array with shape (100000000000, 3)"]
 
 
 @pytest.mark.parametrize(

@@ -21,14 +21,12 @@ from nlhide import (
     coarse_ensemble,
     ghz_complement_ensemble,
     ghz_state,
-    identity,
     max_bipartition_bound,
     optimal_global,
     parity_block_ensemble,
     partial_transpose,
     product_basis_strategy_value,
     q_upper,
-    zero,
 )
 
 from nlhide import discrimination
@@ -234,7 +232,7 @@ class TestQUpper:
 class TestPovmOptimality:
     def test_all_or_nothing_is_optimal_for_ghz22(self, ghz22):
         (bp,) = all_bipartitions(ghz22.parties)
-        povm = np.stack([identity(ghz22.slots).matrix, zero(ghz22.slots).matrix])
+        povm = np.stack([np.eye(4), np.zeros((4, 4))])
         check = check_povm_optimality(ghz22, bp, povm)
         assert check.passed
         assert min(check.residuals) >= -1e-12
@@ -259,14 +257,14 @@ class TestPovmOptimality:
             (projector(KET0, slots), projector(KET_PLUS, slots)),
         )
         (bp,) = all_bipartitions(e.parties)
-        povm = np.stack([identity(slots).matrix, zero(slots).matrix])
+        povm = np.stack([np.eye(2), np.zeros((2, 2))])
         check = check_povm_optimality(e, bp, povm)
         assert not check.passed
         assert min(check.residuals) == pytest.approx(-math.sqrt(2) / 4, abs=1e-12)
 
     def test_slot_mismatch_rejected(self, ghz22):
         (bp,) = all_bipartitions(ghz22.parties)
-        povm = np.stack([identity(QUBIT).matrix, zero(QUBIT).matrix])
+        povm = np.stack([np.eye(2), np.zeros((2, 2))])
         with pytest.raises(ValueError, match=r"shape \(2, 2, 2\) does not match .* \(2, 4, 4\)"):
             check_povm_optimality(ghz22, bp, povm)
 
@@ -274,9 +272,9 @@ class TestPovmOptimality:
         (bp,) = all_bipartitions(ghz22.parties)
         skewed = ghz22.states[1].matrix.copy()
         skewed[0, 1] += 0.25
-        states = (ghz22.states[0], ghz22.states[1].with_matrix(skewed))
+        states = (ghz22.states[0], MultiPartyOperator(skewed, ghz22.slots))
         e = Ensemble(ghz22.parties, ghz22.probs, states)
-        povm = np.stack([identity(e.slots).matrix, zero(e.slots).matrix])
+        povm = np.stack([np.eye(4), np.zeros((4, 4))])
         with pytest.raises(ContractViolationError, match="^operator is not Hermitian"):
             check_povm_optimality(e, bp, povm)
 
@@ -448,7 +446,8 @@ def _difference_ensemble(lowest):
     (bp,) = all_bipartitions(PartySet.of_size(2))
     # The transpose is an involution and the weight 1/2 halves 2D exactly.
     lead = partial_transpose(MultiPartyOperator(2 * d, slots), bp.side_a)
-    return Ensemble(PartySet.of_size(2), (0.5, 0.5), (lead, zero(slots))), d
+    zero = MultiPartyOperator(np.zeros((16, 16)), slots)
+    return Ensemble(PartySet.of_size(2), (0.5, 0.5), (lead, zero)), d
 
 
 class TestArrayDominance:

@@ -19,26 +19,28 @@ from nlhide import (
     coarse_ensemble,
     ghz_complement_ensemble,
     ghz_state,
-    hermitian_eigenvalues,
-    identity,
-    is_orthogonal,
     load_ensemble,
+    max_pairwise_overlap,
     parity_block_ensemble,
     parity_block_size_condition,
-    parity_blocks,
     partial_transpose,
     save_ensemble,
-    tensor,
-    tensor_power,
     validate,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlhide import ensembles
-from nlhide.ensembles import pairwise_overlaps
+from nlhide.ensembles import ORTHOGONALITY_TOL, pairwise_overlaps
 
-from oracles import load_by_document, random_density, saved_text_by_document, to_document
+from oracles import (
+    load_by_document,
+    parity_family_by_reflection,
+    random_density,
+    reflection_powers,
+    saved_text_by_document,
+    to_document,
+)
 
 
 def qubit_pair_state(vec):
@@ -154,16 +156,16 @@ class TestValidate:
 
 class TestIsOrthogonal:
     def test_computational_pair(self):
-        assert is_orthogonal(two_state(KET0, KET1))
+        assert max_pairwise_overlap(two_state(KET0, KET1)) <= ORTHOGONALITY_TOL
 
     def test_overlapping_pair(self):
         e = two_state(KET0, KET_PLUS)
-        assert not is_orthogonal(e)
+        assert max_pairwise_overlap(e) > ORTHOGONALITY_TOL
         overlap = np.trace(e.states[0].matrix @ e.states[1].matrix).real
         assert overlap == pytest.approx(0.5)
 
     def test_parity_family(self, parity2222):
-        assert is_orthogonal(parity2222)
+        assert max_pairwise_overlap(parity2222) <= ORTHOGONALITY_TOL
 
 
 class TestPairwiseOverlaps:
@@ -194,7 +196,7 @@ class TestGhzState:
     def test_qutrit_transpose_minimum(self):
         # Frozen from the eigendecomposition of the transposed projector.
         p = ghz_state(3, 2)
-        vals = hermitian_eigenvalues(partial_transpose(p, {"A1"}))
+        vals = np.linalg.eigvalsh(partial_transpose(p, {"A1"}).matrix)
         assert vals[0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
     def test_parameter_and_cap_errors(self):
@@ -215,7 +217,7 @@ class TestGhzComplementFamily:
 
     @pytest.mark.parametrize("d,m", [(2, 2), (2, 3), (3, 2)])
     def test_always_orthogonal(self, d, m):
-        assert is_orthogonal(ghz_complement_ensemble(d, m))
+        assert max_pairwise_overlap(ghz_complement_ensemble(d, m)) <= ORTHOGONALITY_TOL
 
     @pytest.mark.parametrize("d,m", [(2, 2), (2, 3), (3, 2)])
     def test_average_is_maximally_mixed(self, d, m):
@@ -241,7 +243,7 @@ class TestParityBlockFamily:
         assert parity2222.dim == 256
 
     def test_2222_block_weight(self):
-        lam0, lam1, _, _ = parity_blocks(2, 2, 2)
+        lam0, lam1 = parity_block_ensemble(ParityBlockParams(2, 2, 2, 1)).probs
         assert lam0 == pytest.approx(5 / 8)
         assert lam1 == pytest.approx(3 / 8)
 
@@ -263,17 +265,24 @@ class TestParityBlockFamily:
 
     @pytest.mark.parametrize("d,m,s", [(2, 2, 1), (2, 2, 2), (3, 2, 1)])
     def test_parity_decomposition_of_blocks(self, d, m, s):
-        # The weighted blocks are the half-sum and half-difference of the
-        # s-fold identity and the s-fold GHZ reflection.
-        lam0, lam1, sig0, sig1 = parity_blocks(d, m, s)
-        proj = ghz_state(d, m)
-        one = identity(proj.slots)
-        reflect = one.with_matrix(one.matrix - 2 * proj.matrix)
-        pi0 = tensor_power(one, s).matrix
-        pi1 = tensor_power(reflect, s).matrix
-        denom = 2 * d ** (m * s)
-        assert float(np.max(np.abs(lam0 * sig0.matrix - (pi0 + pi1) / denom))) <= 1e-12
-        assert float(np.max(np.abs(lam1 * sig1.matrix - (pi0 - pi1) / denom))) <= 1e-12
+        # The t = 1 family is the two blocks: the normalized sum and difference of
+        # the s-fold identity and the s-fold GHZ reflection, weighted by their
+        # normalizers over 2 d^{ms}.
+        e = parity_block_ensemble(ParityBlockParams(d, m, s, 1))
+        pi0, pi1 = reflection_powers(d, m, s)
+        plus = d ** (m * s) + (d**m - 2) ** s
+        minus = d ** (m * s) - (d**m - 2) ** s
+        assert e.probs == (plus / (2 * d ** (m * s)), minus / (2 * d ** (m * s)))
+        assert np.array_equal(e.stack[0], (pi0 + pi1) / plus)
+        assert np.array_equal(e.stack[1], (pi0 - pi1) / minus)
+
+    @pytest.mark.parametrize("params", [(2, 2, 1, 2), (2, 2, 2, 2), (2, 3, 1, 3), (3, 2, 1, 2),
+                                        (2, 2, 3, 1), (2, 2, 1, 3)])
+    def test_bit_identical_to_the_reflection_construction(self, params):
+        e = parity_block_ensemble(ParityBlockParams(*params))
+        probs, stack = parity_family_by_reflection(*params)
+        assert np.array_equal(e.stack, stack)
+        assert e.probs == probs
 
     @pytest.mark.parametrize("params", [ParityBlockParams(2, 2, 1, 2),
                                         ParityBlockParams(2, 2, 2, 2)])
@@ -283,10 +292,7 @@ class TestParityBlockFamily:
         # a trace check rules out any other normalization.
         d, m, s, t = params.d, params.m, params.s, params.t
         e = parity_block_ensemble(params)
-        proj = ghz_state(d, m)
-        one = identity(proj.slots)
-        reflect = one.with_matrix(one.matrix - 2 * proj.matrix)
-        blocks = (tensor_power(one, s), tensor_power(reflect, s))
+        blocks = reflection_powers(d, m, s)
         prefactor = (2.0 * d ** (m * s)) ** -t
         for i in range(e.n):
             digits = [(i >> (k - 1)) & 1 for k in range(1, t + 1)]
@@ -294,22 +300,23 @@ class TestParityBlockFamily:
             for bits in itertools.product((0, 1), repeat=t):
                 term = blocks[bits[0]]
                 for b in bits[1:]:
-                    term = tensor(term, blocks[b])
+                    term = np.kron(term, blocks[b])
                 sign = (-1) ** sum(a * b for a, b in zip(bits, digits))
-                total += sign * term.matrix
+                total += sign * term
             got = e.probs[i] * e.states[i].matrix
+            # Weights and blocks are rounded quotients: equal to round-off, not bit for bit.
             assert float(np.max(np.abs(got - prefactor * total))) <= 1e-12
 
     @pytest.mark.parametrize("d,m", [(2, 2), (2, 3)])
     def test_blocks_match_two_fold_coarse_graining(self, d, m):
         # The parity blocks at s = 2 are the modulo-2 coarse classes of a
         # 2-fold preparation from the two-state family.
-        lam0, lam1, sig0, sig1 = parity_blocks(d, m, 2)
+        blocks = parity_block_ensemble(ParityBlockParams(d, m, 2, 1))
         coarse = coarse_ensemble(FoldSpec(ghz_complement_ensemble(d, m), 2))
-        assert abs(coarse.probs[0] - lam0) <= 1e-12
-        assert abs(coarse.probs[1] - lam1) <= 1e-12
-        assert float(np.max(np.abs(coarse.states[0].matrix - sig0.matrix))) <= 1e-10
-        assert float(np.max(np.abs(coarse.states[1].matrix - sig1.matrix))) <= 1e-10
+        assert abs(coarse.probs[0] - blocks.probs[0]) <= 1e-12
+        assert abs(coarse.probs[1] - blocks.probs[1]) <= 1e-12
+        assert float(np.max(np.abs(coarse.stack[0] - blocks.stack[0]))) <= 1e-10
+        assert float(np.max(np.abs(coarse.stack[1] - blocks.stack[1]))) <= 1e-10
 
 
 class TestTransposedComplementDecomposition:
@@ -693,7 +700,7 @@ class TestWriter:
         for state in e.states:
             matrix = state.matrix.copy()
             matrix.reshape(-1).view(np.float64)[rng.integers(2 * e.dim ** 2, size=2)] = entry
-            states.append(state.with_matrix(matrix))
+            states.append(MultiPartyOperator(matrix, state.slots))
         probs = list(e.probs)
         probs[rng.integers(e.n)] = prob
         e = Ensemble(e.parties, tuple(probs), tuple(states))

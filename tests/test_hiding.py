@@ -184,7 +184,7 @@ class TestCheckHiding:
         e = ghz_basis_triple()
         skewed = e.states[1].matrix.copy()
         skewed[0, 1] += 0.06
-        states = (e.states[0], e.states[1].with_matrix(skewed), e.states[2])
+        states = (e.states[0], MultiPartyOperator(skewed, e.slots), e.states[2])
         with pytest.raises(ContractViolationError, match="^operator is not Hermitian"):
             check_hiding(Ensemble(e.parties, e.probs, states))
         with pytest.raises(ValueError, match="^weights must be nonnegative"):

@@ -9,15 +9,17 @@ from nlhide import (
     all_bipartitions,
     all_partitions,
     coarser_bipartitions,
-    is_coarser,
-    trivial_partition,
 )
 
-from oracles import bell_number, brute_force_bipartition_sides, brute_force_partitions
+from oracles import bell_number, brute_force_bipartition_sides, brute_force_partitions, is_coarser
 
 
 def parties(m):
     return PartySet.of_size(m)
+
+
+def trivial_partition(parties):
+    return Partition(parties, (parties.labels,))
 
 
 class TestPartySet:
@@ -92,6 +94,8 @@ class TestAllPartitions:
 
 
 class TestIsCoarser:
+    """The coarser-than oracle that the ``coarser_bipartitions`` tests check against."""
+
     def test_trivial_coarser_than_all(self):
         for p in all_partitions(parties(4)):
             assert is_coarser(trivial_partition(parties(4)), p)
@@ -153,6 +157,6 @@ class TestCoarserBipartitions:
         x = everything[data.draw(st.integers(0, len(everything) - 1))]
         out = coarser_bipartitions(x)
         assert out
-        assert len(out) == 2 ** (x.block_count - 1) - 1
+        assert len(out) == 2 ** (len(x.blocks) - 1) - 1
         for bp in out:
             assert is_coarser(bp.as_partition(), x)
