@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .ensembles import Ensemble
-from .partitions import Bipartition, all_bipartitions
+from .partitions import Bipartition, _by_name, all_bipartitions
 from .tensor import (_blocks, _components, _eigenvalues, _factor_bound, _hermitian,
                      _partial_transpose, _psd, _support, hermitian_part)
 
@@ -41,7 +41,7 @@ DEFAULT_MAX_ITERATIONS = 100_000
 _CHECK_EVERY = 25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscriminationResult:
     """Primal/dual pair with the POVM that realizes the primal value.
 
@@ -407,6 +407,8 @@ def max_bipartition_bound(
     hands the cut to the solver, with the whole transposed stack, which its own
     input guard checks once more.
     Numerical failures (``LinAlgError``) are collected per cut, for a partial table.
+    The table is keyed by each cut's name; two cuts that share one (labels ``a, b,
+    c, bc`` name both ``abc|bc``) raise ``ValueError`` before any cut is decided.
     """
     w, gammas = _validate_inputs(e.probs, e.stack)
     # Transposition only moves entries, so the pattern of the transposed stack is
@@ -415,8 +417,7 @@ def max_bipartition_bound(
     results: dict[str, DiscriminationResult] = {}
     failures: dict[str, str] = {}
     side: frozenset[str] = frozenset()  # the side ``gammas`` is transposed on
-    for bp in all_bipartitions(e.parties):
-        key = bp.to_string()
+    for key, bp in _by_name(all_bipartitions(e.parties)).items():
         # Transposed on the last side, then on (last ^ this), the stack is transposed on this.
         flip = side ^ set(bp.side_a)
         _partial_transpose(gammas, e.slots, flip, out=gammas)

@@ -48,7 +48,7 @@ class InvalidEnsembleError(ValueError):
         super().__init__(f"invalid ensemble: {lines}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Probabilities ``probs[i]`` paired with states ``states[i]``.
 
@@ -63,7 +63,7 @@ class Ensemble:
     parties: PartySet
     probs: tuple[float, ...]
     states: tuple[MultiPartyOperator, ...]
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         states = tuple(self.states)

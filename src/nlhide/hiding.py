@@ -36,7 +36,7 @@ from .ensembles import ORTHOGONALITY_TOL, Ensemble, max_pairwise_overlap
 from .folding import (
     FoldSpec, _check_cap, _coarse_states, _convolve, fold_bound, fold_probs, mod_sum,
 )
-from .partitions import all_partitions, coarser_bipartitions
+from .partitions import _by_name, all_partitions, coarser_bipartitions
 from .tensor import (
     DEFAULT_DIM_CAP,
     MultiPartyOperator,
@@ -215,7 +215,7 @@ def min_folds(e: Ensemble | HidingReport, epsilon: float) -> int:
     return _fold_count_for(report.n, report.max_q, epsilon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemeConfig:
     """Parameters of one hiding scheme instance.
 
@@ -359,7 +359,7 @@ def class_measurement(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> list[np.nda
     return [rest] + projectors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectEncoding:
     """Descriptor of a directly encoded datum plus the recovery check."""
 
@@ -409,40 +409,35 @@ class CoalitionRow(NamedTuple):
     kind: str
 
 
-def coalition_report(
-    e: Ensemble,
-    L: int,
-    report: HidingReport | None = None,
-    force: bool = False,
-) -> list[CoalitionRow]:
+def coalition_report(e: Ensemble, L: int, force: bool = False) -> list[CoalitionRow]:
     """Guessing bound per nontrivial coalition partition after ``L`` folds.
 
     Each partition inherits the best (smallest) :meth:`HidingReport.bound`
-    among the bipartitions coarser than it.  When the report is
-    :attr:`~HidingReport.exact` (two states, dominance on every cut, so every
-    cut's q is the pivot weight) the value is the dominant coarse class
-    probability and reported as such.  The trivial partition is the recovery
-    side and excluded.
+    among the bipartitions coarser than it, in :func:`check_hiding`'s report of
+    ``e``.  When the report is :attr:`~HidingReport.exact` (two states, dominance
+    on every cut, so every cut's q is the pivot weight) the value is the dominant
+    coarse class probability and reported as such.  The trivial partition is the
+    recovery side and excluded.  Too many parties for ``all_partitions``, or two
+    partitions that share a name, raise ``ValueError`` before the report is made.
     """
     if L < 1:
         raise ValueError(f"fold count must be >= 1, got {L}")
-    partitions = all_partitions(e.parties)  # before any report: too many parties fail fast
-    if report is None:
-        report = check_hiding(e)
+    partitions = _by_name(all_partitions(e.parties))
+    report = check_hiding(e)
     report.require_admissible(force)
 
     kind = "exact" if report.exact else "bound"
     rows: list[CoalitionRow] = []
-    for partition in partitions:
+    for name, partition in partitions.items():
         if partition.is_trivial:
             continue
         cuts = [key for key in (bp.to_string() for bp in coarser_bipartitions(partition))
                 if key in report.q_values]
         if not cuts:
-            rows.append(CoalitionRow(partition.to_string(), L, float("nan"), "unavailable"))
+            rows.append(CoalitionRow(name, L, float("nan"), "unavailable"))
             continue
         value = min(report.bound(L, cut) for cut in cuts)
-        rows.append(CoalitionRow(partition.to_string(), L, value, kind))
+        rows.append(CoalitionRow(name, L, value, kind))
     return rows
 
 

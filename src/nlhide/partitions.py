@@ -1,16 +1,16 @@
 """Party sets, set partitions, and the bipartitions of a party set or coarser than a partition.
 
 Every discrimination bound is indexed by a bipartition of the party set, and
-coalition analysis walks the full partition lattice.  Partitions are kept in a
-canonical form (blocks ordered by their least party index, parties inside a
-block in party-set order) so enumeration output is stable and duplicates are
-impossible.
+coalition analysis walks the full partition lattice.  A bipartition is a
+two-block :class:`Partition`.  Partitions are kept in a canonical form (blocks
+ordered by their least party index, parties inside a block in party-set order)
+so enumeration output is stable and duplicates are impossible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 MAX_PARTITION_PARTIES = 10
 
@@ -44,18 +44,18 @@ def _canonical_blocks(
     seen: set[str] = set()
     cooked: list[tuple[str, ...]] = []
     for block in blocks:
-        members = tuple(sorted(set(block), key=lambda x: order[x]))
+        members = set(block)
         if not members:
             raise ValueError("partition blocks must be nonempty")
-        for label in members:
-            if label not in order:
-                raise ValueError(f"unknown party {label!r}")
-            if label in seen:
-                raise ValueError(f"party {label!r} appears in more than one block")
-            seen.add(label)
-        cooked.append(members)
-    if seen != set(parties.labels):
-        missing = sorted(set(parties.labels) - seen, key=lambda x: order[x])
+        if not members <= order.keys():
+            raise ValueError(f"unknown party {min(members - order.keys())!r}")
+        if members & seen:
+            shared = min(members & seen, key=order.__getitem__)
+            raise ValueError(f"party {shared!r} appears in more than one block")
+        seen |= members
+        cooked.append(tuple(sorted(members, key=order.__getitem__)))
+    if len(seen) != len(order):
+        missing = [label for label in parties.labels if label not in seen]
         raise ValueError(f"blocks do not cover the party set, missing {missing}")
     cooked.sort(key=lambda b: order[b[0]])
     return tuple(cooked)
@@ -79,82 +79,66 @@ class Partition:
         return "|".join("".join(block) for block in self.blocks)
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """A two-block partition; ``side_a`` is the block containing the first party."""
+class Bipartition(Partition):
+    """A two-block partition.  ``side_a`` (the block holding the first party) and
+    ``side_b`` are read-only views of ``blocks``, which are canonicalized once."""
 
-    parties: PartySet
-    side_a: tuple[str, ...]
-    side_b: tuple[str, ...]
-
-    def __post_init__(self):
-        blocks = _canonical_blocks(self.parties, (self.side_a, self.side_b))
-        if len(blocks) != 2:
-            raise ValueError("a bipartition needs exactly two nonempty blocks")
-        object.__setattr__(self, "side_a", blocks[0])
-        object.__setattr__(self, "side_b", blocks[1])
+    def __init__(self, parties: PartySet, side_a: Iterable[str], side_b: Iterable[str]):
+        super().__init__(parties, (side_a, side_b))
 
     @classmethod
     def from_side(cls, parties: PartySet, side: Iterable[str]) -> "Bipartition":
-        side_set = set(side)
-        other = tuple(x for x in parties.labels if x not in side_set)
-        own = tuple(x for x in parties.labels if x in side_set)
-        return cls(parties, own, other)
+        own = set(side)
+        return cls(parties, own, [x for x in parties.labels if x not in own])
 
-    def as_partition(self) -> Partition:
-        return Partition(self.parties, (self.side_a, self.side_b))
+    @property
+    def side_a(self) -> tuple[str, ...]:
+        return self.blocks[0]
 
-    def to_string(self) -> str:
-        return self.as_partition().to_string()
+    @property
+    def side_b(self) -> tuple[str, ...]:
+        return self.blocks[1]
+
+
+def _by_name(partitions: Iterable[Partition]) -> dict[str, Partition]:
+    """The partitions keyed by ``to_string``, in order; two that share a name raise."""
+    named: dict[str, Partition] = {}
+    for x in partitions:
+        key = x.to_string()
+        if key in named:
+            a, b = (" | ".join(",".join(block) for block in y.blocks) for y in (named[key], x))
+            raise ValueError(f"the cuts {a} and {b} share the name {key!r}: relabel the parties")
+        named[key] = x
+    return named
 
 
 def all_bipartitions(parties: PartySet) -> list[Bipartition]:
-    """All ``2**(m-1) - 1`` bipartitions, canonical and duplicate-free.
-
-    Enumerated by the subset of the remaining parties joined to the first
-    party, so the output order is stable.
-    """
-    first, rest = parties.labels[0], parties.labels[1:]
-    out: list[Bipartition] = []
-    for mask in range(2 ** len(rest) - 1):
-        side_a = [first] + [p for k, p in enumerate(rest) if mask >> k & 1]
-        out.append(Bipartition.from_side(parties, side_a))
-    return out
-
-
-def _restricted_growth_strings(m: int) -> Iterator[list[int]]:
-    # a[0] = 0 and a[i] <= max(a[:i]) + 1; one string per set partition.
-    string = [0] * m
-
-    def rec(i: int, top: int) -> Iterator[list[int]]:
-        if i == m:
-            yield string
-            return
-        for value in range(top + 2):
-            string[i] = value
-            yield from rec(i + 1, max(top, value))
-
-    yield from rec(1, 0)
+    """All ``2**(m-1) - 1`` bipartitions: those coarser than the finest partition,
+    in :func:`coarser_bipartitions`' order."""
+    return coarser_bipartitions(Partition(parties, tuple((x,) for x in parties.labels)))
 
 
 def all_partitions(parties: PartySet) -> list[Partition]:
-    """All set partitions of the party set (Bell-number many).
+    """All set partitions of the party set (Bell-number many), canonical and in order.
 
-    Guarded for ``m <= MAX_PARTITION_PARTIES`` since the count grows
+    Built label by label: each partition of the first labels puts the next
+    label into its block ``k``, for ``k`` in order, or else opens a new last
+    block.  Guarded for ``m <= MAX_PARTITION_PARTIES`` since the count grows
     super-exponentially.
     """
-    m = len(parties)
-    if m > MAX_PARTITION_PARTIES:
-        raise ValueError(
-            f"refusing to enumerate partitions of {m} parties (guard is {MAX_PARTITION_PARTIES})"
-        )
-    out: list[Partition] = []
-    for string in _restricted_growth_strings(m):
-        blocks: list[list[str]] = [[] for _ in range(max(string) + 1)]
-        for label, block_index in zip(parties.labels, string):
-            blocks[block_index].append(label)
-        out.append(Partition(parties, tuple(tuple(b) for b in blocks)))
-    return out
+    if len(parties) > MAX_PARTITION_PARTIES:
+        raise ValueError(f"refusing to enumerate partitions of {len(parties)} parties "
+                         f"(guard is {MAX_PARTITION_PARTIES})")
+    first, *rest = parties.labels
+    grown = [((first,),)]
+    for label in rest:
+        grown = [
+            blocks[:k] + (blocks[k] + (label,),) + blocks[k + 1:]
+            if k < len(blocks) else blocks + ((label,),)
+            for blocks in grown
+            for k in range(len(blocks) + 1)
+        ]
+    return [Partition(parties, blocks) for blocks in grown]
 
 
 def coarser_bipartitions(x: Partition) -> list[Bipartition]:
@@ -165,12 +149,7 @@ def coarser_bipartitions(x: Partition) -> list[Bipartition]:
     """
     if x.is_trivial:
         raise ValueError("the trivial partition has no coarser bipartition")
-    first_block, rest = x.blocks[0], x.blocks[1:]
-    out: list[Bipartition] = []
-    for mask in range(2 ** len(rest) - 1):
-        side_a = list(first_block)
-        for k, block in enumerate(rest):
-            if mask >> k & 1:
-                side_a.extend(block)
-        out.append(Bipartition.from_side(x.parties, side_a))
-    return out
+    first, rest = x.blocks[0], x.blocks[1:]
+    sides = (sum((block for k, block in enumerate(rest) if mask >> k & 1), first)
+             for mask in range(2 ** len(rest) - 1))
+    return [Bipartition.from_side(x.parties, side) for side in sides]

@@ -111,7 +111,7 @@ def _frozen_matrix(mat: np.ndarray, slots: SlotStructure) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiPartyOperator:
     """A dense complex square matrix annotated with a slot structure.
 

@@ -55,3 +55,15 @@ def eleven_parties():
         MultiPartyOperator(np.diag(d).astype(complex), slots) for d in ([1.0, 0.0], [0.0, 1.0])
     )
     return Ensemble(PartySet.of_size(11), (0.5, 0.5), states)
+
+
+@pytest.fixture(scope="session")
+def colliding_labels():
+    """GHZ-complement (2,3) with a fourth qubit in |0> on each state, the four slots
+    owned by parties ``a, b, c, bc``: the cuts ``a,b,c | bc`` (q = 1) and
+    ``a,bc | b,c`` (q = 0.875) are both named ``abc|bc``."""
+    base = ghz_complement_ensemble(2, 3)
+    slots = SlotStructure((2, 2, 2, 2), ("a", "b", "c", "bc"))
+    zero = np.diag([1.0, 0.0])
+    states = tuple(MultiPartyOperator(np.kron(s.matrix, zero), slots) for s in base.states)
+    return Ensemble(PartySet(("a", "b", "c", "bc")), base.probs, states)

@@ -217,6 +217,15 @@ class TestCheckCommand:
         assert_fails(result, 2)
         assert "schema: party_of_slot entries must be integers in 0..1, got -1" in result.output
 
+    @pytest.mark.parametrize("command", [["check"], ["coalition", "--L", "1"]])
+    def test_colliding_cut_names_exit_two(self, runner, tmp_path, colliding_labels, command):
+        path = tmp_path / "collide.json"
+        save_ensemble(colliding_labels, str(path))
+        result = runner.invoke(main, [command[0], str(path), *command[1:]])
+        assert_fails(result, 2)
+        (line,) = result.output.splitlines()
+        assert line.startswith("error:") and "'abc|bc'" in line
+
     def test_leading_zero_number_exits_two(self, runner, tmp_path, ghz22_file):
         text = ghz22_file.read_text(encoding="utf-8")
         bad = tmp_path / "leading-zero.json"

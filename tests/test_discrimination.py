@@ -155,6 +155,22 @@ class TestOptimalGlobal:
         assert not result.povm.flags.writeable
         assert_valid_povm(result.povm)
 
+    def test_damped_iteration_certifies(self):
+        # Four nearly parallel pure states in dimension 16, each mixed with 1% of
+        # white noise: the primal value stalls at iteration 1675, so the damped
+        # update runs until the run is certified at iteration 1975.  Without the
+        # noise, round-off in the states moves both iterations, and the returned
+        # elements can miss positivity by 1e-6.
+        rng = np.random.default_rng(13)
+        base = rng.normal(size=16) + 1j * rng.normal(size=16)
+        vecs = base + 0.01 * (rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16)))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        states = [0.99 * ket(v) + 0.01 * np.eye(16) / 16 for v in vecs]
+        result = optimal_global(rng.dirichlet(np.ones(4)), states)
+        assert result.certified
+        assert result.gap <= 1e-8
+        assert_valid_povm(result.povm)
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
             optimal_global([-0.1, 1.1], [ket(KET0), ket(KET1)])
@@ -323,6 +339,14 @@ class TestBipartitionScan:
         assert len(scan.results) == 3
         for result in scan.results.values():
             assert result.dual_value == pytest.approx(7 / 8, abs=1e-8)
+
+    def test_colliding_cut_names_raise(self, colliding_labels):
+        # The coalition {a, b, c} reads the datum with certainty, and the other cut
+        # named abc|bc has q = 0.875: a table keyed by name would keep only one.
+        readable = Bipartition(colliding_labels.parties, ("a", "b", "c"), ("bc",))
+        assert q_upper(colliding_labels, readable).dual_value == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match=r"a,b,c \| bc and a,bc \| b,c share .*'abc\|bc'"):
+            max_bipartition_bound(colliding_labels)
 
     def test_parity2222(self, parity2222):
         scan = max_bipartition_bound(parity2222)

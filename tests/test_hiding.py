@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -27,6 +28,7 @@ from nlhide import (
     fold_probs,
     ghz_complement_ensemble,
     min_folds,
+    optimal_global,
     run_protocol,
     sampling_crosscheck,
     transcripts_to_jsonl,
@@ -630,6 +632,14 @@ class TestCoalitionReport:
         with pytest.raises(ValueError, match="parties"):
             coalition_report(eleven_parties, 1, force=True)
 
+    def test_colliding_partition_names_raise_before_the_report(self, colliding_labels, monkeypatch):
+        def no_report(*args, **kwargs):
+            raise AssertionError("check_hiding ran before the name check")
+
+        monkeypatch.setattr(hiding, "check_hiding", no_report)
+        with pytest.raises(ValueError, match=r"share the name 'abc\|bc'"):
+            coalition_report(colliding_labels, 1)
+
     def test_seven_party_table(self):
         rows = coalition_report(ghz_complement_ensemble(2, 7), 1)
         assert len(rows) == bell_number(7) - 1 == 876
@@ -637,9 +647,11 @@ class TestCoalitionReport:
 
 
 def _assert_matches_call_sites(e, report, lmax):
-    """Coalition rows and the bounds CSV equal the per-call-site curve math."""
+    """Coalition rows and the bounds CSV equal the per-call-site curve math.
+
+    ``report`` is ``check_hiding(e)``, the report ``coalition_report`` makes."""
     for L in range(1, lmax + 1):
-        rows = coalition_report(e, L, report=report, force=True)
+        rows = coalition_report(e, L, force=True)
         assert rows == coalition_rows_two_branch(e, L, report)
         assert report.bound(L) == max(report.bound(L, cut) for cut in report.q_values)
     for L, line in enumerate(bounds_rows_by_loop(report, lmax)[1:], start=1):
@@ -665,8 +677,28 @@ class TestReportBound:
             label="slot_dims",
         )
         e = random_orthogonal_ensemble(np.random.default_rng(seed), n, tuple(dims))
-        report = check_hiding(e, max_iterations=25)
+        report = check_hiding(e)
         _assert_matches_call_sites(e, report, data.draw(st.integers(1, 6), label="L"))
+
+
+class TestIdentity:
+    """The array-holding records compare and hash by identity, without raising."""
+
+    def test_equality_and_hash(self, ghz22):
+        closed = optimal_global([0.5, 0.5], ghz22.stack)
+        config = SchemeConfig.create(ghz22, 2)
+        pairs = [
+            (ghz22, ghz_complement_ensemble(2, 2)),
+            (ghz22.states[0], MultiPartyOperator(ghz22.states[0].matrix, ghz22.slots)),
+            (closed, optimal_global([0.5, 0.5], ghz22.stack)),
+            (direct_encode(config, 0), direct_encode(config, 0)),
+            (config, SchemeConfig.create(ghz22, 2)),
+        ]
+        for a, b in pairs:
+            assert a == a and a != b
+            assert len({a, b, a}) == 2
+        assert FoldSpec(ghz22, 2) == FoldSpec(ghz22, 2) != FoldSpec(ghz_complement_ensemble(2, 2), 2)
+        assert config == config != dataclasses.replace(config)
 
 
 class TestSamplingCrosscheck:

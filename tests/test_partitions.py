@@ -44,6 +44,18 @@ class TestCanonicalForm:
         assert bp.side_b == ("A2", "A3")
         assert bp.to_string() == "A1|A2A3"
 
+    def test_bipartition_is_a_two_block_partition(self):
+        bp = Bipartition(parties(3), ("A3",), ("A2", "A1"))
+        assert isinstance(bp, Partition)
+        assert bp.blocks == (bp.side_a, bp.side_b) == (("A1", "A2"), ("A3",))
+        assert repr(bp) == f"Bipartition(parties={parties(3)!r}, blocks={bp.blocks!r})"
+        with pytest.raises(AttributeError):
+            bp.side_a = ("A3",)
+
+    def test_rejects_unknown_party(self):
+        with pytest.raises(ValueError, match="unknown party 'A9'"):
+            Bipartition.from_side(parties(3), {"A1", "A9"})
+
     def test_rejects_overlapping_blocks(self):
         with pytest.raises(ValueError):
             Partition(parties(3), (("A1", "A2"), ("A2", "A3")))
@@ -61,6 +73,21 @@ class TestAllBipartitions:
     def test_m2_single(self):
         (bp,) = all_bipartitions(parties(2))
         assert bp.to_string() == "A1|A2"
+
+    @pytest.mark.parametrize("m", [2, 5, 8])
+    def test_every_cut_is_a_two_block_partition(self, m):
+        cuts = all_bipartitions(parties(m))
+        assert all(isinstance(bp, Partition) and len(bp.blocks) == 2 for bp in cuts)
+
+    def test_order_of_four_parties(self):
+        assert [bp.to_string() for bp in all_bipartitions(parties(4))] == [
+            "A1|A2A3A4", "A1A2|A3A4", "A1A3|A2A4", "A1A2A3|A4",
+            "A1A4|A2A3", "A1A2A4|A3", "A1A3A4|A2",
+        ]
+
+    def test_default_labels_give_distinct_cut_names(self):
+        names = {bp.to_string() for bp in all_bipartitions(PartySet.of_size(11))}
+        assert len(names) == 2**10 - 1 == 1023
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_matches_two_coloring_oracle(self, m):
@@ -83,6 +110,25 @@ class TestAllPartitions:
         }
         assert got == want
         assert len(got) == bell_number(m)
+
+    def test_fifteen_partitions_of_four_parties_in_order(self):
+        assert [p.blocks for p in all_partitions(parties(4))] == [
+            (("A1", "A2", "A3", "A4"),),
+            (("A1", "A2", "A3"), ("A4",)),
+            (("A1", "A2", "A4"), ("A3",)),
+            (("A1", "A2"), ("A3", "A4")),
+            (("A1", "A2"), ("A3",), ("A4",)),
+            (("A1", "A3", "A4"), ("A2",)),
+            (("A1", "A3"), ("A2", "A4")),
+            (("A1", "A3"), ("A2",), ("A4",)),
+            (("A1", "A4"), ("A2", "A3")),
+            (("A1",), ("A2", "A3", "A4")),
+            (("A1",), ("A2", "A3"), ("A4",)),
+            (("A1", "A4"), ("A2",), ("A3",)),
+            (("A1",), ("A2", "A4"), ("A3",)),
+            (("A1",), ("A2",), ("A3", "A4")),
+            (("A1",), ("A2",), ("A3",), ("A4",)),
+        ]
 
     def test_trivial_included_once(self):
         out = [p for p in all_partitions(parties(4)) if p.is_trivial]
@@ -144,7 +190,7 @@ class TestCoarserBipartitions:
         out = coarser_bipartitions(x)
         assert len(out) == 3  # 2-colorings of three blocks
         for bp in out:
-            assert is_coarser(bp.as_partition(), x)
+            assert is_coarser(bp, x)
 
     def test_trivial_partition_rejected(self):
         with pytest.raises(ValueError, match="no coarser bipartition"):
@@ -159,4 +205,4 @@ class TestCoarserBipartitions:
         assert out
         assert len(out) == 2 ** (len(x.blocks) - 1) - 1
         for bp in out:
-            assert is_coarser(bp.as_partition(), x)
+            assert is_coarser(bp, x)
