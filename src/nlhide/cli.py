@@ -175,14 +175,20 @@ def _report_lines(report: HidingReport) -> list[str]:
     return lines
 
 
+def _solver_options(command):
+    """``--tol`` and ``--max-iterations`` of the solver, for a command that runs it."""
+    budget = click.option("--max-iterations", type=click.IntRange(min=0), default=100_000,
+                          show_default=True, help="Solver iteration budget per bipartition.")
+    tol = click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-8,
+                       show_default=True, help="Solver certification tolerance (> 0).")
+    return tol(budget(command))
+
+
 @main.command()
 @click.argument("input_path", type=click.Path(exists=False, dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
-@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-8,
-              show_default=True, help="Solver certification tolerance (> 0).")
-@click.option("--max-iterations", type=click.IntRange(min=0), default=100_000,
-              show_default=True, help="Solver iteration budget per bipartition.")
+@_solver_options
 def check(input_path: str, fmt: str, tol: float, max_iterations: int) -> int:
     """Admissibility report for an ensemble file."""
     ensemble = _load(input_path)
@@ -202,10 +208,12 @@ def check(input_path: str, fmt: str, tol: float, max_iterations: int) -> int:
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
               help="CSV destination (stdout when omitted).")
 @click.option("--force", is_flag=True, help="Tabulate even when inadmissible.")
-def bounds(input_path: str, lmax: int, output: str | None, force: bool) -> None:
+@_solver_options
+def bounds(input_path: str, lmax: int, output: str | None, force: bool, tol: float,
+           max_iterations: int) -> None:
     """Fold-count bound curve (and the exact two-state curve when available)."""
     ensemble = _load(input_path)
-    report = check_hiding(ensemble)
+    report = check_hiding(ensemble, tol=tol, max_iterations=max_iterations)
     report.require_admissible(force)
     rows = ["L,bound,exact"]
     for L in range(1, lmax + 1):
@@ -309,10 +317,12 @@ def fold(ctx: click.Context, input_path: str, folds: int, uniform: bool, output:
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
               help="CSV destination (stdout when omitted).")
 @click.option("--force", is_flag=True, help="Tabulate even when inadmissible.")
-def coalition(input_path: str, folds: int, output: str | None, force: bool) -> None:
+@_solver_options
+def coalition(input_path: str, folds: int, output: str | None, force: bool, tol: float,
+              max_iterations: int) -> None:
     """Per-coalition guessing bound table after L folds."""
     lines = ["partition,L,bound_or_exact,kind"]
-    for row in coalition_report(_load(input_path), folds, force=force):
+    for row in coalition_report(_load(input_path), folds, force, tol, max_iterations):
         lines.append(f"{row.partition},{row.L},{_fmt(row.value)},{row.kind}")
     _emit("\n".join(lines) + "\n", output)
 

@@ -409,21 +409,23 @@ class CoalitionRow(NamedTuple):
     kind: str
 
 
-def coalition_report(e: Ensemble, L: int, force: bool = False) -> list[CoalitionRow]:
+def coalition_report(e: Ensemble, L: int, force: bool = False, tol: float = DEFAULT_SOLVER_TOL,
+                     max_iterations: int = DEFAULT_MAX_ITERATIONS) -> list[CoalitionRow]:
     """Guessing bound per nontrivial coalition partition after ``L`` folds.
 
     Each partition inherits the best (smallest) :meth:`HidingReport.bound`
     among the bipartitions coarser than it, in :func:`check_hiding`'s report of
-    ``e``.  When the report is :attr:`~HidingReport.exact` (two states, dominance
-    on every cut, so every cut's q is the pivot weight) the value is the dominant
-    coarse class probability and reported as such.  The trivial partition is the
+    ``e``, whose solver runs with ``tol`` and ``max_iterations``.  When the report
+    is :attr:`~HidingReport.exact` (two states, dominance on every cut, so every
+    cut's q is the pivot weight) the value is the dominant coarse class
+    probability and reported as such.  The trivial partition is the
     recovery side and excluded.  Too many parties for ``all_partitions``, or two
     partitions that share a name, raise ``ValueError`` before the report is made.
     """
     if L < 1:
         raise ValueError(f"fold count must be >= 1, got {L}")
     partitions = _by_name(all_partitions(e.parties))
-    report = check_hiding(e)
+    report = check_hiding(e, tol=tol, max_iterations=max_iterations)
     report.require_admissible(force)
 
     kind = "exact" if report.exact else "bound"

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from nlhide.cli import _fmt
-from nlhide.discrimination import _CHECK_EVERY, DominanceCheck, _pinv_sqrt
+from nlhide.discrimination import _CHECK_EVERY, DominanceCheck
 from nlhide.ensembles import Ensemble, _document_error, from_document
 from nlhide.folding import DegenerateClassError, FoldSpec, fold_bound, mod_sum
 from nlhide.hiding import CoalitionRow, HidingReport
@@ -429,11 +429,24 @@ def dual_feasibility_margin(dual_op: np.ndarray, weights, mats) -> float:
 # fixed-point solver, one member at a time
 # ---------------------------------------------------------------------------
 
-# The list-based solver that the stacked ``(n, dim, dim)`` implementation in
-# ``nlhide.discrimination`` replaced, kept unchanged as its differential
-# reference: one Python-level matrix product chain and one eigensolve per
-# member.  It shares only ``_pinv_sqrt``, ``_CHECK_EVERY`` and
-# ``hermitian_part`` with the code under test.
+# The damped fixed-point iteration on the elements themselves, one member at a
+# time, kept as the differential reference of the factored, extrapolated solver
+# in ``nlhide.discrimination``: one Python-level matrix product chain and one
+# eigensolve per member, with the identity-lift dual only.  It shares only
+# ``_CHECK_EVERY`` and ``hermitian_part`` with the code under test.
+
+
+def _pinv_sqrt(mat: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(hermitian_part(mat))
+    cutoff = max(float(vals[-1]), 0.0) * 1e-14
+    inv = np.where(vals > cutoff, np.abs(vals) ** -0.5, 0.0)
+    return (vecs * inv) @ vecs.conj().T
+
+
+def positive_part(mat: np.ndarray) -> np.ndarray:
+    """``(A)_+``: the Hermitian matrix ``A`` with its negative eigenvalues set to zero."""
+    vals, vecs = np.linalg.eigh(mat)
+    return (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
 
 
 def _min_eig(mat: np.ndarray) -> float:

@@ -70,6 +70,29 @@ def bad_herm_file(tmp_path, ghz22_file):
     return path
 
 
+def assert_solver_options(runner, monkeypatch, args):
+    """``args``, a command on a file, takes ``--tol`` and ``--max-iterations`` in
+    ``check``'s ranges (else exit 2, naming the option) and hands both to the one
+    ``check_hiding`` call behind its report."""
+    calls = []
+    real = hiding.check_hiding
+
+    def recording(e, tol, max_iterations):
+        calls.append((tol, max_iterations))
+        return real(e, tol=tol, max_iterations=max_iterations)
+
+    monkeypatch.setattr(hiding, "check_hiding", recording)
+    monkeypatch.setattr(cli, "check_hiding", recording)
+    for flags in (["--tol", "0"], ["--max-iterations", "-3"]):
+        result = runner.invoke(main, [*args, *flags])
+        assert result.exit_code == 2
+        assert flags[0] in result.output
+    assert calls == []
+    result = runner.invoke(main, [*args, "--tol", "1e-6", "--max-iterations", "7"])
+    assert result.exit_code == 0, result.output
+    assert calls == [(1e-6, 7)]
+
+
 def assert_fails(result, code):
     """Exit ``code`` with an ``error:`` line, through ``sys.exit``: an escaped
     exception (a traceback outside the test runner) lands in ``result.exception``."""
@@ -287,6 +310,10 @@ class TestBoundsCommand:
         assert [line.split(",")[1] for line in forced.output.splitlines()[1:]] == ["1"] * 3
 
 
+    def test_solver_options(self, runner, monkeypatch, ghz22_file):
+        assert_solver_options(runner, monkeypatch, ["bounds", str(ghz22_file), "--lmax", "2"])
+
+
 class TestSimulateCommand:
     def test_summary_and_determinism(self, runner, ghz22_file, tmp_path):
         args = [
@@ -431,6 +458,9 @@ class TestCoalitionCommand:
     def test_inadmissible_exits_one(self, runner, parity2212_file):
         result = runner.invoke(main, ["coalition", str(parity2212_file), "--L", "2"])
         assert_fails(result, 1)
+
+    def test_solver_options(self, runner, monkeypatch, ghz22_file):
+        assert_solver_options(runner, monkeypatch, ["coalition", str(ghz22_file), "--L", "2"])
 
     def test_too_many_parties_exits_two(self, runner, tmp_path, eleven_parties):
         path = tmp_path / "eleven.json"
