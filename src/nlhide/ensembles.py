@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
-from typing import IO, Callable, NamedTuple
+from typing import IO, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -343,14 +343,15 @@ def parity_block_size_condition(params: ParityBlockParams) -> SizeCondition:
 
 _REQUIRED_KEYS = ("parties", "slot_dims", "party_of_slot", "probs", "states")
 
-#: Each JSON number character becomes "0"; JSON whitespace is dropped.
-_NUMBER_MARKS = str.maketrans("0123456789.eE+-", "0" * 15, " \t\n\r")
-_NO_MARKS = str.maketrans("", "", "0")
-_NO_BRACKETS = str.maketrans("", "", "[]")
 _STATES_KEY = re.compile(r'"states"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
-_SPACE = re.compile(r"[ \t\n\r]*")
-#: The close of a row's last entry and of the row.
-_ROW_END = re.compile(r"\][ \t\n\r]*\]")
+_SPACES = " \t\n\r"
+_NO_SPACES = str.maketrans("", "", _SPACES)
+#: A number character, JSON whitespace, a number character: never JSON, since
+#: numbers in an array are separated by commas.
+_SPLIT_NUMBER = re.compile(r"[0-9.eE+-][ \t\n\r]+[0-9.eE+-]")
+_NUMBER_CHARS = b"0123456789.eE+-"
+#: The most numbers the codec tokenizes at once; a block is whole rows, one at least.
+_BLOCK_NUMBERS = 2**15
 
 
 class _NotPlainStates(Exception):
@@ -369,14 +370,79 @@ def _pairs_to_matrix(raw) -> np.ndarray:
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
 
 
-def _matrix_text(matrix: np.ndarray) -> str:
-    """The JSON text of a C-ordered complex matrix as rows of ``[re, im]`` pairs:
-    one flat ``json.dumps`` per row, with the pair brackets put back in."""
-    rows = []
-    for row in matrix:
-        numbers = iter(json.dumps(row.view(np.float64).tolist())[1:-1].split(", "))
-        rows.append("[[" + "],[".join(map(",".join, zip(numbers, numbers))) + "]]")
-    return "[" + ",".join(rows) + "]"
+def _row_blocks(dim: int) -> range:
+    """The first row of each block of a ``dim x dim`` state."""
+    return range(0, dim, max(1, _BLOCK_NUMBERS // (2 * dim)))
+
+
+def _state_text(matrix: np.ndarray) -> Iterator[str]:
+    """The JSON text of a C-ordered complex matrix as rows of ``[re, im]`` pairs,
+    one block of rows at a time; the bytes of ``json.dumps`` of its nested lists.
+
+    Each number is one token that carries the brackets and commas around it.  A
+    zero is a fixed ``0.0`` or ``-0.0`` token, chosen by its sign bit; only the
+    other numbers go through ``json.dumps``."""
+    columns = 2 * matrix.shape[1]
+    opens = np.where(np.arange(columns) % 2, "", "[").astype(object)
+    closes = np.where(np.arange(columns) % 2, "],", ",").astype(object)
+    opens[0], closes[-1] = "[[", "]],"
+    zero, negative_zero = opens + "0.0" + closes, opens + "-0.0" + closes
+    floats = matrix.view(np.float64)
+    bounds = _row_blocks(len(matrix))
+    for first in bounds:
+        values = floats[first:first + bounds.step]
+        tokens = np.where(np.signbit(values), negative_zero, zero)
+        rows, cols = np.nonzero(values)
+        if len(rows):
+            numbers = json.dumps(values[rows, cols].tolist())[1:-1].split(", ")
+            tokens[rows, cols] = opens[cols] + np.array(numbers, dtype=object) + closes[cols]
+        text = "".join(tokens.ravel().tolist())
+        # The last block closes the state where a row separator would follow.
+        yield text if first + bounds.step < len(matrix) else text[:-1] + "]"
+
+
+def _read_block(block: str, layout: bytes, out: np.ndarray) -> None:
+    """Read ``block``, whole rows of ``[re, im]`` pairs and the ``,`` or ``]`` after
+    them, into ``out``, their floats; raises :class:`_NotPlainStates` unless the
+    non-number characters are exactly ``layout`` and each maximal run of number
+    characters fills one slot of an entry.
+
+    A ``0.0`` or ``-0.0`` token is written directly.  The other tokens go through
+    one ``json.loads``, so JSON's number grammar decides what a number is; values
+    that numpy would not read as int64 or float64 are left to :func:`from_document`."""
+    data = block.encode("ascii")
+    if data.translate(None, _NUMBER_CHARS) != layout:
+        raise _NotPlainStates
+    chars = np.frombuffer(data, dtype=np.uint8)
+    # The layout leaves "[", "," and "]" as the only other characters.
+    is_number = (chars != ord("[")) & (chars != ord(",")) & (chars != ord("]"))
+    if is_number[0] or is_number[-1]:
+        raise _NotPlainStates
+    # The block starts and ends with a bracket or comma: the edges pair up.
+    edges = np.flatnonzero(np.diff(is_number)) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    # Each slot lies between "[" and "," or between "," and "]" of its entry, and
+    # every other gap of the layout has "]" before it or "[" after it.
+    if (len(starts) != out.size or np.any(chars[starts - 1] == ord("]"))
+            or np.any(chars[ends] == ord("["))):
+        raise _NotPlainStates
+    # Where "0.0" starts; every token has at least "]]," after it.
+    zero_at = (chars[:-2] == ord("0")) & (chars[1:-1] == ord(".")) & (chars[2:] == ord("0"))
+    lengths = ends - starts
+    negative = (lengths == 4) & (chars[starts] == ord("-")) & zero_at[starts + 1]
+    other = ~(negative | ((lengths == 3) & zero_at[starts]))
+    out.fill(0.0)
+    out[negative] = -0.0
+    if other.any():
+        # The other tokens with the character after each, made a comma.
+        sizes = lengths[other] + 1
+        offsets = np.cumsum(sizes)
+        numbers = chars[np.arange(offsets[-1]) + np.repeat(starts[other] - offsets + sizes, sizes)]
+        numbers[offsets - 1] = ord(",")
+        values = np.array(json.loads(b"[" + numbers[:-1].tobytes() + b"]"))
+        if values.dtype.kind not in "fi":
+            raise _NotPlainStates
+        out[other] = values
 
 
 def _document_error(name: str, detail: str) -> InvalidEnsembleError:
@@ -440,10 +506,6 @@ def from_document(doc: dict) -> Ensemble:
     return _validated(ensemble)
 
 
-def _nested(inner: str, count: int) -> str:
-    return "[" + ",".join([inner] * count) + "]"
-
-
 def _states_span(text: str) -> tuple[int, int]:
     """Where the array value of the first ``"states"`` key starts and ends.
 
@@ -480,47 +542,14 @@ def _header_document(text: str, start: int, end: int) -> dict:
     return doc
 
 
-def _after(text: str, pos: int, char: str) -> int:
-    """The position after ``char``, which must come next after ``pos``, past JSON whitespace."""
-    pos = _SPACE.match(text, pos).end()
-    if text[pos:pos + 1] != char:
-        raise _NotPlainStates
-    return pos + 1
-
-
-def _read_row(text: str, pos: int, end: int, layout: str, out: np.ndarray) -> int:
-    """Read the row of ``[re, im]`` pairs that starts after ``pos``, past JSON whitespace,
-    into ``out``, its ``2 * dim`` floats; returns the position after the row.
-
-    The row must have the bracket layout ``layout`` with number characters only
-    between an entry's brackets; ``json.loads`` then reads its numbers as one flat
-    array, so JSON's number grammar decides what a number is.  A row of numbers
-    numpy would not read as int64 or float64 is left to :func:`from_document`."""
-    pos = _SPACE.match(text, pos).end()
-    close = _ROW_END.search(text, pos, end)
-    if close is None:
-        raise _NotPlainStates
-    row = text[pos:close.end()]
-    marks = row.translate(_NUMBER_MARKS)
-    # A number next to a bracket that is not its entry's is stray; brackets dropped
-    # below would join it to a neighbour.
-    if "0[" in marks or "]0" in marks or marks.translate(_NO_MARKS) != layout:
-        raise _NotPlainStates
-    values = np.array(json.loads("[" + row.translate(_NO_BRACKETS) + "]"))
-    if values.dtype.kind not in "fi":
-        raise _NotPlainStates
-    out[...] = values
-    return close.end()
-
-
 def _load_plain(text: str) -> Ensemble:
     """:func:`from_document` of ``json.loads(text)``, for a document whose states
     are plain ``(n, dim, dim, 2)`` number arrays, without nested number lists.
 
-    Only the header goes through ``json.loads`` whole.  The states are read one
-    row at a time, by :func:`_read_row`, straight into the ensemble's stack, so
-    the states text is never copied whole; the separators between rows and states
-    must be JSON's, and the last state must close the ``states`` value.  Raises
+    Only the header goes through ``json.loads`` whole.  The states are read in
+    blocks of rows, by :func:`_read_block`, straight into the ensemble's stack;
+    JSON whitespace is first dropped from the states text, which is otherwise
+    never copied whole.  The last state must close the ``states`` value.  Raises
     :class:`_NotPlainStates` for any other document, and for any malformed one, so
     that ``json.loads`` and :func:`from_document` give the diagnostics."""
     start, end = _states_span(text)
@@ -528,34 +557,50 @@ def _load_plain(text: str) -> Ensemble:
         parties, slots, probs = _header(_header_document(text, start, end))
     except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise _NotPlainStates from exc
+    if any(text.find(space, start, end) >= 0 for space in _SPACES):
+        if _SPLIT_NUMBER.search(text, start, end):
+            raise _NotPlainStates
+        text = text[start:end].translate(_NO_SPACES)
+        start, end = 0, len(text)
     n, dim = len(probs), slots.dim
     # An entry and the comma or bracket after it take six characters at least;
     # this bounds the stack allocated below by the size of the text.
     if 6 * n * dim * dim > end - start:
         raise _NotPlainStates
     stack = np.empty((n, dim, dim), dtype=np.complex128)
-    layout = _nested("[,]", dim)
+    blocks = _row_blocks(dim)
+    row = b"[" + b",".join([b"[,]"] * dim) + b"],"
+    layout = row * blocks.step  # a block of rows and the comma after it
+    last_layout = layout[:(dim - blocks[-1]) * len(row) - 1] + b"]"
     try:
         pos = start + 1  # after the "[" that opens the states
         for k, matrix in enumerate(stack):
-            if k:
-                pos = _after(text, pos, ",")
-            pos = _after(text, pos, "[")
-            for r, row in enumerate(matrix.view(np.float64)):
-                if r:
-                    pos = _after(text, pos, ",")
-                pos = _read_row(text, pos, end, layout, row)
-            pos = _after(text, pos, "]")
-        if _after(text, pos, "]") != end:
+            opener = ",[" if k else "["
+            if not text.startswith(opener, pos):
+                raise _NotPlainStates
+            pos += len(opener)
+            floats = matrix.view(np.float64)
+            for first in blocks:
+                stop = pos
+                for _ in range(min(blocks.step, dim - first)):
+                    # The end of a row, which holds 6 * dim + 1 characters at least.
+                    stop = text.find("]]", stop + 6 * dim - 1, end)
+                    if stop < 0:
+                        raise _NotPlainStates
+                    stop += 2
+                _read_block(text[pos:stop + 1], last_layout if first == blocks[-1] else layout,
+                            floats[first:first + blocks.step].reshape(-1))
+                pos = stop + 1
+        if pos != end - 1:  # the "]" that closes the states
             raise _NotPlainStates
         ensemble = Ensemble._of_stack(parties, probs, stack, slots)
-    except ValueError as exc:  # JSON, finiteness or member-count errors
+    except ValueError as exc:  # JSON, encoding, finiteness or member-count errors
         raise _NotPlainStates from exc
     return _validated(ensemble)
 
 
 def save_ensemble(e: Ensemble, sink: str | IO[str]) -> None:
-    """Write ``e`` as compact JSON with sorted keys, one state at a time."""
+    """Write ``e`` as compact JSON with sorted keys, one block of rows at a time."""
     party_index = {label: k for k, label in enumerate(e.parties.labels)}
     header = json.dumps({
         "parties": list(e.parties.labels),
@@ -567,8 +612,9 @@ def save_ensemble(e: Ensemble, sink: str | IO[str]) -> None:
     def write(handle: IO[str]) -> None:
         # "states" sorts after every header key, so it closes the object.
         handle.write(header[:-1] + ',"states":[')
-        for k, state in enumerate(e.states):
-            handle.write(("," if k else "") + _matrix_text(state.matrix))
+        for k, matrix in enumerate(e.stack):
+            handle.write(",[" if k else "[")
+            handle.writelines(_state_text(matrix))
         handle.write("]}")
 
     if isinstance(sink, str):

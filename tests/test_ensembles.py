@@ -713,3 +713,119 @@ class TestWriter:
         e = request.getfixturevalue(name)
         save_ensemble(e, str(tmp_path / "e.json"))
         assert (tmp_path / "e.json").read_text(encoding="utf-8") == saved_text_by_document(e)
+
+
+#: Entries of a sparse state's support: the zero literals, subnormals, the edges of
+#: the float range, integral floats and plain floats.
+SUPPORT_ENTRIES = (0.0, -0.0, 5e-324, 2.5e-310, 1e-300, 1e308, -1e308, 3.0, -7.0, 10.0, 1e16,
+                   0.1, -2 / 3, 1.2345678901234567e-8)
+
+
+def _unvalidated(load, text):
+    """``load(text)`` with validation skipped, so that any finite stack loads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensembles, "_validated", lambda e: e)
+        return _outcome(load, text)
+
+
+def _rows_end(text, rows):
+    """The position after the ``rows``-th row of the first state of a compact text."""
+    pos = text.index('"states":[') + len('"states":[')
+    for _ in range(rows):
+        pos = text.index("]]", pos) + 2
+    return pos
+
+
+@pytest.fixture(scope="module")
+def ghz28_text():
+    return saved_text_by_document(ghz_complement_ensemble(2, 8))  # dim 256
+
+
+class TestBlockCodec:
+    """The block codec against one ``json.dumps`` and one ``json.loads`` of the document."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+           block_numbers=st.sampled_from([1, 16, 2**15]))
+    def test_sparse_states_match_document_codec(self, seed, density, block_numbers):
+        rng = np.random.default_rng(seed)
+        slot_dims = tuple(int(d) for d in rng.integers(1, 5, size=rng.integers(1, 4)))
+        parties = PartySet.of_size(max(2, len(slot_dims)))
+        slots = SlotStructure(slot_dims + (1,) * (len(parties.labels) - len(slot_dims)),
+                              parties.labels)
+        n = int(rng.integers(2, 4))
+        floats = np.where(rng.random((n, slots.dim, 2 * slots.dim)) < 0.5, 0.0, -0.0)
+        support = rng.random(floats.shape) < density
+        plain = rng.normal(size=8) * 10.0 ** rng.integers(-30, 30, 8)
+        pool = np.concatenate([SUPPORT_ENTRIES, plain])
+        floats[support] = rng.choice(pool, size=int(support.sum()))
+        stack = floats.view(np.complex128)
+        e = Ensemble(parties, tuple(rng.dirichlet(np.ones(n))),
+                     tuple(MultiPartyOperator(m, slots) for m in stack))
+        with pytest.MonkeyPatch.context() as mp:
+            # Blocks of one row, of a few rows and of whole states.
+            mp.setattr(ensembles, "_BLOCK_NUMBERS", block_numbers)
+            buffer = io.StringIO()
+            save_ensemble(e, buffer)
+            text = buffer.getvalue()
+            assert text == saved_text_by_document(e)
+            loaded = _unvalidated(_load_text, text)
+        assert loaded == _unvalidated(load_by_document, text)
+        assert b"".join(loaded[3]) == stack.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("zero", ["0", "-0", "0e0", "0.00", "-0.0E+0", "0.0", "-0.0"])
+    def test_zero_spellings_load_as_the_document_reader(self, zero, monkeypatch):
+        text = PLAIN.replace("[[0.0,0.0],[0.25,0.0]]", f"[[{zero},0.0],[0.25,-0.0]]")
+        parsed = []
+        real_loads = json.loads
+
+        def spy(payload, *args, **kwargs):
+            parsed.append(payload)
+            return real_loads(payload, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", spy)
+        assert _outcome(ensembles._load_plain, text) == _outcome(load_by_document, text)
+        # Only the literals 0.0 and -0.0 stay out of the numbers that json reads.
+        numbers = b",".join(p[1:-1] for p in parsed if isinstance(p, bytes)).split(b",")
+        assert (zero.encode() in numbers) == (zero not in ("0.0", "-0.0"))
+        assert b"-0.0" not in numbers
+
+    @pytest.mark.parametrize("edit", [
+        "stray-number-after-comma", "stray-number-before-comma", "missing-open-bracket",
+        "missing-close-bracket", "leading-zero", "plus-sign", "bare-point", "split-number",
+        "number-moved-after-entry", "number-moved-before-entry", "number-moved-before-block",
+    ])
+    def test_edits_at_a_block_boundary_match_document_reader(self, ghz28_text, edit):
+        rows = ensembles._row_blocks(256).step
+        assert rows < 256  # the edit sits between two blocks of the first state
+        cut = _rows_end(ghz28_text, rows)  # the "," between the blocks
+        head, tail = ghz28_text[:cut], ghz28_text[cut + 1:]
+        assert ghz28_text[cut] == "," and tail.startswith("[[0.0,")
+        text = {
+            "stray-number-after-comma": head + ",5" + tail,
+            "stray-number-before-comma": head + "5," + tail,
+            "missing-open-bracket": head + "," + tail[1:],
+            "missing-close-bracket": head[:-1] + "," + tail,
+            "leading-zero": head + ",[[00.0," + tail[len("[[0.0,"):],
+            "plus-sign": head + ",[[+0.0," + tail[len("[[0.0,"):],
+            "bare-point": head + ",[[0.," + tail[len("[[0.0,"):],
+            "split-number": head + ",[[0.0 1," + tail[len("[[0.0,"):],
+            # A number leaves its slot for a gap outside any entry: the count still holds.
+            "number-moved-after-entry": head + ",[[,0.0]0.0," + tail[len("[[0.0,0.0],"):],
+            "number-moved-before-entry":
+                head + ",[[0.0,0.0],0.0[,0.0]" + tail[len("[[0.0,0.0],[0.0,0.0]"):],
+            "number-moved-before-block": head + ",0.0[[,0.0]," + tail[len("[[0.0,0.0],"):],
+        }[edit]
+        assert _outcome(_load_text, text) == _outcome(load_by_document, text)
+
+    def test_save_peak_memory_is_bounded(self, parity2222, tmp_path):
+        state_text = min(len(json.dumps(s, separators=(",", ":")))
+                         for s in to_document(parity2222)["states"])
+        tracemalloc.start()
+        try:
+            save_ensemble(parity2222, str(tmp_path / "parity.json"))  # dim 256
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A block's tokens and text, not a whole state's token array (2 * 256**2 pointers).
+        assert peak < state_text + 2**20

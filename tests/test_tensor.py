@@ -22,6 +22,7 @@ from nlhide.tensor import (
     _eigenvalues,
     _factor_bound,
     _hermitian,
+    _partial_transpose,
     _psd,
     _support,
     hermitian_part,
@@ -140,6 +141,27 @@ class TestPartialTranspose:
         got = partial_transpose(op, {"A1"}).matrix
         want = partial_transpose_entrywise(op.matrix, (2, 2, 2, 2), (0, 2))
         np.testing.assert_allclose(got, want, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_stack_kernel_matches_entrywise_oracle(self, seed):
+        # Runs of 1-4 adjacent slots on one side of the flip, one-slot sides among them;
+        # the stack is transposed in place, as the bipartition scan does.
+        rng = np.random.default_rng(seed)
+        runs = rng.integers(1, 5, size=rng.integers(2, 5))
+        owners = [k % 2 for k, run in enumerate(runs) for _ in range(run)]
+        dims = [int(d) for d in rng.integers(1, 4, size=len(owners))]
+        while np.prod(dims) > 64:
+            dims[int(np.argmax(dims))] -= 1
+        dims = tuple(dims)
+        slots = SlotStructure(dims, tuple(f"A{k + 1}" for k in owners))
+        side = {f"A{int(rng.integers(2)) + 1}"}
+        shape = (2, slots.dim, slots.dim)
+        mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        flipped = tuple(k for k, party in enumerate(slots.party_of_slot) if party in side)
+        want = [partial_transpose_entrywise(m, dims, flipped) for m in mats]
+        _partial_transpose(mats, slots, side, out=mats)
+        assert mats.tobytes() == np.stack(want).tobytes()
 
     def test_rejects_non_bipartition_sides(self):
         op = two_party_op(np.eye(4))
