@@ -19,6 +19,7 @@ import sys
 import click
 from click.core import ParameterSource
 
+from .discrimination import DEFAULT_MAX_ITERATIONS, DEFAULT_SOLVER_TOL
 from .ensembles import (
     Ensemble,
     InvalidEnsembleError,
@@ -177,10 +178,12 @@ def _report_lines(report: HidingReport) -> list[str]:
 
 def _solver_options(command):
     """``--tol`` and ``--max-iterations`` of the solver, for a command that runs it."""
-    budget = click.option("--max-iterations", type=click.IntRange(min=0), default=100_000,
-                          show_default=True, help="Solver iteration budget per bipartition.")
-    tol = click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-8,
-                       show_default=True, help="Solver certification tolerance (> 0).")
+    budget = click.option("--max-iterations", type=click.IntRange(min=0),
+                          default=DEFAULT_MAX_ITERATIONS, show_default=True,
+                          help="Solver iteration budget per bipartition.")
+    tol = click.option("--tol", type=click.FloatRange(min=0, min_open=True),
+                       default=DEFAULT_SOLVER_TOL, show_default=True,
+                       help="Solver certification tolerance (> 0).")
     return tol(budget(command))
 
 

@@ -9,12 +9,11 @@ operator built from the returned POVM, so the reported gap is trustworthy
 even when the iteration stops early.
 
 :func:`max_bipartition_bound` first tries, on every cut, whether the heaviest
-weighted transposed state dominates the others.  That is a yes/no question per
-difference, so it is answered by a Cholesky factor of the difference shifted by
-less than the PSD tolerance; an eigenvalue solve runs only where the factor
-fails, and the solver only where dominance fails.  Every difference on a cut is
-block diagonal on the connected components of the transposed states' joint
-nonzero pattern, so each factor and eigenvalue solve runs block by block.
+weighted transposed state dominates the others, by the rule of
+:func:`check_dominant_state`: each difference is decided by the PSD rule on its
+eigenvalues, and the solver runs only where dominance fails.  Every difference on
+a cut is block diagonal on the connected components of the transposed states'
+joint nonzero pattern, so each eigenvalue solve runs block by block.
 
 Two solver paths exist.  For two operators the exact closed form is used:
 the optimum is ``w1 Tr(B) + sum of positive eigenvalues of (w0 A - w1 B)``
@@ -34,8 +33,8 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .partitions import Bipartition, _by_name, all_bipartitions
-from .tensor import (_blocks, _components, _eigenvalues, _factor_bound, _hermitian,
-                     _partial_transpose, _psd, _support, hermitian_part)
+from .tensor import (_blocks, _components, _eigenvalues, _hermitian, _partial_transpose, _psd,
+                     _support, hermitian_part)
 
 DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -52,12 +51,11 @@ class DiscriminationResult:
     returned, or ``None`` for dominance: the all-or-nothing measurement on the pivot.
     ``certificate_min_eigs[i]`` is the minimum eigenvalue of the symmetrized
     optimality operator for member ``i``; all entries nonnegative (up to the
-    solver tolerance) certifies the POVM optimal.  For a dominance result it is a
-    lower bound on the minimum eigenvalue of ``p_pivot G(rho_pivot) - p_i G(rho_i)``,
-    0.0 at the pivot: ``-t`` where Cholesky factors of the difference's blocks plus
-    ``t I`` decided it, the least eigenvalue over its blocks where ``eigvalsh`` did.
-    Either lies within the PSD tolerance of zero.  ``dual_value`` is always a valid
-    upper bound on the optimum, converged or not.
+    solver tolerance) certifies the POVM optimal.  For a dominance result it is the
+    minimum eigenvalue of ``p_pivot G(rho_pivot) - p_i G(rho_i)``, the least over its
+    blocks, 0.0 at the pivot: the ``min_eigenvalues`` of :func:`check_dominant_state`
+    on the cut, each within the PSD tolerance of zero or above.  ``dual_value`` is
+    always a valid upper bound on the optimum, converged or not.
     """
 
     primal_value: float
@@ -314,8 +312,9 @@ def check_dominant_state(
     pivot defaults to the heaviest member (lowest index on ties).  Each state is
     checked once against the Hermitian contract (else :class:`ContractViolationError`),
     so each difference of the exactly Hermitian parts goes straight to ``eigvalsh``,
-    one batched call per block size of the transposed states' joint nonzero pattern;
-    each returned minimum eigenvalue is the least over the blocks of its difference.
+    one batched call per block size of the transposed states' joint nonzero pattern,
+    and the PSD rule decides it; :func:`max_bipartition_bound` runs the same routine.
+    Each returned minimum eigenvalue is the least over the blocks of its difference.
     """
     w, gammas = _transposed(e, x.side_a)
     n = len(w)
@@ -323,51 +322,30 @@ def check_dominant_state(
         pivot = int(np.argmax(w))
     if not 0 <= pivot < n:
         raise ValueError(f"pivot {pivot} out of range for {n} states")
-    groups = _components(_support(gammas))
-    checks = [_psd(_eigenvalues(_difference(w, gammas, groups, pivot, i)))
-              for i in range(n) if i != pivot]
-    mins = [check.min_eigenvalue for check in checks]
-    mins.insert(pivot, 0.0)
-    return DominanceCheck(all(check.ok for check in checks), tuple(mins), pivot)
+    return _dominance(w, gammas, _components(_support(gammas)), pivot)
 
 
-def _difference(w: np.ndarray, gammas: np.ndarray, groups: list[np.ndarray],
-                pivot: int, i: int) -> list[np.ndarray]:
-    """The diagonal blocks of ``w[pivot] G_pivot - w[i] G_i`` on ``groups``, one new
-    stack per block size; only the two states' blocks are gathered."""
-    diffs = []
-    for lead, other in zip(_blocks(gammas[pivot], groups), _blocks(gammas[i], groups)):
-        diff = w[pivot] * lead
-        diff -= w[i] * other
-        diffs.append(diff)
-    return diffs
-
-
-def _scan_dominance(w: np.ndarray, gammas: np.ndarray,
-                    groups: list[np.ndarray]) -> DominanceCheck | None:
-    """The bipartition scan's dominance test on the heaviest member, or ``None`` at the
-    first difference that fails it; ``gammas`` is block diagonal on ``groups``.
-
-    Each difference is decided by :func:`_factor_bound` on its blocks, whose ``-t`` is
-    reported as its bound; only where a factor fails does ``eigvalsh`` of every block
-    decide it, by the rule of :func:`check_dominant_state`, and report the least
-    eigenvalue over the blocks."""
-    pivot = int(np.argmax(w))
-    mins = [0.0] * len(w)
+def _dominance(w: np.ndarray, gammas: np.ndarray, groups: list[np.ndarray],
+               pivot: int) -> DominanceCheck:
+    """PSD checks of ``w[pivot] G_pivot - w[i] G_i`` for every ``i``, ``gammas`` block
+    diagonal on ``groups``.  Each difference is formed on the two states' diagonal
+    blocks alone, one new stack per block size, and decided by :func:`_psd` on the
+    eigenvalues of all its blocks, one batched ``eigvalsh`` per block size; its
+    reported minimum is the least eigenvalue over its blocks, 0.0 at the pivot."""
+    mins, passed = [], True
     for i in range(len(w)):
         if i == pivot:
+            mins.append(0.0)
             continue
-        # No lead term is kept across differences: the factor holds two more
-        # arrays of the blocks' size while it runs, and a lead term would be a third.
-        diff = _difference(w, gammas, groups, pivot, i)
-        bound = _factor_bound(diff)
-        if bound is None:
-            check = _psd(_eigenvalues(diff))
-            if not check.ok:
-                return None
-            bound = check.min_eigenvalue
-        mins[i] = bound
-    return DominanceCheck(True, tuple(mins), pivot)
+        diffs = []
+        for lead, other in zip(_blocks(gammas[pivot], groups), _blocks(gammas[i], groups)):
+            diff = w[pivot] * lead
+            diff -= w[i] * other
+            diffs.append(diff)
+        check = _psd(_eigenvalues(diffs))
+        mins.append(check.min_eigenvalue)
+        passed = passed and check.ok
+    return DominanceCheck(passed, tuple(mins), pivot)
 
 
 def _dominance_result(e: Ensemble, check: DominanceCheck) -> DiscriminationResult:
@@ -405,14 +383,12 @@ def max_bipartition_bound(
     or NaN weight raises at once; one stack of their Hermitian parts is transposed
     in place, each state once per cut, and the boolean pattern of their joint nonzero
     entries with it.  Dominance of the heaviest member is tried first (exact, no
-    iteration).  Each difference is block diagonal on the connected components of
-    that pattern, and is decided by Cholesky factors of its blocks shifted by
-    ``t = PSD_RTOL * (1 + max|diagonal|)`` of the whole difference, which never
-    exceeds the PSD tolerance; where a factor fails, ``eigvalsh`` of every block
-    decides by the PSD rule on the least and largest eigenvalue.  A fully dense
-    pattern is one block, the whole matrix.  The first difference that both reject
-    hands the cut to the solver, with the whole transposed stack, which its own
-    input guard checks once more.
+    iteration), by the rule of :func:`check_dominant_state`: each difference is block
+    diagonal on the connected components of that pattern, and ``eigvalsh`` of its
+    blocks decides it by the PSD rule on the least and largest eigenvalue.  A fully
+    dense pattern is one block, the whole matrix.  A cut where some difference fails
+    goes to the solver, with the whole transposed stack, which its own input guard
+    checks once more.
     Numerical failures (``LinAlgError``) are collected per cut, for a partial table.
     The table is keyed by each cut's name; two cuts that share one (labels ``a, b,
     c, bc`` name both ``abc|bc``) raise ``ValueError`` before any cut is decided.
@@ -431,8 +407,8 @@ def max_bipartition_bound(
         _partial_transpose(pattern, e.slots, flip, out=pattern)
         side = frozenset(bp.side_a)
         try:
-            check = _scan_dominance(w, gammas, _components(pattern[0]))
-            if check is not None:
+            check = _dominance(w, gammas, _components(pattern[0]), int(np.argmax(w)))
+            if check.passed:
                 results[key] = _dominance_result(e, check)
             else:
                 results[key] = optimal_global(w, gammas, tol=tol, max_iterations=max_iterations)

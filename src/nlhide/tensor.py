@@ -316,29 +316,3 @@ def _eigenvalues(blocks: list[np.ndarray]) -> np.ndarray:
     in stacks of one size each: one batched ``eigvalsh`` per stack.  For one block of
     the whole matrix this is ``eigvalsh`` of the matrix."""
     return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
-
-
-def _factor_bound(blocks: list[np.ndarray]) -> float | None:
-    """``-t`` when ``A + t I`` has a Cholesky factor, with
-    ``t = PSD_RTOL * (1 + max|diagonal of A|)``; ``None`` when the factor fails.
-    ``A`` is given by its diagonal blocks, in stacks of one size each, so one batched
-    factor per stack decides it, with the shift ``t`` of the whole matrix.
-
-    For an exactly Hermitian matrix ``|A_ii| <= max|eigenvalue|``, so ``t`` never
-    exceeds the tolerance of :func:`_psd`, and a factor proves what :func:`_psd`
-    would accept: every eigenvalue is above ``-t``.  The shift is added in place and
-    the diagonals restored bit for bit, so failed blocks can go on to
-    :func:`_eigenvalues`.
-    """
-    diagonals = [np.einsum("...ii->...i", block) for block in blocks]  # writable views
-    shift = PSD_RTOL * (1.0 + max(float(np.abs(d).max()) for d in diagonals))
-    for block, diagonal in zip(blocks, diagonals):
-        entries = diagonal.copy()
-        diagonal += shift
-        try:
-            np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            return None
-        finally:
-            diagonal[...] = entries
-    return -shift

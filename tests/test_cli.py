@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import nlhide
 from nlhide import Ensemble, cli, hiding, load_ensemble, save_ensemble
 from nlhide.cli import main
+from nlhide.discrimination import DEFAULT_MAX_ITERATIONS, DEFAULT_SOLVER_TOL
 
 from test_hiding import bell_mix, overlapping_pair
 
@@ -547,6 +548,13 @@ def test_one_report_per_command(runner, ghz22_file, monkeypatch, args, reports):
         result = runner.invoke(main, [args[0], str(ghz22_file), *args[1:]])
     assert result.exit_code == 0, result.output
     assert len(calls) == reports
+
+
+@pytest.mark.parametrize("command", ["check", "bounds", "coalition"])
+def test_solver_option_defaults_are_the_library_defaults(command):
+    defaults = {param.name: param.default for param in main.commands[command].params}
+    assert defaults["tol"] == DEFAULT_SOLVER_TOL
+    assert defaults["max_iterations"] == DEFAULT_MAX_ITERATIONS
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

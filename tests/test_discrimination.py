@@ -510,9 +510,9 @@ def _difference_ensemble(lowest):
 
 
 class TestArrayDominance:
-    """The array scan against the per-difference operator check that
-    ``check_dominant_state`` still runs: the same verdict on every cut, and a
-    reported bound between ``-tol`` and the exact minimum eigenvalue."""
+    """The array scan against ``check_dominant_state``, and that against the
+    per-difference operator check: the same verdict on every cut, and the scan's
+    certificate the very minimum eigenvalues ``check_dominant_state`` reports."""
 
     @staticmethod
     def _assert_matches_oracle(e, pivots=(None,)):
@@ -531,33 +531,22 @@ class TestArrayDominance:
             result = scan.results[bp.to_string()]
             assert (result.method == "dominance") == want.passed
             if want.passed:
-                tols = dominance_tolerances(e, bp)
-                for got, exact, tol in zip(result.certificate_min_eigs, want.min_eigenvalues, tols):
-                    assert -tol <= got <= exact + 1e-15
+                assert result.certificate_min_eigs == want.min_eigenvalues
 
     @pytest.mark.parametrize(
-        "lowest, by_factor, method",
-        [(0.0, True, "dominance"), (-0.5, False, "dominance"), (-2.0, False, "closed")],
+        "lowest, method",
+        [(0.0, "dominance"), (-0.5, "dominance"), (-2.0, "closed")],
         ids=["zero", "half-tol-below", "two-tol-below"],
     )
-    def test_factor_boundary(self, monkeypatch, lowest, by_factor, method):
+    def test_psd_boundary(self, lowest, method):
         # ``lowest`` in units of the PSD tolerance of D, whose largest eigenvalue is 1000.
         tol = PSD_RTOL * (1.0 + 1000.0)
         e, d = _difference_ensemble(lowest * tol)
         exact = np.linalg.eigvalsh(d)
         assert _psd(exact).tol == pytest.approx(tol)
-        shift = PSD_RTOL * (1.0 + np.max(np.abs(d.diagonal())))
-        assert shift <= tol / 4  # so the factor of D + shift I fails below -tol/4
-        calls = []
-        real = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
         (result,) = max_bipartition_bound(e).results.values()
-        monkeypatch.undo()
         assert result.method == method
-        assert (not calls) == by_factor
-        if by_factor:
-            assert result.certificate_min_eigs == (0.0, -shift)
-        elif method == "dominance":
+        if method == "dominance":
             assert result.certificate_min_eigs == (0.0, exact[0])
         else:
             assert result.certified and result.primal_value == pytest.approx(1000.0)
@@ -618,22 +607,30 @@ class TestBlockPath:
 
 
 class TestBlockScaling:
-    """No factor or eigensolve of ``validate`` and the scan sees a matrix larger than
-    the largest block of the states' joint pattern."""
+    """No eigensolve of ``validate`` and the scan sees a matrix larger than the
+    largest block of the states' joint pattern, and neither makes a Cholesky factor."""
 
     @staticmethod
     def _largest_eigen_dim(monkeypatch, e):
-        seen = [0]
+        seen, factored = [0], []
+        real_eigvalsh, real_cholesky = np.linalg.eigvalsh, np.linalg.cholesky
+
         # tensor, ensembles and discrimination all call these through np.linalg.
-        for name in ("cholesky", "eigvalsh"):
-            def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
-                seen[0] = max(seen[0], np.shape(a)[-1])
-                return _real(a, *args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, spy)
+        def eigvalsh(a, *args, **kwargs):
+            seen[0] = max(seen[0], np.shape(a)[-1])
+            return real_eigvalsh(a, *args, **kwargs)
+
+        def cholesky(a, *args, **kwargs):
+            factored.append(np.shape(a))
+            return real_cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         validate(e)
         scan = max_bipartition_bound(e)
         monkeypatch.undo()
         assert not scan.failures
+        assert factored == []
         return seen[0], scan
 
     def test_ghz_complement_2_10(self, monkeypatch):

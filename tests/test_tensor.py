@@ -20,7 +20,6 @@ from nlhide.tensor import (
     _blocks,
     _components,
     _eigenvalues,
-    _factor_bound,
     _hermitian,
     _partial_transpose,
     _psd,
@@ -30,7 +29,6 @@ from nlhide.tensor import (
 
 from oracles import (
     assert_blocks_match_dense,
-    factor_bound_dense,
     jacobi_eigenvalues,
     partial_transpose_entrywise,
     random_density,
@@ -335,17 +333,15 @@ class TestBlocks:
             assert np.all(np.diff(g, axis=1) > 0)  # each block's indices ascending
         assert_blocks_match_dense(stack, pattern)
 
-    @pytest.mark.parametrize("lowest, by_factor, ok", [
-        (0.0, True, True), (-0.5, None, True), (-2.0, False, False),
+    @pytest.mark.parametrize("lowest, ok", [
+        (0.0, True), (-0.5, True), (-2.0, False),
     ], ids=["zero", "half-tol-below", "two-tol-below"])
-    def test_lowest_eigenvalue_cases(self, lowest, by_factor, ok):
+    def test_lowest_eigenvalue_cases(self, lowest, ok):
         # Many blocks of four, so the one at lowest * tol is one among many.
         matrix, _ = _permuted_blocks(np.random.default_rng(1), [4] * 8, 2, lowest)
         stack = matrix[None]
         blocks = _blocks(matrix, _components(_support(stack)))
         assert [b.shape for b in blocks] == [(2, 1, 1), (8, 4, 4)]
-        if by_factor is not None:  # at -tol/2 the shift may or may not lift the factor
-            assert (_factor_bound(blocks) is not None) == by_factor
         check = _psd(_eigenvalues(blocks))
         assert check.ok == ok
         assert check.min_eigenvalue == pytest.approx(min(lowest, 0.0) * check.tol, abs=1e-9)
@@ -359,8 +355,6 @@ class TestBlocks:
         (block,) = _blocks(matrix, [group])
         assert np.shares_memory(block, matrix)  # a view: nothing is gathered
         assert np.array_equal(_eigenvalues([block]), np.linalg.eigvalsh(matrix))
-        shifted = random_density(np.random.default_rng(3), 12)[None]
-        assert _factor_bound([shifted.copy()]) == factor_bound_dense(shifted[0].copy())
         assert_blocks_match_dense(stack, _support(stack))
 
     def test_zero_matrix_is_all_one_by_one_blocks(self):
