@@ -33,8 +33,9 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .partitions import Bipartition, _by_name, all_bipartitions
-from .tensor import (_blocks, _components, _eigenvalues, _hermitian, _partial_transpose, _psd,
-                     _support, hermitian_part)
+from .tensor import (ContractViolationError, _blocks, _components, _eigenvalues,
+                     _entry_hermiticity, _hermitian, _nonzero_entries, _partial_transpose, _psd,
+                     _transpose_keys, hermitian_part)
 
 DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -68,6 +69,13 @@ class DiscriminationResult:
     method: str
 
 
+def _checked_weights(weights: Sequence[float]) -> np.ndarray:
+    w = np.asarray([float(x) for x in weights])
+    if not np.all(w >= 0):  # also NaN
+        raise ValueError(f"weights must be nonnegative, got {w.tolist()}")
+    return w
+
+
 def _validate_inputs(
     weights: Sequence[float], matrices: Sequence[np.ndarray] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -75,9 +83,7 @@ def _validate_inputs(
         raise ValueError(f"{len(weights)} weights but {len(matrices)} operators")
     if len(matrices) < 2:
         raise ValueError("discrimination needs at least two operators")
-    w = np.asarray([float(x) for x in weights])
-    if not np.all(w >= 0):  # also NaN
-        raise ValueError(f"weights must be nonnegative, got {w.tolist()}")
+    w = _checked_weights(weights)
     shapes = sorted({np.shape(m) for m in matrices})
     if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
         raise ValueError(f"operators must be square matrices of one shape, got shapes {shapes}")
@@ -92,6 +98,24 @@ def _transposed(e: Ensemble, side: Iterable[str]) -> tuple[np.ndarray, np.ndarra
     checked once and the one stack transposed on ``side`` in place."""
     w, mats = _validate_inputs(e.probs, e.stack)
     return w, _partial_transpose(mats, e.slots, side, out=mats)
+
+
+def _hermitian_entries(e: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The checked weights of ``e`` and the nonzero entries of its states' Hermitian
+    parts, all states end to end: flat keys ``row * dim + col``, values, and the
+    ``n + 1`` offsets where each state's run starts.  Each state is checked once
+    against the Hermitian contract (else :class:`ContractViolationError`, with the
+    message of the dense check)."""
+    w = _checked_weights(e.probs)
+    keys, values = [], []
+    for state_keys, state_values in _nonzero_entries(e.stack):
+        defect, part = _entry_hermiticity(state_keys, state_values, e.dim)
+        if part is None:
+            raise ContractViolationError(f"operator is not Hermitian (defect {defect:.3e})")
+        keys.append(part[0])
+        values.append(part[1])
+    starts = np.cumsum([0, *map(len, keys)])
+    return w, np.concatenate(keys), np.concatenate(values), starts
 
 
 def _certificate(
@@ -309,40 +333,45 @@ def check_dominant_state(
     When the check passes, the optimum of the transposed ensemble equals the
     pivot weight exactly and the all-or-nothing measurement (identity on the
     pivot, zero elsewhere) is optimal, so callers may skip the solver.  The
-    pivot defaults to the heaviest member (lowest index on ties).  Each state is
-    checked once against the Hermitian contract (else :class:`ContractViolationError`),
-    so each difference of the exactly Hermitian parts goes straight to ``eigvalsh``,
-    one batched call per block size of the transposed states' joint nonzero pattern,
-    and the PSD rule decides it; :func:`max_bipartition_bound` runs the same routine.
-    Each returned minimum eigenvalue is the least over the blocks of its difference.
+    pivot defaults to the heaviest member (lowest index on ties).  Each state's
+    nonzero entries are checked once against the Hermitian contract (else
+    :class:`ContractViolationError`), and the entries of its Hermitian part are moved
+    by the transpose's slot digits.  Each difference is scattered into the diagonal
+    blocks of the transposed states' joint nonzero pattern, goes to ``eigvalsh``, one
+    batched call per block size, and the PSD rule decides it;
+    :func:`max_bipartition_bound` runs the same routine.  Each returned minimum
+    eigenvalue is the least over the blocks of its difference.
     """
-    w, gammas = _transposed(e, x.side_a)
+    w, keys, values, starts = _hermitian_entries(e)
     n = len(w)
     if pivot is None:
         pivot = int(np.argmax(w))
     if not 0 <= pivot < n:
         raise ValueError(f"pivot {pivot} out of range for {n} states")
-    return _dominance(w, gammas, _components(_support(gammas)), pivot)
+    rows, cols = np.divmod(_transpose_keys(keys, e.slots, x.side_a), e.dim)
+    return _dominance(w, e.dim, rows, cols, values, starts, pivot)
 
 
-def _dominance(w: np.ndarray, gammas: np.ndarray, groups: list[np.ndarray],
-               pivot: int) -> DominanceCheck:
-    """PSD checks of ``w[pivot] G_pivot - w[i] G_i`` for every ``i``, ``gammas`` block
-    diagonal on ``groups``.  Each difference is formed on the two states' diagonal
-    blocks alone, one new stack per block size, and decided by :func:`_psd` on the
-    eigenvalues of all its blocks, one batched ``eigvalsh`` per block size; its
-    reported minimum is the least eigenvalue over its blocks, 0.0 at the pivot."""
+def _dominance(w: np.ndarray, dim: int, rows: np.ndarray, cols: np.ndarray,
+               values: np.ndarray, starts: np.ndarray, pivot: int) -> DominanceCheck:
+    """PSD checks of ``w[pivot] G_pivot - w[i] G_i`` for every ``i``, where ``G_i`` has
+    the ``values`` at ``(rows, cols)`` from ``starts[i]`` to ``starts[i + 1]``.  Each
+    difference is block diagonal on the components of the states' joint pattern; it is
+    formed in those blocks alone, from the two states' entries, and decided by
+    :func:`_psd` on the eigenvalues of all its blocks, one batched ``eigvalsh`` per
+    block size.  Its reported minimum is the least eigenvalue over its blocks, 0.0 at
+    the pivot."""
+    groups = _components(dim, rows, cols)
+    lead = slice(starts[pivot], starts[pivot + 1])
     mins, passed = [], True
     for i in range(len(w)):
         if i == pivot:
             mins.append(0.0)
             continue
-        diffs = []
-        for lead, other in zip(_blocks(gammas[pivot], groups), _blocks(gammas[i], groups)):
-            diff = w[pivot] * lead
-            diff -= w[i] * other
-            diffs.append(diff)
-        check = _psd(_eigenvalues(diffs))
+        run = slice(starts[i], starts[i + 1])
+        diff = np.concatenate([w[pivot] * values[lead], -(w[i] * values[run])])
+        blocks = _blocks(groups, *(np.concatenate([a[lead], a[run]]) for a in (rows, cols)), diff)
+        check = _psd(_eigenvalues(blocks))
         mins.append(check.min_eigenvalue)
         passed = passed and check.ok
     return DominanceCheck(passed, tuple(mins), pivot)
@@ -380,37 +409,35 @@ def max_bipartition_bound(
     """Largest partial-transpose bound over all bipartitions, with a table.
 
     The weights and states are checked once, so a non-Hermitian state or a negative
-    or NaN weight raises at once; one stack of their Hermitian parts is transposed
-    in place, each state once per cut, and the boolean pattern of their joint nonzero
-    entries with it.  Dominance of the heaviest member is tried first (exact, no
-    iteration), by the rule of :func:`check_dominant_state`: each difference is block
-    diagonal on the connected components of that pattern, and ``eigvalsh`` of its
-    blocks decides it by the PSD rule on the least and largest eigenvalue.  A fully
-    dense pattern is one block, the whole matrix.  A cut where some difference fails
-    goes to the solver, with the whole transposed stack, which its own input guard
-    checks once more.
+    or NaN weight raises at once.  The scan works on the nonzero entries of the
+    states' Hermitian parts, formed once: on each cut their keys ``row * dim + col``
+    are transposed by swapping the flipped slots' row and column digits, and no
+    ``dim x dim`` array is made.  Dominance of the heaviest member is tried first
+    (exact, no iteration), by the rule of :func:`check_dominant_state`: each
+    difference is block diagonal on the connected components of the transposed
+    entries' joint pattern, and ``eigvalsh`` of its blocks decides it by the PSD rule
+    on the least and largest eigenvalue.  A fully dense pattern is one block, the
+    whole matrix.  A cut where some difference fails goes to the solver, with the
+    dense stack of transposed Hermitian parts scattered from the entries, which its
+    own input guard checks once more.
     Numerical failures (``LinAlgError``) are collected per cut, for a partial table.
     The table is keyed by each cut's name; two cuts that share one (labels ``a, b,
     c, bc`` name both ``abc|bc``) raise ``ValueError`` before any cut is decided.
     """
-    w, gammas = _validate_inputs(e.probs, e.stack)
-    # Transposition only moves entries, so the pattern of the transposed stack is
-    # the transposed pattern; it follows the stack from cut to cut.
-    pattern = _support(gammas)[None]
+    w, keys, values, starts = _hermitian_entries(e)
+    pivot, dim = int(np.argmax(w)), e.dim
+    owner = np.repeat(np.arange(e.n), np.diff(starts))
     results: dict[str, DiscriminationResult] = {}
     failures: dict[str, str] = {}
-    side: frozenset[str] = frozenset()  # the side ``gammas`` is transposed on
     for key, bp in _by_name(all_bipartitions(e.parties)).items():
-        # Transposed on the last side, then on (last ^ this), the stack is transposed on this.
-        flip = side ^ set(bp.side_a)
-        _partial_transpose(gammas, e.slots, flip, out=gammas)
-        _partial_transpose(pattern, e.slots, flip, out=pattern)
-        side = frozenset(bp.side_a)
+        transposed = _transpose_keys(keys, e.slots, bp.side_a)
         try:
-            check = _dominance(w, gammas, _components(pattern[0]), int(np.argmax(w)))
+            check = _dominance(w, dim, *np.divmod(transposed, dim), values, starts, pivot)
             if check.passed:
                 results[key] = _dominance_result(e, check)
             else:
+                gammas = np.zeros((e.n, dim, dim), dtype=np.complex128)
+                gammas.reshape(e.n, -1)[owner, transposed] = values
                 results[key] = optimal_global(w, gammas, tol=tol, max_iterations=max_iterations)
         except np.linalg.LinAlgError as exc:
             failures[key] = str(exc)

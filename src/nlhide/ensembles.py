@@ -29,8 +29,10 @@ from .tensor import (
     _blocks,
     _components,
     _eigenvalues,
-    _hermiticity,
-    _support,
+    _entry_hermiticity,
+    _lookup,
+    _mirror,
+    _nonzero_entries,
 )
 
 PROB_SUM_TOL = 1e-12
@@ -152,6 +154,12 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
     ``dim * eps * (1 + max |entry|)``.  The minimum eigenvalue is the least over
     the diagonal blocks of the state's nonzero pattern, from one batched
     ``eigvalsh`` per block size; a dense state is one block.
+
+    Each state is read as its nonzero entries, from one pass over its matrix.  The
+    Hermiticity defect ``max|A - A^dagger|`` pairs each entry with its mirror across
+    the diagonal, an entry with no mirror having the defect ``|value|``; the rule,
+    the defect and the message are those of the dense check.  The blocks are
+    scattered from the entries of the state's Hermitian part.
     """
     checks: list[CheckResult] = []
     warnings: list[str] = []
@@ -167,8 +175,8 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
                     max(0.0, -min_prob), f"smallest probability {min_prob:.3e}")
     )
 
-    for k, matrix in enumerate(e.stack):
-        herm, part = _hermiticity(matrix)
+    for k, (keys, values) in enumerate(_nonzero_entries(e.stack)):
+        herm, part = _entry_hermiticity(keys, values, e.dim)
         hermitian = part is not None
         checks.append(
             CheckResult(f"hermitian[{k}]", hermitian, herm,
@@ -176,14 +184,16 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
         )
         if not hermitian:
             continue  # eigenvalues of a non-Hermitian matrix are meaningless here
-        trace = complex(np.trace(matrix))
+        trace = complex(np.trace(e.stack[k]))
         trace_residual = abs(trace.real - 1.0) + abs(trace.imag)
         checks.append(
             CheckResult(f"trace[{k}]", trace_residual <= TRACE_TOL, trace_residual,
                         f"state {k} trace deviates by {trace_residual:.3e}")
         )
-        groups = _components(_support(part[None]))
-        min_eig = float(_eigenvalues(_blocks(part, groups))[0])
+        part_keys, part_values = part
+        rows, cols = np.divmod(part_keys, e.dim)
+        groups = _components(e.dim, rows, cols)
+        min_eig = float(_eigenvalues(_blocks(groups, rows, cols, part_values))[0])
         ok = min_eig >= -PSD_WARN_TOL
         checks.append(
             CheckResult(f"psd[{k}]", ok, max(0.0, -min_eig),
@@ -192,7 +202,7 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
         # Eigensolver round-off on a PSD matrix reaches about dim * eps * (1 + max|entry|);
         # that scale is read only for a negative eigenvalue.
         if ok and min_eig < 0 and min_eig < -e.dim * np.finfo(float).eps * (
-                1.0 + float(np.max(np.abs(matrix)))):
+                1.0 + float(np.max(np.abs(values), initial=0.0))):
             warnings.append(
                 f"state {k} minimum eigenvalue {min_eig:.3e} is negative within tolerance"
             )
@@ -201,13 +211,17 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
 
 
 def pairwise_overlaps(e: Ensemble) -> np.ndarray:
-    """Matrix of ``|Tr(rho_i rho_j)|`` for ``i != j`` (zero diagonal)."""
+    """Matrix of ``|Tr(rho_i rho_j)|`` for ``i != j`` (zero diagonal).
+
+    ``Tr(AB) = sum_kl A_kl B_lk`` is summed over the nonzero entries of ``A`` alone:
+    each is joined with the entry of ``B`` at its mirrored key."""
     n = e.n
+    entries = _nonzero_entries(e.stack)
     out = np.zeros((n, n))
-    for i in range(n):
+    for i, (keys, values) in enumerate(entries):
+        mirrored = _mirror(keys, e.dim)
         for j in range(i + 1, n):
-            # Tr(AB) = sum_kl A_kl B_lk: O(dim**2) instead of a full product.
-            val = abs(np.sum(e.stack[i] * e.stack[j].T))
+            val = abs((values * _lookup(*entries[j], mirrored)).sum())
             out[i, j] = out[j, i] = val
     return out
 

@@ -6,6 +6,14 @@ tensor factor of the underlying Hilbert space; each slot is owned by exactly
 one party, and a party may own several slots (repeated preparations, qudit
 blocks).  All values are immutable after construction and every operation is a
 pure function, so instances are safe to share across threads.
+
+The dominance path of ``check`` runs on a matrix's nonzero entries instead: sorted
+flat keys ``row * dim + col`` and their values.  The Hermitian check pairs each key
+with its mirror ``col * dim + row``, a partial transpose swaps the flipped slots'
+row and column digits of each key, the connected components of the entries'
+pattern come from their edge list, and the diagonal blocks that the PSD tests read
+are scattered from the entries.  The dense kernels serve the public operator
+functions and the solver.
 """
 
 from __future__ import annotations
@@ -23,9 +31,6 @@ HERMITICITY_RTOL = 1e-12
 
 #: Relative tolerance of the PSD test: ``A >= 0`` up to ``PSD_RTOL * (1 + max|eigenvalue|)``.
 PSD_RTOL = 1e-10
-
-#: Pattern entries whose edges one pass of :func:`_components` lists at a time.
-_EDGE_CHUNK = 1 << 20
 
 
 class DimensionCapError(ValueError):
@@ -161,10 +166,8 @@ def tensor(
     return MultiPartyOperator._frozen(np.kron(a.matrix, b.matrix), a.slots.concat(b.slots))
 
 
-def _partial_transpose(mats: np.ndarray, slots: SlotStructure, side: Iterable[str],
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`partial_transpose` of each matrix of an ``(n, dim, dim)`` stack, written
-    one at a time into ``out`` (a new stack by default; ``out=mats`` works in place)."""
+def _flipped_slots(slots: SlotStructure, side: Iterable[str]) -> list[int]:
+    """The slots owned by a party in ``side``, a nonempty proper subset of the parties."""
     side_set, labels = frozenset(side), frozenset(slots.party_of_slot)
     if not side_set or side_set == labels:
         raise ValueError(
@@ -172,16 +175,33 @@ def _partial_transpose(mats: np.ndarray, slots: SlotStructure, side: Iterable[st
         )
     if not side_set <= labels:
         raise ValueError(f"side contains unknown parties {sorted(side_set - labels)}")
+    return [k for k, party in enumerate(slots.party_of_slot) if party in side_set]
+
+
+def _partial_transpose(mats: np.ndarray, slots: SlotStructure, side: Iterable[str],
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`partial_transpose` of each matrix of an ``(n, dim, dim)`` stack, written
+    one at a time into ``out`` (a new stack by default; ``out=mats`` works in place)."""
     dims = slots.slot_dims
     r = len(dims)
     axes = list(range(2 * r))
-    for k, party in enumerate(slots.party_of_slot):
-        if party in side_set:
-            axes[k], axes[r + k] = axes[r + k], axes[k]
+    for k in _flipped_slots(slots, side):
+        axes[k], axes[r + k] = axes[r + k], axes[k]
     out = np.empty_like(mats) if out is None else out
     for src, dst in zip(mats, out):  # numpy buffers the copy where the two overlap
         dst.reshape(dims + dims)[...] = src.reshape(dims + dims).transpose(axes)
     return out
+
+
+def _transpose_keys(keys: np.ndarray, slots: SlotStructure, side: Iterable[str]) -> np.ndarray:
+    """The flat keys ``row * dim + col`` of entries after :func:`partial_transpose` on
+    ``side``: the row and column digits of each flipped slot trade places."""
+    dims = slots.slot_dims
+    r = len(dims)
+    digits = list(np.unravel_index(keys, dims + dims))
+    for k in _flipped_slots(slots, side):
+        digits[k], digits[r + k] = digits[r + k], digits[k]
+    return np.ravel_multi_index(digits, dims + dims)
 
 
 def partial_transpose(op: MultiPartyOperator, side: Iterable[str]) -> MultiPartyOperator:
@@ -203,11 +223,64 @@ def _hermiticity(matrix: np.ndarray) -> tuple[float, np.ndarray | None]:
     else ``None``."""
     adjoint = matrix.conj().T
     defect = float(np.max(np.abs(matrix - adjoint)))
-    if not defect <= HERMITICITY_RTOL * (1.0 + float(np.max(np.abs(matrix)))):
+    if not _meets_contract(defect, float(np.max(np.abs(matrix)))):
         return defect, None
     part = matrix + adjoint
     part /= 2.0  # in place: one full-size temporary fewer
     return defect, part
+
+
+def _meets_contract(defect: float, largest: float) -> bool:
+    """The Hermitian contract: ``max|A - A^dagger| <= HERMITICITY_RTOL * (1 + max|A|)``."""
+    return defect <= HERMITICITY_RTOL * (1.0 + largest)
+
+
+def _nonzero_entries(stack: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The nonzero entries of each matrix of an ``(n, dim, dim)`` stack: its sorted flat
+    keys ``row * dim + col`` and their values, from one ``flatnonzero`` of the matrix's
+    boolean mask ``re != 0 or im != 0`` (a sixteenth of the matrix's bytes; numpy's
+    complex ``nonzero`` takes about twice as long)."""
+    out = []
+    for matrix in stack:
+        keys = np.flatnonzero(np.logical_or(matrix.real, matrix.imag))
+        out.append((keys, matrix.reshape(-1)[keys]))
+    return out
+
+
+def _mirror(keys: np.ndarray, dim: int) -> np.ndarray:
+    """The keys of the entries across the diagonal: ``col * dim + row``."""
+    rows, cols = np.divmod(keys, dim)
+    return cols * dim + rows
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The values at the ``query`` keys of the entries ``keys`` (sorted) and ``values``;
+    0 where a key has no entry."""
+    if not len(keys):
+        return np.zeros(len(query), dtype=values.dtype)
+    at = keys[:-1].searchsorted(query)  # all but the last key: every index in range
+    return np.where(keys[at] == query, values[at], 0)
+
+
+def _entry_hermiticity(keys: np.ndarray, values: np.ndarray,
+                       dim: int) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
+    """:func:`_hermiticity` of a matrix given by its nonzero entries (keys sorted): the
+    same defect, each entry against its mirror found by ``searchsorted`` (an entry with
+    no mirror has defect ``|value|``), and, when the contract holds, the nonzero entries
+    of the Hermitian part, bit-identical to :func:`hermitian_part`; else ``None``."""
+    adjoint = np.conj(_lookup(keys, values, _mirror(keys, dim)))
+    defect = float(np.abs(values - adjoint).max(initial=0.0))
+    if not _meets_contract(defect, float(np.abs(values).max(initial=0.0))):
+        return defect, None
+    if not (adjoint != 0).all():  # an entry without a mirror: the part has both
+        union = np.union1d(keys, _mirror(keys, dim))
+        values = _lookup(keys, values, union)
+        adjoint = np.conj(_lookup(union, values, _mirror(union, dim)))
+        keys = union
+    part = values + adjoint
+    part /= 2.0
+    nonzero = part != 0
+    return defect, (keys[nonzero], part[nonzero])
 
 
 def _hermitian(matrix: np.ndarray) -> np.ndarray:
@@ -260,37 +333,22 @@ def _psd(vals: np.ndarray) -> PsdCheck:
     return PsdCheck(lo >= -tol, lo, tol)
 
 
-def _support(stack: np.ndarray) -> np.ndarray:
-    """Where any matrix of an ``(n, dim, dim)`` complex stack has a nonzero entry, as a
-    boolean ``(dim, dim)`` array; one matrix at a time, on its real and imaginary parts."""
-    parts = np.zeros((stack.shape[1], 2 * stack.shape[2]), dtype=bool)
-    for matrix in stack:
-        parts |= matrix.view(np.float64) != 0
-    # An entry's two flags, read as one 16-bit integer, are nonzero iff either is.
-    return parts.view(np.uint16) != 0
+def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the symmetric pattern of ``dim`` indices whose edges
+    are the entries ``(rows[k], cols[k])``: one ``(count, size)`` index array per block
+    size, ascending, each row one component's indices in ascending order.
 
-
-def _components(pattern: np.ndarray) -> list[np.ndarray]:
-    """The connected components of a symmetric boolean ``(dim, dim)`` pattern, read as
-    an adjacency matrix: one ``(count, size)`` index array per block size, ascending,
-    each row one component's indices in ascending order.
-
-    A Hermitian matrix whose nonzero entries lie in ``pattern`` is block diagonal on
+    A Hermitian matrix whose nonzero entries lie in the pattern is block diagonal on
     these index groups, so its spectrum is the union of the blocks' spectra.  Each
     index takes the least label among its own and its neighbours' and then its
     label's label (pointer jumping), until no label moves; a label is always an
-    index of the same component, and at rest every edge joins equal labels.  A pass
-    reads the edges of at most ``_EDGE_CHUNK`` pattern entries at a time, so a dense
-    pattern never holds all its edges at once.  A fully dense pattern is one block
-    of all indices, in order."""
-    dim = pattern.shape[0]
-    rows_per_chunk = max(1, _EDGE_CHUNK // dim)
+    index of the same component, and at rest every edge joins equal labels, each
+    component's least index.  An index on no edge is a block of its own; a fully
+    dense pattern is one block of all indices, in order."""
     labels = np.arange(dim)
     while True:
         least = labels.copy()
-        for start in range(0, dim, rows_per_chunk):
-            rows, cols = np.divmod(np.flatnonzero(pattern[start:start + rows_per_chunk]), dim)
-            np.minimum.at(least, rows + start, labels[cols])
+        np.minimum.at(least, rows, labels[cols])
         least = least[least]
         if np.array_equal(least, labels):
             break
@@ -303,12 +361,24 @@ def _components(pattern: np.ndarray) -> list[np.ndarray]:
             for start, end in zip([0, *ends], ends)]
 
 
-def _blocks(matrix: np.ndarray, groups: list[np.ndarray]) -> list[np.ndarray]:
+def _blocks(groups: list[np.ndarray], rows: np.ndarray, cols: np.ndarray,
+            values: np.ndarray) -> list[np.ndarray]:
     """For each ``(count, size)`` index array of :func:`_components`, the
-    ``(count, size, size)`` stack of the diagonal blocks of ``matrix`` on it: a
-    gathered copy, or for one block of the whole matrix a view of ``matrix``."""
-    return [matrix[None] if group.shape[1] == matrix.shape[-1]
-            else matrix[group[:, :, None], group[:, None, :]] for group in groups]
+    ``(count, size, size)`` stack of diagonal blocks on it of the matrix that sums the
+    entries ``values`` at ``(rows, cols)``, each inside a block: the entries are added
+    into one buffer of zeros that holds every block, C-ordered, end to end."""
+    dim = sum(group.size for group in groups)
+    row_at, col_at = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
+    bounds = [0]
+    for group in groups:
+        count, size = group.shape
+        col_at[group] = np.arange(size)
+        row_at[group] = bounds[-1] + size * (size * np.arange(count)[:, None] + np.arange(size))
+        bounds.append(bounds[-1] + count * size * size)
+    buffer = np.zeros(bounds[-1], dtype=values.dtype)
+    np.add.at(buffer, row_at[rows] + col_at[cols], values)
+    return [buffer[start:end].reshape(group.shape + group.shape[1:])
+            for group, start, end in zip(groups, bounds, bounds[1:])]
 
 
 def _eigenvalues(blocks: list[np.ndarray]) -> np.ndarray:

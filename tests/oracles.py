@@ -13,7 +13,9 @@ fixed-point solver runs member by member over Python lists, protocol
 transcripts are drawn and written one trial at a time, product-basis
 strategy values assemble one product vector per outcome, dominance
 checks wrap every difference as an operator for ``is_psd``, PSD tests run
-on the whole matrix instead of its diagonal blocks, and ensemble
+on the whole matrix instead of its diagonal blocks, the Hermitian check,
+overlaps, transposes, components and blocks of ``check`` work on whole dense
+matrices instead of their nonzero entries, and ensemble
 files are written from and read into nested Python lists by whole-document
 ``json`` calls.
 """
@@ -29,7 +31,16 @@ import numpy as np
 
 from nlhide.cli import _fmt
 from nlhide.discrimination import _CHECK_EVERY, DominanceCheck
-from nlhide.ensembles import Ensemble, _document_error, from_document
+from nlhide.ensembles import (
+    PROB_SUM_TOL,
+    PSD_WARN_TOL,
+    TRACE_TOL,
+    CheckResult,
+    Ensemble,
+    EnsembleDiagnostics,
+    _document_error,
+    from_document,
+)
 from nlhide.folding import DegenerateClassError, FoldSpec, fold_bound, mod_sum
 from nlhide.hiding import CoalitionRow, HidingReport
 from nlhide.partitions import Bipartition, Partition, all_partitions, coarser_bipartitions
@@ -41,6 +52,7 @@ from nlhide.tensor import (
     _blocks,
     _components,
     _eigenvalues,
+    _hermiticity,
     _psd,
     hermitian_eigensystem,
     hermitian_part,
@@ -631,17 +643,54 @@ def _difference_checks(e: Ensemble, x: Bipartition, pivot: int | None) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# PSD tests on the whole matrix
+# PSD tests on the whole matrix, and the dense check path
 # ---------------------------------------------------------------------------
+
+def support(stack: np.ndarray) -> np.ndarray:
+    """Where any matrix of an ``(n, dim, dim)`` complex stack has a nonzero entry, as a
+    boolean ``(dim, dim)`` array."""
+    return np.any(stack != 0, axis=0)
+
+
+def components_by_search(pattern: np.ndarray) -> list[np.ndarray]:
+    """The connected components of a symmetric boolean pattern by depth-first search,
+    in the layout of ``nlhide.tensor._components``: one ``(count, size)`` array per
+    block size, ascending, the rows by least index, each row ascending."""
+    dim = len(pattern)
+    seen = [False] * dim
+    found = []
+    for start in range(dim):  # each component is met first at its least index
+        if seen[start]:
+            continue
+        seen[start], todo, members = True, [start], []
+        while todo:
+            i = todo.pop()
+            members.append(i)
+            for j in np.flatnonzero(pattern[i] | pattern[:, i]).tolist():
+                if not seen[j]:
+                    seen[j] = True
+                    todo.append(j)
+        found.append(sorted(members))
+    sizes = sorted({len(c) for c in found})
+    return [np.array([c for c in found if len(c) == size]) for size in sizes]
+
+
+def gather_blocks(matrix: np.ndarray, groups: list[np.ndarray]) -> list[np.ndarray]:
+    """The ``(count, size, size)`` diagonal-block stacks of a dense matrix on each
+    ``(count, size)`` index array, gathered by fancy indexing."""
+    return [matrix[group[:, :, None], group[:, None, :]] for group in groups]
+
 
 def assert_blocks_match_dense(stack: np.ndarray, pattern: np.ndarray) -> None:
     """For each matrix of an ``(n, dim, dim)`` Hermitian stack whose nonzero entries lie
-    in ``pattern``, the per-block tests of ``nlhide.tensor`` agree with dense
-    ``eigvalsh`` + ``_psd``: the same verdicts, and eigenvalues within
-    ``1e-12 * (1 + spectral scale)``."""
-    groups = _components(pattern)
+    in ``pattern``, the per-block tests of ``nlhide.tensor`` (blocks scattered from the
+    matrix's entries) agree with dense ``eigvalsh`` + ``_psd``: the same verdicts, and
+    eigenvalues within ``1e-12 * (1 + spectral scale)``."""
+    dim = pattern.shape[0]
+    groups = _components(dim, *np.nonzero(pattern))
     for matrix in stack:
-        mine = _blocks(matrix, groups)
+        rows, cols = np.nonzero(matrix)
+        mine = _blocks(groups, rows, cols, matrix[rows, cols])
         dense = np.linalg.eigvalsh(matrix)
         spectrum = _eigenvalues(mine)
         slack = 1e-12 * (1.0 + max(abs(dense[0]), abs(dense[-1])))
@@ -650,6 +699,75 @@ def assert_blocks_match_dense(stack: np.ndarray, pattern: np.ndarray) -> None:
         got, want = _psd(spectrum), _psd(dense)
         assert got.ok == want.ok
         assert abs(got.min_eigenvalue - want.min_eigenvalue) <= slack
+
+
+def validate_by_dense(e: Ensemble) -> EnsembleDiagnostics:
+    """``nlhide.ensembles.validate`` on dense matrices: the Hermitian check on the whole
+    matrix and its adjoint, and the PSD test on blocks gathered from the whole
+    Hermitian part on the components of its nonzero pattern."""
+    checks, warnings = [], []
+    prob_residual = abs(math.fsum(e.probs) - 1.0)
+    checks.append(CheckResult("probability-sum", prob_residual <= PROB_SUM_TOL, prob_residual,
+                              f"sum deviates from 1 by {prob_residual:.3e}"))
+    min_prob = min(e.probs)
+    checks.append(CheckResult("probability-nonnegative", min_prob >= 0,
+                              max(0.0, -min_prob), f"smallest probability {min_prob:.3e}"))
+    for k, matrix in enumerate(e.stack):
+        herm, part = _hermiticity(matrix)
+        checks.append(CheckResult(f"hermitian[{k}]", part is not None, herm,
+                                  f"state {k} Hermiticity defect {herm:.3e}"))
+        if part is None:
+            continue
+        trace = complex(np.trace(matrix))
+        trace_residual = abs(trace.real - 1.0) + abs(trace.imag)
+        checks.append(CheckResult(f"trace[{k}]", trace_residual <= TRACE_TOL, trace_residual,
+                                  f"state {k} trace deviates by {trace_residual:.3e}"))
+        groups = components_by_search(support(part[None]))
+        min_eig = float(_eigenvalues(gather_blocks(part, groups))[0])
+        ok = min_eig >= -PSD_WARN_TOL
+        checks.append(CheckResult(f"psd[{k}]", ok, max(0.0, -min_eig),
+                                  f"state {k} minimum eigenvalue {min_eig:.3e}"))
+        if ok and min_eig < 0 and min_eig < -e.dim * np.finfo(float).eps * (
+                1.0 + float(np.max(np.abs(matrix)))):
+            warnings.append(
+                f"state {k} minimum eigenvalue {min_eig:.3e} is negative within tolerance")
+    return EnsembleDiagnostics(tuple(checks), tuple(warnings))
+
+
+def overlaps_by_dense_sum(e: Ensemble) -> np.ndarray:
+    """``|Tr(rho_i rho_j)|`` for ``i != j`` as the sum of all ``dim**2`` products
+    ``A_kl B_lk``, zeros included."""
+    out = np.zeros((e.n, e.n))
+    for i in range(e.n):
+        for j in range(i + 1, e.n):
+            out[i, j] = out[j, i] = abs(np.sum(e.stack[i] * e.stack[j].T))
+    return out
+
+
+def dominance_by_gather(e: Ensemble, x: Bipartition, pivot: int | None = None) -> DominanceCheck:
+    """``check_dominant_state`` on dense matrices: the stack of Hermitian parts is
+    transposed whole, and each difference is formed on blocks gathered from the two
+    transposed states on the components of the stack's joint nonzero pattern."""
+    w = np.asarray(e.probs, dtype=float)
+    gammas = np.stack([partial_transpose(MultiPartyOperator(hermitian_part(m), e.slots),
+                                         x.side_a).matrix for m in e.stack])
+    pivot = int(np.argmax(w)) if pivot is None else pivot
+    groups = components_by_search(support(gammas))
+    mins, passed = [], True
+    for i in range(e.n):
+        if i == pivot:
+            mins.append(0.0)
+            continue
+        diffs = []
+        for lead, other in zip(gather_blocks(gammas[pivot], groups),
+                               gather_blocks(gammas[i], groups)):
+            diff = w[pivot] * lead
+            diff -= w[i] * other
+            diffs.append(diff)
+        check = _psd(_eigenvalues(diffs))
+        mins.append(check.min_eigenvalue)
+        passed = passed and check.ok
+    return DominanceCheck(passed, tuple(mins), pivot)
 
 
 # ---------------------------------------------------------------------------

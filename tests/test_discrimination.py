@@ -31,13 +31,23 @@ from nlhide import (
 
 from nlhide import discrimination
 from nlhide.discrimination import _certificate, _fixed_point_iteration
-from nlhide.ensembles import validate
-from nlhide.tensor import PSD_RTOL, _partial_transpose, _psd, _support, hermitian_part
+from nlhide.ensembles import pairwise_overlaps, validate
+from nlhide.tensor import (
+    PSD_RTOL,
+    _components,
+    _entry_hermiticity,
+    _nonzero_entries,
+    _partial_transpose,
+    _psd,
+    hermitian_part,
+)
 
 from oracles import (
     assert_blocks_match_dense,
     certificate_by_members,
+    components_by_search,
     dominance_by_difference,
+    dominance_by_gather,
     dominance_tolerances,
     dual_feasibility_margin,
     fixed_point_by_members,
@@ -46,7 +56,10 @@ from oracles import (
     product_basis_value_by_outcome,
     random_density,
     random_hermitian,
+    overlaps_by_dense_sum,
     random_povm,
+    support,
+    validate_by_dense,
 )
 
 QUBIT = SlotStructure((2,), ("A1",))
@@ -406,19 +419,28 @@ class TestBipartitionScan:
         slots = SlotStructure((2, 2, 2), ("A1", "A2", "A3"))
         states = tuple(MultiPartyOperator(random_density(rng, 8), slots) for _ in range(3))
         e = Ensemble(PartySet.of_size(3), (0.5, 0.3, 0.2), states)
-        transposed = []
+        transposed, solved = [], []
+        real_keys, real_solve = discrimination._transpose_keys, discrimination.optimal_global
 
-        def counting_transpose(mats, slots, side, out=None):
-            transposed.append((mats.dtype, len(mats)))
-            return _partial_transpose(mats, slots, side, out=out)
+        def counting_keys(keys, slots, side):
+            transposed.append(len(keys))
+            return real_keys(keys, slots, side)
 
-        monkeypatch.setattr(discrimination, "_partial_transpose", counting_transpose)
+        def spying_solve(weights, matrices, **kwargs):
+            solved.append(np.array(matrices))
+            return real_solve(weights, matrices, **kwargs)
+
+        monkeypatch.setattr(discrimination, "_transpose_keys", counting_keys)
+        monkeypatch.setattr(discrimination, "_partial_transpose", None)  # no dense transpose
+        monkeypatch.setattr(discrimination, "optimal_global", spying_solve)
         scan = max_bipartition_bound(e)
-        # Dominance fails on every cut, so the solver reuses the transposed states;
-        # beside them only the boolean pattern of their nonzero entries is transposed.
+        # Dominance fails on every cut: the keys of all states are transposed once per
+        # cut, and the solver gets the dense stack of transposed Hermitian parts.
         assert [r.method for r in scan.results.values()] == ["iterative"] * 3
-        assert sum(count for dtype, count in transposed if dtype == complex) == e.n * 3
-        assert transposed.count((np.dtype(bool), 1)) == 3
+        assert transposed == [e.n * e.dim * e.dim] * 3  # random densities: every entry
+        for bp, gammas in zip(all_bipartitions(e.parties), solved, strict=True):
+            want = _partial_transpose(hermitian_part(e.stack), e.slots, bp.side_a)
+            assert np.array_equal(gammas, want)
 
     def test_blocks_follow_the_transposed_pattern(self):
         # The coupling of |Phi+><Phi+| sits at (0, 3); on the cut it moves to (1, 2),
@@ -434,13 +456,14 @@ class TestBipartitionScan:
 
     def test_one_hermitian_check_per_state(self, ghz23, monkeypatch):
         checked = []
-        real = discrimination._hermitian
+        real = discrimination._entry_hermiticity
 
-        def counting(matrix):
-            checked.append(matrix)
-            return real(matrix)
+        def counting(keys, values, dim):
+            checked.append(keys)
+            return real(keys, values, dim)
 
-        monkeypatch.setattr(discrimination, "_hermitian", counting)
+        monkeypatch.setattr(discrimination, "_entry_hermiticity", counting)
+        monkeypatch.setattr(discrimination, "_hermitian", None)  # no dense check
         scan = max_bipartition_bound(ghz23)
         # Three cuts, all decided by dominance: the states are checked once, not per cut.
         assert [r.method for r in scan.results.values()] == ["dominance"] * 3
@@ -448,15 +471,15 @@ class TestBipartitionScan:
 
 
 @pytest.mark.parametrize(
-    "entry, extra",
-    [(q_upper, ()), (check_dominant_state, ()),
-     (check_povm_optimality, (np.broadcast_to(np.eye(8) / 2, (2, 8, 8)),))],
+    "entry, extra, check",
+    [(q_upper, (), "_hermitian"), (check_dominant_state, (), "_entry_hermiticity"),
+     (check_povm_optimality, (np.broadcast_to(np.eye(8) / 2, (2, 8, 8)),), "_hermitian")],
     ids=["q_upper", "check_dominant_state", "check_povm_optimality"],
 )
-def test_entries_check_each_state_once(ghz23, monkeypatch, entry, extra):
+def test_entries_check_each_state_once(ghz23, monkeypatch, entry, extra, check):
     checked = []
-    real = discrimination._hermitian
-    monkeypatch.setattr(discrimination, "_hermitian", lambda m: checked.append(1) or real(m))
+    real = getattr(discrimination, check)
+    monkeypatch.setattr(discrimination, check, lambda *a: checked.append(1) or real(*a))
     entry(ghz23, all_bipartitions(ghz23.parties)[0], *extra)
     assert len(checked) == ghz23.n
 
@@ -577,6 +600,128 @@ class TestArrayDominance:
         self._assert_matches_oracle(e, pivots=(None, *range(n)))
 
 
+def _assert_entries_match_dense(e, pivots=(None,)):
+    """The entries path of ``check`` against the dense oracles: ``validate`` bit for
+    bit, the overlaps within 1e-15, each cut's components, ``check_dominant_state`` and
+    the scan's dominance certificates exactly."""
+    got, want = validate(e), validate_by_dense(e)
+    assert (got.checks, got.warnings) == (want.checks, want.warnings)
+    assert np.max(np.abs(pairwise_overlaps(e) - overlaps_by_dense_sum(e))) <= 1e-15
+    keys = discrimination._hermitian_entries(e)[1]
+    herm = hermitian_part(e.stack)
+    scan = max_bipartition_bound(e, max_iterations=25)
+    for bp in all_bipartitions(e.parties):
+        transposed = discrimination._transpose_keys(keys, e.slots, bp.side_a)
+        mine = _components(e.dim, *np.divmod(transposed, e.dim))
+        dense = components_by_search(support(_partial_transpose(herm, e.slots, bp.side_a)))
+        assert [g.tolist() for g in mine] == [g.tolist() for g in dense]
+        for pivot in pivots:
+            assert check_dominant_state(e, bp, pivot) == dominance_by_gather(e, bp, pivot)
+        want = dominance_by_gather(e, bp)
+        result = scan.results[bp.to_string()]
+        assert (result.method == "dominance") == want.passed
+        if want.passed:
+            assert result.certificate_min_eigs == want.min_eigenvalues
+
+
+def _block_diagonal_density(rng, dim, sizes):
+    """A density matrix block diagonal on consecutive index runs of ``sizes``, under a
+    random permutation of the indices."""
+    order = rng.permutation(dim)
+    matrix = np.zeros((dim, dim), dtype=np.complex128)
+    start = 0
+    for size in sizes:
+        index = np.sort(order[start:start + size])
+        start += size
+        matrix[np.ix_(index, index)] = random_density(rng, size) * size
+    return hermitian_part(matrix / np.trace(matrix).real)
+
+
+class TestEntriesPath:
+    """``validate``, the overlaps and dominance on each state's nonzero entries give
+    the dense path's answers."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        parties=st.integers(2, 4),
+        n=st.integers(2, 4),
+        dense=st.booleans(),
+        lead=st.floats(0.0, 1.0),
+    )
+    def test_random_block_diagonal_ensembles(self, seed, parties, n, dense, lead):
+        # Slots that alternate between the parties slot by slot; each state block
+        # diagonal under its own permutation, and with ``dense`` the last one fully dense.
+        rng = np.random.default_rng(seed)
+        owners = [k % parties for k in range(int(rng.integers(parties, 2 * parties + 1)))]
+        dims = [int(d) for d in rng.integers(1, 4, size=len(owners))]
+        while np.prod(dims) > 64:
+            dims[int(np.argmax(dims))] -= 1
+        slots = SlotStructure(tuple(dims), tuple(f"A{k + 1}" for k in owners))
+        dim = slots.dim
+        mats = []
+        for _ in range(n):
+            sizes = []
+            while sum(sizes) < dim:
+                sizes.append(min(int(rng.integers(1, 6)), dim - sum(sizes)))
+            mats.append(_block_diagonal_density(rng, dim, sizes))
+        if dense:
+            mats[-1] = hermitian_part(random_density(rng, dim))
+        mats[0] = hermitian_part(lead * np.eye(dim) / dim + (1 - lead) * mats[0])
+        probs = lead * np.eye(n)[0] + (1 - lead) * rng.dirichlet(np.ones(n))
+        labels = PartySet(tuple(dict.fromkeys(slots.party_of_slot)))
+        e = Ensemble(labels, tuple(probs), tuple(MultiPartyOperator(m, slots) for m in mats))
+        _assert_entries_match_dense(e, pivots=(None, *range(n)))
+
+    @pytest.mark.parametrize("family, params", _family_instances(SMALL_CAP))
+    def test_family_instances(self, family, params):
+        _assert_entries_match_dense(_family(family, params, SMALL_CAP))
+
+
+def _unmirrored(value):
+    """GHZ-complement (2, 2) with state 0's entry (0, 1) set to ``value`` and (1, 0) kept
+    zero: an entry with no mirror."""
+    e = ghz_complement_ensemble(2, 2)
+    stack = np.array(e.stack)
+    stack[0, 0, 1] = value
+    return Ensemble(e.parties, e.probs, tuple(MultiPartyOperator(m, e.slots) for m in stack))
+
+
+class TestMirrorRule:
+    """An entry with no mirror has the defect ``|value|``, under the dense rule."""
+
+    def test_defect_above_the_tolerance_fails(self):
+        e = _unmirrored(1e-6)
+        diagnostics = validate(e)
+        assert diagnostics.checks == validate_by_dense(e).checks
+        (failure,) = diagnostics.failures
+        assert failure == ("hermitian[0]", False, 1e-6, "state 0 Hermiticity defect 1.000e-06")
+        (bp,) = all_bipartitions(e.parties)
+        message = r"^operator is not Hermitian \(defect 1\.000e-06\)$"
+        for entry in (lambda: check_dominant_state(e, bp), lambda: max_bipartition_bound(e)):
+            with pytest.raises(ContractViolationError, match=message):
+                entry()
+
+    def test_defect_within_the_tolerance_passes(self):
+        e = _unmirrored(1e-14)
+        diagnostics = validate(e)
+        assert diagnostics.passed
+        assert diagnostics.checks == validate_by_dense(e).checks
+        assert ("hermitian[0]", True, 1e-14) == diagnostics.checks[2][:3]
+        ((keys, values),) = _nonzero_entries(e.stack[:1])
+        defect, (part_keys, part_values) = _entry_hermiticity(keys, values, e.dim)
+        assert defect == 1e-14
+        dense = hermitian_part(e.stack[0])
+        assert dense[0, 1] == dense[1, 0] == 0.5e-14
+        got = np.zeros_like(dense)
+        got.reshape(-1)[part_keys] = part_values
+        assert got.tobytes() == (dense + 0.0).tobytes()  # + 0.0: no negative zeros
+        (bp,) = all_bipartitions(e.parties)
+        assert check_dominant_state(e, bp) == dominance_by_gather(e, bp)
+        result = max_bipartition_bound(e).results[bp.to_string()]
+        assert result.certificate_min_eigs == dominance_by_gather(e, bp).min_eigenvalues
+
+
 class TestBlockPath:
     """On every built-in family instance of dimension at most 64, the per-block PSD
     tests agree with the dense ones on what ``validate`` and the scan decide."""
@@ -587,7 +732,7 @@ class TestBlockPath:
         psd = [c for c in validate(e).checks if c.name.startswith("psd")]
         for state, check in zip(e.stack, psd):
             one = hermitian_part(state)[None]
-            assert_blocks_match_dense(one, _support(one))
+            assert_blocks_match_dense(one, support(one))
             dense = float(np.linalg.eigvalsh(one[0])[0])
             assert check.ok == (dense >= -1e-10)
             assert abs(check.residual - max(0.0, -dense)) <= 1e-12
@@ -600,8 +745,8 @@ class TestBlockPath:
         for bp in all_bipartitions(e.parties):
             gammas = _partial_transpose(herm, e.slots, bp.side_a)
             # The pattern of the transposed stack is the transposed pattern.
-            pattern = _partial_transpose(_support(herm)[None], e.slots, bp.side_a)[0]
-            assert np.array_equal(pattern, _support(gammas))
+            pattern = _partial_transpose(support(herm)[None], e.slots, bp.side_a)[0]
+            assert np.array_equal(pattern, support(gammas))
             diffs = w[pivot] * gammas[pivot] - w[:, None, None] * gammas
             assert_blocks_match_dense(np.delete(diffs, pivot, axis=0), pattern)
 
@@ -652,7 +797,7 @@ class TestBlockScaling:
         states = tuple(MultiPartyOperator(hermitian_part(m), SlotStructure((4, 4), ("A1", "A2")))
                        for m in (lead, random_density(rng, 16)))
         e = Ensemble(PartySet.of_size(2), (0.999, 0.001), states)
-        assert _support(e.stack).all()
+        assert support(e.stack).all()
         largest, scan = self._largest_eigen_dim(monkeypatch, e)
         assert [r.method for r in scan.results.values()] == ["dominance"]
         assert largest == e.dim

@@ -16,6 +16,7 @@ from nlhide import (
     FoldSpec,
     HidingError,
     MultiPartyOperator,
+    ParityBlockParams,
     PartySet,
     SchemeConfig,
     SlotStructure,
@@ -29,12 +30,14 @@ from nlhide import (
     ghz_complement_ensemble,
     min_folds,
     optimal_global,
+    parity_block_ensemble,
     run_protocol,
     sampling_crosscheck,
     transcripts_to_jsonl,
 )
 
 from nlhide import discrimination, hiding
+from nlhide.ensembles import validate
 from nlhide.hiding import _admissibility_verdict, _fold_count_for
 
 from oracles import (
@@ -130,6 +133,22 @@ class TestCheckHiding:
         with pytest.raises(ValueError, match="tolerance must be positive"):
             check_hiding(bell_mix((0.5, 0.3, 0.2)), tol=tol)
 
+    def test_check_peaks_below_one_dense_state(self):
+        # validate and check_hiding on parity (2, 3, 1, 3), dim 512, eight states at
+        # 0.13% nonzero: each traced peak stays below the dim**2 * 16 bytes of one state.
+        e = parity_block_ensemble(ParityBlockParams(2, 3, 1, 3))
+        one_state = e.dim**2 * 16
+        peaks = []
+        tracemalloc.start()
+        try:
+            for call in (validate, check_hiding):
+                tracemalloc.reset_peak()
+                call(e)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < one_state, peaks
+
     def test_ghz22_admissible(self, ghz22):
         report = check_hiding(ghz22)
         assert report.admissible is True
@@ -213,19 +232,24 @@ class TestCheckHiding:
 
     def test_solver_cuts_build_no_operator(self, monkeypatch):
         # Every cut is undecided, so the solver gets each transposed stack as it is:
-        # the states are checked n times up front and n times per cut by its guard.
+        # the states' entries are checked n times up front, and the dense stack n times
+        # per cut by the solver's guard.
         e = ghz_basis_triple()
         tensor = importlib.import_module("nlhide.tensor")  # the package binds the function
-        frozen, checked = [], []
+        frozen, entries, checked = [], [], []
         real_frozen, real_hermitian = tensor._frozen_matrix, discrimination._hermitian
+        real_entries = discrimination._entry_hermiticity
         monkeypatch.setattr(tensor, "_frozen_matrix",
                             lambda *args: frozen.append(1) or real_frozen(*args))
+        monkeypatch.setattr(
+            discrimination, "_entry_hermiticity", lambda *a: entries.append(1) or real_entries(*a)
+        )
         monkeypatch.setattr(
             discrimination, "_hermitian", lambda m: checked.append(1) or real_hermitian(m)
         )
         scan = discrimination.max_bipartition_bound(e)
         assert [r.method for r in scan.results.values()] == ["iterative"] * 3
-        assert (len(frozen), len(checked)) == (0, e.n + 3 * e.n)
+        assert (len(frozen), len(entries), len(checked)) == (0, e.n, 3 * e.n)
 
 
 class TestMinFolds:

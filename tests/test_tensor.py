@@ -20,19 +20,24 @@ from nlhide.tensor import (
     _blocks,
     _components,
     _eigenvalues,
+    _entry_hermiticity,
     _hermitian,
+    _hermiticity,
+    _nonzero_entries,
     _partial_transpose,
     _psd,
-    _support,
+    _transpose_keys,
     hermitian_part,
 )
 
 from oracles import (
     assert_blocks_match_dense,
+    components_by_search,
     jacobi_eigenvalues,
     partial_transpose_entrywise,
     random_density,
     random_hermitian,
+    support,
     swap_matrix,
 )
 
@@ -161,6 +166,28 @@ class TestPartialTranspose:
         _partial_transpose(mats, slots, side, out=mats)
         assert mats.tobytes() == np.stack(want).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), parties=st.integers(2, 4))
+    def test_key_transpose_matches_entrywise_oracle(self, seed, parties):
+        # Slots that alternate between the parties slot by slot, random sides, and a
+        # sparse matrix: its entries' keys land where the dense transpose puts them.
+        rng = np.random.default_rng(seed)
+        owners = [k % parties for k in range(int(rng.integers(parties, 2 * parties + 3)))]
+        dims = [int(d) for d in rng.integers(1, 4, size=len(owners))]
+        while np.prod(dims) > 64:
+            dims[int(np.argmax(dims))] -= 1
+        dims = tuple(dims)
+        slots = SlotStructure(dims, tuple(f"A{k + 1}" for k in owners))
+        labels = sorted(set(slots.party_of_slot))
+        side = set(rng.choice(labels, size=int(rng.integers(1, len(labels))), replace=False))
+        mat = rng.normal(size=(slots.dim,) * 2) * (rng.random((slots.dim,) * 2) < 0.3)
+        flipped = tuple(k for k, party in enumerate(slots.party_of_slot) if party in side)
+        want = partial_transpose_entrywise(mat, dims, flipped)
+        keys = np.flatnonzero(mat)
+        got = np.zeros_like(mat)
+        got.reshape(-1)[_transpose_keys(keys, slots, side)] = mat.reshape(-1)[keys]
+        assert np.array_equal(got, want)
+
     def test_rejects_non_bipartition_sides(self):
         op = two_party_op(np.eye(4))
         with pytest.raises(ValueError, match="not a bipartition side"):
@@ -171,10 +198,16 @@ class TestPartialTranspose:
             partial_transpose(op, {"B7"})
 
 
+def entry_blocks(matrix):
+    """The diagonal-block stacks of a matrix on the components of its nonzero pattern,
+    scattered from its entries as ``check`` does."""
+    rows, cols = np.nonzero(matrix)
+    return _blocks(_components(len(matrix), rows, cols), rows, cols, matrix[rows, cols])
+
+
 def block_eigenvalues(op):
     """The eigenvalues of ``op``'s Hermitian part by the block path of ``check``."""
-    mat = _hermitian(op.matrix)
-    return _eigenvalues(_blocks(mat, _components(_support(mat[None]))))
+    return _eigenvalues(entry_blocks(_hermitian(op.matrix)))
 
 
 class TestHermitianEigenvalues:
@@ -249,6 +282,29 @@ class TestHermitianContract:
         else:
             with pytest.raises(ContractViolationError, match="^operator is not Hermitian"):
                 _hermitian(mat)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3, 4, 6, 8]),
+           scale=st.sampled_from([0.0, 1e-14, 1e-12, 1e-6]), density=st.floats(0.0, 1.0))
+    def test_entries_match_the_dense_check(self, seed, dim, scale, density):
+        # A sparse Hermitian matrix plus a sparse perturbation: entries lose their mirror,
+        # gain one, or differ from its conjugate.  The defect is bit-equal to the dense
+        # one, and so is the Hermitian part where the contract holds.
+        rng = np.random.default_rng(seed)
+        mask = rng.random((dim, dim)) < density
+        herm = random_hermitian(rng, dim) * (mask | mask.T)
+        noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        mat = herm + scale * noise * (rng.random((dim, dim)) < 0.2)
+        ((keys, values),) = _nonzero_entries(mat[None])
+        defect, part = _entry_hermiticity(keys, values, dim)
+        dense_defect, dense_part = _hermiticity(mat)
+        assert defect == dense_defect
+        assert (part is None) == (dense_part is None)
+        if part is not None:
+            got = np.zeros_like(mat)
+            got.reshape(-1)[part[0]] = part[1]
+            assert got.tobytes() == (dense_part + 0.0).tobytes()  # + 0.0: no negative zeros
+            assert np.all(part[1] != 0) and np.all(np.diff(part[0]) > 0)
 
     def test_both_sides_of_the_tolerance(self):
         herm = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
@@ -325,8 +381,10 @@ class TestBlocks:
     def test_permuted_blocks_match_dense(self, seed, sizes, zero_rows, lowest):
         matrix, blocks = _permuted_blocks(np.random.default_rng(seed), sizes, zero_rows, lowest)
         stack = matrix[None]
-        pattern = _support(stack)
-        groups = _components(pattern)
+        pattern = support(stack)
+        groups = _components(len(matrix), *np.nonzero(matrix))
+        assert all(np.array_equal(a, b) for a, b in zip(groups, components_by_search(pattern),
+                                                           strict=True))
         assert {frozenset(row.tolist()) for g in groups for row in g} == set(blocks)
         assert [g.shape[1] for g in groups] == sorted({len(b) for b in blocks})
         for g in groups:
@@ -339,47 +397,47 @@ class TestBlocks:
     def test_lowest_eigenvalue_cases(self, lowest, ok):
         # Many blocks of four, so the one at lowest * tol is one among many.
         matrix, _ = _permuted_blocks(np.random.default_rng(1), [4] * 8, 2, lowest)
-        stack = matrix[None]
-        blocks = _blocks(matrix, _components(_support(stack)))
+        blocks = entry_blocks(matrix)
         assert [b.shape for b in blocks] == [(2, 1, 1), (8, 4, 4)]
         check = _psd(_eigenvalues(blocks))
         assert check.ok == ok
         assert check.min_eigenvalue == pytest.approx(min(lowest, 0.0) * check.tol, abs=1e-9)
-        assert_blocks_match_dense(stack, _support(stack))
+        assert_blocks_match_dense(matrix[None], support(matrix[None]))
 
     def test_dense_matrix_is_one_block_and_todays_call(self):
         matrix = random_hermitian(np.random.default_rng(2), 12)
-        stack = matrix[None]
-        (group,) = _components(_support(stack))
+        (group,) = _components(12, *np.nonzero(matrix))
         assert np.array_equal(group, np.arange(12)[None])
-        (block,) = _blocks(matrix, [group])
-        assert np.shares_memory(block, matrix)  # a view: nothing is gathered
+        (block,) = entry_blocks(matrix)
+        assert np.array_equal(block[0], matrix)  # the whole matrix, every entry in place
         assert np.array_equal(_eigenvalues([block]), np.linalg.eigvalsh(matrix))
-        assert_blocks_match_dense(stack, _support(stack))
+        assert_blocks_match_dense(matrix[None], support(matrix[None]))
 
     def test_zero_matrix_is_all_one_by_one_blocks(self):
         stack = np.zeros((1, 5, 5), dtype=np.complex128)
-        (group,) = _components(_support(stack))
+        (group,) = _components(5, *np.nonzero(stack[0]))
         assert np.array_equal(group, np.arange(5)[:, None])
-        assert_blocks_match_dense(stack, _support(stack))
+        assert_blocks_match_dense(stack, support(stack))
 
     def test_support_is_the_union_over_the_stack(self):
         stack = np.zeros((2, 4, 4), dtype=np.complex128)
         stack[0, 0, 3] = stack[0, 3, 0] = 1.0
         stack[1, 1, 2] = 1j  # an imaginary entry alone counts
         stack[1, 2, 1] = -1j
-        expected = np.zeros((4, 4), dtype=bool)
-        expected[[0, 3, 1, 2], [3, 0, 2, 1]] = True
-        assert np.array_equal(_support(stack), expected)
-        groups = _components(_support(stack))
+        stack[1, 3, 3] = -0.0  # a signed zero does not
+        (keys0, values0), (keys1, values1) = _nonzero_entries(stack)
+        assert keys0.tolist() == [3, 12] and values0.tolist() == [1.0, 1.0]
+        assert keys1.tolist() == [6, 9] and values1.tolist() == [1j, -1j]
+        keys = np.concatenate([keys0, keys1])
+        groups = _components(4, *np.divmod(keys, 4))
         assert [g.tolist() for g in groups] == [[[0, 3], [1, 2]]]
 
     def test_chain_joins_across_pointer_jumps(self):
         # A path 0-5-1-4-2-3 visits its indices out of order: one block of six.
-        pattern = np.eye(7, dtype=bool)
+        rows, cols = np.arange(7), np.arange(7)
         for a, b in [(0, 5), (5, 1), (1, 4), (4, 2), (2, 3)]:
-            pattern[a, b] = pattern[b, a] = True
-        assert [g.tolist() for g in _components(pattern)] == [[[6]], [[0, 1, 2, 3, 4, 5]]]
+            rows, cols = np.append(rows, [a, b]), np.append(cols, [b, a])
+        assert [g.tolist() for g in _components(7, rows, cols)] == [[[6]], [[0, 1, 2, 3, 4, 5]]]
 
 
 class TestKernelProperties:
