@@ -15,18 +15,23 @@ eigenvalues, and the solver runs only where dominance fails.  Every difference o
 a cut is block diagonal on the connected components of the transposed states'
 joint nonzero pattern, so each eigenvalue solve runs block by block.
 
-Two solver paths exist.  For two operators the exact closed form is used:
-the optimum is ``w1 Tr(B) + sum of positive eigenvalues of (w0 A - w1 B)``
-achieved by the projector onto the positive eigenspace.  For more operators
-the fixed-point iteration runs on square-root factors of the POVM elements, on
-positive definite shifts of the weighted operators, extrapolated at each check;
-it stops once the POVM's primal value is within the tolerance of the smaller of
-two feasible duals built on the weighted POVM average.
+The solver runs on the same blocks.  Pinching a POVM onto them keeps its value, so
+the optimum is the sum of one optimum per block, and the block diagonal sum of the
+blocks' feasible duals is feasible.  The blocks of one size are stacked and solved
+together; :func:`optimal_global` splits its input by the input's own pattern, and a
+matrix with no block structure is one block.  A ``1 x 1`` block is closed form,
+``max_i w_i a_i``.  For two operators each block takes the exact closed form: its
+optimum is ``w1 Tr(B) + sum of positive eigenvalues of (w0 A - w1 B)``, achieved by
+the projector onto the positive eigenspace.  For more operators the fixed-point
+iteration runs on square-root factors of the POVM elements, on positive definite
+shifts of the weighted operators, extrapolated at each check; it stops once the
+POVM's primal value is within the tolerance of the smaller of two feasible duals
+built on the weighted POVM average.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -48,11 +53,17 @@ _EXTRAPOLATIONS = np.array([0.0, 2.0, 8.0, 32.0, 128.0])
 class DiscriminationResult:
     """Primal/dual pair with the POVM that realizes the primal value.
 
-    ``povm`` is the read-only ``(n, dim, dim)`` stack of POVM elements the solver
-    returned, or ``None`` for dominance: the all-or-nothing measurement on the pivot.
+    ``povm`` is the read-only ``(n, dim, dim)`` stack of POVM elements that
+    :func:`optimal_global` and :func:`q_upper` return, scattered from the solver's
+    blocks.  It is ``None`` on every cut of :func:`max_bipartition_bound`: for
+    dominance the POVM is the all-or-nothing measurement on the pivot, and a cut the
+    solver decides keeps only its blocks' values, since a dense stack per cut would
+    take ``n dim^2`` numbers (1 GiB at ``n = 4``, dim 4096).
     ``certificate_min_eigs[i]`` is the minimum eigenvalue of the symmetrized
-    optimality operator for member ``i``; all entries nonnegative (up to the
-    solver tolerance) certifies the POVM optimal.  For a dominance result it is the
+    optimality operator for member ``i``, the least over the blocks; all entries
+    nonnegative (up to the solver tolerance) certifies the POVM optimal.  The primal
+    and dual values are sums over the blocks, and ``iterations`` is the most steps
+    that any block size took (a closed form counts one).  For a dominance result it is the
     minimum eigenvalue of ``p_pivot G(rho_pivot) - p_i G(rho_i)``, the least over its
     blocks, 0.0 at the pivot: the ``min_eigenvalues`` of :func:`check_dominant_state`
     on the cut, each within the PSD tolerance of zero or above.  ``dual_value`` is
@@ -123,89 +134,128 @@ def _certificate(
 ) -> tuple[float, float, tuple[float, ...]]:
     """Primal value, feasible dual value, and per-member optimality residuals.
 
-    ``mats`` and ``povm_mats`` are stacked ``(n, dim, dim)`` arrays.  With ``Y0``
-    the Hermitian part of ``sum_j w_j A_j M_j``, residual ``i`` is the least
+    ``mats`` and ``povm_mats`` are ``(n, dim, dim)`` stacks, or ``(count, n, s, s)``
+    stacks of one block size of a block diagonal problem: block ``b`` holds the
+    ``s x s`` diagonal blocks of all ``n`` members on it.  In each block, with ``Y0``
+    the Hermitian part of ``sum_j w_j A_j M_j``, member ``i``'s residual is the least
     eigenvalue of ``Y0 - w_i A_i``.  ``Y0`` lifted by ``max(0, -min residual)`` times
     the identity and ``Y0 + sum_i (w_i A_i - Y0)_+`` are both feasible duals; the
-    dual value is the smaller trace, primal plus lift times dimension or primal plus
-    the magnitudes of every negative eigenvalue of every ``Y0 - w_i A_i``, all from
-    one batched eigenvalue solve.
+    block's dual value is the smaller trace, its primal plus lift times ``s`` or its
+    primal plus the magnitudes of every negative eigenvalue of every ``Y0 - w_i A_i``,
+    all from one batched eigenvalue solve.  The blocks' values add up, and member
+    ``i``'s residual is its least over the blocks: the block diagonal sum of the
+    blocks' duals is feasible for the whole problem.
     """
-    am = mats @ povm_mats
-    primal = float(w @ np.trace(am, axis1=1, axis2=2).real)
-    weighted_avg = hermitian_part(np.tensordot(w, am, axes=1))
-    diffs = hermitian_part(weighted_avg - w[:, None, None] * mats)
+    mats = mats.reshape(-1, *mats.shape[-3:])
+    am = mats @ povm_mats.reshape(mats.shape)
+    primal = np.trace(am, axis1=-2, axis2=-1).real @ w
+    weighted_avg = hermitian_part(np.tensordot(w, am, axes=([0], [1])))
+    diffs = hermitian_part(weighted_avg[:, None] - w[:, None, None] * mats)
     eigs = np.linalg.eigvalsh(diffs)
-    residuals = tuple(float(r) for r in eigs[:, 0])
-    lift = max(0.0, -min(residuals))
-    dual = primal + min(lift * mats.shape[-1], float(-eigs[eigs < 0].sum()))
-    return primal, dual, residuals
+    least = eigs[..., 0]
+    lift = np.maximum(0.0, -least.min(axis=1))
+    dual = primal + np.minimum(lift * mats.shape[-1], -np.minimum(eigs, 0.0).sum(axis=(1, 2)))
+    return float(primal.sum()), float(dual.sum()), tuple(float(r) for r in least.min(axis=0))
 
 
-def _closed_form_two(w: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, int]:
-    delta = hermitian_part(w[0] * mats[0] - w[1] * mats[1])
+def _closed_form_one(w: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """POVM blocks of ``(count, n, 1, 1)`` blocks: each block's optimum is ``max_i w_i
+    a_i``, all weight on the first member that attains it."""
+    povm = np.zeros(mats.shape, dtype=np.complex128)
+    povm[np.arange(len(mats)), np.argmax(w * mats[:, :, 0, 0].real, axis=1)] = 1.0
+    return povm
+
+
+def _closed_form_two(w: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """POVM blocks of ``(count, 2, s, s)`` blocks: the projector onto the positive
+    eigenspace of ``w_0 A_0 - w_1 A_1`` and the rest of the identity, from one
+    batched ``eigh``."""
+    delta = hermitian_part(w[0] * mats[:, 0] - w[1] * mats[:, 1])
     vals, vecs = np.linalg.eigh(delta)
-    positive = vals > 0
-    m0 = hermitian_part(vecs[:, positive] @ vecs[:, positive].conj().T)
-    m1 = np.eye(delta.shape[0], dtype=np.complex128) - m0
-    return np.stack([m0, m1]), 1
+    m0 = hermitian_part((vecs * (vals > 0)[:, None, :]) @ vecs.conj().swapaxes(-1, -2))
+    return np.stack([m0, np.eye(delta.shape[-1]) - m0], axis=1)
 
 
 def _inv_sqrt(mat: np.ndarray) -> np.ndarray:
-    """``A^{-1/2}`` of a positive definite matrix."""
+    """``A^{-1/2}`` of a positive definite matrix; on a stack, of each matrix in it."""
     vals, vecs = np.linalg.eigh(mat)
-    return (vecs * vals ** -0.5) @ vecs.conj().T
+    return (vecs * vals[..., None, :] ** -0.5) @ vecs.conj().swapaxes(-1, -2)
+
+
+def _completed(factors: np.ndarray) -> np.ndarray:
+    """``T^{-1/2} V_i`` with ``T = sum_i V_i V_i^H`` in each block of a ``(count, n, s,
+    s)`` stack of factors: the elements ``V_i V_i^H`` of each block then sum to the
+    identity."""
+    count, n, s = factors.shape[:3]
+    row = factors.transpose(0, 2, 1, 3).reshape(count, s, n * s)  # [V_1 ... V_n]
+    return _inv_sqrt(row @ row.conj().swapaxes(-1, -2))[:, None] @ factors
 
 
 def _fixed_point_iteration(
     w: np.ndarray,
-    mats: np.ndarray,
+    stacks: Sequence[np.ndarray],
     tol: float,
     max_iterations: int,
-) -> tuple[np.ndarray, int, bool, tuple[float, float, tuple[float, ...]]]:
+) -> list[tuple[np.ndarray, int, bool, tuple[float, float, tuple[float, ...]]]]:
     """Fixed-point POVM iteration on square-root factors, extrapolated at each check.
 
-    Shifting every ``w_i A_i`` by ``c = max_i |min eig(w_i A_i)|`` plus a margin of
-    ``1e-5 max_i |eig(w_i A_i)|`` makes each ``G_i`` positive definite with the same
+    ``stacks`` holds one ``(count, n, s, s)`` stack per block size of a block diagonal
+    problem (a dense one is ``count = 1``, ``s = dim``), and every block of one size
+    iterates with the others, in lockstep.  Shifting every ``w_i A_i`` by ``c =
+    max_i |min eig(w_i A_i)|`` plus a margin of ``1e-5 max_i |eig(w_i A_i)|``, both
+    taken over all blocks, makes each ``G_i`` positive definite with the same
     maximizer.  Each element is kept as a factor, ``M_i = V_i V_i^H``, so the
     iteration ``M_i <- S G_i M_i G_i S``, ``S = Lambda^{-1/2}``, of Jezek, Rehacek &
     Fiurasek (PRA 65, 060301) is ``X_i = G_i V_i``, ``Lambda = sum_i X_i X_i^H``,
-    ``V_i <- S X_i``: every element is PSD by construction.  On pure states the
-    margin keeps ``Lambda`` above about 1e-10 of its scale, far from round-off; a
-    larger one slows the map there (1e-3 took up to 28 times the steps).  Every
-    ``_CHECK_EVERY`` steps the factors are extrapolated along their change since
+    ``V_i <- S X_i``, in each block: every element is PSD by construction.  On pure
+    states the margin keeps ``Lambda`` above about 1e-10 of its scale, far from
+    round-off; a larger one slows the map there (1e-3 took up to 28 times the steps).
+    Every ``_CHECK_EVERY`` steps the factors are extrapolated along their change since
     the last check, ``V + a (V - V_prev)`` for ``a`` in ``_EXTRAPOLATIONS``; each
-    candidate is made complete as ``T^{-1/2} V_i`` with ``T = sum_i V_i V_i^H``, the
-    one of highest primal value goes on (``a = 0``, no jump, on ties), and its POVM
-    is certified.  Deterministic: uniform start, fixed steps.  Returns the POVM of
-    least gap with its iteration, whether it is certified, and its certificate
-    ``(primal, dual, residuals)``.
+    candidate is made complete as ``T^{-1/2} V_i`` with ``T = sum_i V_i V_i^H``, each
+    block keeps its candidate of highest primal value (``a = 0``, no jump, on ties),
+    and the stack's POVM is certified (:func:`_certificate`).  A stack stops once its
+    gap is within its share of ``tol``, the share of the dimension its blocks cover,
+    so the stacks' gaps add up to at most ``tol``.  Deterministic: uniform start,
+    fixed steps.  Returns, per stack, the POVM blocks of least gap with their
+    iteration, whether they are certified, and their certificate ``(primal, dual,
+    residuals)``.
     """
-    n, dim = mats.shape[0], mats.shape[-1]
-    weighted = w[:, None, None] * mats
-    vals = np.linalg.eigvalsh(weighted)
-    shift = float(np.max(np.abs(vals[:, 0]))) + 1e-5 * (float(np.max(np.abs(vals))) or 1.0)
-    shifted = weighted + shift * np.eye(dim)
+    weighted = [w[:, None, None] * mats for mats in stacks]
+    vals = [np.linalg.eigvalsh(g) for g in weighted]
+    least = np.min([v[..., 0].min(axis=0) for v in vals], axis=0)
+    largest = max(float(np.max(np.abs(v))) for v in vals)
+    shift = float(np.max(np.abs(least))) + 1e-5 * (largest or 1.0)
+    span = sum(mats.shape[0] * mats.shape[-1] for mats in stacks)
+    return [_iterate(w, mats, g, shift, tol * (mats.shape[0] * mats.shape[-1] / span),
+                     max_iterations) for mats, g in zip(stacks, weighted)]
 
-    eye = np.eye(dim, dtype=np.complex128)
+
+def _iterate(
+    w: np.ndarray, mats: np.ndarray, weighted: np.ndarray, shift: float, tol: float,
+    max_iterations: int,
+) -> tuple[np.ndarray, int, bool, tuple[float, float, tuple[float, ...]]]:
+    """The iteration of :func:`_fixed_point_iteration` on one ``(count, n, s, s)``
+    stack, with its ``weighted`` blocks, the shift and the stack's share of ``tol``."""
+    count, n, s = mats.shape[:3]
+    shifted = weighted + shift * np.eye(s)
+    eye = np.eye(s, dtype=np.complex128)
     factors = prev = np.broadcast_to(eye / np.sqrt(n), mats.shape)
     best_gap, best_iter, best_cert = np.inf, 0, None
     best_povm = np.broadcast_to(eye / n, mats.shape).copy()
 
     for it in range(1, max_iterations + 1):
-        x = shifted @ factors
-        row = x.transpose(1, 0, 2).reshape(dim, -1)  # [X_1 ... X_n]
-        factors = _inv_sqrt(row @ row.conj().T) @ x
+        factors = _completed(shifted @ factors)
 
         if it % _CHECK_EVERY == 0 or it == max_iterations:
             # Both ends of each jump are complete, so T >= I up to round-off.
-            step, best_value = factors - prev, -np.inf
+            step, best_value = factors - prev, np.full(count, -np.inf)
+            best = np.empty_like(factors)
             for a in _EXTRAPOLATIONS:
-                jump = factors + a * step
-                jump = _inv_sqrt(np.tensordot(jump, jump.conj(), axes=([0, 2], [0, 2]))) @ jump
-                value = np.vdot(jump, weighted @ jump).real
-                if value > best_value:
-                    best_value, best = value, jump
+                jump = _completed(factors + a * step)
+                value = np.einsum("bnij,bnij->b", jump.conj(), weighted @ jump).real
+                better = value > best_value
+                best_value[better], best[better] = value[better], jump[better]
             factors = prev = best
             povm = factors @ factors.conj().swapaxes(-1, -2)
             cert = _certificate(w, mats, povm)
@@ -216,6 +266,51 @@ def _fixed_point_iteration(
                 return best_povm, it, True, best_cert
 
     return best_povm, best_iter, False, best_cert or _certificate(w, mats, best_povm)
+
+
+def _solve(
+    w: np.ndarray, groups: list[np.ndarray], rows: np.ndarray, cols: np.ndarray,
+    values: np.ndarray, starts: np.ndarray, tol: float, max_iterations: int, closed: bool,
+) -> tuple[DiscriminationResult, list[np.ndarray]]:
+    """The discrimination optimum of the operators ``G_i`` with the ``values`` at
+    ``(rows, cols)`` from ``starts[i]`` to ``starts[i + 1]``, solved on the diagonal
+    blocks of their joint pattern, the :func:`_components` ``groups``.
+
+    Pinching a POVM onto the blocks keeps its value, so the optimum is the sum of the
+    blocks' optima.  Each block size gets one ``(count, n, s, s)`` stack of the
+    members' blocks.  A ``1 x 1`` block is closed form (``max_i w_i a_i``), a block of
+    two operators too when ``closed``; the other stacks go to
+    :func:`_fixed_point_iteration` together.  Primal and dual values add over the
+    blocks, each residual is the least over them, and the result is certified when
+    every stack converged and the summed gap is within ``tol``.  Returns the result,
+    with ``povm=None``, and the POVM blocks, one stack per block size."""
+    per_state = [_blocks(groups, rows[a:b], cols[a:b], values[a:b])
+                 for a, b in zip(starts[:-1], starts[1:])]
+    stacks = [np.stack(blocks, axis=1) for blocks in zip(*per_state)]
+    iterate = [mats.shape[-1] > 1 and not closed for mats in stacks]
+    iterated = iter(_fixed_point_iteration(
+        w, [mats for mats, it in zip(stacks, iterate) if it], tol, max_iterations)
+        if any(iterate) else [])
+    parts = []
+    for mats, it in zip(stacks, iterate):
+        if it:
+            parts.append(next(iterated))
+        else:
+            povm = (_closed_form_one if mats.shape[-1] == 1 else _closed_form_two)(w, mats)
+            parts.append((povm, 1, True, _certificate(w, mats, povm)))
+    povms, iterations, converged, certs = zip(*parts)
+    primal, dual = sum(cert[0] for cert in certs), sum(cert[1] for cert in certs)
+    result = DiscriminationResult(
+        primal_value=primal,
+        dual_value=dual,
+        gap=dual - primal,
+        povm=None,
+        certificate_min_eigs=tuple(np.min([cert[2] for cert in certs], axis=0).tolist()),
+        certified=all(converged) and dual - primal <= tol,
+        iterations=max(iterations),
+        method="closed" if closed else "iterative",
+    )
+    return result, list(povms)
 
 
 def optimal_global(
@@ -231,39 +326,36 @@ def optimal_global(
     arrays; no party structure is read.  Each must meet the Hermitian contract (else
     :class:`ContractViolationError`) and is checked once per call; the solver works
     on copies of their Hermitian parts, so the caller's arrays are not modified.
-    ``method`` is ``"auto"`` (closed form for two operators, iteration
-    otherwise), ``"closed"`` (two operators only) or ``"iterative"``.  A
-    result with ``gap > tol`` is returned flagged uncertified rather than
-    raising; its dual value is still a valid upper bound.  The result's ``povm``
-    is the solver's own ``(n, dim, dim)`` element stack, made read-only.
+    The problem is split into the diagonal blocks of the matrices' joint nonzero
+    pattern and solved block by block (a pattern with no block structure is one
+    block, the whole problem).  ``method`` is ``"auto"`` (closed form for two
+    operators, iteration otherwise), ``"closed"`` (two operators only) or
+    ``"iterative"``; a ``1 x 1`` block is closed form either way.  A result with
+    ``gap > tol`` is returned flagged uncertified rather than raising; its dual value
+    is still a valid upper bound.  The result's ``povm`` is the ``(n, dim, dim)``
+    element stack, scattered from the blocks and made read-only.
     """
     if not tol > 0:  # also NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
     w, mats = _validate_inputs(weights, matrices)
     if method == "auto":
         method = "closed" if len(mats) == 2 else "iterative"
-    if method == "closed":
-        if len(mats) != 2:
-            raise ValueError("the closed form applies to exactly two operators")
-        povm_mats, iterations = _closed_form_two(w, mats)
-        converged, (primal, dual, residuals) = True, _certificate(w, mats, povm_mats)
-    elif method == "iterative":
-        povm_mats, iterations, converged, (primal, dual, residuals) = _fixed_point_iteration(
-            w, mats, tol, max_iterations
-        )
-    else:
+    if method not in ("closed", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    povm_mats.setflags(write=False)
-    return DiscriminationResult(
-        primal_value=primal,
-        dual_value=dual,
-        gap=dual - primal,
-        povm=povm_mats,
-        certificate_min_eigs=residuals,
-        certified=bool(converged and dual - primal <= tol),
-        iterations=iterations,
-        method=method,
-    )
+    if method == "closed" and len(mats) != 2:
+        raise ValueError("the closed form applies to exactly two operators")
+    dim = mats.shape[-1]
+    keys, values = zip(*_nonzero_entries(mats))
+    rows, cols = np.divmod(np.concatenate(keys), dim)
+    groups = _components(dim, rows, cols)
+    result, blocks = _solve(w, groups, rows, cols, np.concatenate(values),
+                            np.cumsum([0, *map(len, keys)]), tol, max_iterations,
+                            closed=method == "closed")
+    povm = np.zeros_like(mats)
+    for group, stack in zip(groups, blocks):
+        povm[:, group[:, :, None], group[:, None, :]] = stack.swapaxes(0, 1)
+    povm.setflags(write=False)
+    return replace(result, povm=povm)
 
 
 def q_upper(
@@ -349,19 +441,18 @@ def check_dominant_state(
     if not 0 <= pivot < n:
         raise ValueError(f"pivot {pivot} out of range for {n} states")
     rows, cols = np.divmod(_transpose_keys(keys, e.slots, x.side_a), e.dim)
-    return _dominance(w, e.dim, rows, cols, values, starts, pivot)
+    return _dominance(w, _components(e.dim, rows, cols), rows, cols, values, starts, pivot)
 
 
-def _dominance(w: np.ndarray, dim: int, rows: np.ndarray, cols: np.ndarray,
+def _dominance(w: np.ndarray, groups: list[np.ndarray], rows: np.ndarray, cols: np.ndarray,
                values: np.ndarray, starts: np.ndarray, pivot: int) -> DominanceCheck:
     """PSD checks of ``w[pivot] G_pivot - w[i] G_i`` for every ``i``, where ``G_i`` has
     the ``values`` at ``(rows, cols)`` from ``starts[i]`` to ``starts[i + 1]``.  Each
-    difference is block diagonal on the components of the states' joint pattern; it is
-    formed in those blocks alone, from the two states' entries, and decided by
-    :func:`_psd` on the eigenvalues of all its blocks, one batched ``eigvalsh`` per
-    block size.  Its reported minimum is the least eigenvalue over its blocks, 0.0 at
-    the pivot."""
-    groups = _components(dim, rows, cols)
+    difference is block diagonal on the components ``groups`` of the states' joint
+    pattern; it is formed in those blocks alone, from the two states' entries, and
+    decided by :func:`_psd` on the eigenvalues of all its blocks, one batched
+    ``eigvalsh`` per block size.  Its reported minimum is the least eigenvalue over its
+    blocks, 0.0 at the pivot."""
     lead = slice(starts[pivot], starts[pivot + 1])
     mins, passed = [], True
     for i in range(len(w)):
@@ -417,28 +508,28 @@ def max_bipartition_bound(
     difference is block diagonal on the connected components of the transposed
     entries' joint pattern, and ``eigvalsh`` of its blocks decides it by the PSD rule
     on the least and largest eigenvalue.  A fully dense pattern is one block, the
-    whole matrix.  A cut where some difference fails goes to the solver, with the
-    dense stack of transposed Hermitian parts scattered from the entries, which its
-    own input guard checks once more.
+    whole matrix.  A cut where some difference fails goes to the solver on the same
+    blocks: one stack of the states' blocks per block size, scattered from the
+    entries, with no ``(n, dim, dim)`` stack.  Its result carries ``povm=None``, as a
+    dominance result does; :func:`q_upper` gives the cut's POVM.
     Numerical failures (``LinAlgError``) are collected per cut, for a partial table.
     The table is keyed by each cut's name; two cuts that share one (labels ``a, b,
     c, bc`` name both ``abc|bc``) raise ``ValueError`` before any cut is decided.
     """
     w, keys, values, starts = _hermitian_entries(e)
     pivot, dim = int(np.argmax(w)), e.dim
-    owner = np.repeat(np.arange(e.n), np.diff(starts))
     results: dict[str, DiscriminationResult] = {}
     failures: dict[str, str] = {}
     for key, bp in _by_name(all_bipartitions(e.parties)).items():
-        transposed = _transpose_keys(keys, e.slots, bp.side_a)
+        rows, cols = np.divmod(_transpose_keys(keys, e.slots, bp.side_a), dim)
         try:
-            check = _dominance(w, dim, *np.divmod(transposed, dim), values, starts, pivot)
+            groups = _components(dim, rows, cols)
+            check = _dominance(w, groups, rows, cols, values, starts, pivot)
             if check.passed:
                 results[key] = _dominance_result(e, check)
             else:
-                gammas = np.zeros((e.n, dim, dim), dtype=np.complex128)
-                gammas.reshape(e.n, -1)[owner, transposed] = values
-                results[key] = optimal_global(w, gammas, tol=tol, max_iterations=max_iterations)
+                results[key], _ = _solve(w, groups, rows, cols, values, starts, tol,
+                                         max_iterations, closed=e.n == 2)
         except np.linalg.LinAlgError as exc:
             failures[key] = str(exc)
     if not results:

@@ -394,8 +394,12 @@ def direct_encode(cfg: SchemeConfig, x: int, cap: int = DEFAULT_DIM_CAP) -> Dire
     spec = FoldSpec(cfg.ensemble, cfg.L)
     _, slots, (matrix,) = _coarse_states(spec, cap, (x,))
     state = MultiPartyOperator._frozen(matrix, slots)
-    # Tr(rho P) = sum_kl rho_kl P_lk: O(dim**2) instead of a full product.
-    rest = [float(np.sum(matrix * proj.T).real) for proj in _class_projectors(spec, cap)]
+    # For a Hermitian P, Re Tr(rho P) = sum_kl Re(rho_kl) Re(P_kl) + Im(rho_kl) Im(P_kl):
+    # one einsum per row of the two arrays' float views, then a pairwise sum of the rows.
+    # No dim**2 temporary, and no BLAS call, whose thread pool would slow what runs next.
+    rows = matrix.view(np.float64)
+    rest = [float(np.einsum("ij,ij->i", proj.view(np.float64), rows).sum())
+            for proj in _class_projectors(spec, cap)]
     probs = (state.trace().real - math.fsum(rest), *rest)
     ok = cfg.report.orthogonal and all(
         abs(p - float(j == x)) <= RECOVERY_TOL for j, p in enumerate(probs))

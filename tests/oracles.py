@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from nlhide.cli import _fmt
-from nlhide.discrimination import _CHECK_EVERY, DominanceCheck
+from nlhide.discrimination import _CHECK_EVERY, _EXTRAPOLATIONS, DominanceCheck
 from nlhide.ensembles import (
     PROB_SUM_TOL,
     PSD_WARN_TOL,
@@ -545,6 +545,74 @@ def fixed_point_by_members(
             prev_primal = primal
 
     return best_povm, best_iter, False
+
+
+# ---------------------------------------------------------------------------
+# the factored solver on one dense stack
+# ---------------------------------------------------------------------------
+
+# The factored, extrapolated iteration as it ran on one dense ``(n, dim, dim)``
+# stack before ``nlhide.discrimination`` solved each problem on the diagonal
+# blocks of its pattern, kept as the reference for a problem of one block: the
+# same steps, so the same iteration count, and the same certificate up to round-off.
+# It shares ``_CHECK_EVERY`` and ``_EXTRAPOLATIONS`` with the code under test.
+
+
+def certificate_dense(
+    w: np.ndarray, mats: np.ndarray, povm_mats: np.ndarray
+) -> tuple[float, float, tuple[float, ...]]:
+    """Primal value, the smaller of the identity-lift and positive-part duals on the
+    whole matrix, and per-member optimality residuals, for ``(n, dim, dim)`` stacks."""
+    am = mats @ povm_mats
+    primal = float(w @ np.trace(am, axis1=1, axis2=2).real)
+    weighted_avg = hermitian_part(np.tensordot(w, am, axes=1))
+    eigs = np.linalg.eigvalsh(hermitian_part(weighted_avg - w[:, None, None] * mats))
+    residuals = tuple(float(r) for r in eigs[:, 0])
+    lift = max(0.0, -min(residuals))
+    dual = primal + min(lift * mats.shape[-1], float(-eigs[eigs < 0].sum()))
+    return primal, dual, residuals
+
+
+def _inv_sqrt_dense(mat: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(mat)
+    return (vecs * vals ** -0.5) @ vecs.conj().T
+
+
+def fixed_point_dense(
+    w: np.ndarray, mats: np.ndarray, tol: float, max_iterations: int
+) -> tuple[np.ndarray, int, bool, tuple[float, float, tuple[float, ...]]]:
+    """The factored fixed-point iteration on one ``(n, dim, dim)`` stack: POVM of least
+    gap, its iteration, whether it is certified, and its certificate."""
+    n, dim = mats.shape[0], mats.shape[-1]
+    weighted = w[:, None, None] * mats
+    vals = np.linalg.eigvalsh(weighted)
+    shift = float(np.max(np.abs(vals[:, 0]))) + 1e-5 * (float(np.max(np.abs(vals))) or 1.0)
+    shifted = weighted + shift * np.eye(dim)
+    eye = np.eye(dim, dtype=np.complex128)
+    factors = prev = np.broadcast_to(eye / np.sqrt(n), mats.shape)
+    best_gap, best_iter, best_cert = np.inf, 0, None
+    best_povm = np.broadcast_to(eye / n, mats.shape).copy()
+    for it in range(1, max_iterations + 1):
+        x = shifted @ factors
+        row = x.transpose(1, 0, 2).reshape(dim, -1)
+        factors = _inv_sqrt_dense(row @ row.conj().T) @ x
+        if it % _CHECK_EVERY == 0 or it == max_iterations:
+            step, best_value = factors - prev, -np.inf
+            for a in _EXTRAPOLATIONS:
+                jump = factors + a * step
+                jump = _inv_sqrt_dense(np.tensordot(jump, jump.conj(), axes=([0, 2], [0, 2]))) @ jump
+                value = np.vdot(jump, weighted @ jump).real
+                if value > best_value:
+                    best_value, best = value, jump
+            factors = prev = best
+            povm = factors @ factors.conj().swapaxes(-1, -2)
+            cert = certificate_dense(w, mats, povm)
+            gap = cert[1] - cert[0]
+            if gap < best_gap:
+                best_gap, best_povm, best_iter, best_cert = gap, povm, it, cert
+            if gap <= tol:
+                return best_povm, it, True, best_cert
+    return best_povm, best_iter, False, best_cert or certificate_dense(w, mats, best_povm)
 
 
 # ---------------------------------------------------------------------------

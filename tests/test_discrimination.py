@@ -51,6 +51,7 @@ from oracles import (
     dominance_tolerances,
     dual_feasibility_margin,
     fixed_point_by_members,
+    fixed_point_dense,
     positive_part,
     povm_value,
     product_basis_value_by_outcome,
@@ -420,27 +421,31 @@ class TestBipartitionScan:
         states = tuple(MultiPartyOperator(random_density(rng, 8), slots) for _ in range(3))
         e = Ensemble(PartySet.of_size(3), (0.5, 0.3, 0.2), states)
         transposed, solved = [], []
-        real_keys, real_solve = discrimination._transpose_keys, discrimination.optimal_global
+        real_keys, real_solve = discrimination._transpose_keys, discrimination._solve
 
         def counting_keys(keys, slots, side):
             transposed.append(len(keys))
             return real_keys(keys, slots, side)
 
-        def spying_solve(weights, matrices, **kwargs):
-            solved.append(np.array(matrices))
-            return real_solve(weights, matrices, **kwargs)
+        def spying_solve(w, groups, *args, **kwargs):
+            solved.append([group.shape for group in groups])
+            return real_solve(w, groups, *args, **kwargs)
 
         monkeypatch.setattr(discrimination, "_transpose_keys", counting_keys)
         monkeypatch.setattr(discrimination, "_partial_transpose", None)  # no dense transpose
-        monkeypatch.setattr(discrimination, "optimal_global", spying_solve)
+        monkeypatch.setattr(discrimination, "optimal_global", None)  # no dense solve
+        monkeypatch.setattr(discrimination, "_solve", spying_solve)
         scan = max_bipartition_bound(e)
+        monkeypatch.undo()
         # Dominance fails on every cut: the keys of all states are transposed once per
-        # cut, and the solver gets the dense stack of transposed Hermitian parts.
+        # cut, and the solver gets the cut's blocks, here one block of every index.
         assert [r.method for r in scan.results.values()] == ["iterative"] * 3
         assert transposed == [e.n * e.dim * e.dim] * 3  # random densities: every entry
-        for bp, gammas in zip(all_bipartitions(e.parties), solved, strict=True):
-            want = _partial_transpose(hermitian_part(e.stack), e.slots, bp.side_a)
-            assert np.array_equal(gammas, want)
+        assert solved == [[(1, e.dim)]] * 3
+        for bp in all_bipartitions(e.parties):
+            result = scan.results[bp.to_string()]
+            assert result.certified and result.povm is None
+            assert abs(result.dual_value - q_upper(e, bp).dual_value) <= 1e-8
 
     def test_blocks_follow_the_transposed_pattern(self):
         # The coupling of |Phi+><Phi+| sits at (0, 3); on the cut it moves to (1, 2),
@@ -923,7 +928,10 @@ class TestStackedSolver:
         want_povm, _, want_ok = fixed_point_by_members(w, list(mats), 1e-8, 100_000)
         assert want_ok
         _, want_q, _ = certificate_by_members(w, list(mats), want_povm)
-        povm, _, ok, certificate = _fixed_point_iteration(w, mats, 1e-8, max_iterations)
+        # A dense problem is one stack of one block.
+        ((povm, _, ok, certificate),) = _fixed_point_iteration(w, [mats[None]], 1e-8,
+                                                               max_iterations)
+        povm = povm[0]
         # The returned certificate is the one of the returned POVM.
         assert certificate == _certificate(w, mats, povm)
         primal, dual, _ = certificate
@@ -978,3 +986,100 @@ class TestWeakDuality:
             assert dual_feasibility_margin(dual_op, w, mats) >= -1e-10
         assert dual == pytest.approx(min(np.trace(lifted).real, np.trace(raised).real),
                                      abs=1e-10)
+
+
+def _permuted_block_problem(seed, n, sizes):
+    """Priors and ``n`` random states, block diagonal on runs of ``sizes`` under one
+    random permutation shared by all, each block a random density of random weight
+    with every entry nonzero: the blocks of the joint pattern are exactly the runs."""
+    rng = np.random.default_rng(seed)
+    dim = sum(sizes)
+    order = rng.permutation(dim)
+    mats = np.zeros((n, dim, dim), dtype=np.complex128)
+    start = 0
+    for size in sizes:
+        index = np.sort(order[start:start + size])
+        start += size
+        for matrix in mats:
+            matrix[np.ix_(index, index)] = random_density(rng, size) * rng.uniform(0.1, 1.0)
+    mats /= np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+    return rng.dirichlet(np.ones(n)), hermitian_part(mats)
+
+
+#: Mixed block sizes with some 1x1 blocks, equal sizes, and one dense block of all.
+BLOCK_CASES = [
+    (0, 3, (1, 1, 1, 4, 4, 8)),
+    (1, 4, (1, 2, 2, 3, 5, 16)),
+    (2, 5, (1, 1, 3, 6, 9)),
+    (3, 3, (2, 2, 2, 2, 2, 2)),
+    (4, 4, (1,) * 8 + (24,)),
+    (7, 5, (1, 3, 4, 4, 12, 40)),
+    (8, 5, (1, 1, 2, 4, 8, 16, 32)),
+    (6, 3, (32,)),
+]
+
+
+class TestBlockSolver:
+    """The solver on the diagonal blocks of the pattern against the dense references."""
+
+    @pytest.mark.parametrize("seed, n, sizes", BLOCK_CASES)
+    def test_matches_the_dense_reference(self, seed, n, sizes):
+        w, mats = _permuted_block_problem(seed, n, sizes)
+        groups = _components(len(mats[0]), *np.nonzero(support(mats)))
+        assert sorted(size for g in groups for size in [g.shape[1]] * len(g)) == sorted(sizes)
+        result = optimal_global(w, mats)
+        assert result.certified
+        assert 0 <= result.gap <= 1e-8
+        assert_valid_povm(result.povm)
+        want_povm, _, want_ok = fixed_point_by_members(w, list(mats), 1e-8, 100_000)
+        assert want_ok
+        _, want_q, _ = certificate_by_members(w, list(mats), want_povm)
+        assert abs(result.dual_value - want_q) <= 1e-8
+
+    @pytest.mark.parametrize("seed, n, sizes", BLOCK_CASES)
+    def test_assembled_dual_is_feasible(self, seed, n, sizes):
+        # Per block, the smaller of Y0 lifted by the identity and Y0 plus the positive
+        # parts of every w_i A_i - Y0; their block diagonal sum is the reported dual.
+        w, mats = _permuted_block_problem(seed, n, sizes)
+        result = optimal_global(w, mats)
+        dim = mats.shape[-1]
+        dual_op = np.zeros((dim, dim), dtype=np.complex128)
+        for group in _components(dim, *np.nonzero(support(mats))):
+            for index in group:
+                block = np.ix_(index, index)
+                a = mats[(slice(None), *block)]
+                avg = hermitian_part(sum(wi * (ai @ mi) for wi, ai, mi
+                                         in zip(w, a, result.povm[(slice(None), *block)])))
+                lift = -min(np.linalg.eigvalsh(avg - wi * ai)[0] for wi, ai in zip(w, a))
+                lifted = avg + max(0.0, lift) * np.eye(len(index))
+                raised = avg + sum(positive_part(wi * ai - avg) for wi, ai in zip(w, a))
+                dual_op[block] = min(lifted, raised, key=lambda y: np.trace(y).real)
+        assert dual_feasibility_margin(dual_op, w, mats) >= -1e-8
+        assert np.trace(dual_op).real == pytest.approx(result.dual_value, abs=1e-10)
+        other = random_povm(np.random.default_rng(seed), n, dim)
+        assert np.trace(dual_op).real >= povm_value(w, mats, other)
+
+    def test_coarse_parity_matches_the_dense_solve(self):
+        e = coarse_ensemble(FoldSpec(parity_block_ensemble(ParityBlockParams(2, 2, 1, 2)), 2))
+        (bp,) = all_bipartitions(e.parties)
+        result = max_bipartition_bound(e).results[bp.to_string()]
+        assert (result.method, result.certified, result.povm) == ("iterative", True, None)
+        gammas = _partial_transpose(hermitian_part(e.stack), e.slots, bp.side_a)
+        assert max(g.shape[1] for g in _components(e.dim, *np.nonzero(support(gammas)))) <= 16
+        _, _, ok, (_, dual, _) = fixed_point_dense(np.asarray(e.probs), gammas, 1e-8, 100_000)
+        assert ok
+        assert abs(result.dual_value - dual) <= 1e-8
+
+    @pytest.mark.parametrize("k", range(0, len(SWEEP), 3))
+    def test_one_block_keeps_the_dense_steps(self, k):
+        # The solver works on the Hermitian parts; an outer product need not be one
+        # to the last bit.
+        w, mats = SWEEP[k]
+        povm, iterations, ok, (primal, dual, residuals) = fixed_point_dense(
+            w, hermitian_part(mats), 1e-8, 100_000)
+        result = optimal_global(w, mats, method="iterative")
+        assert (result.iterations, result.certified) == (iterations, ok)
+        assert abs(result.primal_value - primal) <= 1e-12
+        assert abs(result.dual_value - dual) <= 1e-12
+        assert np.max(np.abs(np.subtract(result.certificate_min_eigs, residuals))) <= 1e-12
+        assert np.max(np.abs(result.povm - povm)) <= 1e-12

@@ -215,7 +215,7 @@ class TestCheckHiding:
             check_hiding(ghz_basis_triple((math.nan, 0.5, 0.5)))
 
     def test_numerical_failure_leaves_a_partial_table(self, monkeypatch):
-        solve = discrimination.optimal_global
+        solve = discrimination._solve
         calls = []
 
         def failing_once(*args, **kwargs):
@@ -224,16 +224,16 @@ class TestCheckHiding:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(discrimination, "optimal_global", failing_once)
+        monkeypatch.setattr(discrimination, "_solve", failing_once)
         report = check_hiding(ghz_basis_triple())
         assert len(calls) == 3
         assert list(report.solver_failures) == ["A1|A2A3"]
         assert sorted(report.q_values) == ["A1A2|A3", "A1A3|A2"]
 
     def test_solver_cuts_build_no_operator(self, monkeypatch):
-        # Every cut is undecided, so the solver gets each transposed stack as it is:
-        # the states' entries are checked n times up front, and the dense stack n times
-        # per cut by the solver's guard.
+        # Every cut is undecided, and the solver gets the blocks of its transposed
+        # entries: the states' entries are checked n times up front and never again,
+        # and no dense Hermitian check runs.
         e = ghz_basis_triple()
         tensor = importlib.import_module("nlhide.tensor")  # the package binds the function
         frozen, entries, checked = [], [], []
@@ -249,7 +249,7 @@ class TestCheckHiding:
         )
         scan = discrimination.max_bipartition_bound(e)
         assert [r.method for r in scan.results.values()] == ["iterative"] * 3
-        assert (len(frozen), len(entries), len(checked)) == (0, e.n, 3 * e.n)
+        assert (len(frozen), len(entries), len(checked)) == (0, e.n, 0)
 
 
 class TestMinFolds:
