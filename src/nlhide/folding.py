@@ -12,6 +12,7 @@ Closed-form curves quantify how fast restricted-measurement bounds decay in
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -70,23 +71,44 @@ def fold_probs(probs: Sequence[float], n: int, L: int) -> np.ndarray:
         raise ValueError(f"expected {n} probabilities, got {len(p)}")
     if L < 0:
         raise ValueError(f"fold count must be >= 0, got {L}")
-    return np.array(_convolve(p, L, operator.mul, range(n)) if L else [1.0] + [0.0] * (n - 1))
+    return np.array(_convolve(p, L, _dot, range(n)) if L else [1.0] + [0.0] * (n - 1))
 
 
-def _convolve(members: Sequence, L: int, product: Callable, classes: Sequence[int]) -> list:
+def _dot(lefts: Sequence[float], rights: Sequence[float]) -> float:
+    """``sum_j lefts[j] * rights[j]``, added left to right."""
+    return functools.reduce(operator.add, map(operator.mul, lefts, rights))
+
+
+_KRON_CHUNK_BYTES = 1 << 20  # the largest piece of a Kronecker product formed at once
+
+
+def _kron_sum(lefts: Sequence[np.ndarray], rights: Sequence[np.ndarray]) -> np.ndarray:
+    """``sum_j np.kron(lefts[j], rights[j])`` for equal-shape matrices, bit for bit, with
+    no full-size temporary: each product is formed in row chunks of its left factor (one
+    broadcast multiply, as ``np.kron`` forms it) and added into the sum where it goes."""
+    (ra, ca), (rb, cb) = lefts[0].shape, rights[0].shape
+    out = np.empty((ra * rb, ca * cb), dtype=np.result_type(lefts[0], rights[0]))
+    blocks = out.reshape(ra, rb, ca, cb)  # blocks[i, k, j, l] = a[i, j] * b[k, l]
+    step = max(1, _KRON_CHUNK_BYTES // (rb * ca * cb * out.itemsize))
+    for first in range(0, ra, step):
+        rows = slice(first, first + step)
+        terms = [(a[rows, None, :, None], b[None, :, None, :]) for a, b in zip(lefts, rights)]
+        np.multiply(*terms[0], out=blocks[rows])
+        for a, b in terms[1:]:
+            blocks[rows] += a * b
+    return out
+
+
+def _convolve(members: Sequence, L: int, dot: Callable, classes: Sequence[int]) -> list:
     """Classes ``classes`` of the L-fold cyclic convolution of ``members``: ``S_1 =
-    members``, ``S_l[i] = sum_j product(S_{l-1}[j], members[(i-j) mod n])``.  Each fold
-    takes ``n**2`` products, except the last, which forms only the named classes."""
+    members``, ``S_l[i] = dot(S_{l-1}, [members[(i-j) mod n] for j in 0..n-1])``, where
+    ``dot`` sums the products of its two sequences.  Each fold takes ``n**2`` products,
+    except the last, which forms only the named classes."""
     n = len(members)
     sums = list(members)
     for fold in range(2, L + 1):
-        folded = []
-        for i in classes if fold == L else range(n):
-            acc = product(sums[0], members[i])
-            for j in range(1, n):
-                acc += product(sums[j], members[(i - j) % n])
-            folded.append(acc)
-        sums = folded
+        sums = [dot(sums, [members[(i - j) % n] for j in range(n)])
+                for i in (classes if fold == L else range(n))]
     return sums if L > 1 else [sums[i] for i in classes]
 
 
@@ -109,7 +131,7 @@ def _coarse_states(spec: FoldSpec, cap: int, classes: Sequence[int]
         if prob <= 1e-15:
             raise DegenerateClassError(f"coarse class {i} has probability {prob:.3e}; "
                                        "cannot normalize")
-    sums = _convolve([p * m for p, m in zip(base.probs, base.stack)], spec.L, np.kron, classes)
+    sums = _convolve([p * m for p, m in zip(base.probs, base.stack)], spec.L, _kron_sum, classes)
     for i, matrix in zip(classes, sums):
         matrix /= class_probs[i]  # in place: each sum is a new array
     slots = SlotStructure(base.slots.slot_dims * spec.L, base.slots.party_of_slot * spec.L)
@@ -120,7 +142,7 @@ def coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:
     """Explicitly build the coarse ensemble of an L-fold preparation.
 
     Class ``i`` is :func:`_convolve` of the weighted states ``p_k rho_k`` under
-    ``np.kron``, normalized by its :func:`fold_probs` entry.  The slot
+    the Kronecker product, normalized by its :func:`fold_probs` entry.  The slot
     structure repeats the base slots ``L`` times with party labels kept, so
     partial transposition over party bipartitions needs no index surgery.
     """

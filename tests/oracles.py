@@ -10,7 +10,8 @@ enumerated over all index vectors, class measurements come from an
 eigensolve of every coarse state, fold counts are found by a step-by-step
 search, fold-bound tables clamp and branch at each call site, the
 fixed-point solver runs member by member over Python lists, protocol
-transcripts are drawn and written one trial at a time, product-basis
+transcripts are drawn and written one trial at a time, a run's transcript
+lines are formatted one line at a time, product-basis
 strategy values assemble one product vector per outcome, dominance
 checks wrap every difference as an operator for ``is_psd``, PSD tests run
 on the whole matrix instead of its diagonal blocks, the Hermitian check,
@@ -414,6 +415,22 @@ def protocol_jsonl_by_trials(probs, L: int, x: int, trials: int, seed: int) -> s
                "recovered": (z - y) % n, "seed": seed}
         lines.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
     return "\n".join(lines) + "\n"
+
+
+# The per-line formatter that the byte table of ``nlhide.hiding.transcripts_to_jsonl``
+# replaced: one ``%`` format and one join for each trial.
+_TRANSCRIPT_LINE = '{"c_vec":[%s],"recovered":%d,"seed":%d,"trial":%d,"x":%d,"y":%d,"z":%d}\n'
+
+
+def transcripts_by_line(run, start: int = 0, stop: int | None = None) -> str:
+    """Transcript JSONL of trials ``start:stop`` of a run, one formatted line per trial."""
+    s = run.summary
+    block = range(len(run.y))[start:stop]
+    part = slice(block.start, block.stop)
+    rows = zip(block, run.c_vecs[part].tolist(), run.y[part].tolist(), run.z[part].tolist(),
+               run.recovered[part].tolist())
+    return "".join([_TRANSCRIPT_LINE % (",".join(map(str, c_vec)), recovered, s.seed, t, s.x, y, z)
+                    for t, c_vec, y, z, recovered in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from nlhide import (
     uniform_coarse_ensemble,
 )
 
+from nlhide import folding
 from nlhide.ensembles import ORTHOGONALITY_TOL
 
 from oracles import (
@@ -142,13 +143,13 @@ class TestCoarseEnsemble:
 class TestConvolutionFold:
     def test_kron_count(self, ghz22, monkeypatch):
         calls = []
-        kron = np.kron
+        kron_sum = folding._kron_sum
 
-        def counting_kron(a, b):
-            calls.append(1)
-            return kron(a, b)
+        def counting_kron_sum(lefts, rights):
+            calls.extend(lefts)
+            return kron_sum(lefts, rights)
 
-        monkeypatch.setattr(np, "kron", counting_kron)
+        monkeypatch.setattr(folding, "_kron_sum", counting_kron_sum)
         coarse_ensemble(FoldSpec(ghz22, 5))
         # n**2 * (L - 1); enumerating the n**L index vectors makes L * n**L = 160.
         assert len(calls) == 16
@@ -174,6 +175,32 @@ class TestConvolutionFold:
         assert got.slots == want.slots
         for a, b in zip(got.states, want.states):
             assert float(np.max(np.abs(a.matrix - b.matrix))) <= 1e-12
+
+
+class TestKronSum:
+    @pytest.mark.parametrize("rows", [1, 2, 100])
+    @pytest.mark.parametrize("shapes", [((3, 5), (2, 4)), ((7, 7), (1, 1)), ((1, 3), (4, 2))])
+    def test_bit_identical_to_kron_sums(self, monkeypatch, rows, shapes):
+        # Chunks of 1 row of the left factor, of 2 (with an uneven last chunk when the
+        # factor has an odd row count), and of the whole factor at once.
+        (sa, sb) = shapes
+        monkeypatch.setattr(folding, "_KRON_CHUNK_BYTES", rows * sb[0] * sa[1] * sb[1] * 16)
+        rng = np.random.default_rng(sum(map(sum, shapes)))
+        lefts = [rng.normal(size=sa) + 1j * rng.normal(size=sa) for _ in range(3)]
+        rights = [rng.normal(size=sb) + 1j * rng.normal(size=sb) for _ in range(3)]
+        want = np.kron(lefts[0], rights[0])
+        for a, b in zip(lefts[1:], rights[1:]):
+            want += np.kron(a, b)
+        got = folding._kron_sum(lefts, rights)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_non_contiguous_factors(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        b = rng.normal(size=(3, 3)) + 0j
+        got = folding._kron_sum([a.T, a[::-1]], [b, b.T])
+        want = np.kron(a.T, b) + np.kron(a[::-1], b.T)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCurves:

@@ -36,9 +36,11 @@ from nlhide import (
     transcripts_to_jsonl,
 )
 
-from nlhide import discrimination, hiding
+from nlhide import discrimination, folding, hiding
 from nlhide.ensembles import validate
-from nlhide.hiding import _admissibility_verdict, _fold_count_for
+from nlhide.hiding import (
+    ProtocolRun, ProtocolSummary, _admissibility_verdict, _chi2_sf, _fold_count_for,
+)
 
 from oracles import (
     bell_number,
@@ -47,6 +49,7 @@ from oracles import (
     coalition_rows_two_branch,
     fold_count_by_search,
     protocol_jsonl_by_trials,
+    transcripts_by_line,
 )
 
 
@@ -370,6 +373,7 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("ensemble, L, x, seed", [
         ("ghz22", 3, 1, 42), ("ghz22", 6, 0, 2**40), ("parity2212", 2, 3, 7),
+        ("ghz22", 1, 1, 2**63 - 1),
     ])
     def test_matches_the_per_trial_loop(self, request, ensemble, L, x, seed):
         e = request.getfixturevalue(ensemble)
@@ -437,6 +441,63 @@ class TestRunProtocol:
         cfg = SchemeConfig.create(overlapping_pair(), 3, force=True)
         with pytest.raises(HidingError, match="orthogonal"):
             run_protocol(cfg, 1, 10)
+
+
+@pytest.fixture(scope="module")
+def parity16_run():
+    """Parity (2,2,1,4), n = 16, so labels have two digits; trials cross 9999 -> 10000."""
+    e = parity_block_ensemble(ParityBlockParams(2, 2, 1, 4))
+    assert e.n == 16
+    cfg = SchemeConfig.create(e, 3, seed=2**40, force=True)
+    return e, run_protocol(cfg, x=11, trials=10_005)
+
+
+def random_run(rng, n, L, trials, x, seed):
+    """A ProtocolRun of the right shapes and ranges, not drawn by ``run_protocol``."""
+    c_vecs = rng.integers(0, n, size=(trials, L))
+    y = c_vecs.sum(axis=1) % n
+    z = (x + y) % n
+    summary = ProtocolSummary(trials=trials, x=x, L=L, seed=seed, recovery_rate=1.0,
+                              class_counts=(), expected_class_probs=(), warning=None)
+    return ProtocolRun(c_vecs, y, z, (z - y) % n, summary)
+
+
+def lines(text):
+    # Texts of 10^4 lines are compared as line lists: pytest's diff of two such strings
+    # takes minutes, while a list comparison names the first line that differs.
+    return text.splitlines(keepends=True)
+
+
+class TestTranscriptTable:
+    """The byte-table writer against the per-line reference and the per-trial loop."""
+
+    def test_two_digit_labels(self, parity16_run):
+        e, run = parity16_run
+        text = lines(transcripts_to_jsonl(run))
+        assert text == lines(transcripts_by_line(run))
+        assert text == lines(protocol_jsonl_by_trials(e.probs, 3, 11, 10_005, 2**40))
+        assert run.c_vecs.max() >= 10 and run.z.max() >= 10
+
+    @pytest.mark.parametrize("start, stop", [
+        (5, 15), (95, 105), (9995, 10_005), (5, 10_005),  # trials 9 -> 10, 99 -> 100, 9999 -> 10000
+        (95, 1005), (9990, None), (-7, None), (-20_000, 5), (-30, -10), (0, -10_004),
+        (10_000, 20_000), (20_000, None), (7, 7), (8, 3), (-1, -2), (None, 0),
+    ])
+    def test_slices(self, parity16_run, start, stop):
+        _, run = parity16_run
+        assert lines(transcripts_to_jsonl(run, start, stop)) == lines(
+            transcripts_by_line(run, start, stop))
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 20), L=st.integers(1, 12), trials=st.integers(1, 300),
+           seed=st.integers(0, 2**63 - 1), arrays=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_the_per_line_reference(self, n, L, trials, seed, arrays, data):
+        x = data.draw(st.integers(0, n - 1), label="x")
+        bound = st.none() | st.integers(-2 * trials, 2 * trials)
+        start, stop = data.draw(bound, label="start"), data.draw(bound, label="stop")
+        run = random_run(np.random.default_rng(arrays), n, L, trials, x, seed)
+        assert transcripts_to_jsonl(run) == transcripts_by_line(run)
+        assert transcripts_to_jsonl(run, start, stop) == transcripts_by_line(run, start, stop)
 
 
 def _oracle_encoding(cfg, x):
@@ -576,13 +637,14 @@ class TestDirectEncode:
     def test_kron_count(self, request, monkeypatch, family, folds, krons):
         cfg = SchemeConfig.create(request.getfixturevalue(family), folds, force=True)
         calls = []
-        kron = np.kron
+        kron_sum = folding._kron_sum
 
-        def counting_kron(a, b):
-            calls.append(1)
-            return kron(a, b)
+        def counting_kron_sum(lefts, rights):
+            calls.extend(lefts)
+            return kron_sum(lefts, rights)
 
-        monkeypatch.setattr(np, "kron", counting_kron)
+        monkeypatch.setattr(folding, "_kron_sum", counting_kron_sum)
+        monkeypatch.setattr(hiding, "_kron_sum", counting_kron_sum)
         direct_encode(cfg, 1)
         # The last fold forms class x for the state (n products) and classes 1..n-1
         # for the measurement (n * (n-1)); every earlier fold takes n**2 for each.
@@ -604,10 +666,11 @@ class TestDirectEncode:
         assert enc.state.dim == 256 and enc.recovery_ok
         assert dims and set(dims) == {4}
 
-    def test_peak_memory_is_three_explicit_matrices(self, ghz22):
-        # The class state, the last fold's sum and one Kronecker product (or, later,
-        # the class-1 element and one product with the state): the state is not
-        # copied and class 0's element I - P_1 is not formed.
+    def test_peak_memory_is_two_explicit_matrices(self, ghz22):
+        # The class state and the last fold's sum for the class-1 element, plus one
+        # row chunk of a Kronecker product and the previous fold's small sums: no
+        # product is formed whole, the state is not copied and class 0's element
+        # I - P_1 is not formed.  At L = 5 a matrix is 1024 x 1024, 16 MiB.
         cfg = SchemeConfig.create(ghz22, 5)
         tracemalloc.start()
         try:
@@ -616,7 +679,7 @@ class TestDirectEncode:
         finally:
             tracemalloc.stop()
         assert enc.state.dim == 1024 and enc.recovery_ok
-        assert peak < 3.5 * enc.state.matrix.nbytes
+        assert peak <= 2.5 * enc.state.matrix.nbytes
 
 
 class TestCoalitionReport:
@@ -741,3 +804,23 @@ class TestSamplingCrosscheck:
     def test_cap_guard(self, ghz22):
         with pytest.raises(Exception, match="dimension cap"):
             sampling_crosscheck(ghz22, 9, trials=10)
+
+
+class TestChiSquareSurvival:
+    def test_matches_scipy(self):
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        for dof in range(1, 201):
+            # From the origin past the mode into the far tail, where the value is ~1e-280.
+            for x in [0.0, 1e-12, 1e-6, 1e-3, *np.geomspace(0.01, 1300.0, 60),
+                      *np.linspace(0.5, 3.0 * dof + 60.0, 40)]:
+                want, got = float(chi2.sf(x, dof)), _chi2_sf(float(x), dof)
+                if want < 1e-280:
+                    assert got < 1e-279
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0), (dof, x)
+
+    @pytest.mark.parametrize("dof", [1, 2, 7, 50])
+    def test_edges(self, dof):
+        assert _chi2_sf(0.0, dof) == 1.0
+        assert _chi2_sf(-1.0, dof) == 1.0
+        assert _chi2_sf(1e6, dof) == 0.0
