@@ -8,6 +8,8 @@ can achieve.  Every result carries a duality certificate: a feasible dual
 operator built from the returned POVM, so the reported gap is trustworthy
 even when the iteration stops early.
 
+Every entry point checks its input once, on the nonzero entries of each operator's
+Hermitian part (:func:`_hermitian_entries`); a partial transpose moves their keys.
 :func:`max_bipartition_bound` first tries, on every cut, whether the heaviest
 weighted transposed state dominates the others, by the rule of
 :func:`check_dominant_state`: each difference is decided by the PSD rule on its
@@ -15,32 +17,32 @@ eigenvalues, and the solver runs only where dominance fails.  Every difference o
 a cut is block diagonal on the connected components of the transposed states'
 joint nonzero pattern, so each eigenvalue solve runs block by block.
 
-The solver runs on the same blocks.  Pinching a POVM onto them keeps its value, so
-the optimum is the sum of one optimum per block, and the block diagonal sum of the
-blocks' feasible duals is feasible.  The blocks of one size are stacked and solved
-together; :func:`optimal_global` splits its input by the input's own pattern, and a
-matrix with no block structure is one block.  A ``1 x 1`` block is closed form,
-``max_i w_i a_i``.  For two operators each block takes the exact closed form: its
-optimum is ``w1 Tr(B) + sum of positive eigenvalues of (w0 A - w1 B)``, achieved by
-the projector onto the positive eigenspace.  For more operators the fixed-point
-iteration runs on square-root factors of the POVM elements, on positive definite
-shifts of the weighted operators, extrapolated at each check; it stops once the
-POVM's primal value is within the tolerance of the smaller of two feasible duals
-built on the weighted POVM average.
+The solver runs on the same blocks, for :func:`q_upper` as for the scan.  Pinching
+a POVM onto them keeps its value, so the optimum is the sum of one optimum per
+block, and the block diagonal sum of the blocks' feasible duals is feasible.  The
+blocks of one size are stacked and solved together; :func:`optimal_global` splits
+its input by the input's own pattern, and a matrix with no block structure is one
+block.  A ``1 x 1`` block is closed form, ``max_i w_i a_i``.  For two operators
+each block takes the exact closed form: its optimum is ``w1 Tr(B) + sum of positive
+eigenvalues of (w0 A - w1 B)``, achieved by the projector onto the positive
+eigenspace.  For more operators the fixed-point iteration runs on square-root
+factors of the POVM elements, on positive definite shifts of the weighted
+operators, extrapolated at each check; it stops once the POVM's primal value is
+within the tolerance of the smaller of two feasible duals built on the weighted
+POVM average.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .ensembles import Ensemble
 from .partitions import Bipartition, _by_name, all_bipartitions
 from .tensor import (ContractViolationError, _blocks, _components, _eigenvalues,
-                     _entry_hermiticity, _hermitian, _nonzero_entries, _partial_transpose, _psd,
-                     _transpose_keys, hermitian_part)
+                     _entry_hermiticity, _nonzero_entries, _psd, _transpose_keys, hermitian_part)
 
 DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -80,53 +82,33 @@ class DiscriminationResult:
     method: str
 
 
-def _checked_weights(weights: Sequence[float]) -> np.ndarray:
-    w = np.asarray([float(x) for x in weights])
-    if not np.all(w >= 0):  # also NaN
-        raise ValueError(f"weights must be nonnegative, got {w.tolist()}")
-    return w
-
-
-def _validate_inputs(
+def _hermitian_entries(
     weights: Sequence[float], matrices: Sequence[np.ndarray] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The weights, one nonnegative weight per matrix, and the nonzero entries of the
+    Hermitian parts of ``matrices``, an ``(n, dim, dim)`` stack or a sequence of at least
+    two equal-shape square arrays, end to end: flat keys ``row * dim + col``, values, and
+    the ``n + 1`` offsets where each matrix's run starts.  Each matrix is checked once
+    against the Hermitian contract (else :class:`ContractViolationError`, with the
+    message of the dense check)."""
     if len(weights) != len(matrices):
         raise ValueError(f"{len(weights)} weights but {len(matrices)} operators")
     if len(matrices) < 2:
         raise ValueError("discrimination needs at least two operators")
-    w = _checked_weights(weights)
+    w = np.asarray([float(x) for x in weights])
+    if not np.all(w >= 0):  # also NaN
+        raise ValueError(f"weights must be nonnegative, got {w.tolist()}")
     shapes = sorted({np.shape(m) for m in matrices})
     if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
         raise ValueError(f"operators must be square matrices of one shape, got shapes {shapes}")
-    mats = np.empty((len(matrices), *shapes[0]), dtype=np.complex128)
-    for k, m in enumerate(matrices):
-        mats[k] = _hermitian(np.asarray(m))
-    return w, mats
-
-
-def _transposed(e: Ensemble, side: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The checked weights of ``e`` and the Hermitian parts of its states, each state
-    checked once and the one stack transposed on ``side`` in place."""
-    w, mats = _validate_inputs(e.probs, e.stack)
-    return w, _partial_transpose(mats, e.slots, side, out=mats)
-
-
-def _hermitian_entries(e: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The checked weights of ``e`` and the nonzero entries of its states' Hermitian
-    parts, all states end to end: flat keys ``row * dim + col``, values, and the
-    ``n + 1`` offsets where each state's run starts.  Each state is checked once
-    against the Hermitian contract (else :class:`ContractViolationError`, with the
-    message of the dense check)."""
-    w = _checked_weights(e.probs)
     keys, values = [], []
-    for state_keys, state_values in _nonzero_entries(e.stack):
-        defect, part = _entry_hermiticity(state_keys, state_values, e.dim)
+    for state_keys, state_values in _nonzero_entries(np.asarray(matrices, dtype=np.complex128)):
+        defect, part = _entry_hermiticity(state_keys, state_values, shapes[0][0])
         if part is None:
             raise ContractViolationError(f"operator is not Hermitian (defect {defect:.3e})")
         keys.append(part[0])
         values.append(part[1])
-    starts = np.cumsum([0, *map(len, keys)])
-    return w, np.concatenate(keys), np.concatenate(values), starts
+    return w, np.concatenate(keys), np.concatenate(values), np.cumsum([0, *map(len, keys)])
 
 
 def _certificate(
@@ -325,33 +307,38 @@ def optimal_global(
     ``matrices`` is an ``(n, dim, dim)`` stack or a sequence of equal-shape square
     arrays; no party structure is read.  Each must meet the Hermitian contract (else
     :class:`ContractViolationError`) and is checked once per call; the solver works
-    on copies of their Hermitian parts, so the caller's arrays are not modified.
-    The problem is split into the diagonal blocks of the matrices' joint nonzero
-    pattern and solved block by block (a pattern with no block structure is one
-    block, the whole problem).  ``method`` is ``"auto"`` (closed form for two
+    on the nonzero entries of their Hermitian parts, so the caller's arrays are not
+    modified.  The problem is split into the diagonal blocks of the matrices' joint
+    nonzero pattern and solved block by block (a pattern with no block structure is
+    one block, the whole problem).  ``method`` is ``"auto"`` (closed form for two
     operators, iteration otherwise), ``"closed"`` (two operators only) or
     ``"iterative"``; a ``1 x 1`` block is closed form either way.  A result with
     ``gap > tol`` is returned flagged uncertified rather than raising; its dual value
     is still a valid upper bound.  The result's ``povm`` is the ``(n, dim, dim)``
     element stack, scattered from the blocks and made read-only.
     """
+    w, keys, values, starts = _hermitian_entries(weights, matrices)
+    return _optimum(w, keys, values, starts, len(matrices[0]), tol, method, max_iterations)
+
+
+def _optimum(w: np.ndarray, keys: np.ndarray, values: np.ndarray, starts: np.ndarray,
+             dim: int, tol: float, method: str, max_iterations: int) -> DiscriminationResult:
+    """:func:`optimal_global` of the operators with the ``values`` at the flat ``keys``
+    from ``starts[i]`` to ``starts[i + 1]``: the components of their joint pattern, the
+    block solve, and the POVM scattered from the blocks."""
     if not tol > 0:  # also NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
-    w, mats = _validate_inputs(weights, matrices)
     if method == "auto":
-        method = "closed" if len(mats) == 2 else "iterative"
+        method = "closed" if len(w) == 2 else "iterative"
     if method not in ("closed", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "closed" and len(mats) != 2:
+    if method == "closed" and len(w) != 2:
         raise ValueError("the closed form applies to exactly two operators")
-    dim = mats.shape[-1]
-    keys, values = zip(*_nonzero_entries(mats))
-    rows, cols = np.divmod(np.concatenate(keys), dim)
+    rows, cols = np.divmod(keys, dim)
     groups = _components(dim, rows, cols)
-    result, blocks = _solve(w, groups, rows, cols, np.concatenate(values),
-                            np.cumsum([0, *map(len, keys)]), tol, max_iterations,
+    result, blocks = _solve(w, groups, rows, cols, values, starts, tol, max_iterations,
                             closed=method == "closed")
-    povm = np.zeros_like(mats)
+    povm = np.zeros((len(w), dim, dim), dtype=np.complex128)
     for group, stack in zip(groups, blocks):
         povm[:, group[:, :, None], group[:, None, :]] = stack.swapaxes(0, 1)
     povm.setflags(write=False)
@@ -368,11 +355,13 @@ def q_upper(
     """Discrimination optimum of the partially transposed ensemble.
 
     The dual value upper-bounds the success probability of any measurement
-    local to the bipartition ``x``, regardless of convergence.  The transposed
-    states go to :func:`optimal_global` as one stack, which checks each once.
+    local to the bipartition ``x``, regardless of convergence.  Each state is checked
+    once, on its nonzero entries; the keys of their Hermitian parts are transposed
+    and solved as :func:`optimal_global` solves the transposed stack, bit for bit.
     """
-    gammas = _partial_transpose(e.stack, e.slots, x.side_a)
-    return optimal_global(e.probs, gammas, tol=tol, method=method, max_iterations=max_iterations)
+    w, keys, values, starts = _hermitian_entries(e.probs, e.stack)
+    return _optimum(w, _transpose_keys(keys, e.slots, x.side_a), values, starts, e.dim,
+                    tol, method, max_iterations)
 
 
 class OptimalityCheck(NamedTuple):
@@ -389,21 +378,40 @@ def check_povm_optimality(
     tol: float = DEFAULT_SOLVER_TOL,
 ) -> OptimalityCheck:
     """Decide whether ``povm``, an ``(e.n, e.dim, e.dim)`` stack of elements such as
-    a result's ``povm``, realizes the partial-transpose optimum; another shape raises.
+    a result's ``povm``, realizes the partial-transpose optimum.
 
-    For each member the minimum eigenvalue of the symmetrized operator
-    ``sum_j p_j G(rho_j) M_j - p_i G(rho_i)`` is reported; the POVM is optimal
-    iff all of them are nonnegative.  Off-optimum the weighted average need
-    not be Hermitian, so its Hermitian part is taken before the eigensolve.
-    Each state is checked once against the Hermitian contract (else
-    :class:`ContractViolationError`) and its Hermitian part is transposed.
+    ``povm`` must be a POVM within ``tol``: each entry of ``sum_i M_i - I`` at most
+    ``tol`` in magnitude, and each element within ``tol`` of Hermitian, entry by entry,
+    with least eigenvalue at least ``-tol``.  Another shape, a broken rule or a negative
+    or NaN ``tol`` raises ``ValueError`` naming it.  For each member the minimum
+    eigenvalue of the symmetrized operator ``sum_j p_j G(rho_j) M_j - p_i G(rho_i)`` is
+    reported; the POVM is optimal iff all of them are nonnegative, here ``>= -tol``.
+    Off-optimum the weighted average need not be Hermitian, so its Hermitian part is
+    taken before the eigensolve.  Each state is checked once against the Hermitian
+    contract (else :class:`ContractViolationError`), and the transposed entries of its
+    Hermitian part are scattered into the dense stack that the certificate reads.
     """
     povm = np.asarray(povm)
     if povm.shape != (e.n, e.dim, e.dim):
         raise ValueError(
             f"POVM of shape {povm.shape} does not match the ensemble's {(e.n, e.dim, e.dim)}"
         )
-    _, _, residuals = _certificate(*_transposed(e, x.side_a), povm)
+    if not tol >= 0:  # also NaN
+        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    deviation = float(np.max(np.abs(povm.sum(axis=0) - np.eye(e.dim))))
+    if not deviation <= tol:
+        raise ValueError(f"POVM elements do not sum to the identity (deviation {deviation:.3e})")
+    for i, element in enumerate(povm):
+        defect = float(np.max(np.abs(element - element.conj().T)))
+        least = float(np.linalg.eigvalsh(element)[0])
+        if not (defect <= tol and least >= -tol):
+            raise ValueError(f"POVM element {i} is not positive semidefinite (least "
+                             f"eigenvalue {least:.3e}, Hermiticity defect {defect:.3e})")
+    w, keys, values, starts = _hermitian_entries(e.probs, e.stack)
+    mats = np.zeros((e.n, e.dim, e.dim), dtype=np.complex128)
+    owner = np.repeat(np.arange(e.n), np.diff(starts))
+    mats.reshape(e.n, -1)[owner, _transpose_keys(keys, e.slots, x.side_a)] = values
+    _, _, residuals = _certificate(w, mats, povm)
     return OptimalityCheck(all(r >= -tol for r in residuals), residuals)
 
 
@@ -434,7 +442,7 @@ def check_dominant_state(
     :func:`max_bipartition_bound` runs the same routine.  Each returned minimum
     eigenvalue is the least over the blocks of its difference.
     """
-    w, keys, values, starts = _hermitian_entries(e)
+    w, keys, values, starts = _hermitian_entries(e.probs, e.stack)
     n = len(w)
     if pivot is None:
         pivot = int(np.argmax(w))
@@ -516,7 +524,7 @@ def max_bipartition_bound(
     The table is keyed by each cut's name; two cuts that share one (labels ``a, b,
     c, bc`` name both ``abc|bc``) raise ``ValueError`` before any cut is decided.
     """
-    w, keys, values, starts = _hermitian_entries(e)
+    w, keys, values, starts = _hermitian_entries(e.probs, e.stack)
     pivot, dim = int(np.argmax(w)), e.dim
     results: dict[str, DiscriminationResult] = {}
     failures: dict[str, str] = {}

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,8 +38,8 @@ from nlhide.tensor import (
     PSD_RTOL,
     _components,
     _entry_hermiticity,
+    _hermitian,
     _nonzero_entries,
-    _partial_transpose,
     _psd,
     hermitian_part,
 )
@@ -58,10 +60,14 @@ from oracles import (
     random_density,
     random_hermitian,
     overlaps_by_dense_sum,
+    partial_transpose_entrywise,
     random_povm,
     support,
     validate_by_dense,
 )
+
+# The package binds the function ``tensor`` to its name, so the module is looked up.
+tensor_module = importlib.import_module("nlhide.tensor")
 
 QUBIT = SlotStructure((2,), ("A1",))
 PAIR = SlotStructure((2, 2), ("A1", "A2"))
@@ -86,6 +92,12 @@ def assert_valid_povm(povm):
     each to 1e-12."""
     assert np.linalg.norm(povm.sum(axis=0) - np.eye(povm.shape[-1]), 2) <= 1e-12
     assert np.linalg.eigvalsh(povm)[:, 0].min() >= -1e-12
+
+
+def transposed_by_oracle(stack, slots, side):
+    """Each matrix of ``stack`` partially transposed on ``side`` by the entrywise oracle."""
+    flipped = tuple(k for k, party in enumerate(slots.party_of_slot) if party in side)
+    return np.stack([partial_transpose_entrywise(m, slots.slot_dims, flipped) for m in stack])
 
 
 def nearly_parallel(seed, noise, n=4, dim=16):
@@ -350,6 +362,48 @@ class TestPovmOptimality:
         with pytest.raises(ValueError, match=rf"shape \({count}, 4, 4\) does not match"):
             check_povm_optimality(ghz22, bp, povm)
 
+    def test_elements_must_sum_to_the_identity(self, ghz23):
+        # 100 I per element: every residual is positive (about 12.3), yet the elements
+        # sum to 200 I.
+        bp = all_bipartitions(ghz23.parties)[0]
+        povm = np.broadcast_to(100 * np.eye(8), (2, 8, 8))
+        message = r"^POVM elements do not sum to the identity \(deviation 1\.990e\+02\)$"
+        with pytest.raises(ValueError, match=message):
+            check_povm_optimality(ghz23, bp, povm)
+
+    def test_elements_must_be_psd(self, ghz23):
+        # {2I, -I} is complete but its second element is negative.
+        bp = all_bipartitions(ghz23.parties)[0]
+        povm = np.stack([2 * np.eye(8), -np.eye(8)])
+        message = r"^POVM element 1 is not positive semidefinite \(least eigenvalue -1\.000e\+00"
+        with pytest.raises(ValueError, match=message):
+            check_povm_optimality(ghz23, bp, povm)
+
+    def test_elements_must_be_hermitian(self, ghz22):
+        # I/2 + K and I/2 - K with K anti-Hermitian: complete, not Hermitian.
+        (bp,) = all_bipartitions(ghz22.parties)
+        skew = np.zeros((4, 4))
+        skew[0, 1], skew[1, 0] = 0.1, -0.1
+        povm = np.stack([np.eye(4) / 2 + skew, np.eye(4) / 2 - skew])
+        message = r"^POVM element 0 is not positive semidefinite \(.*, Hermiticity defect 2\.000e-01\)$"
+        with pytest.raises(ValueError, match=message):
+            check_povm_optimality(ghz22, bp, povm)
+
+    def test_rules_hold_within_the_tolerance(self, ghz22):
+        # Elements off the identity and off PSD by half the tolerance pass the rules.
+        (bp,) = all_bipartitions(ghz22.parties)
+        povm = np.stack([np.eye(4) * (1 + 5e-9), np.eye(4) * -5e-9])
+        assert check_povm_optimality(ghz22, bp, povm, tol=1e-8).passed
+        with pytest.raises(ValueError, match="^POVM element 1 is not positive semidefinite"):
+            check_povm_optimality(ghz22, bp, povm, tol=1e-9)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-8])
+    def test_tolerance_must_be_nonnegative(self, ghz22, tol):
+        (bp,) = all_bipartitions(ghz22.parties)
+        povm = np.stack([np.eye(4), np.zeros((4, 4))])
+        with pytest.raises(ValueError, match="^tolerance must be nonnegative"):
+            check_povm_optimality(ghz22, bp, povm, tol=tol)
+
 
 class TestDominance:
     def test_ghz22_pivot0_passes(self, ghz22):
@@ -432,7 +486,6 @@ class TestBipartitionScan:
             return real_solve(w, groups, *args, **kwargs)
 
         monkeypatch.setattr(discrimination, "_transpose_keys", counting_keys)
-        monkeypatch.setattr(discrimination, "_partial_transpose", None)  # no dense transpose
         monkeypatch.setattr(discrimination, "optimal_global", None)  # no dense solve
         monkeypatch.setattr(discrimination, "_solve", spying_solve)
         scan = max_bipartition_bound(e)
@@ -445,7 +498,8 @@ class TestBipartitionScan:
         for bp in all_bipartitions(e.parties):
             result = scan.results[bp.to_string()]
             assert result.certified and result.povm is None
-            assert abs(result.dual_value - q_upper(e, bp).dual_value) <= 1e-8
+            # q_upper hands the solver the same blocks.
+            assert result.dual_value == q_upper(e, bp).dual_value
 
     def test_blocks_follow_the_transposed_pattern(self):
         # The coupling of |Phi+><Phi+| sits at (0, 3); on the cut it moves to (1, 2),
@@ -468,7 +522,7 @@ class TestBipartitionScan:
             return real(keys, values, dim)
 
         monkeypatch.setattr(discrimination, "_entry_hermiticity", counting)
-        monkeypatch.setattr(discrimination, "_hermitian", None)  # no dense check
+        monkeypatch.setattr(tensor_module, "_hermiticity", None)  # no dense check
         scan = max_bipartition_bound(ghz23)
         # Three cuts, all decided by dominance: the states are checked once, not per cut.
         assert [r.method for r in scan.results.values()] == ["dominance"] * 3
@@ -476,15 +530,17 @@ class TestBipartitionScan:
 
 
 @pytest.mark.parametrize(
-    "entry, extra, check",
-    [(q_upper, (), "_hermitian"), (check_dominant_state, (), "_entry_hermiticity"),
-     (check_povm_optimality, (np.broadcast_to(np.eye(8) / 2, (2, 8, 8)),), "_hermitian")],
+    "entry, extra",
+    [(q_upper, ()), (check_dominant_state, ()),
+     (check_povm_optimality, (np.broadcast_to(np.eye(8) / 2, (2, 8, 8)),))],
     ids=["q_upper", "check_dominant_state", "check_povm_optimality"],
 )
-def test_entries_check_each_state_once(ghz23, monkeypatch, entry, extra, check):
+def test_entries_check_each_state_once(ghz23, monkeypatch, entry, extra):
     checked = []
-    real = getattr(discrimination, check)
-    monkeypatch.setattr(discrimination, check, lambda *a: checked.append(1) or real(*a))
+    real = discrimination._entry_hermiticity
+    monkeypatch.setattr(discrimination, "_entry_hermiticity",
+                        lambda *a: checked.append(1) or real(*a))
+    monkeypatch.setattr(tensor_module, "_hermiticity", None)  # no dense check
     entry(ghz23, all_bipartitions(ghz23.parties)[0], *extra)
     assert len(checked) == ghz23.n
 
@@ -612,13 +668,13 @@ def _assert_entries_match_dense(e, pivots=(None,)):
     got, want = validate(e), validate_by_dense(e)
     assert (got.checks, got.warnings) == (want.checks, want.warnings)
     assert np.max(np.abs(pairwise_overlaps(e) - overlaps_by_dense_sum(e))) <= 1e-15
-    keys = discrimination._hermitian_entries(e)[1]
+    keys = discrimination._hermitian_entries(e.probs, e.stack)[1]
     herm = hermitian_part(e.stack)
     scan = max_bipartition_bound(e, max_iterations=25)
     for bp in all_bipartitions(e.parties):
         transposed = discrimination._transpose_keys(keys, e.slots, bp.side_a)
         mine = _components(e.dim, *np.divmod(transposed, e.dim))
-        dense = components_by_search(support(_partial_transpose(herm, e.slots, bp.side_a)))
+        dense = components_by_search(support(transposed_by_oracle(herm, e.slots, bp.side_a)))
         assert [g.tolist() for g in mine] == [g.tolist() for g in dense]
         for pivot in pivots:
             assert check_dominant_state(e, bp, pivot) == dominance_by_gather(e, bp, pivot)
@@ -642,40 +698,50 @@ def _block_diagonal_density(rng, dim, sizes):
     return hermitian_part(matrix / np.trace(matrix).real)
 
 
+def _random_block_ensemble(seed, parties, n, dense, lead):
+    """``n`` states of dim at most 64 on slots that alternate between the parties slot
+    by slot (two parties on four slots: the folded layout ``A1, A2, A1, A2``); each
+    state block diagonal under its own permutation, and with ``dense`` the last one
+    fully dense.  ``lead`` mixes the first state toward white noise and its prior
+    toward 1."""
+    rng = np.random.default_rng(seed)
+    owners = [k % parties for k in range(int(rng.integers(parties, 2 * parties + 1)))]
+    dims = [int(d) for d in rng.integers(1, 4, size=len(owners))]
+    while np.prod(dims) > 64:
+        dims[int(np.argmax(dims))] -= 1
+    slots = SlotStructure(tuple(dims), tuple(f"A{k + 1}" for k in owners))
+    dim = slots.dim
+    mats = []
+    for _ in range(n):
+        sizes = []
+        while sum(sizes) < dim:
+            sizes.append(min(int(rng.integers(1, 6)), dim - sum(sizes)))
+        mats.append(_block_diagonal_density(rng, dim, sizes))
+    if dense:
+        mats[-1] = hermitian_part(random_density(rng, dim))
+    mats[0] = hermitian_part(lead * np.eye(dim) / dim + (1 - lead) * mats[0])
+    probs = lead * np.eye(n)[0] + (1 - lead) * rng.dirichlet(np.ones(n))
+    labels = PartySet(tuple(dict.fromkeys(slots.party_of_slot)))
+    return Ensemble(labels, tuple(probs), tuple(MultiPartyOperator(m, slots) for m in mats))
+
+
+BLOCK_ENSEMBLES = given(
+    seed=st.integers(0, 2**32 - 1),
+    parties=st.integers(2, 4),
+    n=st.integers(2, 4),
+    dense=st.booleans(),
+    lead=st.floats(0.0, 1.0),
+)
+
+
 class TestEntriesPath:
     """``validate``, the overlaps and dominance on each state's nonzero entries give
     the dense path's answers."""
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        parties=st.integers(2, 4),
-        n=st.integers(2, 4),
-        dense=st.booleans(),
-        lead=st.floats(0.0, 1.0),
-    )
+    @BLOCK_ENSEMBLES
     def test_random_block_diagonal_ensembles(self, seed, parties, n, dense, lead):
-        # Slots that alternate between the parties slot by slot; each state block
-        # diagonal under its own permutation, and with ``dense`` the last one fully dense.
-        rng = np.random.default_rng(seed)
-        owners = [k % parties for k in range(int(rng.integers(parties, 2 * parties + 1)))]
-        dims = [int(d) for d in rng.integers(1, 4, size=len(owners))]
-        while np.prod(dims) > 64:
-            dims[int(np.argmax(dims))] -= 1
-        slots = SlotStructure(tuple(dims), tuple(f"A{k + 1}" for k in owners))
-        dim = slots.dim
-        mats = []
-        for _ in range(n):
-            sizes = []
-            while sum(sizes) < dim:
-                sizes.append(min(int(rng.integers(1, 6)), dim - sum(sizes)))
-            mats.append(_block_diagonal_density(rng, dim, sizes))
-        if dense:
-            mats[-1] = hermitian_part(random_density(rng, dim))
-        mats[0] = hermitian_part(lead * np.eye(dim) / dim + (1 - lead) * mats[0])
-        probs = lead * np.eye(n)[0] + (1 - lead) * rng.dirichlet(np.ones(n))
-        labels = PartySet(tuple(dict.fromkeys(slots.party_of_slot)))
-        e = Ensemble(labels, tuple(probs), tuple(MultiPartyOperator(m, slots) for m in mats))
+        e = _random_block_ensemble(seed, parties, n, dense, lead)
         _assert_entries_match_dense(e, pivots=(None, *range(n)))
 
     @pytest.mark.parametrize("family, params", _family_instances(SMALL_CAP))
@@ -727,6 +793,65 @@ class TestMirrorRule:
         assert result.certificate_min_eigs == dominance_by_gather(e, bp).min_eigenvalues
 
 
+def assert_same_result(got, want):
+    """Two discrimination results agree bit for bit, POVM bytes included."""
+    for field in ("primal_value", "dual_value", "gap", "certificate_min_eigs", "certified",
+                  "iterations", "method"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert got.povm.tobytes() == want.povm.tobytes()
+
+
+class TestTransposedEntries:
+    """``q_upper`` transposes the keys of each state's checked entries; it gives what
+    ``optimal_global`` gives on the stack that the entrywise oracle transposes."""
+
+    @staticmethod
+    def _assert_matches_oracle(e, max_iterations=discrimination.DEFAULT_MAX_ITERATIONS):
+        for bp in all_bipartitions(e.parties):
+            gammas = transposed_by_oracle(e.stack, e.slots, bp.side_a)
+            assert_same_result(q_upper(e, bp, max_iterations=max_iterations),
+                               optimal_global(e.probs, gammas, max_iterations=max_iterations))
+
+    @settings(max_examples=30, deadline=None)
+    @BLOCK_ENSEMBLES
+    def test_random_block_ensembles(self, seed, parties, n, dense, lead):
+        # Bit equality holds converged or not: the step cap keeps the dense blocks short.
+        self._assert_matches_oracle(_random_block_ensemble(seed, parties, n, dense, lead), 50)
+
+    def test_folded_slot_layout(self, ghz22, parity2212):
+        # Slot owners A1 A2 A1 A2, at dim 16 and 256.
+        self._assert_matches_oracle(coarse_ensemble(FoldSpec(ghz22, 2)))
+        self._assert_matches_oracle(coarse_ensemble(FoldSpec(parity2212, 2)))
+
+
+def _skewed(value):
+    """GHZ-complement (2, 2) with ``value`` added to state 0's entry (0, 3), whose
+    mirror (3, 0) is nonzero."""
+    e = ghz_complement_ensemble(2, 2)
+    stack = np.array(e.stack)
+    stack[0, 0, 3] += value
+    return Ensemble(e.parties, e.probs, tuple(MultiPartyOperator(m, e.slots) for m in stack))
+
+
+@pytest.mark.parametrize("make", [lambda: _skewed(0.25), lambda: _unmirrored(1e-6)],
+                         ids=["mirrored", "unmirrored"])
+def test_entry_points_reject_as_the_dense_check(make):
+    # The text of the dense check of the transposed state, from every entry point that
+    # solves or certifies: the defect does not change under the transpose.
+    e = make()
+    (bp,) = all_bipartitions(e.parties)
+    gammas = transposed_by_oracle(e.stack, e.slots, bp.side_a)
+    with pytest.raises(ContractViolationError) as dense:
+        _hermitian(gammas[0])
+    text = str(dense.value)
+    assert text.startswith("operator is not Hermitian (defect ")
+    povm = np.broadcast_to(np.eye(e.dim) / e.n, (e.n, e.dim, e.dim))
+    for entry in (lambda: q_upper(e, bp), lambda: optimal_global(e.probs, gammas),
+                  lambda: check_povm_optimality(e, bp, povm)):
+        with pytest.raises(ContractViolationError, match=f"^{re.escape(text)}$"):
+            entry()
+
+
 class TestBlockPath:
     """On every built-in family instance of dimension at most 64, the per-block PSD
     tests agree with the dense ones on what ``validate`` and the scan decide."""
@@ -748,9 +873,9 @@ class TestBlockPath:
         w, herm = np.asarray(e.probs), hermitian_part(e.stack)
         pivot = int(np.argmax(w))
         for bp in all_bipartitions(e.parties):
-            gammas = _partial_transpose(herm, e.slots, bp.side_a)
+            gammas = transposed_by_oracle(herm, e.slots, bp.side_a)
             # The pattern of the transposed stack is the transposed pattern.
-            pattern = _partial_transpose(support(herm)[None], e.slots, bp.side_a)[0]
+            pattern = transposed_by_oracle(support(herm)[None], e.slots, bp.side_a)[0]
             assert np.array_equal(pattern, support(gammas))
             diffs = w[pivot] * gammas[pivot] - w[:, None, None] * gammas
             assert_blocks_match_dense(np.delete(diffs, pivot, axis=0), pattern)
@@ -1064,7 +1189,7 @@ class TestBlockSolver:
         (bp,) = all_bipartitions(e.parties)
         result = max_bipartition_bound(e).results[bp.to_string()]
         assert (result.method, result.certified, result.povm) == ("iterative", True, None)
-        gammas = _partial_transpose(hermitian_part(e.stack), e.slots, bp.side_a)
+        gammas = transposed_by_oracle(hermitian_part(e.stack), e.slots, bp.side_a)
         assert max(g.shape[1] for g in _components(e.dim, *np.nonzero(support(gammas)))) <= 16
         _, _, ok, (_, dual, _) = fixed_point_dense(np.asarray(e.probs), gammas, 1e-8, 100_000)
         assert ok

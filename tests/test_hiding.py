@@ -240,16 +240,14 @@ class TestCheckHiding:
         e = ghz_basis_triple()
         tensor = importlib.import_module("nlhide.tensor")  # the package binds the function
         frozen, entries, checked = [], [], []
-        real_frozen, real_hermitian = tensor._frozen_matrix, discrimination._hermitian
+        real_frozen, real_dense = tensor._frozen_matrix, tensor._hermiticity
         real_entries = discrimination._entry_hermiticity
         monkeypatch.setattr(tensor, "_frozen_matrix",
                             lambda *args: frozen.append(1) or real_frozen(*args))
         monkeypatch.setattr(
             discrimination, "_entry_hermiticity", lambda *a: entries.append(1) or real_entries(*a)
         )
-        monkeypatch.setattr(
-            discrimination, "_hermitian", lambda m: checked.append(1) or real_hermitian(m)
-        )
+        monkeypatch.setattr(tensor, "_hermiticity", lambda m: checked.append(1) or real_dense(m))
         scan = discrimination.max_bipartition_bound(e)
         assert [r.method for r in scan.results.values()] == ["iterative"] * 3
         assert (len(frozen), len(entries), len(checked)) == (0, e.n, 0)

@@ -24,7 +24,6 @@ from nlhide.tensor import (
     _hermitian,
     _hermiticity,
     _nonzero_entries,
-    _partial_transpose,
     _psd,
     _transpose_keys,
     hermitian_part,
@@ -148,8 +147,9 @@ class TestPartialTranspose:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_stack_kernel_matches_entrywise_oracle(self, seed):
-        # Runs of 1-4 adjacent slots on one side of the flip, one-slot sides among them;
-        # the stack is transposed in place, as the bipartition scan does.
+        # Runs of 1-4 adjacent slots on one side of the flip, one-slot sides among them:
+        # the keys of every entry, scattered, and the dense reshape both land where the
+        # oracle puts each entry.
         rng = np.random.default_rng(seed)
         runs = rng.integers(1, 5, size=rng.integers(2, 5))
         owners = [k % 2 for k, run in enumerate(runs) for _ in range(run)]
@@ -159,12 +159,14 @@ class TestPartialTranspose:
         dims = tuple(dims)
         slots = SlotStructure(dims, tuple(f"A{k + 1}" for k in owners))
         side = {f"A{int(rng.integers(2)) + 1}"}
-        shape = (2, slots.dim, slots.dim)
-        mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        shape = (slots.dim, slots.dim)
+        mat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         flipped = tuple(k for k, party in enumerate(slots.party_of_slot) if party in side)
-        want = [partial_transpose_entrywise(m, dims, flipped) for m in mats]
-        _partial_transpose(mats, slots, side, out=mats)
-        assert mats.tobytes() == np.stack(want).tobytes()
+        want = partial_transpose_entrywise(mat, dims, flipped).tobytes()
+        scattered = np.zeros_like(mat)
+        scattered.reshape(-1)[_transpose_keys(np.arange(mat.size), slots, side)] = mat.reshape(-1)
+        assert scattered.tobytes() == want
+        assert partial_transpose(MultiPartyOperator(mat, slots), side).matrix.tobytes() == want
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), parties=st.integers(2, 4))
