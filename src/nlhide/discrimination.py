@@ -8,8 +8,9 @@ can achieve.  Every result carries a duality certificate: a feasible dual
 operator built from the returned POVM, so the reported gap is trustworthy
 even when the iteration stops early.
 
-Every entry point checks its input once, on the nonzero entries of each operator's
-Hermitian part (:func:`_hermitian_entries`); a partial transpose moves their keys.
+Every entry point reads each operator's Hermitian part as nonzero entries, checked once
+per ensemble or call (else :class:`ContractViolationError`); a partial transpose moves
+their keys.
 :func:`max_bipartition_bound` first tries, on every cut, whether the heaviest
 weighted transposed state dominates the others, by the rule of
 :func:`check_dominant_state`: each difference is decided by the PSD rule on its
@@ -41,8 +42,8 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .partitions import Bipartition, _by_name, all_bipartitions
-from .tensor import (ContractViolationError, _blocks, _components, _eigenvalues,
-                     _entry_hermiticity, _nonzero_entries, _psd, _transpose_keys, hermitian_part)
+from .tensor import (_blocks, _components, _eigenvalues, _entry_record, _hermitian_parts, _psd,
+                     _transpose_keys, hermitian_part)
 
 DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -82,33 +83,20 @@ class DiscriminationResult:
     method: str
 
 
-def _hermitian_entries(
-    weights: Sequence[float], matrices: Sequence[np.ndarray] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The weights, one nonnegative weight per matrix, and the nonzero entries of the
-    Hermitian parts of ``matrices``, an ``(n, dim, dim)`` stack or a sequence of at least
-    two equal-shape square arrays, end to end: flat keys ``row * dim + col``, values, and
-    the ``n + 1`` offsets where each matrix's run starts.  Each matrix is checked once
-    against the Hermitian contract (else :class:`ContractViolationError`, with the
-    message of the dense check)."""
-    if len(weights) != len(matrices):
-        raise ValueError(f"{len(weights)} weights but {len(matrices)} operators")
-    if len(matrices) < 2:
-        raise ValueError("discrimination needs at least two operators")
+def _nonnegative(weights: Sequence[float]) -> np.ndarray:
+    """The weights as floats; a negative or NaN one raises ``ValueError``."""
     w = np.asarray([float(x) for x in weights])
     if not np.all(w >= 0):  # also NaN
         raise ValueError(f"weights must be nonnegative, got {w.tolist()}")
-    shapes = sorted({np.shape(m) for m in matrices})
-    if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
-        raise ValueError(f"operators must be square matrices of one shape, got shapes {shapes}")
-    keys, values = [], []
-    for state_keys, state_values in _nonzero_entries(np.asarray(matrices, dtype=np.complex128)):
-        defect, part = _entry_hermiticity(state_keys, state_values, shapes[0][0])
-        if part is None:
-            raise ContractViolationError(f"operator is not Hermitian (defect {defect:.3e})")
-        keys.append(part[0])
-        values.append(part[1])
-    return w, np.concatenate(keys), np.concatenate(values), np.cumsum([0, *map(len, keys)])
+    return w
+
+
+def _cut(e: Ensemble, parts: list[tuple[np.ndarray, np.ndarray]],
+         side: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The rows, columns and values of the entries of each Hermitian part of ``parts``
+    after the partial transpose on ``side``: one :func:`_transpose_keys` per state."""
+    return [(*np.divmod(_transpose_keys(keys, e.slots, side), e.dim), values)
+            for keys, values in parts]
 
 
 def _certificate(
@@ -251,12 +239,12 @@ def _iterate(
 
 
 def _solve(
-    w: np.ndarray, groups: list[np.ndarray], rows: np.ndarray, cols: np.ndarray,
-    values: np.ndarray, starts: np.ndarray, tol: float, max_iterations: int, closed: bool,
+    w: np.ndarray, groups: list[np.ndarray], cut: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    tol: float, max_iterations: int, closed: bool,
 ) -> tuple[DiscriminationResult, list[np.ndarray]]:
-    """The discrimination optimum of the operators ``G_i`` with the ``values`` at
-    ``(rows, cols)`` from ``starts[i]`` to ``starts[i + 1]``, solved on the diagonal
-    blocks of their joint pattern, the :func:`_components` ``groups``.
+    """The discrimination optimum of the operators ``G_i`` with the values ``cut[i][2]``
+    at ``(cut[i][0], cut[i][1])``, solved on the diagonal blocks of their joint pattern,
+    the :func:`_components` ``groups``.
 
     Pinching a POVM onto the blocks keeps its value, so the optimum is the sum of the
     blocks' optima.  Each block size gets one ``(count, n, s, s)`` stack of the
@@ -266,8 +254,7 @@ def _solve(
     blocks, each residual is the least over them, and the result is certified when
     every stack converged and the summed gap is within ``tol``.  Returns the result,
     with ``povm=None``, and the POVM blocks, one stack per block size."""
-    per_state = [_blocks(groups, rows[a:b], cols[a:b], values[a:b])
-                 for a, b in zip(starts[:-1], starts[1:])]
+    per_state = [_blocks(groups, [state]) for state in cut]
     stacks = [np.stack(blocks, axis=1) for blocks in zip(*per_state)]
     iterate = [mats.shape[-1] > 1 and not closed for mats in stacks]
     iterated = iter(_fixed_point_iteration(
@@ -317,15 +304,25 @@ def optimal_global(
     is still a valid upper bound.  The result's ``povm`` is the ``(n, dim, dim)``
     element stack, scattered from the blocks and made read-only.
     """
-    w, keys, values, starts = _hermitian_entries(weights, matrices)
-    return _optimum(w, keys, values, starts, len(matrices[0]), tol, method, max_iterations)
+    if len(weights) != len(matrices):
+        raise ValueError(f"{len(weights)} weights but {len(matrices)} operators")
+    if len(matrices) < 2:
+        raise ValueError("discrimination needs at least two operators")
+    w = _nonnegative(weights)
+    shapes = sorted({np.shape(m) for m in matrices})
+    if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+        raise ValueError(f"operators must be square matrices of one shape, got shapes {shapes}")
+    dim = shapes[0][0]
+    parts = _hermitian_parts(_entry_record(np.asarray(matrices, dtype=np.complex128)))
+    return _optimum(w, [(*np.divmod(keys, dim), values) for keys, values in parts], dim, tol,
+                    method, max_iterations)
 
 
-def _optimum(w: np.ndarray, keys: np.ndarray, values: np.ndarray, starts: np.ndarray,
-             dim: int, tol: float, method: str, max_iterations: int) -> DiscriminationResult:
-    """:func:`optimal_global` of the operators with the ``values`` at the flat ``keys``
-    from ``starts[i]`` to ``starts[i + 1]``: the components of their joint pattern, the
-    block solve, and the POVM scattered from the blocks."""
+def _optimum(w: np.ndarray, cut: list[tuple[np.ndarray, np.ndarray, np.ndarray]], dim: int,
+             tol: float, method: str, max_iterations: int) -> DiscriminationResult:
+    """:func:`optimal_global` of the operators with the values ``cut[i][2]`` at
+    ``(cut[i][0], cut[i][1])``: the components of their joint pattern, the block solve,
+    and the POVM scattered from the blocks."""
     if not tol > 0:  # also NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
     if method == "auto":
@@ -334,10 +331,8 @@ def _optimum(w: np.ndarray, keys: np.ndarray, values: np.ndarray, starts: np.nda
         raise ValueError(f"unknown method {method!r}")
     if method == "closed" and len(w) != 2:
         raise ValueError("the closed form applies to exactly two operators")
-    rows, cols = np.divmod(keys, dim)
-    groups = _components(dim, rows, cols)
-    result, blocks = _solve(w, groups, rows, cols, values, starts, tol, max_iterations,
-                            closed=method == "closed")
+    groups = _components(dim, cut)
+    result, blocks = _solve(w, groups, cut, tol, max_iterations, closed=method == "closed")
     povm = np.zeros((len(w), dim, dim), dtype=np.complex128)
     for group, stack in zip(groups, blocks):
         povm[:, group[:, :, None], group[:, None, :]] = stack.swapaxes(0, 1)
@@ -355,13 +350,12 @@ def q_upper(
     """Discrimination optimum of the partially transposed ensemble.
 
     The dual value upper-bounds the success probability of any measurement
-    local to the bipartition ``x``, regardless of convergence.  Each state is checked
-    once, on its nonzero entries; the keys of their Hermitian parts are transposed
-    and solved as :func:`optimal_global` solves the transposed stack, bit for bit.
+    local to the bipartition ``x``, regardless of convergence.  The keys of the states'
+    Hermitian parts, from the ensemble's record, are transposed and solved as
+    :func:`optimal_global` solves the transposed stack, bit for bit.
     """
-    w, keys, values, starts = _hermitian_entries(e.probs, e.stack)
-    return _optimum(w, _transpose_keys(keys, e.slots, x.side_a), values, starts, e.dim,
-                    tol, method, max_iterations)
+    w, parts = _nonnegative(e.probs), _hermitian_parts(e._record)
+    return _optimum(w, _cut(e, parts, x.side_a), e.dim, tol, method, max_iterations)
 
 
 class OptimalityCheck(NamedTuple):
@@ -387,9 +381,8 @@ def check_povm_optimality(
     eigenvalue of the symmetrized operator ``sum_j p_j G(rho_j) M_j - p_i G(rho_i)`` is
     reported; the POVM is optimal iff all of them are nonnegative, here ``>= -tol``.
     Off-optimum the weighted average need not be Hermitian, so its Hermitian part is
-    taken before the eigensolve.  Each state is checked once against the Hermitian
-    contract (else :class:`ContractViolationError`), and the transposed entries of its
-    Hermitian part are scattered into the dense stack that the certificate reads.
+    taken before the eigensolve.  The transposed entries of the states' Hermitian
+    parts, from the ensemble's record, are scattered into the stack the certificate reads.
     """
     povm = np.asarray(povm)
     if povm.shape != (e.n, e.dim, e.dim):
@@ -407,10 +400,10 @@ def check_povm_optimality(
         if not (defect <= tol and least >= -tol):
             raise ValueError(f"POVM element {i} is not positive semidefinite (least "
                              f"eigenvalue {least:.3e}, Hermiticity defect {defect:.3e})")
-    w, keys, values, starts = _hermitian_entries(e.probs, e.stack)
+    w, parts = _nonnegative(e.probs), _hermitian_parts(e._record)
     mats = np.zeros((e.n, e.dim, e.dim), dtype=np.complex128)
-    owner = np.repeat(np.arange(e.n), np.diff(starts))
-    mats.reshape(e.n, -1)[owner, _transpose_keys(keys, e.slots, x.side_a)] = values
+    for mat, (keys, values) in zip(mats.reshape(e.n, -1), parts):
+        mat[_transpose_keys(keys, e.slots, x.side_a)] = values
     _, _, residuals = _certificate(w, mats, povm)
     return OptimalityCheck(all(r >= -tol for r in residuals), residuals)
 
@@ -433,44 +426,39 @@ def check_dominant_state(
     When the check passes, the optimum of the transposed ensemble equals the
     pivot weight exactly and the all-or-nothing measurement (identity on the
     pivot, zero elsewhere) is optimal, so callers may skip the solver.  The
-    pivot defaults to the heaviest member (lowest index on ties).  Each state's
-    nonzero entries are checked once against the Hermitian contract (else
-    :class:`ContractViolationError`), and the entries of its Hermitian part are moved
-    by the transpose's slot digits.  Each difference is scattered into the diagonal
-    blocks of the transposed states' joint nonzero pattern, goes to ``eigvalsh``, one
-    batched call per block size, and the PSD rule decides it;
-    :func:`max_bipartition_bound` runs the same routine.  Each returned minimum
-    eigenvalue is the least over the blocks of its difference.
+    pivot defaults to the heaviest member (lowest index on ties).  The entries of the
+    states' Hermitian parts, from the ensemble's record, are moved by the transpose's
+    slot digits; each difference is scattered into the diagonal blocks of their joint
+    nonzero pattern, goes to ``eigvalsh``, one batched call per block size, and the PSD
+    rule decides it; :func:`max_bipartition_bound` runs the same routine.  Each
+    returned minimum eigenvalue is the least over the blocks of its difference.
     """
-    w, keys, values, starts = _hermitian_entries(e.probs, e.stack)
+    w, parts = _nonnegative(e.probs), _hermitian_parts(e._record)
     n = len(w)
     if pivot is None:
         pivot = int(np.argmax(w))
     if not 0 <= pivot < n:
         raise ValueError(f"pivot {pivot} out of range for {n} states")
-    rows, cols = np.divmod(_transpose_keys(keys, e.slots, x.side_a), e.dim)
-    return _dominance(w, _components(e.dim, rows, cols), rows, cols, values, starts, pivot)
+    cut = _cut(e, parts, x.side_a)
+    return _dominance(w, _components(e.dim, cut), cut, pivot)
 
 
-def _dominance(w: np.ndarray, groups: list[np.ndarray], rows: np.ndarray, cols: np.ndarray,
-               values: np.ndarray, starts: np.ndarray, pivot: int) -> DominanceCheck:
+def _dominance(w: np.ndarray, groups: list[np.ndarray], cut: list[tuple[np.ndarray, ...]],
+               pivot: int) -> DominanceCheck:
     """PSD checks of ``w[pivot] G_pivot - w[i] G_i`` for every ``i``, where ``G_i`` has
-    the ``values`` at ``(rows, cols)`` from ``starts[i]`` to ``starts[i + 1]``.  Each
-    difference is block diagonal on the components ``groups`` of the states' joint
-    pattern; it is formed in those blocks alone, from the two states' entries, and
-    decided by :func:`_psd` on the eigenvalues of all its blocks, one batched
-    ``eigvalsh`` per block size.  Its reported minimum is the least eigenvalue over its
-    blocks, 0.0 at the pivot."""
-    lead = slice(starts[pivot], starts[pivot + 1])
+    the values ``cut[i][2]`` at ``(cut[i][0], cut[i][1])``.  Each difference is block
+    diagonal on the components ``groups`` of the states' joint pattern; it is formed in
+    those blocks alone, from the two states' entries, and decided by :func:`_psd` on the
+    eigenvalues of all its blocks, one batched ``eigvalsh`` per block size.  Its
+    reported minimum is the least eigenvalue over its blocks, 0.0 at the pivot."""
+    rows, cols, values = cut[pivot]
+    lead = (rows, cols, w[pivot] * values)
     mins, passed = [], True
-    for i in range(len(w)):
+    for i, (rows, cols, values) in enumerate(cut):
         if i == pivot:
             mins.append(0.0)
             continue
-        run = slice(starts[i], starts[i + 1])
-        diff = np.concatenate([w[pivot] * values[lead], -(w[i] * values[run])])
-        blocks = _blocks(groups, *(np.concatenate([a[lead], a[run]]) for a in (rows, cols)), diff)
-        check = _psd(_eigenvalues(blocks))
+        check = _psd(_eigenvalues(_blocks(groups, [lead, (rows, cols, -(w[i] * values))])))
         mins.append(check.min_eigenvalue)
         passed = passed and check.ok
     return DominanceCheck(passed, tuple(mins), pivot)
@@ -507,37 +495,35 @@ def max_bipartition_bound(
 ) -> BipartitionScan:
     """Largest partial-transpose bound over all bipartitions, with a table.
 
-    The weights and states are checked once, so a non-Hermitian state or a negative
-    or NaN weight raises at once.  The scan works on the nonzero entries of the
-    states' Hermitian parts, formed once: on each cut their keys ``row * dim + col``
-    are transposed by swapping the flipped slots' row and column digits, and no
-    ``dim x dim`` array is made.  Dominance of the heaviest member is tried first
-    (exact, no iteration), by the rule of :func:`check_dominant_state`: each
-    difference is block diagonal on the connected components of the transposed
-    entries' joint pattern, and ``eigvalsh`` of its blocks decides it by the PSD rule
-    on the least and largest eigenvalue.  A fully dense pattern is one block, the
-    whole matrix.  A cut where some difference fails goes to the solver on the same
-    blocks: one stack of the states' blocks per block size, scattered from the
-    entries, with no ``(n, dim, dim)`` stack.  Its result carries ``povm=None``, as a
-    dominance result does; :func:`q_upper` gives the cut's POVM.
+    A negative or NaN weight, then a non-Hermitian state, raises before any cut.  The
+    scan reads the states' Hermitian parts from the ensemble's record: on each cut their
+    keys ``row * dim + col`` are transposed by swapping the flipped slots' row and
+    column digits, and no ``dim x dim`` array is made.  Dominance of the heaviest member
+    is tried first (exact, no iteration), by the rule of :func:`check_dominant_state`:
+    each difference is block diagonal on the connected components of the transposed
+    entries' joint pattern, and ``eigvalsh`` of its blocks decides it by the PSD rule on
+    the least and largest eigenvalue.  A fully dense pattern is one block, the whole
+    matrix.  A cut where some difference fails goes to the solver on the same blocks: one
+    stack of the states' blocks per block size, scattered from the entries, with no
+    ``(n, dim, dim)`` stack.  Its result carries ``povm=None``, as a dominance result
+    does; :func:`q_upper` gives the cut's POVM.
     Numerical failures (``LinAlgError``) are collected per cut, for a partial table.
     The table is keyed by each cut's name; two cuts that share one (labels ``a, b,
     c, bc`` name both ``abc|bc``) raise ``ValueError`` before any cut is decided.
     """
-    w, keys, values, starts = _hermitian_entries(e.probs, e.stack)
-    pivot, dim = int(np.argmax(w)), e.dim
+    w, parts = _nonnegative(e.probs), _hermitian_parts(e._record)
+    pivot = int(np.argmax(w))
     results: dict[str, DiscriminationResult] = {}
     failures: dict[str, str] = {}
     for key, bp in _by_name(all_bipartitions(e.parties)).items():
-        rows, cols = np.divmod(_transpose_keys(keys, e.slots, bp.side_a), dim)
+        cut = _cut(e, parts, bp.side_a)
         try:
-            groups = _components(dim, rows, cols)
-            check = _dominance(w, groups, rows, cols, values, starts, pivot)
+            groups = _components(e.dim, cut)
+            check = _dominance(w, groups, cut, pivot)
             if check.passed:
                 results[key] = _dominance_result(e, check)
             else:
-                results[key], _ = _solve(w, groups, rows, cols, values, starts, tol,
-                                         max_iterations, closed=e.n == 2)
+                results[key], _ = _solve(w, groups, cut, tol, max_iterations, closed=e.n == 2)
         except np.linalg.LinAlgError as exc:
             failures[key] = str(exc)
     if not results:

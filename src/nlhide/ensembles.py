@@ -14,7 +14,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from typing import IO, Callable, Iterator, NamedTuple
 
@@ -29,10 +29,10 @@ from .tensor import (
     _blocks,
     _components,
     _eigenvalues,
-    _entry_hermiticity,
+    _entry_record,
+    _hermitian_parts,
     _lookup,
     _mirror,
-    _nonzero_entries,
 )
 
 PROB_SUM_TOL = 1e-12
@@ -60,6 +60,11 @@ class Ensemble:
     checks only structure (at least two members, matching lengths, one shared
     slot structure, parties consistent with the slots).  Numerical invariants
     are reported by :func:`validate`.
+
+    ``_record``, each state's checked nonzero entries (:func:`_entry_record`), is formed
+    by their first reader (:func:`validate`, the overlaps, a discrimination entry point):
+    one mask pass per state, then 24 bytes per nonzero entry (key and value), held while
+    the ensemble lives.  It cannot go stale: the stack it reads is read-only.
     """
 
     parties: PartySet
@@ -97,6 +102,10 @@ class Ensemble:
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "states",
                            tuple(MultiPartyOperator._frozen(row, slots) for row in stack))
+
+    @cached_property
+    def _record(self) -> list[tuple[float, tuple[np.ndarray, np.ndarray] | None]]:
+        return _entry_record(self.stack)
 
     @property
     def n(self) -> int:
@@ -155,7 +164,7 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
     the diagonal blocks of the state's nonzero pattern, from one batched
     ``eigvalsh`` per block size; a dense state is one block.
 
-    Each state is read as its nonzero entries, from one pass over its matrix.  The
+    Each state is read from the ensemble's record of its nonzero entries.  The
     Hermiticity defect ``max|A - A^dagger|`` pairs each entry with its mirror across
     the diagonal, an entry with no mirror having the defect ``|value|``; the rule,
     the defect and the message are those of the dense check.  The blocks are
@@ -175,8 +184,7 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
                     max(0.0, -min_prob), f"smallest probability {min_prob:.3e}")
     )
 
-    for k, (keys, values) in enumerate(_nonzero_entries(e.stack)):
-        herm, part = _entry_hermiticity(keys, values, e.dim)
+    for k, (herm, part) in enumerate(e._record):
         hermitian = part is not None
         checks.append(
             CheckResult(f"hermitian[{k}]", hermitian, herm,
@@ -190,10 +198,8 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
             CheckResult(f"trace[{k}]", trace_residual <= TRACE_TOL, trace_residual,
                         f"state {k} trace deviates by {trace_residual:.3e}")
         )
-        part_keys, part_values = part
-        rows, cols = np.divmod(part_keys, e.dim)
-        groups = _components(e.dim, rows, cols)
-        min_eig = float(_eigenvalues(_blocks(groups, rows, cols, part_values))[0])
+        entries = [(*np.divmod(part[0], e.dim), part[1])]
+        min_eig = float(_eigenvalues(_blocks(_components(e.dim, entries), entries))[0])
         ok = min_eig >= -PSD_WARN_TOL
         checks.append(
             CheckResult(f"psd[{k}]", ok, max(0.0, -min_eig),
@@ -202,7 +208,7 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
         # Eigensolver round-off on a PSD matrix reaches about dim * eps * (1 + max|entry|);
         # that scale is read only for a negative eigenvalue.
         if ok and min_eig < 0 and min_eig < -e.dim * np.finfo(float).eps * (
-                1.0 + float(np.max(np.abs(values), initial=0.0))):
+                1.0 + float(np.max(np.abs(part[1]), initial=0.0))):
             warnings.append(
                 f"state {k} minimum eigenvalue {min_eig:.3e} is negative within tolerance"
             )
@@ -214,14 +220,15 @@ def pairwise_overlaps(e: Ensemble) -> np.ndarray:
     """Matrix of ``|Tr(rho_i rho_j)|`` for ``i != j`` (zero diagonal).
 
     ``Tr(AB) = sum_kl A_kl B_lk`` is summed over the nonzero entries of ``A`` alone:
-    each is joined with the entry of ``B`` at its mirrored key."""
+    each is joined with the entry of ``B`` at its mirrored key.  Both are Hermitian parts
+    from the ensemble's record: a non-Hermitian state raises :class:`ContractViolationError`."""
     n = e.n
-    entries = _nonzero_entries(e.stack)
+    parts = _hermitian_parts(e._record)
     out = np.zeros((n, n))
-    for i, (keys, values) in enumerate(entries):
+    for i, (keys, values) in enumerate(parts):
         mirrored = _mirror(keys, e.dim)
         for j in range(i + 1, n):
-            val = abs((values * _lookup(*entries[j], mirrored)).sum())
+            val = abs((values * _lookup(*parts[j], mirrored)).sum())
             out[i, j] = out[j, i] = val
     return out
 

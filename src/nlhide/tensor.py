@@ -8,11 +8,13 @@ blocks).  All values are immutable after construction and every operation is a
 pure function, so instances are safe to share across threads.
 
 ``check`` and every discrimination entry point run on a matrix's nonzero entries
-instead: sorted flat keys ``row * dim + col`` and their values.  The Hermitian check
-pairs each key with its mirror ``col * dim + row``, a partial transpose swaps the
-flipped slots' row and column digits of each key, the connected components of the
-entries' pattern come from their edge list, and the diagonal blocks that the PSD
-tests and the solver read are scattered from the entries.  The dense kernels
+instead: sorted flat keys ``row * dim + col`` and their values, in one format per
+matrix, :func:`_entry_record`'s Hermiticity defect and Hermitian part, which an
+ensemble forms once and holds.  The Hermitian check pairs each key with its mirror
+``col * dim + row``, a partial transpose swaps the flipped slots' row and column
+digits of each key, the connected components of the entries' pattern come from each
+matrix's edge list, and the diagonal blocks that the PSD tests and the solver read
+are scattered from the entries, matrix by matrix.  The dense kernels
 (:func:`_hermiticity`, one reshape and transpose) serve only the public functions of
 one dense operator, where they are the faster route: at dim 4096 the entries' check
 of a dense matrix takes three times as long and twice the memory.
@@ -226,18 +228,6 @@ def _meets_contract(defect: float, largest: float) -> bool:
     return defect <= HERMITICITY_RTOL * (1.0 + largest)
 
 
-def _nonzero_entries(stack: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The nonzero entries of each matrix of an ``(n, dim, dim)`` stack: its sorted flat
-    keys ``row * dim + col`` and their values, from one ``flatnonzero`` of the matrix's
-    boolean mask ``re != 0 or im != 0`` (a sixteenth of the matrix's bytes; numpy's
-    complex ``nonzero`` takes about twice as long)."""
-    out = []
-    for matrix in stack:
-        keys = np.flatnonzero(np.logical_or(matrix.real, matrix.imag))
-        out.append((keys, matrix.reshape(-1)[keys]))
-    return out
-
-
 def _mirror(keys: np.ndarray, dim: int) -> np.ndarray:
     """The keys of the entries across the diagonal: ``col * dim + row``."""
     rows, cols = np.divmod(keys, dim)
@@ -286,12 +276,30 @@ def _entry_hermiticity(keys: np.ndarray, values: np.ndarray,
     return defect, (keys[nonzero], part[nonzero])
 
 
+def _entry_record(stack: np.ndarray) -> list[tuple[float, tuple[np.ndarray, np.ndarray] | None]]:
+    """:func:`_entry_hermiticity` of each matrix of an ``(n, dim, dim)`` stack.  A matrix's
+    entries come from one ``flatnonzero`` of its mask ``re != 0 or im != 0`` (numpy's
+    complex ``nonzero`` takes twice as long) and are dropped once its part is formed."""
+    record = []
+    for matrix in stack:
+        keys = np.flatnonzero(np.logical_or(matrix.real, matrix.imag))
+        record.append(_entry_hermiticity(keys, matrix.reshape(-1)[keys], stack.shape[-1]))
+    return record
+
+
+def _hermitian_parts(record: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The Hermitian parts of an :func:`_entry_record`; a matrix that breaks the contract
+    raises :class:`ContractViolationError` with the message of the dense check."""
+    for defect, part in record:
+        if part is None:
+            raise ContractViolationError(f"operator is not Hermitian (defect {defect:.3e})")
+    return [part for _, part in record]
+
+
 def _hermitian(matrix: np.ndarray) -> np.ndarray:
     """The Hermitian part of a matrix that meets the contract; a violation raises
     :class:`ContractViolationError` with the defect of the same pass."""
-    defect, part = _hermiticity(matrix)
-    if part is None:
-        raise ContractViolationError(f"operator is not Hermitian (defect {defect:.3e})")
+    (part,) = _hermitian_parts([_hermiticity(matrix)])
     return part
 
 
@@ -336,10 +344,11 @@ def _psd(vals: np.ndarray) -> PsdCheck:
     return PsdCheck(lo >= -tol, lo, tol)
 
 
-def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+def _components(dim: int, entries: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
     """The connected components of the symmetric pattern of ``dim`` indices whose edges
-    are the entries ``(rows[k], cols[k])``: one ``(count, size)`` index array per block
-    size, ascending, each row one component's indices in ascending order.
+    are the entries ``(rows[k], cols[k])`` of each matrix's ``(rows, cols)`` or ``(rows,
+    cols, values)`` in ``entries``: one ``(count, size)`` index array per block size,
+    ascending, each row one component's indices in ascending order.
 
     A Hermitian matrix whose nonzero entries lie in the pattern is block diagonal on
     these index groups, so its spectrum is the union of the blocks' spectra.  Each
@@ -351,7 +360,8 @@ def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray
     labels = np.arange(dim)
     while True:
         least = labels.copy()
-        np.minimum.at(least, rows, labels[cols])
+        for rows, cols, *_ in entries:  # a joint edge list would copy every entry again
+            np.minimum.at(least, rows, labels[cols])
         least = least[least]
         if np.array_equal(least, labels):
             break
@@ -364,12 +374,13 @@ def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray
             for start, end in zip([0, *ends], ends)]
 
 
-def _blocks(groups: list[np.ndarray], rows: np.ndarray, cols: np.ndarray,
-            values: np.ndarray) -> list[np.ndarray]:
+def _blocks(groups: list[np.ndarray],
+            entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> list[np.ndarray]:
     """For each ``(count, size)`` index array of :func:`_components`, the
-    ``(count, size, size)`` stack of diagonal blocks on it of the matrix that sums the
-    entries ``values`` at ``(rows, cols)``, each inside a block: the entries are added
-    into one buffer of zeros that holds every block, C-ordered, end to end."""
+    ``(count, size, size)`` stack of diagonal blocks on it of the matrix that sums, over
+    the ``(rows, cols, values)`` of ``entries``, the ``values`` at ``(rows, cols)``, each
+    inside a block: the entries are added, in order, into one buffer of zeros that holds
+    every block, C-ordered, end to end."""
     dim = sum(group.size for group in groups)
     row_at, col_at = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
     bounds = [0]
@@ -378,8 +389,9 @@ def _blocks(groups: list[np.ndarray], rows: np.ndarray, cols: np.ndarray,
         col_at[group] = np.arange(size)
         row_at[group] = bounds[-1] + size * (size * np.arange(count)[:, None] + np.arange(size))
         bounds.append(bounds[-1] + count * size * size)
-    buffer = np.zeros(bounds[-1], dtype=values.dtype)
-    np.add.at(buffer, row_at[rows] + col_at[cols], values)
+    buffer = np.zeros(bounds[-1], dtype=np.complex128)
+    for rows, cols, values in entries:
+        np.add.at(buffer, row_at[rows] + col_at[cols], values)
     return [buffer[start:end].reshape(group.shape + group.shape[1:])
             for group, start, end in zip(groups, bounds, bounds[1:])]
 

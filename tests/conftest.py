@@ -1,3 +1,4 @@
+import importlib
 import sys
 from pathlib import Path
 
@@ -15,6 +16,27 @@ from nlhide import (
     ghz_complement_ensemble,
     parity_block_ensemble,
 )
+from nlhide import discrimination, ensembles
+
+
+@pytest.fixture
+def entry_passes(monkeypatch):
+    """Counters of the work that forms an ensemble's entries record, wherever it runs:
+    the matrices that ``_entry_record`` masks, one pass each, and the
+    ``_entry_hermiticity`` checks it makes."""
+    tensor = importlib.import_module("nlhide.tensor")  # the package binds the function
+    masked, checked = [], []
+    real_record, real_check = tensor._entry_record, tensor._entry_hermiticity
+
+    def record(stack):
+        masked.append(len(stack))
+        return real_record(stack)
+
+    for module in (ensembles, discrimination):
+        monkeypatch.setattr(module, "_entry_record", record)
+    monkeypatch.setattr(tensor, "_entry_hermiticity",
+                        lambda *args: checked.append(1) or real_check(*args))
+    return masked, checked
 
 
 @pytest.fixture(scope="session")

@@ -772,10 +772,10 @@ def assert_blocks_match_dense(stack: np.ndarray, pattern: np.ndarray) -> None:
     matrix's entries) agree with dense ``eigvalsh`` + ``_psd``: the same verdicts, and
     eigenvalues within ``1e-12 * (1 + spectral scale)``."""
     dim = pattern.shape[0]
-    groups = _components(dim, *np.nonzero(pattern))
+    groups = _components(dim, [np.nonzero(pattern)])
     for matrix in stack:
         rows, cols = np.nonzero(matrix)
-        mine = _blocks(groups, rows, cols, matrix[rows, cols])
+        mine = _blocks(groups, [(rows, cols, matrix[rows, cols])])
         dense = np.linalg.eigvalsh(matrix)
         spectrum = _eigenvalues(mine)
         slack = 1e-12 * (1.0 + max(abs(dense[0]), abs(dense[-1])))

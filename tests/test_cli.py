@@ -200,6 +200,16 @@ class TestCheckCommand:
                 if isinstance(v, (Ensemble, hiding.HidingReport))]
         assert held == []
 
+    def test_forms_the_entries_once(self, runner, tmp_path, entry_passes):
+        # Parity (2, 3, 1, 3): the load's validate and the report read one record of the
+        # eight states' entries, one mask pass and one Hermitian check each.
+        path = str(tmp_path / "parity.json")
+        save_ensemble(nlhide.parity_block_ensemble(nlhide.ParityBlockParams(2, 3, 1, 3)), path)
+        masked, checked = entry_passes
+        result = runner.invoke(main, ["check", path])
+        assert result.exit_code == 1, result.output  # orthogonal, not hiding
+        assert (sum(masked), len(checked)) == (8, 8)
+
     def test_json_format(self, runner, ghz22_file):
         result = runner.invoke(main, ["check", str(ghz22_file), "--format", "json"])
         assert result.exit_code == 0
@@ -441,6 +451,17 @@ class TestFoldCommand:
              "-o", str(tmp_path / "x.json")],
         )
         assert_fails(result, 3)
+
+    @pytest.mark.parametrize("flags", [[], ["--uniform"]], ids=["coarse", "uniform"])
+    def test_forms_only_the_base_entries(self, runner, ghz22_file, tmp_path, entry_passes,
+                                         flags):
+        # The loader's validate forms the two base states' entries; the coarse states
+        # are built and saved without being read as entries.
+        masked, checked = entry_passes
+        out = str(tmp_path / "coarse.json")
+        result = runner.invoke(main, ["fold", str(ghz22_file), "--L", "2", *flags, "-o", out])
+        assert result.exit_code == 0, result.output
+        assert (masked, len(checked)) == ([2], 2)
 
 
 class TestCoalitionCommand:

@@ -33,13 +33,13 @@ from nlhide import (
 
 from nlhide import discrimination
 from nlhide.discrimination import _certificate, _fixed_point_iteration
-from nlhide.ensembles import pairwise_overlaps, validate
+from nlhide.ensembles import max_pairwise_overlap, pairwise_overlaps, validate
 from nlhide.tensor import (
     PSD_RTOL,
     _components,
-    _entry_hermiticity,
+    _entry_record,
     _hermitian,
-    _nonzero_entries,
+    _hermitian_parts,
     _psd,
     hermitian_part,
 )
@@ -134,6 +134,28 @@ HELSTROM_0_PLUS = 0.5 + math.sqrt(2) / 4  # half overlap-gap above fair coin
 
 
 class TestOptimalGlobal:
+    @pytest.mark.parametrize("weights, matrices, error, message", [
+        ([-1.0], [np.eye(2), np.eye(3)], ValueError, r"1 weights but 2 operators"),
+        ([], [], ValueError, r"discrimination needs at least two operators"),
+        ([-1.0], [np.ones((2, 3))], ValueError, r"discrimination needs at least two operators"),
+        ([0.5, -0.5], [np.eye(2), np.eye(3)], ValueError,
+         r"weights must be nonnegative, got \[0\.5, -0\.5\]"),
+        ([0.5, math.nan], [np.ones((2, 3))] * 2, ValueError,
+         r"weights must be nonnegative, got \[0\.5, nan\]"),
+        ([0.5, 0.5], [np.eye(2), np.eye(3)], ValueError,
+         r"operators must be square matrices of one shape, got shapes \[\(2, 2\), \(3, 3\)\]"),
+        ([0.5, 0.5], [np.ones((2, 3))] * 2, ValueError,
+         r"operators must be square matrices of one shape, got shapes \[\(2, 3\)\]"),
+        ([0.5, 0.5], [np.eye(2), np.triu(np.ones((2, 2)))], ContractViolationError,
+         r"operator is not Hermitian \(defect 1\.000e\+00\)"),
+    ], ids=["count", "none", "one", "negative-weight", "nan-weight", "two-shapes",
+            "not-square", "not-hermitian"])
+    def test_input_errors_in_order(self, weights, matrices, error, message):
+        # Count, then at least two operators, then weights, then shape, then the
+        # Hermitian contract: each case breaks its rule and, where it can, a later one.
+        with pytest.raises(error, match=f"^{message}$"):
+            optimal_global(weights, matrices)
+
     def test_orthogonal_pure_states(self):
         result = optimal_global([0.5, 0.5], [ket(KET0), ket(KET1)])
         assert result.primal_value == pytest.approx(1.0, abs=1e-12)
@@ -490,10 +512,10 @@ class TestBipartitionScan:
         monkeypatch.setattr(discrimination, "_solve", spying_solve)
         scan = max_bipartition_bound(e)
         monkeypatch.undo()
-        # Dominance fails on every cut: the keys of all states are transposed once per
+        # Dominance fails on every cut: the keys of each state are transposed once per
         # cut, and the solver gets the cut's blocks, here one block of every index.
         assert [r.method for r in scan.results.values()] == ["iterative"] * 3
-        assert transposed == [e.n * e.dim * e.dim] * 3  # random densities: every entry
+        assert transposed == [e.dim * e.dim] * (e.n * 3)  # random densities: every entry
         assert solved == [[(1, e.dim)]] * 3
         for bp in all_bipartitions(e.parties):
             result = scan.results[bp.to_string()]
@@ -513,20 +535,17 @@ class TestBipartitionScan:
         assert not dominance_by_difference(e, bp).passed
         assert max_bipartition_bound(e).results[bp.to_string()].method == "closed"
 
-    def test_one_hermitian_check_per_state(self, ghz23, monkeypatch):
-        checked = []
-        real = discrimination._entry_hermiticity
-
-        def counting(keys, values, dim):
-            checked.append(keys)
-            return real(keys, values, dim)
-
-        monkeypatch.setattr(discrimination, "_entry_hermiticity", counting)
+    def test_one_hermitian_check_per_state(self, entry_passes, monkeypatch):
+        masked, checked = entry_passes
         monkeypatch.setattr(tensor_module, "_hermiticity", None)  # no dense check
-        scan = max_bipartition_bound(ghz23)
-        # Three cuts, all decided by dominance: the states are checked once, not per cut.
+        e = ghz_complement_ensemble(2, 3)  # a new ensemble: no record yet
+        scan = max_bipartition_bound(e)
+        # Three cuts, all decided by dominance: the states are checked once, not per cut,
+        # and a second scan reads the same record.
         assert [r.method for r in scan.results.values()] == ["dominance"] * 3
-        assert len(checked) == ghz23.n
+        assert (sum(masked), len(checked)) == (e.n, e.n)
+        assert max_bipartition_bound(e).max_value == scan.max_value
+        assert (sum(masked), len(checked)) == (e.n, e.n)
 
 
 @pytest.mark.parametrize(
@@ -535,14 +554,20 @@ class TestBipartitionScan:
      (check_povm_optimality, (np.broadcast_to(np.eye(8) / 2, (2, 8, 8)),))],
     ids=["q_upper", "check_dominant_state", "check_povm_optimality"],
 )
-def test_entries_check_each_state_once(ghz23, monkeypatch, entry, extra):
-    checked = []
-    real = discrimination._entry_hermiticity
-    monkeypatch.setattr(discrimination, "_entry_hermiticity",
-                        lambda *a: checked.append(1) or real(*a))
+def test_entries_check_each_state_once(entry_passes, monkeypatch, entry, extra):
+    masked, checked = entry_passes
     monkeypatch.setattr(tensor_module, "_hermiticity", None)  # no dense check
-    entry(ghz23, all_bipartitions(ghz23.parties)[0], *extra)
-    assert len(checked) == ghz23.n
+    e = ghz_complement_ensemble(2, 3)  # a new ensemble: no record yet
+    bp = all_bipartitions(e.parties)[0]
+    entry(e, bp, *extra)
+    assert (sum(masked), len(checked)) == (e.n, e.n)
+    # The four entry points, one after another, read the same record.
+    povm = np.broadcast_to(np.eye(e.dim) / 2, (2, e.dim, e.dim))
+    q_upper(e, bp)
+    check_dominant_state(e, bp)
+    check_povm_optimality(e, bp, povm)
+    max_bipartition_bound(e)
+    assert (sum(masked), len(checked)) == (e.n, e.n)
 
 
 def _family_instances(cap):
@@ -668,12 +693,11 @@ def _assert_entries_match_dense(e, pivots=(None,)):
     got, want = validate(e), validate_by_dense(e)
     assert (got.checks, got.warnings) == (want.checks, want.warnings)
     assert np.max(np.abs(pairwise_overlaps(e) - overlaps_by_dense_sum(e))) <= 1e-15
-    keys = discrimination._hermitian_entries(e.probs, e.stack)[1]
+    parts = _hermitian_parts(e._record)
     herm = hermitian_part(e.stack)
     scan = max_bipartition_bound(e, max_iterations=25)
     for bp in all_bipartitions(e.parties):
-        transposed = discrimination._transpose_keys(keys, e.slots, bp.side_a)
-        mine = _components(e.dim, *np.divmod(transposed, e.dim))
+        mine = _components(e.dim, discrimination._cut(e, parts, bp.side_a))
         dense = components_by_search(support(transposed_by_oracle(herm, e.slots, bp.side_a)))
         assert [g.tolist() for g in mine] == [g.tolist() for g in dense]
         for pivot in pivots:
@@ -769,9 +793,15 @@ class TestMirrorRule:
         assert failure == ("hermitian[0]", False, 1e-6, "state 0 Hermiticity defect 1.000e-06")
         (bp,) = all_bipartitions(e.parties)
         message = r"^operator is not Hermitian \(defect 1\.000e-06\)$"
-        for entry in (lambda: check_dominant_state(e, bp), lambda: max_bipartition_bound(e)):
+        for entry in (lambda: check_dominant_state(e, bp), lambda: max_bipartition_bound(e),
+                      lambda: pairwise_overlaps(e), lambda: max_pairwise_overlap(e)):
             with pytest.raises(ContractViolationError, match=message):
                 entry()
+        # The overlaps read the same record first; validate still reports, not raises.
+        fresh = _unmirrored(1e-6)
+        with pytest.raises(ContractViolationError, match=message):
+            pairwise_overlaps(fresh)
+        assert validate(fresh).checks == diagnostics.checks
 
     def test_defect_within_the_tolerance_passes(self):
         e = _unmirrored(1e-14)
@@ -779,8 +809,7 @@ class TestMirrorRule:
         assert diagnostics.passed
         assert diagnostics.checks == validate_by_dense(e).checks
         assert ("hermitian[0]", True, 1e-14) == diagnostics.checks[2][:3]
-        ((keys, values),) = _nonzero_entries(e.stack[:1])
-        defect, (part_keys, part_values) = _entry_hermiticity(keys, values, e.dim)
+        ((defect, (part_keys, part_values)), _) = e._record
         assert defect == 1e-14
         dense = hermitian_part(e.stack[0])
         assert dense[0, 1] == dense[1, 0] == 0.5e-14
@@ -791,6 +820,10 @@ class TestMirrorRule:
         assert check_dominant_state(e, bp) == dominance_by_gather(e, bp)
         result = max_bipartition_bound(e).results[bp.to_string()]
         assert result.certificate_min_eigs == dominance_by_gather(e, bp).min_eigenvalues
+        # The overlaps are those of the Hermitian parts.
+        parts = Ensemble(e.parties, e.probs, tuple(MultiPartyOperator(hermitian_part(m), e.slots)
+                                                   for m in e.stack))
+        assert np.max(np.abs(pairwise_overlaps(e) - overlaps_by_dense_sum(parts))) <= 1e-15
 
 
 def assert_same_result(got, want):
@@ -1150,7 +1183,7 @@ class TestBlockSolver:
     @pytest.mark.parametrize("seed, n, sizes", BLOCK_CASES)
     def test_matches_the_dense_reference(self, seed, n, sizes):
         w, mats = _permuted_block_problem(seed, n, sizes)
-        groups = _components(len(mats[0]), *np.nonzero(support(mats)))
+        groups = _components(len(mats[0]), [np.nonzero(support(mats))])
         assert sorted(size for g in groups for size in [g.shape[1]] * len(g)) == sorted(sizes)
         result = optimal_global(w, mats)
         assert result.certified
@@ -1169,7 +1202,7 @@ class TestBlockSolver:
         result = optimal_global(w, mats)
         dim = mats.shape[-1]
         dual_op = np.zeros((dim, dim), dtype=np.complex128)
-        for group in _components(dim, *np.nonzero(support(mats))):
+        for group in _components(dim, [np.nonzero(support(mats))]):
             for index in group:
                 block = np.ix_(index, index)
                 a = mats[(slice(None), *block)]
@@ -1190,7 +1223,7 @@ class TestBlockSolver:
         result = max_bipartition_bound(e).results[bp.to_string()]
         assert (result.method, result.certified, result.povm) == ("iterative", True, None)
         gammas = transposed_by_oracle(hermitian_part(e.stack), e.slots, bp.side_a)
-        assert max(g.shape[1] for g in _components(e.dim, *np.nonzero(support(gammas)))) <= 16
+        assert max(g.shape[1] for g in _components(e.dim, [np.nonzero(support(gammas))])) <= 16
         _, _, ok, (_, dual, _) = fixed_point_dense(np.asarray(e.probs), gammas, 1e-8, 100_000)
         assert ok
         assert abs(result.dual_value - dual) <= 1e-8

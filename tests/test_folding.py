@@ -22,7 +22,7 @@ from nlhide import (
 )
 
 from nlhide import folding
-from nlhide.ensembles import ORTHOGONALITY_TOL
+from nlhide.ensembles import ORTHOGONALITY_TOL, save_ensemble, validate
 
 from oracles import (
     brute_force_fold_probs,
@@ -138,6 +138,16 @@ class TestCoarseEnsemble:
     def test_dimension_guard(self, ghz22):
         with pytest.raises(Exception, match="dimension cap"):
             coarse_ensemble(FoldSpec(ghz22, 7))
+
+    def test_entries_are_formed_on_first_read(self, ghz22, tmp_path):
+        # Folding and saving read the stack, not its entries: the record of the coarse
+        # states is formed only when something reads it.
+        spec = FoldSpec(ghz22, 2)
+        for e in (coarse_ensemble(spec), uniform_coarse_ensemble(spec)):
+            save_ensemble(e, str(tmp_path / "coarse.json"))
+            assert "_record" not in vars(e)
+            assert validate(e).passed
+            assert "_record" in vars(e)
 
 
 class TestConvolutionFold:

@@ -37,7 +37,7 @@ from nlhide import (
 )
 
 from nlhide import discrimination, folding, hiding
-from nlhide.ensembles import validate
+from nlhide.ensembles import load_ensemble, save_ensemble, validate
 from nlhide.hiding import (
     ProtocolRun, ProtocolSummary, _admissibility_verdict, _chi2_sf, _fold_count_for,
 )
@@ -139,7 +139,9 @@ class TestCheckHiding:
     def test_check_peaks_below_one_dense_state(self):
         # validate and check_hiding on parity (2, 3, 1, 3), dim 512, eight states at
         # 0.13% nonzero: each traced peak stays below the dim**2 * 16 bytes of one state.
+        # validate forms the ensemble's entries record, and check_hiding reads it.
         e = parity_block_ensemble(ParityBlockParams(2, 3, 1, 3))
+        assert "_record" not in vars(e)
         one_state = e.dim**2 * 16
         peaks = []
         tracemalloc.start()
@@ -151,6 +153,7 @@ class TestCheckHiding:
         finally:
             tracemalloc.stop()
         assert max(peaks) < one_state, peaks
+        assert "_record" in vars(e)
 
     def test_ghz22_admissible(self, ghz22):
         report = check_hiding(ghz22)
@@ -233,24 +236,34 @@ class TestCheckHiding:
         assert list(report.solver_failures) == ["A1|A2A3"]
         assert sorted(report.q_values) == ["A1A2|A3", "A1A3|A2"]
 
-    def test_solver_cuts_build_no_operator(self, monkeypatch):
+    def test_solver_cuts_build_no_operator(self, entry_passes, monkeypatch):
         # Every cut is undecided, and the solver gets the blocks of its transposed
-        # entries: the states' entries are checked n times up front and never again,
-        # and no dense Hermitian check runs.
+        # entries: the states' entries are formed and checked n times, on the scan's
+        # first read of the record, and no operator or dense Hermitian check is made.
         e = ghz_basis_triple()
         tensor = importlib.import_module("nlhide.tensor")  # the package binds the function
-        frozen, entries, checked = [], [], []
+        frozen, dense = [], []
         real_frozen, real_dense = tensor._frozen_matrix, tensor._hermiticity
-        real_entries = discrimination._entry_hermiticity
         monkeypatch.setattr(tensor, "_frozen_matrix",
                             lambda *args: frozen.append(1) or real_frozen(*args))
-        monkeypatch.setattr(
-            discrimination, "_entry_hermiticity", lambda *a: entries.append(1) or real_entries(*a)
-        )
-        monkeypatch.setattr(tensor, "_hermiticity", lambda m: checked.append(1) or real_dense(m))
+        monkeypatch.setattr(tensor, "_hermiticity", lambda m: dense.append(1) or real_dense(m))
+        masked, checked = entry_passes
         scan = discrimination.max_bipartition_bound(e)
         assert [r.method for r in scan.results.values()] == ["iterative"] * 3
-        assert (len(frozen), len(entries), len(checked)) == (0, e.n, 0)
+        assert (len(frozen), sum(masked), len(checked), len(dense)) == (0, e.n, e.n, 0)
+
+    def test_load_and_check_form_the_entries_once(self, tmp_path, entry_passes):
+        # Parity (2, 3, 1, 3) from a file: the loader's validate forms each state's
+        # entries, one mask pass and one Hermitian check each; check_hiding's overlaps
+        # and scan, like a second validate, read the same record.
+        path = str(tmp_path / "parity.json")
+        save_ensemble(parity_block_ensemble(ParityBlockParams(2, 3, 1, 3)), path)
+        masked, checked = entry_passes
+        e = load_ensemble(path)
+        report = check_hiding(e)
+        validate(e)
+        assert report.fast_path and all(report.q_exact.values())
+        assert (sum(masked), len(checked)) == (e.n, e.n) == (8, 8)
 
 
 class TestMinFolds:

@@ -20,10 +20,9 @@ from nlhide.tensor import (
     _blocks,
     _components,
     _eigenvalues,
-    _entry_hermiticity,
+    _entry_record,
     _hermitian,
     _hermiticity,
-    _nonzero_entries,
     _psd,
     _transpose_keys,
     hermitian_part,
@@ -204,7 +203,8 @@ def entry_blocks(matrix):
     """The diagonal-block stacks of a matrix on the components of its nonzero pattern,
     scattered from its entries as ``check`` does."""
     rows, cols = np.nonzero(matrix)
-    return _blocks(_components(len(matrix), rows, cols), rows, cols, matrix[rows, cols])
+    entries = [(rows, cols, matrix[rows, cols])]
+    return _blocks(_components(len(matrix), entries), entries)
 
 
 def block_eigenvalues(op):
@@ -297,8 +297,7 @@ class TestHermitianContract:
         herm = random_hermitian(rng, dim) * (mask | mask.T)
         noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         mat = herm + scale * noise * (rng.random((dim, dim)) < 0.2)
-        ((keys, values),) = _nonzero_entries(mat[None])
-        defect, part = _entry_hermiticity(keys, values, dim)
+        ((defect, part),) = _entry_record(mat[None])
         dense_defect, dense_part = _hermiticity(mat)
         assert defect == dense_defect
         assert (part is None) == (dense_part is None)
@@ -384,7 +383,7 @@ class TestBlocks:
         matrix, blocks = _permuted_blocks(np.random.default_rng(seed), sizes, zero_rows, lowest)
         stack = matrix[None]
         pattern = support(stack)
-        groups = _components(len(matrix), *np.nonzero(matrix))
+        groups = _components(len(matrix), [np.nonzero(matrix)])
         assert all(np.array_equal(a, b) for a, b in zip(groups, components_by_search(pattern),
                                                            strict=True))
         assert {frozenset(row.tolist()) for g in groups for row in g} == set(blocks)
@@ -408,7 +407,7 @@ class TestBlocks:
 
     def test_dense_matrix_is_one_block_and_todays_call(self):
         matrix = random_hermitian(np.random.default_rng(2), 12)
-        (group,) = _components(12, *np.nonzero(matrix))
+        (group,) = _components(12, [np.nonzero(matrix)])
         assert np.array_equal(group, np.arange(12)[None])
         (block,) = entry_blocks(matrix)
         assert np.array_equal(block[0], matrix)  # the whole matrix, every entry in place
@@ -417,7 +416,7 @@ class TestBlocks:
 
     def test_zero_matrix_is_all_one_by_one_blocks(self):
         stack = np.zeros((1, 5, 5), dtype=np.complex128)
-        (group,) = _components(5, *np.nonzero(stack[0]))
+        (group,) = _components(5, [np.nonzero(stack[0])])
         assert np.array_equal(group, np.arange(5)[:, None])
         assert_blocks_match_dense(stack, support(stack))
 
@@ -427,11 +426,10 @@ class TestBlocks:
         stack[1, 1, 2] = 1j  # an imaginary entry alone counts
         stack[1, 2, 1] = -1j
         stack[1, 3, 3] = -0.0  # a signed zero does not
-        (keys0, values0), (keys1, values1) = _nonzero_entries(stack)
+        ((_, (keys0, values0)), (_, (keys1, values1))) = _entry_record(stack)
         assert keys0.tolist() == [3, 12] and values0.tolist() == [1.0, 1.0]
         assert keys1.tolist() == [6, 9] and values1.tolist() == [1j, -1j]
-        keys = np.concatenate([keys0, keys1])
-        groups = _components(4, *np.divmod(keys, 4))
+        groups = _components(4, [np.divmod(keys0, 4), np.divmod(keys1, 4)])
         assert [g.tolist() for g in groups] == [[[0, 3], [1, 2]]]
 
     def test_chain_joins_across_pointer_jumps(self):
@@ -439,7 +437,8 @@ class TestBlocks:
         rows, cols = np.arange(7), np.arange(7)
         for a, b in [(0, 5), (5, 1), (1, 4), (4, 2), (2, 3)]:
             rows, cols = np.append(rows, [a, b]), np.append(cols, [b, a])
-        assert [g.tolist() for g in _components(7, rows, cols)] == [[[6]], [[0, 1, 2, 3, 4, 5]]]
+        groups = _components(7, [(rows, cols)])
+        assert [g.tolist() for g in groups] == [[[6]], [[0, 1, 2, 3, 4, 5]]]
 
 
 class TestKernelProperties:
