@@ -396,14 +396,20 @@ def _row_blocks(dim: int) -> range:
     return range(0, dim, max(1, _BLOCK_NUMBERS // (2 * dim)))
 
 
+def _zero_row(dim: int) -> str:
+    """The text of a row of ``dim`` all-+0.0 entries, written and read as one token."""
+    return "[" + ",".join(["[0.0,0.0]"] * dim) + "]"
+
+
 def _state_text(matrix: np.ndarray) -> Iterator[str]:
     """The JSON text of a C-ordered complex matrix as rows of ``[re, im]`` pairs,
     one block of rows at a time; the bytes of ``json.dumps`` of its nested lists.
 
-    Each number is one token that carries the brackets and commas around it.  A
-    zero is a fixed ``0.0`` or ``-0.0`` token, chosen by its sign bit; only the
-    other numbers go through ``json.dumps``."""
+    A row of all +0.0 is one :func:`_zero_row` token.  In the other rows each number is
+    one token that carries the brackets and commas around it: a zero is a fixed ``0.0``
+    or ``-0.0`` token, by its sign bit, and only other numbers go through ``json.dumps``."""
     columns = 2 * matrix.shape[1]
+    zero_row = _zero_row(matrix.shape[1]) + ","
     opens = np.where(np.arange(columns) % 2, "", "[").astype(object)
     closes = np.where(np.arange(columns) % 2, "],", ",").astype(object)
     opens[0], closes[-1] = "[[", "]],"
@@ -412,12 +418,16 @@ def _state_text(matrix: np.ndarray) -> Iterator[str]:
     bounds = _row_blocks(len(matrix))
     for first in bounds:
         values = floats[first:first + bounds.step]
+        other = values.view(np.uint64).any(axis=1)  # the rows not all +0.0
+        cuts = np.cumsum(other)[~other].tolist()  # each zero row follows this many others
+        values = values[other] if cuts else values
         tokens = np.where(np.signbit(values), negative_zero, zero)
         rows, cols = np.nonzero(values)
         if len(rows):
             numbers = json.dumps(values[rows, cols].tolist())[1:-1].split(", ")
             tokens[rows, cols] = opens[cols] + np.array(numbers, dtype=object) + closes[cols]
-        text = "".join(tokens.ravel().tolist())
+        text = zero_row.join(["".join(tokens[a:b].ravel().tolist())
+                              for a, b in zip([0] + cuts, cuts + [len(tokens)])])
         # The last block closes the state where a row separator would follow.
         yield text if first + bounds.step < len(matrix) else text[:-1] + "]"
 
@@ -567,10 +577,11 @@ def _load_plain(text: str) -> Ensemble:
     """:func:`from_document` of ``json.loads(text)``, for a document whose states
     are plain ``(n, dim, dim, 2)`` number arrays, without nested number lists.
 
-    Only the header goes through ``json.loads`` whole.  The states are read in
-    blocks of rows, by :func:`_read_block`, straight into the ensemble's stack;
-    JSON whitespace is first dropped from the states text, which is otherwise
-    never copied whole.  The last state must close the ``states`` value.  Raises
+    Only the header goes through ``json.loads`` whole.  A row whose text is
+    :func:`_zero_row` is accepted by one compare and stays zero; each block's other
+    rows go through one :func:`_read_block`, into the ensemble's stack.  JSON
+    whitespace is first dropped from the states text, which is otherwise never
+    copied whole.  The last state must close the ``states`` value.  Raises
     :class:`_NotPlainStates` for any other document, and for any malformed one, so
     that ``json.loads`` and :func:`from_document` give the diagnostics."""
     start, end = _states_span(text)
@@ -588,11 +599,12 @@ def _load_plain(text: str) -> Ensemble:
     # this bounds the stack allocated below by the size of the text.
     if 6 * n * dim * dim > end - start:
         raise _NotPlainStates
-    stack = np.empty((n, dim, dim), dtype=np.complex128)
+    stack = np.zeros((n, dim, dim), dtype=np.complex128)
     blocks = _row_blocks(dim)
     row = b"[" + b",".join([b"[,]"] * dim) + b"],"
     layout = row * blocks.step  # a block of rows and the comma after it
     last_layout = layout[:(dim - blocks[-1]) * len(row) - 1] + b"]"
+    zero_rows = (_zero_row(dim) + ",", _zero_row(dim) + "]")  # the last row closes a state
     try:
         pos = start + 1  # after the "[" that opens the states
         for k, matrix in enumerate(stack):
@@ -602,16 +614,27 @@ def _load_plain(text: str) -> Ensemble:
             pos += len(opener)
             floats = matrix.view(np.float64)
             for first in blocks:
-                stop = pos
-                for _ in range(min(blocks.step, dim - first)):
-                    # The end of a row, which holds 6 * dim + 1 characters at least.
-                    stop = text.find("]]", stop + 6 * dim - 1, end)
-                    if stop < 0:
+                rows = floats[first:first + blocks.step]
+                zeros, cuts = [], [pos]  # where the other rows start and stop, in turn
+                for r in range(first, first + len(rows)):
+                    if text.startswith(zero_rows[r == dim - 1], pos):  # the row stays zero
+                        zeros.append(r - first)
+                        cuts += [pos, pos + len(zero_rows[0])]
+                        pos = cuts[-1]
+                    # Else the end of a row, which holds 6 * dim + 1 characters at least.
+                    elif (pos := text.find("]]", pos + 6 * dim - 1, end) + 3) < 3:
                         raise _NotPlainStates
-                    stop += 2
-                _read_block(text[pos:stop + 1], last_layout if first == blocks[-1] else layout,
-                            floats[first:first + blocks.step].reshape(-1))
-                pos = stop + 1
+                block_layout = last_layout if first == blocks[-1] else layout
+                if not zeros:
+                    _read_block(text[cuts[0]:pos], block_layout, rows.reshape(-1))
+                elif len(zeros) < len(rows):  # one read of the other rows, joined
+                    other = np.ones(len(rows), dtype=bool)
+                    other[zeros] = False
+                    out = np.empty((len(rows) - len(zeros), 2 * dim))
+                    close = block_layout[-1:] if other[-1] else b","
+                    _read_block("".join(text[a:b] for a, b in zip(cuts[::2], cuts[1::2] + [pos])),
+                                layout[:len(out) * len(row) - 1] + close, out.reshape(-1))
+                    rows[other] = out
         if pos != end - 1:  # the "]" that closes the states
             raise _NotPlainStates
         ensemble = Ensemble._of_stack(parties, probs, stack, slots)
@@ -646,9 +669,11 @@ def save_ensemble(e: Ensemble, sink: str | IO[str]) -> None:
 
 
 def load_ensemble(source: str | IO[str]) -> Ensemble:
+    """Read and validate an ensemble document; a file is read as bytes, decoded as in text mode."""
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(source, "rb") as handle:
+            text = handle.read().decode("utf-8")
+        text = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
     else:
         text = source.read()
     try:

@@ -669,6 +669,43 @@ class TestFlatReader:
         text = PLAIN[:position] + insert + PLAIN[position + cut:]
         assert _outcome(_load_text, text) == _outcome(load_by_document, text)
 
+    @pytest.mark.parametrize("text", EDITED_DOCUMENTS.values(), ids=EDITED_DOCUMENTS.keys())
+    def test_file_reads_match_text_reads(self, text, tmp_path):
+        path = tmp_path / "e.json"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(load_ensemble, io.StringIO(path.read_text(encoding="utf-8")))
+        assert _outcome(load_ensemble, str(path)) == expected
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("tail", ["", "\n1"], ids=["valid", "trailing-data"])
+    def test_newlines_in_a_file_read_as_in_text_mode(self, newline, tail, tmp_path):
+        # An indented file whose line ends are "\r\n" or "\r" loads as its "\n" text,
+        # and a JSON error names the line and character of that text.
+        text = json.dumps(to_document(random_ensemble(7)), indent=1) + tail
+        path = tmp_path / "e.json"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        expected = _outcome(load_by_document, text)
+        assert isinstance(expected[0], list) == bool(tail)
+        assert _outcome(load_ensemble, str(path)) == expected
+
+    def test_bom_file_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + PLAIN.encode("utf-8"))
+        message = ("invalid ensemble: schema: not valid JSON: Unexpected UTF-8 BOM "
+                   "(decode using utf-8-sig): line 1 column 1 (char 0)")
+        assert _outcome(load_ensemble, str(path)) == (["schema"], message)
+
+    def test_invalid_utf8_file_raises_as_a_text_read(self, tmp_path):
+        path = tmp_path / "invalid.json"
+        # The position counts bytes of the file, a "\r\n" before the bad byte included.
+        path.write_bytes(b"{\r\n" + PLAIN[1:].encode("utf-8").replace(b'"A2"', b'"A\xff"'))
+        with pytest.raises(UnicodeDecodeError) as text_read:
+            path.read_text(encoding="utf-8")
+        with pytest.raises(UnicodeDecodeError) as file_read:
+            load_ensemble(str(path))
+        assert str(file_read.value) == str(text_read.value) == (
+            "'utf-8' codec can't decode byte 0xff in position 21: invalid start byte")
+
     def test_load_peak_memory_is_bounded(self, parity2222, tmp_path):
         path = tmp_path / "parity.json"  # dim 256, four states, 2.7 MB
         save_ensemble(parity2222, str(path))
@@ -736,6 +773,10 @@ def _rows_end(text, rows):
     return pos
 
 
+#: The text of a row of 256 entries [0.0, 0.0].
+ZERO_ROW_256 = "[" + ",".join(["[0.0,0.0]"] * 256) + "]"
+
+
 @pytest.fixture(scope="module")
 def ghz28_text():
     return saved_text_by_document(ghz_complement_ensemble(2, 8))  # dim 256
@@ -746,8 +787,8 @@ class TestBlockCodec:
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
-           block_numbers=st.sampled_from([1, 16, 2**15]))
-    def test_sparse_states_match_document_codec(self, seed, density, block_numbers):
+           block_numbers=st.sampled_from([1, 16, 2**15]), zero_rows=st.booleans())
+    def test_sparse_states_match_document_codec(self, seed, density, block_numbers, zero_rows):
         rng = np.random.default_rng(seed)
         slot_dims = tuple(int(d) for d in rng.integers(1, 5, size=rng.integers(1, 4)))
         parties = PartySet.of_size(max(2, len(slot_dims)))
@@ -759,17 +800,28 @@ class TestBlockCodec:
         plain = rng.normal(size=8) * 10.0 ** rng.integers(-30, 30, 8)
         pool = np.concatenate([SUPPORT_ENTRIES, plain])
         floats[support] = rng.choice(pool, size=int(support.sum()))
-        stack = floats.view(np.complex128)
-        e = Ensemble(parties, tuple(rng.dirichlet(np.ones(n))),
-                     tuple(MultiPartyOperator(m, slots) for m in stack))
         with pytest.MonkeyPatch.context() as mp:
             # Blocks of one row, of a few rows and of whole states.
             mp.setattr(ensembles, "_BLOCK_NUMBERS", block_numbers)
+            if zero_rows:
+                # Rows of all +0.0, which the codec writes and reads as one token: a
+                # random half, the first and last rows of the first state, the rows on
+                # both sides of each of its block boundaries, and the whole last state.
+                forced = rng.random((n, slots.dim)) < 0.5
+                boundaries = np.array(ensembles._row_blocks(slots.dim)[1:], dtype=int)
+                forced[0, np.concatenate([[0, -1], boundaries - 1, boundaries])] = True
+                forced[-1] = True
+                floats[forced] = 0.0
+            stack = floats.view(np.complex128)
+            e = Ensemble(parties, tuple(rng.dirichlet(np.ones(n))),
+                         tuple(MultiPartyOperator(m, slots) for m in stack))
             buffer = io.StringIO()
             save_ensemble(e, buffer)
             text = buffer.getvalue()
             assert text == saved_text_by_document(e)
             loaded = _unvalidated(_load_text, text)
+            # The flat path reads the text itself, with no fallback.
+            assert _unvalidated(ensembles._load_plain, text) == loaded
         assert loaded == _unvalidated(load_by_document, text)
         assert b"".join(loaded[3]) == stack.view(np.uint64).tobytes()
 
@@ -817,6 +869,52 @@ class TestBlockCodec:
             "number-moved-before-block": head + ",0.0[[,0.0]," + tail[len("[[0.0,0.0],"):],
         }[edit]
         assert _outcome(_load_text, text) == _outcome(load_by_document, text)
+
+    @pytest.mark.parametrize("edit", [
+        "comma-missing", "comma-doubled", "closed-by-bracket", "first-token-0.00",
+        "first-token-0", "first-token--0.0", "first-token-+0.0", "last-token-0.00",
+        "last-token-0", "last-token--0.0", "last-token-+0.0", "entry-short", "entry-long",
+    ])
+    @pytest.mark.parametrize("where", ["after-a-nonzero-row", "block-end", "block-start"])
+    def test_edits_at_a_zero_row_match_document_reader(self, ghz28_text, where, edit):
+        # Rows 1 to 254 of the GHZ projector, the second state, are all +0.0; rows 0
+        # and 255 are not.  Row r of the second state is row 256 + r of the text.
+        step = ensembles._row_blocks(256).step
+        r = 256 + {"after-a-nonzero-row": 1, "block-end": step - 1, "block-start": step}[where]
+        start, stop = _rows_end(ghz28_text, r) + 1, _rows_end(ghz28_text, r + 1)
+        head, row, tail = ghz28_text[:start], ghz28_text[start:stop], ghz28_text[stop + 1:]
+        assert row == ZERO_ROW_256 and ghz28_text[stop] == ","
+        kind, _, token = edit.partition("-token-")
+        text = {
+            "comma-missing": head + row + tail,
+            "comma-doubled": head + row + ",," + tail,
+            "closed-by-bracket": head + row + "]" + tail,
+            "first": head + row.replace("[[0.0,", f"[[{token},", 1) + "," + tail,
+            "last": head + row[:-len("0.0]]")] + token + "]]," + tail,
+            "entry-short": head + "[" + row[len("[[0.0,0.0],"):] + "," + tail,
+            "entry-long": head + row[:-1] + ",[0.0,0.0]]," + tail,
+        }[kind if token else edit]
+        assert text != ghz28_text
+        assert _outcome(_load_text, text) == _outcome(load_by_document, text)
+
+    @pytest.mark.parametrize("edit", ["closed", "then-next-state-rows", "comma-then-closed",
+                                      "comma-replaces-close"])
+    def test_edits_at_a_zero_last_row_match_document_reader(self, ghz28_text, edit):
+        # The first state's last row made all +0.0, which leaves the state not Hermitian,
+        # and closed by its "]" or followed by a comma.
+        start, stop = _rows_end(ghz28_text, 255) + 1, _rows_end(ghz28_text, 256)
+        head, tail = ghz28_text[:start], ghz28_text[stop + 1:]
+        assert ghz28_text[stop:stop + 3] == "],[" and ghz28_text[start:start + 2] == "[["
+        text = {
+            "closed": head + ZERO_ROW_256 + "]" + tail,
+            "then-next-state-rows": head + ZERO_ROW_256 + "," + tail[len(",["):],
+            "comma-then-closed": head + ZERO_ROW_256 + ",]" + tail,
+            "comma-replaces-close": head + ZERO_ROW_256 + "," + tail,
+        }[edit]
+        expected = _outcome(load_by_document, text)
+        assert _outcome(_load_text, text) == expected
+        if edit == "closed":  # the flat path reads it itself, with no fallback
+            assert _outcome(ensembles._load_plain, text) == expected
 
     def test_save_peak_memory_is_bounded(self, parity2222, tmp_path):
         state_text = min(len(json.dumps(s, separators=(",", ":")))
