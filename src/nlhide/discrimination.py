@@ -14,11 +14,11 @@ their keys.
 :func:`max_bipartition_bound` first tries, on every cut, whether the heaviest
 weighted transposed state dominates the others, by the rule of
 :func:`check_dominant_state`: each difference is decided by the PSD rule on its
-eigenvalues, and the solver runs only where dominance fails.  Every difference on
-a cut is block diagonal on the connected components of the transposed states'
-joint nonzero pattern, so each eigenvalue solve runs block by block.
+eigenvalues, and the solver runs only where dominance fails.  A cut's states are
+block diagonal on the components of their joint nonzero pattern; the blocks are
+formed once, one row per state, and every eigenvalue solve runs block by block.
 
-The solver runs on the same blocks, for :func:`q_upper` as for the scan.  Pinching
+The solver runs on the same stacks, for :func:`q_upper` as for the scan.  Pinching
 a POVM onto them keeps its value, so the optimum is the sum of one optimum per
 block, and the block diagonal sum of the blocks' feasible duals is feasible.  The
 blocks of one size are stacked and solved together; :func:`optimal_global` splits
@@ -35,6 +35,7 @@ POVM average.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .partitions import Bipartition, _by_name, all_bipartitions
-from .tensor import (_blocks, _components, _eigenvalues, _entry_record, _hermitian_parts, _psd,
+from .tensor import (_blocks, _components, _entry_record, _extremes, _hermitian_parts, _psd,
                      _transpose_keys, hermitian_part)
 
 DEFAULT_SOLVER_TOL = 1e-8
@@ -239,23 +240,20 @@ def _iterate(
 
 
 def _solve(
-    w: np.ndarray, groups: list[np.ndarray], cut: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    tol: float, max_iterations: int, closed: bool,
+    w: np.ndarray, blocks: list[np.ndarray], tol: float, max_iterations: int, closed: bool,
 ) -> tuple[DiscriminationResult, list[np.ndarray]]:
-    """The discrimination optimum of the operators ``G_i`` with the values ``cut[i][2]``
-    at ``(cut[i][0], cut[i][1])``, solved on the diagonal blocks of their joint pattern,
-    the :func:`_components` ``groups``.
+    """The discrimination optimum of the operators ``G_i`` given by the :func:`_blocks`
+    stacks of the components of their joint pattern.
 
     Pinching a POVM onto the blocks keeps its value, so the optimum is the sum of the
-    blocks' optima.  Each block size gets one ``(count, n, s, s)`` stack of the
-    members' blocks.  A ``1 x 1`` block is closed form (``max_i w_i a_i``), a block of
-    two operators too when ``closed``; the other stacks go to
-    :func:`_fixed_point_iteration` together.  Primal and dual values add over the
-    blocks, each residual is the least over them, and the result is certified when
-    every stack converged and the summed gap is within ``tol``.  Returns the result,
-    with ``povm=None``, and the POVM blocks, one stack per block size."""
-    per_state = [_blocks(groups, [state]) for state in cut]
-    stacks = [np.stack(blocks, axis=1) for blocks in zip(*per_state)]
+    blocks' optima.  Each stack is copied once into the ``(count, n, s, s)`` layout.  A
+    ``1 x 1`` block is closed form (``max_i w_i a_i``), a block of two operators too
+    when ``closed``; the other stacks go to :func:`_fixed_point_iteration` together.
+    Primal and dual values add over the blocks, each residual is the least over them,
+    and the result is certified when every stack converged and the summed gap is within
+    ``tol``.  Returns the result, with ``povm=None``, and the POVM blocks, one stack per
+    block size."""
+    stacks = [np.ascontiguousarray(stack.swapaxes(0, 1)) for stack in blocks]
     iterate = [mats.shape[-1] > 1 and not closed for mats in stacks]
     iterated = iter(_fixed_point_iteration(
         w, [mats for mats, it in zip(stacks, iterate) if it], tol, max_iterations)
@@ -332,9 +330,9 @@ def _optimum(w: np.ndarray, cut: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     if method == "closed" and len(w) != 2:
         raise ValueError("the closed form applies to exactly two operators")
     groups = _components(dim, cut)
-    result, blocks = _solve(w, groups, cut, tol, max_iterations, closed=method == "closed")
+    result, povms = _solve(w, _blocks(groups, cut), tol, max_iterations, method == "closed")
     povm = np.zeros((len(w), dim, dim), dtype=np.complex128)
-    for group, stack in zip(groups, blocks):
+    for group, stack in zip(groups, povms):
         povm[:, group[:, :, None], group[:, None, :]] = stack.swapaxes(0, 1)
     povm.setflags(write=False)
     return replace(result, povm=povm)
@@ -426,42 +424,45 @@ def check_dominant_state(
     When the check passes, the optimum of the transposed ensemble equals the
     pivot weight exactly and the all-or-nothing measurement (identity on the
     pivot, zero elsewhere) is optimal, so callers may skip the solver.  The
-    pivot defaults to the heaviest member (lowest index on ties).  The entries of the
-    states' Hermitian parts, from the ensemble's record, are moved by the transpose's
-    slot digits; each difference is scattered into the diagonal blocks of their joint
-    nonzero pattern, goes to ``eigvalsh``, one batched call per block size, and the PSD
-    rule decides it; :func:`max_bipartition_bound` runs the same routine.  Each
-    returned minimum eigenvalue is the least over the blocks of its difference.
+    pivot defaults to the heaviest member (lowest index on ties); a given one must be a
+    Python or numpy integer, not a bool, in ``0 .. n - 1`` (else ``ValueError``).  The
+    entries of the states' Hermitian parts, from the ensemble's record, are moved by the
+    transpose's slot digits and formed once into the diagonal blocks of their joint
+    nonzero pattern, one row per state; all differences go to ``eigvalsh`` together, one
+    batched call per block size, and the PSD rule decides each;
+    :func:`max_bipartition_bound` runs the same routine.  Each returned minimum
+    eigenvalue is the least over the blocks of its difference.
     """
     w, parts = _nonnegative(e.probs), _hermitian_parts(e._record)
     n = len(w)
     if pivot is None:
         pivot = int(np.argmax(w))
+    if isinstance(pivot, bool) or not isinstance(pivot, numbers.Integral):
+        raise ValueError(f"pivot must be an integer, got {pivot!r}")
     if not 0 <= pivot < n:
         raise ValueError(f"pivot {pivot} out of range for {n} states")
     cut = _cut(e, parts, x.side_a)
-    return _dominance(w, _components(e.dim, cut), cut, pivot)
+    return _dominance(w, _blocks(_components(e.dim, cut), cut), int(pivot))
 
 
-def _dominance(w: np.ndarray, groups: list[np.ndarray], cut: list[tuple[np.ndarray, ...]],
-               pivot: int) -> DominanceCheck:
-    """PSD checks of ``w[pivot] G_pivot - w[i] G_i`` for every ``i``, where ``G_i`` has
-    the values ``cut[i][2]`` at ``(cut[i][0], cut[i][1])``.  Each difference is block
-    diagonal on the components ``groups`` of the states' joint pattern; it is formed in
-    those blocks alone, from the two states' entries, and decided by :func:`_psd` on the
-    eigenvalues of all its blocks, one batched ``eigvalsh`` per block size.  Its
-    reported minimum is the least eigenvalue over its blocks, 0.0 at the pivot."""
-    rows, cols, values = cut[pivot]
-    lead = (rows, cols, w[pivot] * values)
-    mins, passed = [], True
-    for i, (rows, cols, values) in enumerate(cut):
-        if i == pivot:
-            mins.append(0.0)
-            continue
-        check = _psd(_eigenvalues(_blocks(groups, [lead, (rows, cols, -(w[i] * values))])))
-        mins.append(check.min_eigenvalue)
-        passed = passed and check.ok
-    return DominanceCheck(passed, tuple(mins), pivot)
+def _dominance(w: np.ndarray, blocks: list[np.ndarray], pivot: int) -> DominanceCheck:
+    """PSD checks of ``w[pivot] G_pivot - w[i] G_i`` for every ``i``, the ``G_i`` given by
+    the :func:`_blocks` stacks of the components of their joint pattern.  All differences
+    are formed at once on those stacks and decided by :func:`_psd` on :func:`_extremes`,
+    one batched ``eigvalsh`` per block size.  Each reported minimum is the least
+    eigenvalue over its difference's blocks, 0.0 at the pivot."""
+    others = np.array([i for i in range(len(w)) if i != pivot])
+    lead, weights = w[pivot], w[others, None, None, None]
+    diffs = []
+    for stack in blocks:
+        diff = stack[others]
+        diff *= weights
+        diffs.append(np.subtract(lead * stack[pivot], diff, out=diff))
+    least, largest = _extremes(diffs)
+    checks = [_psd(lo, hi) for lo, hi in zip(least.tolist(), largest.tolist())]
+    mins = [check.min_eigenvalue for check in checks]
+    mins.insert(pivot, 0.0)
+    return DominanceCheck(all(check.ok for check in checks), tuple(mins), pivot)
 
 
 def _dominance_result(e: Ensemble, check: DominanceCheck) -> DiscriminationResult:
@@ -498,15 +499,15 @@ def max_bipartition_bound(
     A negative or NaN weight, then a non-Hermitian state, raises before any cut.  The
     scan reads the states' Hermitian parts from the ensemble's record: on each cut their
     keys ``row * dim + col`` are transposed by swapping the flipped slots' row and
-    column digits, and no ``dim x dim`` array is made.  Dominance of the heaviest member
-    is tried first (exact, no iteration), by the rule of :func:`check_dominant_state`:
-    each difference is block diagonal on the connected components of the transposed
-    entries' joint pattern, and ``eigvalsh`` of its blocks decides it by the PSD rule on
-    the least and largest eigenvalue.  A fully dense pattern is one block, the whole
-    matrix.  A cut where some difference fails goes to the solver on the same blocks: one
-    stack of the states' blocks per block size, scattered from the entries, with no
-    ``(n, dim, dim)`` stack.  Its result carries ``povm=None``, as a dominance result
-    does; :func:`q_upper` gives the cut's POVM.
+    column digits, and no ``dim x dim`` array is made.  Each cut's diagonal blocks, on
+    the connected components of the transposed entries' joint pattern, are formed once:
+    one stack per block size, one row per state.  Dominance of the heaviest member is
+    tried first (exact, no iteration), by the rule of :func:`check_dominant_state` on
+    those stacks: ``eigvalsh`` of every difference's blocks decides it by the PSD rule
+    on the least and largest eigenvalue.  A fully dense pattern is one block, the whole
+    matrix.  A cut where some difference fails goes to the solver on the same stacks,
+    with no ``(n, dim, dim)`` stack.  Its result carries ``povm=None``, as a dominance
+    result does; :func:`q_upper` gives the cut's POVM.
     Numerical failures (``LinAlgError``) are collected per cut, for a partial table.
     The table is keyed by each cut's name; two cuts that share one (labels ``a, b,
     c, bc`` name both ``abc|bc``) raise ``ValueError`` before any cut is decided.
@@ -518,12 +519,12 @@ def max_bipartition_bound(
     for key, bp in _by_name(all_bipartitions(e.parties)).items():
         cut = _cut(e, parts, bp.side_a)
         try:
-            groups = _components(e.dim, cut)
-            check = _dominance(w, groups, cut, pivot)
+            blocks = _blocks(_components(e.dim, cut), cut)
+            check = _dominance(w, blocks, pivot)
             if check.passed:
                 results[key] = _dominance_result(e, check)
             else:
-                results[key], _ = _solve(w, groups, cut, tol, max_iterations, closed=e.n == 2)
+                results[key], _ = _solve(w, blocks, tol, max_iterations, closed=e.n == 2)
         except np.linalg.LinAlgError as exc:
             failures[key] = str(exc)
     if not results:

@@ -13,6 +13,7 @@ Closed-form curves quantify how fast restricted-measurement bounds decay in
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -174,17 +175,26 @@ def exact_two_state_curve(eta0: float, lmax: int) -> list[float]:
     return [fold_bound(2, eta0, L) for L in range(1, lmax + 1)]
 
 
+def _check_fold_count(L: int) -> None:
+    """Raise ``ValueError`` unless ``L`` is a fold count: a Python or numpy integer, not
+    a bool or a float (``2.0`` included), of at least 1."""
+    if isinstance(L, bool) or not isinstance(L, numbers.Integral):
+        raise ValueError(f"fold count must be an integer, got {L!r}")
+    if L < 1:
+        raise ValueError(f"fold count must be >= 1, got {L}")
+
+
 def fold_bound(n: int, qx: float, L: int) -> float:
     """Upper bound on the L-fold restricted-measurement value from a base bound.
 
     ``1/n + (n-1)/n * (n*qx - 1)**L``, capped at 1 since it bounds a
     probability; decays to ``1/n`` exponentially fast whenever ``qx < 2/n``.
-    Values of ``qx`` below the guessing floor ``1/n`` are rejected.
+    Values of ``qx`` below the guessing floor ``1/n`` are rejected, and so is a fold
+    count that :func:`_check_fold_count` refuses.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if L < 1:
-        raise ValueError(f"fold count must be >= 1, got {L}")
+    _check_fold_count(L)
     if not qx >= 1.0 / n:  # also NaN
         raise ValueError(f"bound {qx} is below the guessing floor 1/{n}")
     return min(1.0, 1.0 / n + (n - 1.0) / n * (n * qx - 1.0) ** L)

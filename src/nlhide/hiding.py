@@ -35,7 +35,8 @@ from .discrimination import (
 )
 from .ensembles import ORTHOGONALITY_TOL, Ensemble, max_pairwise_overlap
 from .folding import (
-    FoldSpec, _check_cap, _coarse_states, _convolve, _kron_sum, fold_bound, fold_probs, mod_sum,
+    FoldSpec, _check_cap, _check_fold_count, _coarse_states, _convolve, _kron_sum, fold_bound,
+    fold_probs, mod_sum,
 )
 from .partitions import _by_name, all_partitions, coarser_bipartitions
 from .tensor import (
@@ -445,11 +446,11 @@ def coalition_report(e: Ensemble, L: int, force: bool = False, tol: float = DEFA
     is :attr:`~HidingReport.exact` (two states, dominance on every cut, so every
     cut's q is the pivot weight) the value is the dominant coarse class
     probability and reported as such.  The trivial partition is the
-    recovery side and excluded.  Too many parties for ``all_partitions``, or two
-    partitions that share a name, raise ``ValueError`` before the report is made.
+    recovery side and excluded.  A fold count that is not an integer of at least 1, too
+    many parties for ``all_partitions``, or two partitions that share a name raise
+    ``ValueError`` before the report is made.
     """
-    if L < 1:
-        raise ValueError(f"fold count must be >= 1, got {L}")
+    _check_fold_count(L)
     partitions = _by_name(all_partitions(e.parties))
     report = check_hiding(e, tol=tol, max_iterations=max_iterations)
     report.require_admissible(force)

@@ -14,7 +14,7 @@ ensemble forms once and holds.  The Hermitian check pairs each key with its mirr
 ``col * dim + row``, a partial transpose swaps the flipped slots' row and column
 digits of each key, the connected components of the entries' pattern come from each
 matrix's edge list, and the diagonal blocks that the PSD tests and the solver read
-are scattered from the entries, matrix by matrix.  The dense kernels
+are formed once for all the matrices, each one's entries in its own row.  The dense kernels
 (:func:`_hermiticity`, one reshape and transpose) serve only the public functions of
 one dense operator, where they are the faster route: at dim 4096 the entries' check
 of a dense matrix takes three times as long and twice the memory.
@@ -333,13 +333,11 @@ def is_psd(op: MultiPartyOperator) -> PsdCheck:
     """Decide ``op >= 0`` up to ``PSD_RTOL * (1 + max|eigenvalue|)``, a tolerance relative
     to the spectral scale of ``op``; reports the minimum eigenvalue and that tolerance.
     ``op`` must meet the Hermitian contract (else :class:`ContractViolationError`)."""
-    return _psd(np.linalg.eigvalsh(_hermitian(op.matrix)))
+    return _psd(*np.linalg.eigvalsh(_hermitian(op.matrix))[[0, -1]].tolist())
 
 
-def _psd(vals: np.ndarray) -> PsdCheck:
-    """The tolerance rule of :func:`is_psd`, on eigenvalues in ascending order."""
-    lo = float(vals[0])
-    hi = float(vals[-1])
+def _psd(lo: float, hi: float) -> PsdCheck:
+    """The tolerance rule of :func:`is_psd`, on the least and largest eigenvalue."""
     tol = PSD_RTOL * (1.0 + max(abs(lo), abs(hi)))
     return PsdCheck(lo >= -tol, lo, tol)
 
@@ -377,27 +375,29 @@ def _components(dim: int, entries: list[tuple[np.ndarray, ...]]) -> list[np.ndar
 def _blocks(groups: list[np.ndarray],
             entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> list[np.ndarray]:
     """For each ``(count, size)`` index array of :func:`_components`, the
-    ``(count, size, size)`` stack of diagonal blocks on it of the matrix that sums, over
-    the ``(rows, cols, values)`` of ``entries``, the ``values`` at ``(rows, cols)``, each
-    inside a block: the entries are added, in order, into one buffer of zeros that holds
-    every block, C-ordered, end to end."""
+    ``(n, count, size, size)`` stack of diagonal blocks on it of the ``n`` matrices of
+    ``entries``: matrix ``k`` has the ``values`` of ``entries[k]`` at its ``(rows, cols)``,
+    keys distinct, each inside a block.  Each matrix's entries are added into its own row
+    of one buffer of zeros, which holds that matrix's blocks C-ordered, end to end, so a
+    stored ``-0.0`` part lands as ``+0.0``; no two matrices share a block."""
     dim = sum(group.size for group in groups)
     row_at, col_at = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
     bounds = [0]
     for group in groups:
-        count, size = group.shape
+        size = group.shape[1]
         col_at[group] = np.arange(size)
-        row_at[group] = bounds[-1] + size * (size * np.arange(count)[:, None] + np.arange(size))
-        bounds.append(bounds[-1] + count * size * size)
-    buffer = np.zeros(bounds[-1], dtype=np.complex128)
-    for rows, cols, values in entries:
-        np.add.at(buffer, row_at[rows] + col_at[cols], values)
-    return [buffer[start:end].reshape(group.shape + group.shape[1:])
+        row_at[group] = bounds[-1] + size * np.arange(group.size).reshape(group.shape)
+        bounds.append(bounds[-1] + group.size * size)
+    buffer = np.zeros((len(entries), bounds[-1]), dtype=np.complex128)
+    for row, (rows, cols, values) in zip(buffer, entries):
+        row[row_at[rows] + col_at[cols]] += values
+    return [buffer[:, start:end].reshape(len(entries), *group.shape, group.shape[1])
             for group, start, end in zip(groups, bounds, bounds[1:])]
 
 
-def _eigenvalues(blocks: list[np.ndarray]) -> np.ndarray:
-    """All eigenvalues, ascending, of a Hermitian matrix given by its diagonal blocks,
-    in stacks of one size each: one batched ``eigvalsh`` per stack.  For one block of
-    the whole matrix this is ``eigvalsh`` of the matrix."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
+def _extremes(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix's least and largest eigenvalue over its diagonal blocks, given as
+    :func:`_blocks` stacks of one block size each: one batched ``eigvalsh`` per stack.
+    For one block of the whole matrix these are the ends of ``eigvalsh`` of the matrix."""
+    spectra = np.concatenate([np.linalg.eigvalsh(b).reshape(len(b), -1) for b in blocks], 1)
+    return spectra.min(axis=1), spectra.max(axis=1)

@@ -49,10 +49,10 @@ from nlhide.tensor import (
     DEFAULT_DIM_CAP,
     DimensionCapError,
     MultiPartyOperator,
+    PsdCheck,
     SlotStructure,
     _blocks,
     _components,
-    _eigenvalues,
     _hermiticity,
     _psd,
     hermitian_eigensystem,
@@ -760,6 +760,17 @@ def components_by_search(pattern: np.ndarray) -> list[np.ndarray]:
     return [np.array([c for c in found if len(c) == size]) for size in sizes]
 
 
+def block_spectrum(blocks: list[np.ndarray]) -> np.ndarray:
+    """All eigenvalues, ascending, of one Hermitian matrix given by its diagonal blocks
+    in ``(count, size, size)`` stacks: each block's ``eigvalsh``, joined and sorted."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
+
+
+def psd_of(spectrum: np.ndarray) -> PsdCheck:
+    """``nlhide.tensor._psd`` on the ends of an ascending spectrum."""
+    return _psd(float(spectrum[0]), float(spectrum[-1]))
+
+
 def gather_blocks(matrix: np.ndarray, groups: list[np.ndarray]) -> list[np.ndarray]:
     """The ``(count, size, size)`` diagonal-block stacks of a dense matrix on each
     ``(count, size)`` index array, gathered by fancy indexing."""
@@ -777,11 +788,11 @@ def assert_blocks_match_dense(stack: np.ndarray, pattern: np.ndarray) -> None:
         rows, cols = np.nonzero(matrix)
         mine = _blocks(groups, [(rows, cols, matrix[rows, cols])])
         dense = np.linalg.eigvalsh(matrix)
-        spectrum = _eigenvalues(mine)
+        spectrum = block_spectrum([stack[0] for stack in mine])
         slack = 1e-12 * (1.0 + max(abs(dense[0]), abs(dense[-1])))
         assert spectrum.shape == dense.shape
         assert np.max(np.abs(spectrum - dense)) <= slack
-        got, want = _psd(spectrum), _psd(dense)
+        got, want = psd_of(spectrum), psd_of(dense)
         assert got.ok == want.ok
         assert abs(got.min_eigenvalue - want.min_eigenvalue) <= slack
 
@@ -808,7 +819,7 @@ def validate_by_dense(e: Ensemble) -> EnsembleDiagnostics:
         checks.append(CheckResult(f"trace[{k}]", trace_residual <= TRACE_TOL, trace_residual,
                                   f"state {k} trace deviates by {trace_residual:.3e}"))
         groups = components_by_search(support(part[None]))
-        min_eig = float(_eigenvalues(gather_blocks(part, groups))[0])
+        min_eig = float(block_spectrum(gather_blocks(part, groups))[0])
         ok = min_eig >= -PSD_WARN_TOL
         checks.append(CheckResult(f"psd[{k}]", ok, max(0.0, -min_eig),
                                   f"state {k} minimum eigenvalue {min_eig:.3e}"))
@@ -833,23 +844,38 @@ def dominance_by_gather(e: Ensemble, x: Bipartition, pivot: int | None = None) -
     """``check_dominant_state`` on dense matrices: the stack of Hermitian parts is
     transposed whole, and each difference is formed on blocks gathered from the two
     transposed states on the components of the stack's joint nonzero pattern."""
-    w = np.asarray(e.probs, dtype=float)
+    w, gathered = _gathered_states(e, x)
+    return _gathered_dominance(w, gathered, int(np.argmax(w)) if pivot is None else pivot)
+
+
+def dominance_by_gather_every_pivot(e: Ensemble, x: Bipartition) -> list[DominanceCheck]:
+    """:func:`dominance_by_gather` for pivots ``0 .. n - 1``, on one gather of the states."""
+    w, gathered = _gathered_states(e, x)
+    return [_gathered_dominance(w, gathered, pivot) for pivot in range(e.n)]
+
+
+def _gathered_states(e: Ensemble, x: Bipartition) -> tuple[np.ndarray, list[list[np.ndarray]]]:
+    """The weights, and each transposed Hermitian part's blocks gathered on the
+    components of the transposed stack's joint nonzero pattern."""
     gammas = np.stack([partial_transpose(MultiPartyOperator(hermitian_part(m), e.slots),
                                          x.side_a).matrix for m in e.stack])
-    pivot = int(np.argmax(w)) if pivot is None else pivot
     groups = components_by_search(support(gammas))
+    return np.asarray(e.probs, dtype=float), [gather_blocks(g, groups) for g in gammas]
+
+
+def _gathered_dominance(w: np.ndarray, gathered: list[list[np.ndarray]],
+                        pivot: int) -> DominanceCheck:
     mins, passed = [], True
-    for i in range(e.n):
+    for i in range(len(w)):
         if i == pivot:
             mins.append(0.0)
             continue
         diffs = []
-        for lead, other in zip(gather_blocks(gammas[pivot], groups),
-                               gather_blocks(gammas[i], groups)):
+        for lead, other in zip(gathered[pivot], gathered[i]):
             diff = w[pivot] * lead
             diff -= w[i] * other
             diffs.append(diff)
-        check = _psd(_eigenvalues(diffs))
+        check = psd_of(block_spectrum(diffs))
         mins.append(check.min_eigenvalue)
         passed = passed and check.ok
     return DominanceCheck(passed, tuple(mins), pivot)

@@ -50,6 +50,7 @@ from oracles import (
     components_by_search,
     dominance_by_difference,
     dominance_by_gather,
+    dominance_by_gather_every_pivot,
     dominance_tolerances,
     dual_feasibility_margin,
     fixed_point_by_members,
@@ -451,6 +452,22 @@ class TestDominance:
         with pytest.raises(ValueError, match="pivot"):
             check_dominant_state(ghz22, bp, pivot=5)
 
+    @pytest.mark.parametrize("pivot", [1.5, 1.0, np.float64(0.0), True, False, "1"],
+                             ids=["1.5", "1.0", "numpy-0.0", "True", "False", "str"])
+    def test_pivot_must_be_an_integer(self, ghz22, pivot):
+        (bp,) = all_bipartitions(ghz22.parties)
+        message = f"^pivot must be an integer, got {re.escape(repr(pivot))}$"
+        with pytest.raises(ValueError, match=message):
+            check_dominant_state(ghz22, bp, pivot=pivot)
+
+    @pytest.mark.parametrize("pivot", [np.int64(1), np.int32(0), np.uint8(1)],
+                             ids=["int64", "int32", "uint8"])
+    def test_numpy_pivot_is_stored_as_an_int(self, ghz22, pivot):
+        (bp,) = all_bipartitions(ghz22.parties)
+        check = check_dominant_state(ghz22, bp, pivot=pivot)
+        assert type(check.pivot) is int
+        assert check == check_dominant_state(ghz22, bp, pivot=int(pivot))
+
 
 class TestBipartitionScan:
     def test_ghz22(self, ghz22):
@@ -496,27 +513,38 @@ class TestBipartitionScan:
         slots = SlotStructure((2, 2, 2), ("A1", "A2", "A3"))
         states = tuple(MultiPartyOperator(random_density(rng, 8), slots) for _ in range(3))
         e = Ensemble(PartySet.of_size(3), (0.5, 0.3, 0.2), states)
-        transposed, solved = [], []
-        real_keys, real_solve = discrimination._transpose_keys, discrimination._solve
+        transposed, formed, solved = [], [], []
+        real_keys, real_blocks = discrimination._transpose_keys, discrimination._blocks
+        real_solve = discrimination._solve
 
         def counting_keys(keys, slots, side):
             transposed.append(len(keys))
             return real_keys(keys, slots, side)
 
-        def spying_solve(w, groups, *args, **kwargs):
-            solved.append([group.shape for group in groups])
-            return real_solve(w, groups, *args, **kwargs)
+        def spying_blocks(groups, entries):
+            formed.append(real_blocks(groups, entries))
+            return formed[-1]
+
+        def spying_solve(w, blocks, *args, **kwargs):
+            solved.append(blocks)
+            return real_solve(w, blocks, *args, **kwargs)
 
         monkeypatch.setattr(discrimination, "_transpose_keys", counting_keys)
+        monkeypatch.setattr(discrimination, "_blocks", spying_blocks)
         monkeypatch.setattr(discrimination, "optimal_global", None)  # no dense solve
         monkeypatch.setattr(discrimination, "_solve", spying_solve)
         scan = max_bipartition_bound(e)
         monkeypatch.undo()
         # Dominance fails on every cut: the keys of each state are transposed once per
-        # cut, and the solver gets the cut's blocks, here one block of every index.
+        # cut, the cut's blocks are formed once, here one block of every index with one
+        # row per state, and the solver gets those very arrays.
         assert [r.method for r in scan.results.values()] == ["iterative"] * 3
         assert transposed == [e.dim * e.dim] * (e.n * 3)  # random densities: every entry
-        assert solved == [[(1, e.dim)]] * 3
+        assert [[stack.shape for stack in blocks] for blocks in formed] == [
+            [(e.n, 1, e.dim, e.dim)]] * 3
+        assert len(solved) == 3
+        for got, want in zip(solved, formed):
+            assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
         for bp in all_bipartitions(e.parties):
             result = scan.results[bp.to_string()]
             assert result.certified and result.povm is None
@@ -652,7 +680,7 @@ class TestArrayDominance:
         tol = PSD_RTOL * (1.0 + 1000.0)
         e, d = _difference_ensemble(lowest * tol)
         exact = np.linalg.eigvalsh(d)
-        assert _psd(exact).tol == pytest.approx(tol)
+        assert _psd(exact[0], exact[-1]).tol == pytest.approx(tol)
         (result,) = max_bipartition_bound(e).results.values()
         assert result.method == method
         if method == "dominance":
@@ -780,6 +808,31 @@ def _unmirrored(value):
     stack = np.array(e.stack)
     stack[0, 0, 1] = value
     return Ensemble(e.parties, e.probs, tuple(MultiPartyOperator(m, e.slots) for m in stack))
+
+
+#: Every built-in family instance under dimension 1024.
+BELOW_1024 = 1023
+
+
+class TestDominanceOnFormedBlocks:
+    """``check_dominant_state`` on each cut's blocks, formed once with one row per
+    state, against the oracle that gathers every difference's blocks from dense
+    matrices: for every pivot, the same verdicts and minimum eigenvalues, bit for bit."""
+
+    @staticmethod
+    def _assert_every_pivot(e):
+        for bp in all_bipartitions(e.parties):
+            for pivot, want in enumerate(dominance_by_gather_every_pivot(e, bp)):
+                got = check_dominant_state(e, bp, pivot=pivot)
+                assert (got.passed, got.min_eigenvalues) == (want.passed, want.min_eigenvalues)
+
+    @pytest.mark.parametrize("family, params", _family_instances(BELOW_1024))
+    def test_family_instances(self, family, params):
+        self._assert_every_pivot(_family(family, params, BELOW_1024))
+
+    def test_coarse_parity(self, parity2212):
+        # Slot owners A1 A2 A1 A2 at dim 256, four states.
+        self._assert_every_pivot(coarse_ensemble(FoldSpec(parity2212, 2)))
 
 
 class TestMirrorRule:

@@ -233,6 +233,23 @@ class TestCurves:
         assert fold_bound(2, 0.5, 1) == pytest.approx(0.5)
         assert fold_bound(4, 25 / 64, 2) == pytest.approx(0.4873046875)
 
+    @pytest.mark.parametrize("L", [2.5, 2.0, np.float64(2.0), True],
+                             ids=["2.5", "2.0", "numpy-2.0", "bool"])
+    def test_fold_bound_rejects_a_non_integer_count(self, L):
+        # 2.5 gave 1/2 + (1/2)**2.5 / 2, a fractional power of the base bound.
+        with pytest.raises(ValueError, match=r"^fold count must be an integer, got "):
+            fold_bound(2, 0.75, L)
+
+    @pytest.mark.parametrize("L", [2, np.int64(2), np.int32(2), np.uint8(2)],
+                             ids=["int", "int64", "int32", "uint8"])
+    def test_fold_bound_takes_python_and_numpy_integers(self, L):
+        assert fold_bound(2, 0.75, L) == 0.625  # 1/2 + (1/2)**2 / 2
+
+    @pytest.mark.parametrize("L", [0, -1, np.int64(0)], ids=["0", "-1", "int64-0"])
+    def test_fold_bound_rejects_a_count_below_one(self, L):
+        with pytest.raises(ValueError, match=r"^fold count must be >= 1, got "):
+            fold_bound(2, 0.75, L)
+
     def test_fold_bound_floor_rejection(self):
         with pytest.raises(ValueError, match="guessing floor"):
             fold_bound(4, 0.2, 1)

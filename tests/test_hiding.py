@@ -738,6 +738,27 @@ class TestCoalitionReport:
         with pytest.raises(ValueError, match=r"share the name 'abc\|bc'"):
             coalition_report(colliding_labels, 1)
 
+    @pytest.mark.parametrize("L", [2.5, 2.0, np.float64(3.0), True, 0],
+                             ids=["2.5", "2.0", "numpy-3.0", "bool", "zero"])
+    def test_fold_count_is_checked_before_the_report(self, ghz23, monkeypatch, L):
+        def no_report(*args, **kwargs):
+            raise AssertionError("check_hiding ran before the fold count check")
+
+        monkeypatch.setattr(hiding, "check_hiding", no_report)
+        with pytest.raises(ValueError, match=r"^fold count must be "):
+            coalition_report(ghz23, L)
+
+    @pytest.mark.parametrize("L", [2.5, 2.0])
+    def test_report_bound_rejects_a_non_integer_count(self, ghz23, L):
+        report = check_hiding(ghz23)
+        with pytest.raises(ValueError, match=r"^fold count must be an integer, got "):
+            report.bound(L)
+        with pytest.raises(ValueError, match=r"^fold count must be an integer, got "):
+            report.bound(L, next(iter(report.q_values)))
+
+    def test_numpy_fold_count_gives_the_same_rows(self, ghz23):
+        assert coalition_report(ghz23, np.int64(2)) == coalition_report(ghz23, 2)
+
     def test_seven_party_table(self):
         rows = coalition_report(ghz_complement_ensemble(2, 7), 1)
         assert len(rows) == bell_number(7) - 1 == 876

@@ -19,20 +19,22 @@ from nlhide.tensor import (
     PSD_RTOL,
     _blocks,
     _components,
-    _eigenvalues,
     _entry_record,
+    _extremes,
     _hermitian,
     _hermiticity,
-    _psd,
     _transpose_keys,
     hermitian_part,
 )
 
 from oracles import (
     assert_blocks_match_dense,
+    block_spectrum,
     components_by_search,
+    gather_blocks,
     jacobi_eigenvalues,
     partial_transpose_entrywise,
+    psd_of,
     random_density,
     random_hermitian,
     support,
@@ -200,16 +202,16 @@ class TestPartialTranspose:
 
 
 def entry_blocks(matrix):
-    """The diagonal-block stacks of a matrix on the components of its nonzero pattern,
-    scattered from its entries as ``check`` does."""
+    """The ``(count, size, size)`` diagonal-block stacks of a matrix on the components of
+    its nonzero pattern, scattered from its entries as ``check`` does."""
     rows, cols = np.nonzero(matrix)
     entries = [(rows, cols, matrix[rows, cols])]
-    return _blocks(_components(len(matrix), entries), entries)
+    return [stack[0] for stack in _blocks(_components(len(matrix), entries), entries)]
 
 
 def block_eigenvalues(op):
-    """The eigenvalues of ``op``'s Hermitian part by the block path of ``check``."""
-    return _eigenvalues(entry_blocks(_hermitian(op.matrix)))
+    """The eigenvalues of ``op``'s Hermitian part on the blocks that ``check`` forms."""
+    return block_spectrum(entry_blocks(_hermitian(op.matrix)))
 
 
 class TestHermitianEigenvalues:
@@ -400,7 +402,7 @@ class TestBlocks:
         matrix, _ = _permuted_blocks(np.random.default_rng(1), [4] * 8, 2, lowest)
         blocks = entry_blocks(matrix)
         assert [b.shape for b in blocks] == [(2, 1, 1), (8, 4, 4)]
-        check = _psd(_eigenvalues(blocks))
+        check = psd_of(block_spectrum(blocks))
         assert check.ok == ok
         assert check.min_eigenvalue == pytest.approx(min(lowest, 0.0) * check.tol, abs=1e-9)
         assert_blocks_match_dense(matrix[None], support(matrix[None]))
@@ -411,7 +413,7 @@ class TestBlocks:
         assert np.array_equal(group, np.arange(12)[None])
         (block,) = entry_blocks(matrix)
         assert np.array_equal(block[0], matrix)  # the whole matrix, every entry in place
-        assert np.array_equal(_eigenvalues([block]), np.linalg.eigvalsh(matrix))
+        assert np.array_equal(block_spectrum([block]), np.linalg.eigvalsh(matrix))
         assert_blocks_match_dense(matrix[None], support(matrix[None]))
 
     def test_zero_matrix_is_all_one_by_one_blocks(self):
@@ -439,6 +441,100 @@ class TestBlocks:
             rows, cols = np.append(rows, [a, b]), np.append(cols, [b, a])
         groups = _components(7, [(rows, cols)])
         assert [g.tolist() for g in groups] == [[[6]], [[0, 1, 2, 3, 4, 5]]]
+
+
+def _signed_zero_stack(rng, n, sizes, zero_rows):
+    """``n`` complex matrices, not Hermitian, whose nonzero entries lie in the diagonal
+    blocks of one :func:`_permuted_blocks` pattern, each on its own random symmetric
+    part of it.  Some entries have a ``-0.0`` real or imaginary part beside a nonzero
+    one, and some places outside the entries hold ``-0.0 - 0.0j``."""
+    pattern = _permuted_blocks(rng, sizes, zero_rows, None)[0] != 0
+    shape = (n, *pattern.shape)
+    keep = rng.random(shape) < 0.7
+    keep = pattern & (keep | keep.swapaxes(1, 2))
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    draw = rng.random(shape)
+    stack.real[keep & (draw < 0.2)] = -0.0
+    stack.imag[keep & (draw > 0.8)] = -0.0
+    stack[~keep & (draw < 0.5)] = complex(-0.0, -0.0)
+    stack[~keep & (draw >= 0.5)] = 0.0
+    return stack
+
+
+class TestFormedBlocks:
+    """``_blocks`` keeps each matrix's entries in its own row, and ``_extremes`` reads
+    the ends of each matrix's spectrum from those rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+        zero_rows=st.integers(0, 3),
+    )
+    def test_blocks_equal_the_gathered_blocks(self, seed, n, sizes, zero_rows):
+        stack = _signed_zero_stack(np.random.default_rng(seed), n, sizes, zero_rows)
+        entries = []
+        for matrix in stack:
+            rows, cols = np.nonzero(np.logical_or(matrix.real, matrix.imag))
+            entries.append((rows, cols, matrix[rows, cols]))
+        groups = _components(stack.shape[-1], entries)
+        blocks = _blocks(groups, entries)
+        assert [b.shape for b in blocks] == [(n, *g.shape, g.shape[1]) for g in groups]
+        for k, matrix in enumerate(stack):
+            # Added into zeros, a stored -0.0 part lands as +0.0: the gathered blocks
+            # of ``matrix + 0.0``, byte for byte.
+            for got, want, signed in zip((b[k] for b in blocks),
+                                         gather_blocks(matrix + 0.0, groups),
+                                         gather_blocks(matrix, groups)):
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(got, signed)
+
+    def test_a_negative_zero_part_lands_as_positive_zero(self):
+        matrix = np.array([[complex(2.0, -0.0), complex(-0.0, 1.0)],
+                           [complex(-0.0, -1.0), complex(-0.0, -0.0)]])
+        rows, cols = np.nonzero(np.logical_or(matrix.real, matrix.imag))
+        assert (rows.tolist(), cols.tolist()) == ([0, 0, 1], [0, 1, 0])
+        entries = [(rows, cols, matrix[rows, cols])]
+        (block,) = _blocks(_components(2, entries), entries)
+        got = block[0, 0]
+        assert got.tolist() == [[2.0, 1j], [-1j, 0.0]]
+        # Each stored -0.0 part, and the place without an entry, reads +0.0.
+        assert not np.signbit([*got.real.ravel(), got.imag[0, 0], got.imag[1, 1]]).any()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_extremes_of_one_block_are_the_dense_ends(self, n):
+        rng = np.random.default_rng(8)
+        stack = np.stack([random_hermitian(rng, 12) for _ in range(n)])
+        entries = [(*np.nonzero(m), m[np.nonzero(m)]) for m in stack]
+        blocks = _blocks(_components(12, entries), entries)
+        assert [b.shape for b in blocks] == [(n, 1, 12, 12)]
+        lo, hi = _extremes(blocks)
+        dense = np.linalg.eigvalsh(stack)
+        assert np.array_equal(lo, dense[:, 0]) and np.array_equal(hi, dense[:, -1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        sizes=st.lists(st.integers(1, 5), min_size=2, max_size=6),
+        zero_rows=st.integers(0, 3),
+    )
+    def test_extremes_of_many_blocks_are_the_spectrum_ends(self, seed, n, sizes, zero_rows):
+        stack = _signed_zero_stack(np.random.default_rng(seed), n, sizes, zero_rows)
+        stack = hermitian_part(stack)
+        entries = [(*np.nonzero(m), m[np.nonzero(m)]) for m in stack]
+        groups = _components(stack.shape[-1], entries)
+        lo, hi = _extremes(_blocks(groups, entries))
+        assert lo.shape == hi.shape == (n,)
+        for k, matrix in enumerate(stack):
+            # The ends of the blocks' joint spectrum exactly, and of the dense one
+            # within round-off.
+            spectrum = block_spectrum(gather_blocks(matrix + 0.0, groups))
+            assert (lo[k], hi[k]) == (spectrum[0], spectrum[-1])
+            dense = np.linalg.eigvalsh(matrix)
+            slack = 1e-12 * (1.0 + max(abs(dense[0]), abs(dense[-1])))
+            assert abs(lo[k] - dense[0]) <= slack and abs(hi[k] - dense[-1]) <= slack
 
 
 class TestKernelProperties:
