@@ -180,7 +180,7 @@ def _solver_options(command):
     """``--tol`` and ``--max-iterations`` of the solver, for a command that runs it."""
     budget = click.option("--max-iterations", type=click.IntRange(min=0),
                           default=DEFAULT_MAX_ITERATIONS, show_default=True,
-                          help="Solver iteration budget per bipartition.")
+                          help="Solver budget of fixed-point map evaluations per bipartition.")
     tol = click.option("--tol", type=click.FloatRange(min=0, min_open=True),
                        default=DEFAULT_SOLVER_TOL, show_default=True,
                        help="Solver certification tolerance (> 0).")

@@ -28,9 +28,9 @@ each block takes the exact closed form: its optimum is ``w1 Tr(B) + sum of posit
 eigenvalues of (w0 A - w1 B)``, achieved by the projector onto the positive
 eigenspace.  For more operators the fixed-point iteration runs on square-root
 factors of the POVM elements, on positive definite shifts of the weighted
-operators, extrapolated at each check; it stops once the POVM's primal value is
-within the tolerance of the smaller of two feasible duals built on the weighted
-POVM average.
+operators, accelerated by squared extrapolation (SQUAREM); every five cycles it
+checks whether the POVM's primal value is within the tolerance of the smaller of two
+feasible duals built on the weighted POVM average, and stops once it is.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ from .tensor import (_blocks, _components, _entry_record, _extremes, _hermitian_
 
 DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100_000
-_CHECK_EVERY = 25
-#: Step sizes along the factors' change since the last check; 0 keeps the factors.
-_EXTRAPOLATIONS = np.array([0.0, 2.0, 8.0, 32.0, 128.0])
+#: Squared extrapolation cycles, of three map evaluations each, between certificates.
+_CHECK_CYCLES = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,11 +154,12 @@ def _inv_sqrt(mat: np.ndarray) -> np.ndarray:
 
 def _completed(factors: np.ndarray) -> np.ndarray:
     """``T^{-1/2} V_i`` with ``T = sum_i V_i V_i^H`` in each block of a ``(count, n, s,
-    s)`` stack of factors: the elements ``V_i V_i^H`` of each block then sum to the
-    identity."""
+    s)`` stack of factors, one product on the row ``[V_1 ... V_n]``: the elements
+    ``V_i V_i^H`` of each block then sum to the identity."""
     count, n, s = factors.shape[:3]
-    row = factors.transpose(0, 2, 1, 3).reshape(count, s, n * s)  # [V_1 ... V_n]
-    return _inv_sqrt(row @ row.conj().swapaxes(-1, -2))[:, None] @ factors
+    row = factors.transpose(0, 2, 1, 3).reshape(count, s, n * s)
+    row = _inv_sqrt(row @ row.conj().swapaxes(-1, -2)) @ row
+    return row.reshape(count, s, n, s).transpose(0, 2, 1, 3)
 
 
 def _fixed_point_iteration(
@@ -168,29 +168,30 @@ def _fixed_point_iteration(
     tol: float,
     max_iterations: int,
 ) -> list[tuple[np.ndarray, int, bool, tuple[float, float, tuple[float, ...]]]]:
-    """Fixed-point POVM iteration on square-root factors, extrapolated at each check.
+    """Fixed-point POVM iteration on square-root factors, with squared extrapolation.
 
     ``stacks`` holds one ``(count, n, s, s)`` stack per block size of a block diagonal
     problem (a dense one is ``count = 1``, ``s = dim``), and every block of one size
-    iterates with the others, in lockstep.  Shifting every ``w_i A_i`` by ``c =
-    max_i |min eig(w_i A_i)|`` plus a margin of ``1e-5 max_i |eig(w_i A_i)|``, both
-    taken over all blocks, makes each ``G_i`` positive definite with the same
-    maximizer.  Each element is kept as a factor, ``M_i = V_i V_i^H``, so the
-    iteration ``M_i <- S G_i M_i G_i S``, ``S = Lambda^{-1/2}``, of Jezek, Rehacek &
-    Fiurasek (PRA 65, 060301) is ``X_i = G_i V_i``, ``Lambda = sum_i X_i X_i^H``,
-    ``V_i <- S X_i``, in each block: every element is PSD by construction.  On pure
-    states the margin keeps ``Lambda`` above about 1e-10 of its scale, far from
-    round-off; a larger one slows the map there (1e-3 took up to 28 times the steps).
-    Every ``_CHECK_EVERY`` steps the factors are extrapolated along their change since
-    the last check, ``V + a (V - V_prev)`` for ``a`` in ``_EXTRAPOLATIONS``; each
-    candidate is made complete as ``T^{-1/2} V_i`` with ``T = sum_i V_i V_i^H``, each
-    block keeps its candidate of highest primal value (``a = 0``, no jump, on ties),
-    and the stack's POVM is certified (:func:`_certificate`).  A stack stops once its
-    gap is within its share of ``tol``, the share of the dimension its blocks cover,
-    so the stacks' gaps add up to at most ``tol``.  Deterministic: uniform start,
-    fixed steps.  Returns, per stack, the POVM blocks of least gap with their
-    iteration, whether they are certified, and their certificate ``(primal, dual,
-    residuals)``.
+    iterates with the others, in lockstep.  Shifting every ``w_i A_i`` by ``c = max_i
+    |min eig(w_i A_i)|`` plus a margin of ``1e-5 max_i |eig(w_i A_i)|``, both taken over
+    all blocks, makes each ``G_i`` positive definite with the same maximizer.  Each
+    element is kept as a factor, ``M_i = V_i V_i^H``, so the map ``M_i <- S G_i M_i G_i
+    S``, ``S = Lambda^{-1/2}``, of Jezek, Rehacek & Fiurasek (PRA 65, 060301) is ``F(V)
+    = T^{-1/2} X`` with ``X_i = G_i V_i`` and ``T = sum_i X_i X_i^H``
+    (:func:`_completed`), in each block: every element is PSD by construction.  On pure
+    states the margin keeps ``T`` above about 1e-10 of its scale, far from round-off; a
+    larger one slows the map there (1e-3 took up to 28 times the steps).  The map
+    converges linearly, so each cycle is one SQUAREM step (Varadhan & Roland, Scand. J.
+    Stat. 35, 335): with ``x1 = F(x0)``, ``x2 = F(x1)``, ``r = x1 - x0`` and ``v = x2 -
+    2 x1 + x0``, each block jumps to ``x0 - 2a r + a^2 v``, ``a = min(-|r| / |v|, -1)``
+    (-1, the jump to ``x2``, where ``v = 0``), and ``x0 <- F(T^{-1/2} jump)``.  Every
+    ``_CHECK_CYCLES`` cycles, and where the budget ends (in a cycle: on its last map
+    value), the factors are completed once more and the stack's POVM is certified
+    (:func:`_certificate`).  A stack stops once its gap is within its share of ``tol``,
+    the share of the dimension its blocks cover, so the stacks' gaps add up to at most
+    ``tol``.  Deterministic: uniform start, fixed steps.  Returns, per stack, the POVM
+    blocks of least gap with their count of map evaluations, whether they are certified,
+    and their certificate ``(primal, dual, residuals)``.
     """
     weighted = [w[:, None, None] * mats for mats in stacks]
     vals = [np.linalg.eigvalsh(g) for g in weighted]
@@ -208,27 +209,29 @@ def _iterate(
 ) -> tuple[np.ndarray, int, bool, tuple[float, float, tuple[float, ...]]]:
     """The iteration of :func:`_fixed_point_iteration` on one ``(count, n, s, s)``
     stack, with its ``weighted`` blocks, the shift and the stack's share of ``tol``."""
-    count, n, s = mats.shape[:3]
+    n, s = mats.shape[1:3]
     shifted = weighted + shift * np.eye(s)
     eye = np.eye(s, dtype=np.complex128)
-    factors = prev = np.broadcast_to(eye / np.sqrt(n), mats.shape)
+    factors = np.broadcast_to(eye / np.sqrt(n), mats.shape)
     best_gap, best_iter, best_cert = np.inf, 0, None
     best_povm = np.broadcast_to(eye / n, mats.shape).copy()
 
     for it in range(1, max_iterations + 1):
-        factors = _completed(shifted @ factors)
+        if it % 3 == 1:
+            x0, factors = factors, _completed(shifted @ factors)
+        elif it % 3 == 2:
+            x1, factors = factors, _completed(shifted @ factors)
+        else:
+            r, v = x1 - x0, factors - 2 * x1 + x0
+            r_norm, v_norm = (np.linalg.norm(a.reshape(len(a), -1), axis=1) for a in (r, v))
+            alpha = -np.divide(r_norm, v_norm, out=np.ones_like(r_norm), where=v_norm > 0)
+            alpha = np.minimum(alpha, -1.0)[:, None, None, None]
+            factors = _completed(shifted @ _completed(x0 - 2 * alpha * r + alpha**2 * v))
 
-        if it % _CHECK_EVERY == 0 or it == max_iterations:
-            # Both ends of each jump are complete, so T >= I up to round-off.
-            step, best_value = factors - prev, np.full(count, -np.inf)
-            best = np.empty_like(factors)
-            for a in _EXTRAPOLATIONS:
-                jump = _completed(factors + a * step)
-                value = np.einsum("bnij,bnij->b", jump.conj(), weighted @ jump).real
-                better = value > best_value
-                best_value[better], best[better] = value[better], jump[better]
-            factors = prev = best
-            povm = factors @ factors.conj().swapaxes(-1, -2)
+        if it % (3 * _CHECK_CYCLES) == 0 or it == max_iterations:
+            # A step's T may be near singular; on its output T is near I: sum I to round-off.
+            done = _completed(factors)
+            povm = done @ done.conj().swapaxes(-1, -2)
             cert = _certificate(w, mats, povm)
             gap = cert[1] - cert[0]
             if gap < best_gap:

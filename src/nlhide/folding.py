@@ -30,14 +30,13 @@ class DegenerateClassError(ValueError):
 
 @dataclass(frozen=True)
 class FoldSpec:
-    """A base ensemble and a fold count ``L >= 1``."""
+    """A base ensemble and a fold count ``L >= 1``, an integer (else ``ValueError``)."""
 
     base: Ensemble
     L: int
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValueError(f"fold count must be >= 1, got {self.L}")
+        _check_fold_count(self.L)
 
     @property
     def n(self) -> int:
@@ -65,13 +64,12 @@ def mod_sum(vec: Sequence[int], n: int) -> int:
 
 
 def fold_probs(probs: Sequence[float], n: int, L: int) -> np.ndarray:
-    """Class probabilities of the L-fold preparation: :func:`_convolve` of the
-    priors, so no ``n**L`` enumeration happens and arbitrary ``L`` is cheap."""
+    """Class probabilities of the L-fold preparation, for an integer ``L >= 0``:
+    :func:`_convolve` of the priors, so no ``n**L`` enumeration happens."""
     p = [float(x) for x in probs]
     if len(p) != n:
         raise ValueError(f"expected {n} probabilities, got {len(p)}")
-    if L < 0:
-        raise ValueError(f"fold count must be >= 0, got {L}")
+    _check_fold_count(L, least=0)
     return np.array(_convolve(p, L, _dot, range(n)) if L else [1.0] + [0.0] * (n - 1))
 
 
@@ -175,13 +173,13 @@ def exact_two_state_curve(eta0: float, lmax: int) -> list[float]:
     return [fold_bound(2, eta0, L) for L in range(1, lmax + 1)]
 
 
-def _check_fold_count(L: int) -> None:
+def _check_fold_count(L: int, least: int = 1) -> None:
     """Raise ``ValueError`` unless ``L`` is a fold count: a Python or numpy integer, not
-    a bool or a float (``2.0`` included), of at least 1."""
+    a bool or a float (``2.0`` included), of at least ``least``."""
     if isinstance(L, bool) or not isinstance(L, numbers.Integral):
         raise ValueError(f"fold count must be an integer, got {L!r}")
-    if L < 1:
-        raise ValueError(f"fold count must be >= 1, got {L}")
+    if L < least:
+        raise ValueError(f"fold count must be >= {least}, got {L}")
 
 
 def fold_bound(n: int, qx: float, L: int) -> float:

@@ -233,8 +233,7 @@ class SchemeConfig:
     force: bool = False
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValueError(f"fold count must be >= 1, got {self.L}")
+        _check_fold_count(self.L)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

@@ -55,6 +55,7 @@ from oracles import (
     dual_feasibility_margin,
     fixed_point_by_members,
     fixed_point_dense,
+    fixed_point_extrapolated,
     positive_part,
     povm_value,
     product_basis_value_by_outcome,
@@ -237,7 +238,8 @@ class TestOptimalGlobal:
         # white noise.  The damped element iteration stalled here at iteration 1675
         # and certified at 1975 only once damping ran.  The factored iteration has
         # no damping and no plateau rule; it certifies well before that (450 steps
-        # with numpy 2.4).
+        # extrapolated every 25, 195 map evaluations with squared extrapolation,
+        # numpy 2.4).
         w, states = nearly_parallel(13, 0.01)
         result = optimal_global(w, states)
         assert result.certified
@@ -1131,8 +1133,8 @@ class TestCertificateConsistency:
 
 
 class TestStackedSolver:
-    """The factored, extrapolated solver against the damped element iteration it
-    replaced, run member by member to its certified value."""
+    """The factored, accelerated solver against the damped element iteration, run
+    member by member to its certified value."""
 
     @staticmethod
     def _assert_matches_member_loop(w, mats, max_iterations):
@@ -1294,3 +1296,62 @@ class TestBlockSolver:
         assert abs(result.dual_value - dual) <= 1e-12
         assert np.max(np.abs(np.subtract(result.certificate_min_eigs, residuals))) <= 1e-12
         assert np.max(np.abs(result.povm - povm)) <= 1e-12
+
+
+def weyl_bell_ensemble(k):
+    """File ``k`` of the check-solver benchmark: 8 of the 16 two-ququart Weyl-Bell
+    states ``(1 x X^a Z^b)|Phi>``, chosen with Dirichlet priors from seed ``k``.
+    Dominance fails on its cut, which splits into four 4x4 blocks."""
+    d = 4
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    vecs = [np.kron(np.eye(d), np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
+            @ phi for a in range(d) for b in range(d)]
+    rng = np.random.default_rng(k)
+    chosen = np.sort(rng.choice(d * d, size=8, replace=False))
+    priors = tuple(float(p) for p in rng.dirichlet(np.ones(8)))
+    slots = SlotStructure((d, d), ("A1", "A2"))
+    return Ensemble(PartySet.of_size(2), priors,
+                    tuple(MultiPartyOperator(ket(vecs[i]), slots) for i in chosen))
+
+
+class TestSquaredExtrapolation:
+    """The solver with squared extrapolation against the iteration it replaced, which
+    jumped every 25 steps to the best of five step sizes: every result certified, its
+    dual within twice the tolerance of the reference's, and its map evaluations never
+    more than the reference's steps."""
+
+    @staticmethod
+    def _assert_no_worse(w, mats, result):
+        _, steps, ok, (_, dual, _) = fixed_point_extrapolated(w, mats, 1e-8, 100_000)
+        assert ok and result.certified
+        assert abs(result.dual_value - dual) <= 2e-8
+        assert result.iterations <= steps
+
+    @pytest.mark.parametrize("k", range(len(SWEEP)))
+    def test_sweep(self, k):
+        w, mats = SWEEP[k]
+        self._assert_no_worse(w, hermitian_part(mats),
+                              optimal_global(w, mats, method="iterative"))
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_weyl_bell_cuts(self, k):
+        e = weyl_bell_ensemble(k)
+        (bp,) = all_bipartitions(e.parties)
+        result = max_bipartition_bound(e).results[bp.to_string()]
+        assert result.method == "iterative"
+        gammas = transposed_by_oracle(hermitian_part(e.stack), e.slots, bp.side_a)
+        self._assert_no_worse(np.asarray(e.probs), gammas, result)
+
+    @pytest.mark.parametrize("max_iterations", range(9))
+    @pytest.mark.parametrize("problem", [SWEEP[0], SWEEP[20], SWEEP[40],
+                                         _permuted_block_problem(*BLOCK_CASES[3])],
+                             ids=["pure", "noisy", "mixed", "blocks"])
+    def test_budget_caps_the_map_evaluations(self, problem, max_iterations):
+        # A budget that ends inside a cycle is certified on its last map value.
+        w, mats = problem
+        result = optimal_global(w, mats, method="iterative", max_iterations=max_iterations)
+        assert result.iterations <= max_iterations
+        assert result.dual_value >= result.primal_value
+        assert_valid_povm(result.povm)

@@ -100,6 +100,20 @@ class TestFoldProbs:
         with pytest.raises(ValueError, match="expected 3"):
             fold_probs((0.5, 0.5), 3, 2)
 
+    @pytest.mark.parametrize("L, message", [
+        (2.5, "an integer"), (2.0, "an integer"), (True, "an integer"), (-1, ">= 0"),
+    ], ids=["2.5", "2.0", "bool", "-1"])
+    def test_rejects_a_bad_fold_count(self, L, message):
+        # 2.5 raised a TypeError from inside the convolution, and True read as 1.
+        with pytest.raises(ValueError, match=rf"^fold count must be {message}"):
+            fold_probs((0.75, 0.25), 2, L)
+
+    @pytest.mark.parametrize("L", [np.int64(0), np.int64(3), np.uint8(3)],
+                             ids=["int64-0", "int64", "uint8"])
+    def test_takes_numpy_integers(self, L):
+        want = fold_probs((0.75, 0.25), 2, int(L))
+        assert np.array_equal(fold_probs((0.75, 0.25), 2, L), want)
+
 
 class TestCoarseEnsemble:
     def test_single_fold_is_identity(self, ghz22):
@@ -148,6 +162,25 @@ class TestCoarseEnsemble:
             assert "_record" not in vars(e)
             assert validate(e).passed
             assert "_record" in vars(e)
+
+
+class TestFoldSpec:
+    @pytest.mark.parametrize("L, message", [
+        (2.5, "an integer"), (2.0, "an integer"), (np.float64(2.0), "an integer"),
+        (True, "an integer"), (0, ">= 1"), (np.int64(0), ">= 1"),
+    ], ids=["2.5", "2.0", "numpy-2.0", "bool", "0", "int64-0"])
+    def test_rejects_a_bad_fold_count(self, ghz22, L, message):
+        # 2.5 constructed, and the fold then raised a late TypeError.
+        with pytest.raises(ValueError, match=rf"^fold count must be {message}, got "):
+            FoldSpec(ghz22, L)
+
+    @pytest.mark.parametrize("L", [np.int64(2), np.int32(2), np.uint8(2)],
+                             ids=["int64", "int32", "uint8"])
+    def test_takes_numpy_integers(self, ghz22, L):
+        spec = FoldSpec(ghz22, L)
+        assert spec.explicit_dim == FoldSpec(ghz22, 2).explicit_dim == 16
+        want = coarse_ensemble(FoldSpec(ghz22, 2))
+        assert np.array_equal(coarse_ensemble(spec).stack, want.stack)
 
 
 class TestConvolutionFold:

@@ -201,7 +201,8 @@ class TestCheckHiding:
 
     def test_achieved_primal_decides_even_uncertified(self):
         e = bell_mix((0.45, 0.45, 0.10))
-        report = check_hiding(e, max_iterations=10)
+        # Five map evaluations leave the cut uncertified; nine certify it.
+        report = check_hiding(e, max_iterations=5)
         assert not report.q_certified["A1|A2"]
         assert report.admissible is False  # the starved POVM already beats 2/n
 
@@ -329,6 +330,24 @@ class TestSchemeConfig:
     def test_negative_seed_rejected(self, ghz22):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             SchemeConfig.create(ghz22, 2, seed=-1)
+
+    @pytest.mark.parametrize("L, message", [
+        (2.5, "an integer"), (2.0, "an integer"), (np.float64(2.0), "an integer"),
+        (True, "an integer"), (0, ">= 1"), (np.int64(0), ">= 1"),
+    ], ids=["2.5", "2.0", "numpy-2.0", "bool", "0", "int64-0"])
+    def test_rejects_a_bad_fold_count(self, ghz22, L, message):
+        report = check_hiding(ghz22)
+        with pytest.raises(ValueError, match=rf"^fold count must be {message}"):
+            SchemeConfig(ensemble=ghz22, L=L, seed=0, report=report)
+
+    @pytest.mark.parametrize("L", [np.int64(3), np.int32(3), np.uint8(3)],
+                             ids=["int64", "int32", "uint8"])
+    def test_takes_numpy_integers(self, ghz22, L):
+        cfg = SchemeConfig.create(ghz22, L, seed=7)
+        want = SchemeConfig.create(ghz22, 3, seed=7)
+        got, expected = run_protocol(cfg, 1, 50), run_protocol(want, 1, 50)
+        assert np.array_equal(got.c_vecs, expected.c_vecs)
+        assert got.summary == expected.summary
 
 
 def jsonl_lines(run):
