@@ -9,21 +9,22 @@ operator built from the returned POVM, so the reported gap is trustworthy
 even when the iteration stops early.
 
 Every entry point reads each operator's Hermitian part as nonzero entries, checked once
-per ensemble or call (else :class:`ContractViolationError`); a partial transpose moves
-their keys.
-:func:`max_bipartition_bound` first tries, on every cut, whether the heaviest
-weighted transposed state dominates the others, by the rule of
+per ensemble or call (else :class:`ContractViolationError`).  A cut's states are block
+diagonal on the components of their joint nonzero pattern, and one kernel,
+``tensor._cut_blocks``, moves the entries' keys by the partial transpose and forms the
+blocks once, one row per state, for every entry point; every eigenvalue solve runs
+block by block.  :func:`max_bipartition_bound` first tries, on every cut, whether the
+heaviest weighted transposed state dominates the others, by the rule of
 :func:`check_dominant_state`: each difference is decided by the PSD rule on its
-eigenvalues, and the solver runs only where dominance fails.  A cut's states are
-block diagonal on the components of their joint nonzero pattern; the blocks are
-formed once, one row per state, and every eigenvalue solve runs block by block.
+eigenvalues, and the solver runs only where dominance fails.
 
-The solver runs on the same stacks, for :func:`q_upper` as for the scan.  Pinching
-a POVM onto them keeps its value, so the optimum is the sum of one optimum per
-block, and the block diagonal sum of the blocks' feasible duals is feasible.  The
-blocks of one size are stacked and solved together; :func:`optimal_global` splits
-its input by the input's own pattern, and a matrix with no block structure is one
-block.  A ``1 x 1`` block is closed form, ``max_i w_i a_i``.  For two operators
+One solver, ``_solve``, runs on the same stacks, for :func:`q_upper` and
+:func:`optimal_global` as for the scan.  Pinching a POVM onto them keeps its value, so
+the optimum is the sum of one optimum per block, and the block diagonal sum of the
+blocks' feasible duals is feasible.  The blocks of one size are stacked and solved
+together; :func:`optimal_global` splits its input by the input's own pattern, and a
+matrix with no block structure is one block.  A ``1 x 1`` block is closed form, ``max_i
+w_i a_i``, and takes no map evaluation.  For two operators
 each block takes the exact closed form: its optimum is ``w1 Tr(B) + sum of positive
 eigenvalues of (w0 A - w1 B)``, achieved by the projector onto the positive
 eigenspace.  For more operators the fixed-point iteration runs on square-root
@@ -43,8 +44,8 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .partitions import Bipartition, _by_name, all_bipartitions
-from .tensor import (_blocks, _components, _entry_record, _extremes, _hermitian_parts, _psd,
-                     _transpose_keys, hermitian_part)
+from .tensor import (SlotStructure, _cut_blocks, _entry_record, _extremes, _hermitian_parts,
+                     _psd, _transpose_keys, hermitian_part)
 
 DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -64,13 +65,14 @@ class DiscriminationResult:
     take ``n dim^2`` numbers (1 GiB at ``n = 4``, dim 4096).
     ``certificate_min_eigs[i]`` is the minimum eigenvalue of the symmetrized
     optimality operator for member ``i``, the least over the blocks; all entries
-    nonnegative (up to the solver tolerance) certifies the POVM optimal.  The primal
-    and dual values are sums over the blocks, and ``iterations`` is the most steps
-    that any block size took (a closed form counts one).  For a dominance result it is the
-    minimum eigenvalue of ``p_pivot G(rho_pivot) - p_i G(rho_i)``, the least over its
-    blocks, 0.0 at the pivot: the ``min_eigenvalues`` of :func:`check_dominant_state`
-    on the cut, each within the PSD tolerance of zero or above.  ``dual_value`` is
-    always a valid upper bound on the optimum, converged or not.
+    nonnegative (up to the solver tolerance) certifies the POVM optimal.  For a
+    dominance result it is the minimum eigenvalue of ``p_pivot G(rho_pivot) - p_i
+    G(rho_i)``, the least over its blocks, 0.0 at the pivot: the ``min_eigenvalues`` of
+    :func:`check_dominant_state` on the cut, each within the PSD tolerance of zero or
+    above.  The primal and dual values are sums over the blocks.  ``iterations`` is the
+    most map evaluations that any block size took, never more than the budget; a
+    closed form takes none, so a ``"closed"`` or dominance result reports 0.
+    ``dual_value`` is always a valid upper bound on the optimum, converged or not.
     """
 
     primal_value: float
@@ -89,14 +91,6 @@ def _nonnegative(weights: Sequence[float]) -> np.ndarray:
     if not np.all(w >= 0):  # also NaN
         raise ValueError(f"weights must be nonnegative, got {w.tolist()}")
     return w
-
-
-def _cut(e: Ensemble, parts: list[tuple[np.ndarray, np.ndarray]],
-         side: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The rows, columns and values of the entries of each Hermitian part of ``parts``
-    after the partial transpose on ``side``: one :func:`_transpose_keys` per state."""
-    return [(*np.divmod(_transpose_keys(keys, e.slots, side), e.dim), values)
-            for keys, values in parts]
 
 
 def _certificate(
@@ -162,55 +156,33 @@ def _completed(factors: np.ndarray) -> np.ndarray:
     return row.reshape(count, s, n, s).transpose(0, 2, 1, 3)
 
 
-def _fixed_point_iteration(
-    w: np.ndarray,
-    stacks: Sequence[np.ndarray],
-    tol: float,
-    max_iterations: int,
-) -> list[tuple[np.ndarray, int, bool, tuple[float, float, tuple[float, ...]]]]:
+def _iterate(
+    w: np.ndarray, mats: np.ndarray, shift: float, tol: float, max_iterations: int,
+) -> tuple[np.ndarray, int, bool, tuple[float, float, tuple[float, ...]]]:
     """Fixed-point POVM iteration on square-root factors, with squared extrapolation.
 
-    ``stacks`` holds one ``(count, n, s, s)`` stack per block size of a block diagonal
-    problem (a dense one is ``count = 1``, ``s = dim``), and every block of one size
-    iterates with the others, in lockstep.  Shifting every ``w_i A_i`` by ``c = max_i
-    |min eig(w_i A_i)|`` plus a margin of ``1e-5 max_i |eig(w_i A_i)|``, both taken over
-    all blocks, makes each ``G_i`` positive definite with the same maximizer.  Each
+    ``mats`` is one ``(count, n, s, s)`` stack of a block diagonal problem (a dense one
+    is ``count = 1``, ``s = dim``), and every block in it iterates with the others, in
+    lockstep.  Shifting every ``w_i A_i`` by ``shift`` (:func:`_solve`'s, one for all
+    stacks) makes each ``G_i`` positive definite with the same maximizer.  Each
     element is kept as a factor, ``M_i = V_i V_i^H``, so the map ``M_i <- S G_i M_i G_i
     S``, ``S = Lambda^{-1/2}``, of Jezek, Rehacek & Fiurasek (PRA 65, 060301) is ``F(V)
     = T^{-1/2} X`` with ``X_i = G_i V_i`` and ``T = sum_i X_i X_i^H``
-    (:func:`_completed`), in each block: every element is PSD by construction.  On pure
-    states the margin keeps ``T`` above about 1e-10 of its scale, far from round-off; a
-    larger one slows the map there (1e-3 took up to 28 times the steps).  The map
-    converges linearly, so each cycle is one SQUAREM step (Varadhan & Roland, Scand. J.
-    Stat. 35, 335): with ``x1 = F(x0)``, ``x2 = F(x1)``, ``r = x1 - x0`` and ``v = x2 -
-    2 x1 + x0``, each block jumps to ``x0 - 2a r + a^2 v``, ``a = min(-|r| / |v|, -1)``
-    (-1, the jump to ``x2``, where ``v = 0``), and ``x0 <- F(T^{-1/2} jump)``.  Every
-    ``_CHECK_CYCLES`` cycles, and where the budget ends (in a cycle: on its last map
-    value), the factors are completed once more and the stack's POVM is certified
-    (:func:`_certificate`).  A stack stops once its gap is within its share of ``tol``,
-    the share of the dimension its blocks cover, so the stacks' gaps add up to at most
-    ``tol``.  Deterministic: uniform start, fixed steps.  Returns, per stack, the POVM
-    blocks of least gap with their count of map evaluations, whether they are certified,
-    and their certificate ``(primal, dual, residuals)``.
+    (:func:`_completed`), in each block: every element is PSD by construction.  The
+    map converges linearly, so each cycle is one SQUAREM step (Varadhan & Roland,
+    Scand. J. Stat. 35, 335): with ``x1 = F(x0)``, ``x2 = F(x1)``, ``r = x1 - x0`` and
+    ``v = x2 - 2 x1 + x0``, each block jumps to ``x0 - 2a r + a^2 v``, ``a = min(-|r| /
+    |v|, -1)`` (-1, the jump to ``x2``, where ``v = 0``), and ``x0 <- F(T^{-1/2}
+    jump)``.  ``max_iterations`` caps the map evaluations.  Every ``_CHECK_CYCLES``
+    cycles, and where the budget ends (in a cycle: on its last map value), the factors
+    are completed once more and the stack's POVM is certified (:func:`_certificate`);
+    the stack stops once its gap is within ``tol``.  Deterministic: uniform start,
+    fixed steps.  Returns the POVM blocks of least gap with their count of map
+    evaluations, whether they are certified, and their certificate ``(primal, dual,
+    residuals)``.
     """
-    weighted = [w[:, None, None] * mats for mats in stacks]
-    vals = [np.linalg.eigvalsh(g) for g in weighted]
-    least = np.min([v[..., 0].min(axis=0) for v in vals], axis=0)
-    largest = max(float(np.max(np.abs(v))) for v in vals)
-    shift = float(np.max(np.abs(least))) + 1e-5 * (largest or 1.0)
-    span = sum(mats.shape[0] * mats.shape[-1] for mats in stacks)
-    return [_iterate(w, mats, g, shift, tol * (mats.shape[0] * mats.shape[-1] / span),
-                     max_iterations) for mats, g in zip(stacks, weighted)]
-
-
-def _iterate(
-    w: np.ndarray, mats: np.ndarray, weighted: np.ndarray, shift: float, tol: float,
-    max_iterations: int,
-) -> tuple[np.ndarray, int, bool, tuple[float, float, tuple[float, ...]]]:
-    """The iteration of :func:`_fixed_point_iteration` on one ``(count, n, s, s)``
-    stack, with its ``weighted`` blocks, the shift and the stack's share of ``tol``."""
     n, s = mats.shape[1:3]
-    shifted = weighted + shift * np.eye(s)
+    shifted = w[:, None, None] * mats + shift * np.eye(s)
     eye = np.eye(s, dtype=np.complex128)
     factors = np.broadcast_to(eye / np.sqrt(n), mats.shape)
     best_gap, best_iter, best_cert = np.inf, 0, None
@@ -246,28 +218,38 @@ def _solve(
     w: np.ndarray, blocks: list[np.ndarray], tol: float, max_iterations: int, closed: bool,
 ) -> tuple[DiscriminationResult, list[np.ndarray]]:
     """The discrimination optimum of the operators ``G_i`` given by the :func:`_blocks`
-    stacks of the components of their joint pattern.
+    stacks of the components of their joint pattern, for every entry point.
 
     Pinching a POVM onto the blocks keeps its value, so the optimum is the sum of the
     blocks' optima.  Each stack is copied once into the ``(count, n, s, s)`` layout.  A
     ``1 x 1`` block is closed form (``max_i w_i a_i``), a block of two operators too
-    when ``closed``; the other stacks go to :func:`_fixed_point_iteration` together.
-    Primal and dual values add over the blocks, each residual is the least over them,
-    and the result is certified when every stack converged and the summed gap is within
-    ``tol``.  Returns the result, with ``povm=None``, and the POVM blocks, one stack per
-    block size."""
+    when ``closed``; neither takes a map evaluation.  Every other stack goes to
+    :func:`_iterate` with one shift, ``c = max_i |min eig(w_i A_i)|`` plus a margin of
+    ``1e-5 max_i |eig(w_i A_i)|``, both taken over the blocks of every such stack, and
+    with its share of ``tol``, the share of the dimension its blocks cover, so the
+    stacks' gaps add up to at most ``tol``.  On pure states the margin keeps the map's
+    ``T`` above about 1e-10 of its scale, far from round-off; a larger one slows the map
+    there (1e-3 took up to 28 times the steps).  Primal and dual values add over the blocks, each residual is the least
+    over them, ``iterations`` is the most map evaluations of any stack, and the result
+    is certified when every stack converged and the summed gap is within ``tol``.
+    Returns the result, with ``povm=None``, and the POVM blocks, one stack per block
+    size."""
     stacks = [np.ascontiguousarray(stack.swapaxes(0, 1)) for stack in blocks]
-    iterate = [mats.shape[-1] > 1 and not closed for mats in stacks]
-    iterated = iter(_fixed_point_iteration(
-        w, [mats for mats, it in zip(stacks, iterate) if it], tol, max_iterations)
-        if any(iterate) else [])
+    iterated = [] if closed else [mats for mats in stacks if mats.shape[-1] > 1]
+    if iterated:
+        vals = [np.linalg.eigvalsh(w[:, None, None] * mats) for mats in iterated]
+        least = np.min([v[..., 0].min(axis=0) for v in vals], axis=0)
+        largest = max(float(np.max(np.abs(v))) for v in vals)
+        shift = float(np.max(np.abs(least))) + 1e-5 * (largest or 1.0)
+        span = sum(mats.shape[0] * mats.shape[-1] for mats in iterated)
     parts = []
-    for mats, it in zip(stacks, iterate):
-        if it:
-            parts.append(next(iterated))
-        else:
+    for mats in stacks:
+        if closed or mats.shape[-1] == 1:
             povm = (_closed_form_one if mats.shape[-1] == 1 else _closed_form_two)(w, mats)
-            parts.append((povm, 1, True, _certificate(w, mats, povm)))
+            parts.append((povm, 0, True, _certificate(w, mats, povm)))
+        else:
+            share = tol * (mats.shape[0] * mats.shape[-1] / span)
+            parts.append(_iterate(w, mats, shift, share, max_iterations))
     povms, iterations, converged, certs = zip(*parts)
     primal, dual = sum(cert[0] for cert in certs), sum(cert[1] for cert in certs)
     result = DiscriminationResult(
@@ -315,15 +297,15 @@ def optimal_global(
         raise ValueError(f"operators must be square matrices of one shape, got shapes {shapes}")
     dim = shapes[0][0]
     parts = _hermitian_parts(_entry_record(np.asarray(matrices, dtype=np.complex128)))
-    return _optimum(w, [(*np.divmod(keys, dim), values) for keys, values in parts], dim, tol,
-                    method, max_iterations)
+    return _optimum(w, parts, dim, tol, method, max_iterations)
 
 
-def _optimum(w: np.ndarray, cut: list[tuple[np.ndarray, np.ndarray, np.ndarray]], dim: int,
-             tol: float, method: str, max_iterations: int) -> DiscriminationResult:
-    """:func:`optimal_global` of the operators with the values ``cut[i][2]`` at
-    ``(cut[i][0], cut[i][1])``: the components of their joint pattern, the block solve,
-    and the POVM scattered from the blocks."""
+def _optimum(w: np.ndarray, parts: list[tuple[np.ndarray, np.ndarray]], dim: int, tol: float,
+             method: str, max_iterations: int, slots: SlotStructure | None = None,
+             side: Sequence[str] = ()) -> DiscriminationResult:
+    """:func:`optimal_global` of the operators with the nonzero entries ``parts``, after
+    the partial transpose on ``side`` when one is given: the cut's blocks
+    (:func:`_cut_blocks`), the block solve, and the POVM scattered from the blocks."""
     if not tol > 0:  # also NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
     if method == "auto":
@@ -332,8 +314,8 @@ def _optimum(w: np.ndarray, cut: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
         raise ValueError(f"unknown method {method!r}")
     if method == "closed" and len(w) != 2:
         raise ValueError("the closed form applies to exactly two operators")
-    groups = _components(dim, cut)
-    result, povms = _solve(w, _blocks(groups, cut), tol, max_iterations, method == "closed")
+    groups, blocks = _cut_blocks(dim, parts, slots, side)
+    result, povms = _solve(w, blocks, tol, max_iterations, method == "closed")
     povm = np.zeros((len(w), dim, dim), dtype=np.complex128)
     for group, stack in zip(groups, povms):
         povm[:, group[:, :, None], group[:, None, :]] = stack.swapaxes(0, 1)
@@ -356,7 +338,7 @@ def q_upper(
     :func:`optimal_global` solves the transposed stack, bit for bit.
     """
     w, parts = _nonnegative(e.probs), _hermitian_parts(e._record)
-    return _optimum(w, _cut(e, parts, x.side_a), e.dim, tol, method, max_iterations)
+    return _optimum(w, parts, e.dim, tol, method, max_iterations, e.slots, x.side_a)
 
 
 class OptimalityCheck(NamedTuple):
@@ -444,8 +426,7 @@ def check_dominant_state(
         raise ValueError(f"pivot must be an integer, got {pivot!r}")
     if not 0 <= pivot < n:
         raise ValueError(f"pivot {pivot} out of range for {n} states")
-    cut = _cut(e, parts, x.side_a)
-    return _dominance(w, _blocks(_components(e.dim, cut), cut), int(pivot))
+    return _dominance(w, _cut_blocks(e.dim, parts, e.slots, x.side_a)[1], int(pivot))
 
 
 def _dominance(w: np.ndarray, blocks: list[np.ndarray], pivot: int) -> DominanceCheck:
@@ -466,22 +447,6 @@ def _dominance(w: np.ndarray, blocks: list[np.ndarray], pivot: int) -> Dominance
     mins = [check.min_eigenvalue for check in checks]
     mins.insert(pivot, 0.0)
     return DominanceCheck(all(check.ok for check in checks), tuple(mins), pivot)
-
-
-def _dominance_result(e: Ensemble, check: DominanceCheck) -> DiscriminationResult:
-    # With a passing dominance certificate the optimum is the pivot weight
-    # exactly; the all-or-nothing measurement on the pivot realizes it.
-    value = float(e.probs[check.pivot])
-    return DiscriminationResult(
-        primal_value=value,
-        dual_value=value,
-        gap=0.0,
-        povm=None,
-        certificate_min_eigs=check.min_eigenvalues,
-        certified=True,
-        iterations=0,
-        method="dominance",
-    )
 
 
 class BipartitionScan(NamedTuple):
@@ -520,12 +485,16 @@ def max_bipartition_bound(
     results: dict[str, DiscriminationResult] = {}
     failures: dict[str, str] = {}
     for key, bp in _by_name(all_bipartitions(e.parties)).items():
-        cut = _cut(e, parts, bp.side_a)
         try:
-            blocks = _blocks(_components(e.dim, cut), cut)
+            _, blocks = _cut_blocks(e.dim, parts, e.slots, bp.side_a)
             check = _dominance(w, blocks, pivot)
             if check.passed:
-                results[key] = _dominance_result(e, check)
+                # The optimum is the pivot weight exactly; the all-or-nothing
+                # measurement on the pivot realizes it.
+                value = float(e.probs[pivot])
+                results[key] = DiscriminationResult(
+                    value, value, gap=0.0, povm=None, certificate_min_eigs=check.min_eigenvalues,
+                    certified=True, iterations=0, method="dominance")
             else:
                 results[key], _ = _solve(w, blocks, tol, max_iterations, closed=e.n == 2)
         except np.linalg.LinAlgError as exc:

@@ -26,8 +26,7 @@ from .tensor import (
     DimensionCapError,
     MultiPartyOperator,
     SlotStructure,
-    _blocks,
-    _components,
+    _cut_blocks,
     _entry_record,
     _extremes,
     _hermitian_parts,
@@ -198,8 +197,7 @@ def validate(e: Ensemble) -> EnsembleDiagnostics:
             CheckResult(f"trace[{k}]", trace_residual <= TRACE_TOL, trace_residual,
                         f"state {k} trace deviates by {trace_residual:.3e}")
         )
-        entries = [(*np.divmod(part[0], e.dim), part[1])]
-        min_eig = float(_extremes(_blocks(_components(e.dim, entries), entries))[0][0])
+        min_eig = float(_extremes(_cut_blocks(e.dim, [part])[1])[0][0])
         ok = min_eig >= -PSD_WARN_TOL
         checks.append(
             CheckResult(f"psd[{k}]", ok, max(0.0, -min_eig),

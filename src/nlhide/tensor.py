@@ -11,10 +11,12 @@ pure function, so instances are safe to share across threads.
 instead: sorted flat keys ``row * dim + col`` and their values, in one format per
 matrix, :func:`_entry_record`'s Hermiticity defect and Hermitian part, which an
 ensemble forms once and holds.  The Hermitian check pairs each key with its mirror
-``col * dim + row``, a partial transpose swaps the flipped slots' row and column
-digits of each key, the connected components of the entries' pattern come from each
-matrix's edge list, and the diagonal blocks that the PSD tests and the solver read
-are formed once for all the matrices, each one's entries in its own row.  The dense kernels
+``col * dim + row``.  :func:`_cut_blocks` is the one place that forms a cut's blocks,
+for ``validate`` and every discrimination entry point: a partial transpose swaps the
+flipped slots' row and column digits of each key, the keys are split into rows and
+columns, the connected components of the entries' pattern come from each matrix's
+edge list, and the diagonal blocks that the PSD tests and the solver read are formed
+once for all the matrices, each one's entries in its own row.  The dense kernels
 (:func:`_hermiticity`, one reshape and transpose) serve only the public functions of
 one dense operator, where they are the faster route: at dim 4096 the entries' check
 of a dense matrix takes three times as long and twice the memory.
@@ -393,6 +395,19 @@ def _blocks(groups: list[np.ndarray],
         row[row_at[rows] + col_at[cols]] += values
     return [buffer[:, start:end].reshape(len(entries), *group.shape, group.shape[1])
             for group, start, end in zip(groups, bounds, bounds[1:])]
+
+
+def _cut_blocks(dim: int, parts: list[tuple[np.ndarray, np.ndarray]],
+                slots: SlotStructure | None = None,
+                side: Iterable[str] = ()) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The :func:`_components` and the :func:`_blocks` of the matrices whose nonzero
+    entries are ``parts``, one ``(keys, values)`` per matrix, after the partial
+    transpose on ``side`` when one is given (:func:`_transpose_keys` of each matrix's
+    keys once): each key split into its row and column, ``(groups, blocks)``."""
+    entries = [(*np.divmod(_transpose_keys(keys, slots, side) if side else keys, dim), values)
+               for keys, values in parts]
+    groups = _components(dim, entries)
+    return groups, _blocks(groups, entries)
 
 
 def _extremes(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

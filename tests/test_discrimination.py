@@ -32,11 +32,12 @@ from nlhide import (
 )
 
 from nlhide import discrimination
-from nlhide.discrimination import _certificate, _fixed_point_iteration
+from nlhide.discrimination import _certificate, _solve
 from nlhide.ensembles import max_pairwise_overlap, pairwise_overlaps, validate
 from nlhide.tensor import (
     PSD_RTOL,
     _components,
+    _cut_blocks,
     _entry_record,
     _hermitian,
     _hermitian_parts,
@@ -516,7 +517,7 @@ class TestBipartitionScan:
         states = tuple(MultiPartyOperator(random_density(rng, 8), slots) for _ in range(3))
         e = Ensemble(PartySet.of_size(3), (0.5, 0.3, 0.2), states)
         transposed, formed, solved = [], [], []
-        real_keys, real_blocks = discrimination._transpose_keys, discrimination._blocks
+        real_keys, real_blocks = tensor_module._transpose_keys, tensor_module._blocks
         real_solve = discrimination._solve
 
         def counting_keys(keys, slots, side):
@@ -531,12 +532,12 @@ class TestBipartitionScan:
             solved.append(blocks)
             return real_solve(w, blocks, *args, **kwargs)
 
-        monkeypatch.setattr(discrimination, "_transpose_keys", counting_keys)
-        monkeypatch.setattr(discrimination, "_blocks", spying_blocks)
-        monkeypatch.setattr(discrimination, "optimal_global", None)  # no dense solve
-        monkeypatch.setattr(discrimination, "_solve", spying_solve)
-        scan = max_bipartition_bound(e)
-        monkeypatch.undo()
+        monkeypatch.setattr(tensor_module, "_transpose_keys", counting_keys)
+        monkeypatch.setattr(tensor_module, "_blocks", spying_blocks)
+        with monkeypatch.context() as solver:
+            solver.setattr(discrimination, "optimal_global", None)  # no dense solve
+            solver.setattr(discrimination, "_solve", spying_solve)
+            scan = max_bipartition_bound(e)
         # Dominance fails on every cut: the keys of each state are transposed once per
         # cut, the cut's blocks are formed once, here one block of every index with one
         # row per state, and the solver gets those very arrays.
@@ -552,6 +553,21 @@ class TestBipartitionScan:
             assert result.certified and result.povm is None
             # q_upper hands the solver the same blocks.
             assert result.dual_value == q_upper(e, bp).dual_value
+
+        def counted(call, *args):
+            transposed.clear()
+            formed.clear()
+            call(*args)
+            return transposed, len(formed)
+
+        # Each entry point transposes each state once per call and cut and forms the
+        # blocks once per call; optimal_global has no cut, validate forms each state's.
+        per_state = [e.dim * e.dim] * e.n
+        for bp in all_bipartitions(e.parties):
+            assert counted(q_upper, e, bp) == (per_state, 1)
+            assert counted(check_dominant_state, e, bp) == (per_state, 1)
+        assert counted(optimal_global, e.probs, e.stack) == ([], 1)
+        assert counted(validate, e) == ([], e.n)
 
     def test_blocks_follow_the_transposed_pattern(self):
         # The coupling of |Phi+><Phi+| sits at (0, 3); on the cut it moves to (1, 2),
@@ -727,7 +743,7 @@ def _assert_entries_match_dense(e, pivots=(None,)):
     herm = hermitian_part(e.stack)
     scan = max_bipartition_bound(e, max_iterations=25)
     for bp in all_bipartitions(e.parties):
-        mine = _components(e.dim, discrimination._cut(e, parts, bp.side_a))
+        mine = _cut_blocks(e.dim, parts, e.slots, bp.side_a)[0]
         dense = components_by_search(support(transposed_by_oracle(herm, e.slots, bp.side_a)))
         assert [g.tolist() for g in mine] == [g.tolist() for g in dense]
         for pivot in pivots:
@@ -1142,9 +1158,9 @@ class TestStackedSolver:
         assert want_ok
         _, want_q, _ = certificate_by_members(w, list(mats), want_povm)
         # A dense problem is one stack of one block.
-        ((povm, _, ok, certificate),) = _fixed_point_iteration(w, [mats[None]], 1e-8,
-                                                               max_iterations)
-        povm = povm[0]
+        result, (povm,) = _solve(w, [mats[:, None]], 1e-8, max_iterations, closed=False)
+        povm, ok = povm[0], result.certified
+        certificate = (result.primal_value, result.dual_value, result.certificate_min_eigs)
         # The returned certificate is the one of the returned POVM.
         assert certificate == _certificate(w, mats, povm)
         primal, dual, _ = certificate
@@ -1346,10 +1362,12 @@ class TestSquaredExtrapolation:
 
     @pytest.mark.parametrize("max_iterations", range(9))
     @pytest.mark.parametrize("problem", [SWEEP[0], SWEEP[20], SWEEP[40],
-                                         _permuted_block_problem(*BLOCK_CASES[3])],
-                             ids=["pure", "noisy", "mixed", "blocks"])
+                                         _permuted_block_problem(*BLOCK_CASES[3]),
+                                         _permuted_block_problem(*BLOCK_CASES[1])],
+                             ids=["pure", "noisy", "mixed", "blocks", "unit-blocks"])
     def test_budget_caps_the_map_evaluations(self, problem, max_iterations):
-        # A budget that ends inside a cycle is certified on its last map value.
+        # A budget that ends inside a cycle is certified on its last map value, and a
+        # closed-form 1x1 block takes no map evaluation, so budget 0 reports 0.
         w, mats = problem
         result = optimal_global(w, mats, method="iterative", max_iterations=max_iterations)
         assert result.iterations <= max_iterations
