@@ -13,10 +13,14 @@ per ensemble or call (else :class:`ContractViolationError`).  A cut's states are
 diagonal on the components of their joint nonzero pattern, and one kernel,
 ``tensor._cut_blocks``, moves the entries' keys by the partial transpose and forms the
 blocks once, one row per state, for every entry point; every eigenvalue solve runs
-block by block.  :func:`max_bipartition_bound` first tries, on every cut, whether the
-heaviest weighted transposed state dominates the others, by the rule of
-:func:`check_dominant_state`: each difference is decided by the PSD rule on its
-eigenvalues, and the solver runs only where dominance fails.
+block by block.  :func:`max_bipartition_bound` decides one cut per orbit of the
+ensemble's party symmetries, found once per ensemble by exact swaps of two parties in
+its states' entries: permuting parties within their classes maps each state to itself,
+so it maps a cut's transposed states to another cut's, unitarily, and both have one
+optimum (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 95 (2004)).  On each cut it
+decides, it first tries whether the heaviest weighted transposed state dominates the
+others, by the rule of :func:`check_dominant_state`: each difference is decided by the
+PSD rule on its eigenvalues, and the solver runs only where dominance fails.
 
 One solver, ``_solve``, runs on the same stacks, for :func:`q_upper` and
 :func:`optimal_global` as for the scan.  Pinching a POVM onto them keeps its value, so
@@ -43,7 +47,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .ensembles import Ensemble
-from .partitions import Bipartition, _by_name, all_bipartitions
+from .partitions import Bipartition, _by_name, _orbit_key, all_bipartitions
 from .tensor import (SlotStructure, _cut_blocks, _entry_record, _extremes, _hermitian_parts,
                      _psd, _transpose_keys, hermitian_part)
 
@@ -479,26 +483,43 @@ def max_bipartition_bound(
     Numerical failures (``LinAlgError``) are collected per cut, for a partial table.
     The table is keyed by each cut's name; two cuts that share one (labels ``a, b,
     c, bc`` name both ``abc|bc``) raise ``ValueError`` before any cut is decided.
+
+    One cut per orbit of the parties' symmetry classes is decided (the ensemble's
+    ``_party_classes``: permuting parties within a class leaves every state unchanged,
+    bit for bit).  A cut's orbit is :func:`_orbit_key`, its sides' per-class party
+    counts; the first cut of each orbit in the table's order is decided, and every other
+    cut of the orbit gets that result, or that failure, under its own name.  An ensemble
+    with no symmetry has one cut per orbit and is scanned cut by cut; one whose parties
+    are all alike, as the built-in families' are, has ``floor(m / 2)`` orbits.
     """
     w, parts = _nonnegative(e.probs), _hermitian_parts(e._record)
     pivot = int(np.argmax(w))
+    cuts = _by_name(all_bipartitions(e.parties))
+    classes = e._party_classes
     results: dict[str, DiscriminationResult] = {}
     failures: dict[str, str] = {}
-    for key, bp in _by_name(all_bipartitions(e.parties)).items():
-        try:
-            _, blocks = _cut_blocks(e.dim, parts, e.slots, bp.side_a)
-            check = _dominance(w, blocks, pivot)
-            if check.passed:
-                # The optimum is the pivot weight exactly; the all-or-nothing
-                # measurement on the pivot realizes it.
-                value = float(e.probs[pivot])
-                results[key] = DiscriminationResult(
-                    value, value, gap=0.0, povm=None, certificate_min_eigs=check.min_eigenvalues,
-                    certified=True, iterations=0, method="dominance")
-            else:
-                results[key], _ = _solve(w, blocks, tol, max_iterations, closed=e.n == 2)
-        except np.linalg.LinAlgError as exc:
-            failures[key] = str(exc)
+    outcomes: dict[tuple, tuple[dict, DiscriminationResult | str]] = {}  # per orbit
+    for key, bp in cuts.items():
+        orbit = _orbit_key(bp, classes)
+        if orbit not in outcomes:
+            try:
+                _, blocks = _cut_blocks(e.dim, parts, e.slots, bp.side_a)
+                check = _dominance(w, blocks, pivot)
+                if check.passed:
+                    # The optimum is the pivot weight exactly; the all-or-nothing
+                    # measurement on the pivot realizes it.
+                    value = float(e.probs[pivot])
+                    result = DiscriminationResult(
+                        value, value, gap=0.0, povm=None,
+                        certificate_min_eigs=check.min_eigenvalues, certified=True,
+                        iterations=0, method="dominance")
+                else:
+                    result, _ = _solve(w, blocks, tol, max_iterations, closed=e.n == 2)
+                outcomes[orbit] = results, result
+            except np.linalg.LinAlgError as exc:
+                outcomes[orbit] = failures, str(exc)
+        table, outcome = outcomes[orbit]
+        table[key] = outcome
     if not results:
         raise ValueError(f"no bipartition could be bounded: {failures}")
     max_value = max(r.dual_value for r in results.values())

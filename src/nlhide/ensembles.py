@@ -32,6 +32,7 @@ from .tensor import (
     _hermitian_parts,
     _lookup,
     _mirror,
+    _swap_classes,
 )
 
 PROB_SUM_TOL = 1e-12
@@ -63,7 +64,9 @@ class Ensemble:
     ``_record``, each state's checked nonzero entries (:func:`_entry_record`), is formed
     by their first reader (:func:`validate`, the overlaps, a discrimination entry point):
     one mask pass per state, then 24 bytes per nonzero entry (key and value), held while
-    the ensemble lives.  It cannot go stale: the stack it reads is read-only.
+    the ensemble lives.  It cannot go stale: the stack it reads is read-only.  So it is
+    with ``_party_classes``, the parties' symmetry classes read from that record, which
+    the bipartition scan and the coalition table share.
     """
 
     parties: PartySet
@@ -105,6 +108,17 @@ class Ensemble:
     @cached_property
     def _record(self) -> list[tuple[float, tuple[np.ndarray, np.ndarray] | None]]:
         return _entry_record(self.stack)
+
+    @cached_property
+    def _party_classes(self) -> dict[str, int]:
+        """Each party's symmetry class (:func:`_swap_classes` of the states' Hermitian
+        parts): permuting the parties within their classes leaves every state unchanged,
+        so the bipartition scan and the coalition table decide one cut, or partition, per
+        orbit.  Two parties have one cut and one coalition: no swap is tested, and each
+        party is a class of its own."""
+        if len(self.parties) == 2:
+            return {label: k for k, label in enumerate(self.parties.labels)}
+        return _swap_classes(_hermitian_parts(self._record), self.slots)
 
     @property
     def n(self) -> int:

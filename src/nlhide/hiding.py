@@ -38,7 +38,7 @@ from .folding import (
     FoldSpec, _check_cap, _check_fold_count, _coarse_states, _convolve, _kron_sum, fold_bound,
     fold_probs, mod_sum,
 )
-from .partitions import _by_name, all_partitions, coarser_bipartitions
+from .partitions import _by_name, _orbit_key, all_partitions, coarser_bipartitions
 from .tensor import (
     DEFAULT_DIM_CAP,
     MultiPartyOperator,
@@ -447,7 +447,12 @@ def coalition_report(e: Ensemble, L: int, force: bool = False, tol: float = DEFA
     probability and reported as such.  The trivial partition is the
     recovery side and excluded.  A fold count that is not an integer of at least 1, too
     many parties for ``all_partitions``, or two partitions that share a name raise
-    ``ValueError`` before the report is made.
+    ``ValueError`` before the report is made.  Permuting the parties within their
+    symmetry classes (the ensemble's ``_party_classes``, as the scan reads them) maps a
+    partition's coarser cuts onto another's, with the same q each, so the least bound
+    is taken once per orbit, keyed by :func:`_orbit_key` (the sorted per-class party
+    counts of its blocks), and each partition of the orbit gets it under its own name:
+    GHZ-complement (2,m) has ``p(m) - 1`` orbits, ``p`` the partition number.
     """
     _check_fold_count(L)
     partitions = _by_name(all_partitions(e.parties))
@@ -455,17 +460,19 @@ def coalition_report(e: Ensemble, L: int, force: bool = False, tol: float = DEFA
     report.require_admissible(force)
 
     kind = "exact" if report.exact else "bound"
+    classes = e._party_classes
     rows: list[CoalitionRow] = []
+    orbits: dict[tuple, tuple[float, str]] = {}  # each orbit's value and kind
     for name, partition in partitions.items():
         if partition.is_trivial:
             continue
-        cuts = [key for key in (bp.to_string() for bp in coarser_bipartitions(partition))
-                if key in report.q_values]
-        if not cuts:
-            rows.append(CoalitionRow(name, L, float("nan"), "unavailable"))
-            continue
-        value = min(report.bound(L, cut) for cut in cuts)
-        rows.append(CoalitionRow(name, L, value, kind))
+        orbit = _orbit_key(partition, classes)
+        if orbit not in orbits:
+            cuts = [key for key in (bp.to_string() for bp in coarser_bipartitions(partition))
+                    if key in report.q_values]
+            orbits[orbit] = ((min(report.bound(L, cut) for cut in cuts), kind) if cuts
+                             else (float("nan"), "unavailable"))
+        rows.append(CoalitionRow(name, L, *orbits[orbit]))
     return rows
 
 

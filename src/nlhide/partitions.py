@@ -4,13 +4,15 @@ Every discrimination bound is indexed by a bipartition of the party set, and
 coalition analysis walks the full partition lattice.  A bipartition is a
 two-block :class:`Partition`.  Partitions are kept in a canonical form (blocks
 ordered by their least party index, parties inside a block in party-set order)
-so enumeration output is stable and duplicates are impossible.
+so enumeration output is stable and duplicates are impossible.  A partition's orbit
+under the permutations of the parties within given classes is keyed by the per-class
+counts of its blocks, so a symmetric ensemble's callers decide one per orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 MAX_PARTITION_PARTIES = 10
 
@@ -110,6 +112,22 @@ def _by_name(partitions: Iterable[Partition]) -> dict[str, Partition]:
             raise ValueError(f"the cuts {a} and {b} share the name {key!r}: relabel the parties")
         named[key] = x
     return named
+
+
+def _orbit_key(x: Partition, classes: Mapping[str, int]) -> tuple[tuple[int, ...], ...]:
+    """The orbit of ``x`` under the permutations of the parties that keep each party in
+    its class (``classes`` maps every label to its class, ``0, 1, ...``): the sorted
+    count vectors of its blocks, one count per class.  Two partitions share a key iff
+    such a permutation maps one onto the other; a bipartition's key is its smaller
+    side's counts against its other side's."""
+    size = max(classes.values()) + 1
+    vectors = []
+    for block in x.blocks:
+        counts = [0] * size
+        for label in block:
+            counts[classes[label]] += 1
+        vectors.append(tuple(counts))
+    return tuple(sorted(vectors))
 
 
 def all_bipartitions(parties: PartySet) -> list[Bipartition]:

@@ -16,7 +16,9 @@ for ``validate`` and every discrimination entry point: a partial transpose swaps
 flipped slots' row and column digits of each key, the keys are split into rows and
 columns, the connected components of the entries' pattern come from each matrix's
 edge list, and the diagonal blocks that the PSD tests and the solver read are formed
-once for all the matrices, each one's entries in its own row.  The dense kernels
+once for all the matrices, each one's entries in its own row.  :func:`_swap_classes`
+finds the parties whose swap leaves every matrix's entries unchanged, bit for bit,
+and joins them into classes.  The dense kernels
 (:func:`_hermiticity`, one reshape and transpose) serve only the public functions of
 one dense operator, where they are the faster route: at dim 4096 the entries' check
 of a dense matrix takes three times as long and twice the memory.
@@ -408,6 +410,54 @@ def _cut_blocks(dim: int, parts: list[tuple[np.ndarray, np.ndarray]],
                for keys, values in parts]
     groups = _components(dim, entries)
     return groups, _blocks(groups, entries)
+
+
+def _swap_invariant(parts: list[tuple[np.ndarray, np.ndarray]], slots: SlotStructure,
+                    a: str, b: str) -> bool:
+    """Whether swapping parties ``a`` and ``b`` leaves every matrix with the nonzero
+    entries ``parts`` unchanged, bit for bit: party ``a``'s ``k``-th slot trades places
+    with party ``b``'s ``k``-th slot, on the row and on the column digits of each key,
+    and the moved keys, sorted, and their values must be the keys and values
+    themselves.  Parties whose ordered slot dimensions differ are never swapped, and no
+    entry is read; the test stops at the first matrix that fails."""
+    dims, own, other = slots.slot_dims, slots.slots_of(a), slots.slots_of(b)
+    if [dims[k] for k in own] != [dims[k] for k in other]:
+        return False
+    shape = dims * 2
+    strides = np.cumprod((1, *shape[:0:-1]))[::-1].tolist()  # place value of each digit
+    digits = [(j + r, k + r) for j, k in zip(own, other) for r in (0, len(dims))]
+    for keys, values in parts:
+        moved = keys.copy()
+        for i, j in digits:
+            moved += (keys // strides[j] % shape[j] - keys // strides[i] % shape[i]) * (
+                strides[i] - strides[j])
+        order = np.argsort(moved, kind="stable")
+        if not (np.array_equal(moved[order], keys) and values[order].tobytes() == values.tobytes()):
+            return False
+    return True
+
+
+def _swap_classes(parts: list[tuple[np.ndarray, np.ndarray]],
+                  slots: SlotStructure) -> dict[str, int]:
+    """Each party's class, ``0, 1, ...`` in order of first appearance: the components of
+    the swaps of two parties that :func:`_swap_invariant` passes.  A pair already joined
+    by union-find is not tested; the product of the symmetric groups on the classes
+    leaves every matrix unchanged."""
+    parties = slots.parties
+    root = list(range(len(parties)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for j in range(1, len(parties)):
+        for i in range(j):
+            if find(i) != find(j) and _swap_invariant(parts, slots, parties[i], parties[j]):
+                root[find(j)] = find(i)
+    ids: dict[int, int] = {}
+    return {party: ids.setdefault(find(k), len(ids)) for k, party in enumerate(parties)}
 
 
 def _extremes(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,10 @@ search, fold-bound tables clamp and branch at each call site, the
 fixed-point solver runs member by member over Python lists, protocol
 transcripts are drawn and written one trial at a time, a run's transcript
 lines are formatted one line at a time, product-basis
-strategy values assemble one product vector per outcome, dominance
+strategy values assemble one product vector per outcome, party symmetries
+are found by permuting whole dense states for every pair of parties, each
+cut of a scan is decided on its own by the public per-cut functions, coalition
+rows compare block sets against every cut, dominance
 checks wrap every difference as an operator for ``is_psd``, PSD tests run
 on the whole matrix instead of its diagonal blocks, the Hermitian check,
 overlaps, transposes, components and blocks of ``check`` work on whole dense
@@ -31,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from nlhide.cli import _fmt
-from nlhide.discrimination import DominanceCheck
+from nlhide.discrimination import DominanceCheck, check_dominant_state, q_upper
 from nlhide.ensembles import (
     PROB_SUM_TOL,
     PSD_WARN_TOL,
@@ -44,7 +47,7 @@ from nlhide.ensembles import (
 )
 from nlhide.folding import DegenerateClassError, FoldSpec, fold_bound, mod_sum
 from nlhide.hiding import CoalitionRow, HidingReport
-from nlhide.partitions import Bipartition, Partition, all_partitions, coarser_bipartitions
+from nlhide.partitions import Bipartition, Partition, PartySet, all_partitions, coarser_bipartitions
 from nlhide.tensor import (
     DEFAULT_DIM_CAP,
     DimensionCapError,
@@ -972,6 +975,97 @@ def load_by_document(text: str) -> Ensemble:
 
 
 # ---------------------------------------------------------------------------
+# party symmetries
+# ---------------------------------------------------------------------------
+
+def swap_parties_dense(matrix: np.ndarray, slots: SlotStructure, a: str, b: str) -> np.ndarray:
+    """``matrix`` with party ``a``'s ``k``-th slot and party ``b``'s ``k``-th slot
+    traded for every ``k``, rows and columns alike: one transpose of the slot axes."""
+    r = len(slots.slot_dims)
+    axes = list(range(2 * r))
+    for j, k in zip(slots.slots_of(a), slots.slots_of(b)):
+        for offset in (0, r):
+            axes[offset + j], axes[offset + k] = offset + k, offset + j
+    return matrix.reshape(slots.slot_dims * 2).transpose(axes).reshape(matrix.shape)
+
+
+def party_classes_by_search(e: Ensemble) -> set[frozenset[str]]:
+    """The parties' symmetry classes: every pair of parties with equal ordered slot
+    dimensions is swapped in every whole dense Hermitian part, a pair whose swap leaves
+    each one equal entry by entry is joined, and the classes are the connected groups
+    of joined pairs, found by a search."""
+    slots, labels = e.slots, e.parties.labels
+    parts = [hermitian_part(m) for m in e.stack]
+    shape = {p: [slots.slot_dims[k] for k in slots.slots_of(p)] for p in labels}
+    joined = {p: {p} for p in labels}
+    for a, b in itertools.combinations(labels, 2):
+        if shape[a] == shape[b] and all(
+                np.array_equal(swap_parties_dense(m, slots, a, b), m) for m in parts):
+            joined[a].add(b)
+            joined[b].add(a)
+    classes: set[frozenset[str]] = set()
+    for start in labels:
+        group, frontier = {start}, [start]
+        while frontier:
+            for other in joined[frontier.pop()] - group:
+                group.add(other)
+                frontier.append(other)
+        classes.add(frozenset(group))
+    return classes
+
+
+def orbit_count(labels: tuple[str, ...], classes: set[frozenset[str]],
+                partitions: list[list[list[str]]]) -> int:
+    """The number of orbits of ``partitions`` (lists of blocks, closed under the group)
+    under every permutation of ``labels`` that maps each party into its own class,
+    by applying each permutation to each partition."""
+    perms = [dict(zip(labels, image)) for image in itertools.permutations(labels)
+             if all(any({x, y} <= c for c in classes) for x, y in zip(labels, image))]
+    seen: set[frozenset[frozenset[str]]] = set()
+    orbits = 0
+    for partition in partitions:
+        form = frozenset(frozenset(block) for block in partition)
+        if form not in seen:
+            orbits += 1
+            seen |= {frozenset(frozenset(perm[x] for x in block) for block in form)
+                     for perm in perms}
+    return orbits
+
+
+def scan_by_cut(e: Ensemble, tol: float) -> dict[str, tuple[str, float]]:
+    """Each cut's method and q, every cut decided on its own by the public per-cut
+    functions: the heaviest member's dominance by ``check_dominant_state`` (q its
+    weight), else ``q_upper`` with ``tol``."""
+    out = {}
+    for side in brute_force_bipartition_sides(e.parties.labels):
+        bp = Bipartition.from_side(e.parties, side)
+        check = check_dominant_state(e, bp)
+        if check.passed:
+            out[bp.to_string()] = ("dominance", e.probs[check.pivot])
+        else:
+            result = q_upper(e, bp, tol=tol)
+            out[bp.to_string()] = (result.method, result.dual_value)
+    return out
+
+
+def coalition_rows_by_partition(e: Ensemble, L: int, report: HidingReport) -> list[CoalitionRow]:
+    """Per nontrivial partition, on its own: the least ``report.bound`` over every cut
+    coarser than it, found by comparing block sets against all cuts."""
+    cuts = [Bipartition.from_side(e.parties, side)
+            for side in brute_force_bipartition_sides(e.parties.labels)]
+    kind = "exact" if report.exact else "bound"
+    rows = []
+    for partition in all_partitions(e.parties):
+        if partition.is_trivial:
+            continue
+        values = [report.bound(L, bp.to_string()) for bp in cuts
+                  if is_coarser(bp, partition) and bp.to_string() in report.q_values]
+        rows.append(CoalitionRow(partition.to_string(), L, min(values), kind) if values
+                    else CoalitionRow(partition.to_string(), L, float("nan"), "unavailable"))
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # random inputs
 # ---------------------------------------------------------------------------
 
@@ -984,6 +1078,25 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def swap_symmetric_ensemble(seed: int, slots: SlotStructure, swaps: Sequence[tuple[str, str]],
+                            n: int = 3, lead: float = 0.0) -> Ensemble:
+    """``n`` random states on ``slots``, each made invariant, bit for bit, under the
+    disjoint party swaps ``swaps`` by adding its swapped copy for each swap in turn:
+    ``rho + S rho S`` is unchanged by ``S``, since its two addends trade places.
+    ``lead`` mixes the first state toward white noise and its prior toward 1."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(n):
+        rho = random_density(rng, slots.dim)
+        for a, b in swaps:
+            rho = rho + swap_parties_dense(rho, slots, a, b)
+        mats.append(hermitian_part(rho / np.trace(rho).real))
+    mats[0] = lead * np.eye(slots.dim) / slots.dim + (1 - lead) * mats[0]
+    probs = lead * np.eye(n)[0] + (1 - lead) * rng.dirichlet(np.ones(n))
+    labels = PartySet(tuple(dict.fromkeys(slots.party_of_slot)))
+    return Ensemble(labels, tuple(probs), tuple(MultiPartyOperator(m, slots) for m in mats))
 
 
 def random_povm(rng: np.random.Generator, n: int, dim: int) -> list[np.ndarray]:

@@ -32,7 +32,7 @@ from nlhide import (
 )
 
 from nlhide import discrimination
-from nlhide.discrimination import _certificate, _solve
+from nlhide.discrimination import DEFAULT_SOLVER_TOL, _certificate, _solve
 from nlhide.ensembles import max_pairwise_overlap, pairwise_overlaps, validate
 from nlhide.tensor import (
     PSD_RTOL,
@@ -47,6 +47,7 @@ from nlhide.tensor import (
 
 from oracles import (
     assert_blocks_match_dense,
+    brute_force_partitions,
     certificate_by_members,
     components_by_search,
     dominance_by_difference,
@@ -62,10 +63,14 @@ from oracles import (
     product_basis_value_by_outcome,
     random_density,
     random_hermitian,
+    orbit_count,
     overlaps_by_dense_sum,
     partial_transpose_entrywise,
+    party_classes_by_search,
     random_povm,
+    scan_by_cut,
     support,
+    swap_symmetric_ensemble,
     validate_by_dense,
 )
 
@@ -485,13 +490,15 @@ class TestBipartitionScan:
         for result in scan.results.values():
             assert result.dual_value == pytest.approx(7 / 8, abs=1e-8)
 
-    def test_colliding_cut_names_raise(self, colliding_labels):
+    def test_colliding_cut_names_raise(self, colliding_labels, monkeypatch):
         # The coalition {a, b, c} reads the datum with certainty, and the other cut
         # named abc|bc has q = 0.875: a table keyed by name would keep only one.
         readable = Bipartition(colliding_labels.parties, ("a", "b", "c"), ("bc",))
         assert q_upper(colliding_labels, readable).dual_value == pytest.approx(1.0, abs=1e-12)
+        formed = _spy(monkeypatch, discrimination, "_cut_blocks")
         with pytest.raises(ValueError, match=r"a,b,c \| bc and a,bc \| b,c share .*'abc\|bc'"):
             max_bipartition_bound(colliding_labels)
+        assert formed == []  # before any cut is decided
 
     def test_parity2222(self, parity2222):
         scan = max_bipartition_bound(parity2222)
@@ -1373,3 +1380,140 @@ class TestSquaredExtrapolation:
         assert result.iterations <= max_iterations
         assert result.dual_value >= result.primal_value
         assert_valid_povm(result.povm)
+
+
+def assert_scan_matches_every_cut(e, tol=DEFAULT_SOLVER_TOL):
+    """The scan, which decides one cut per orbit of the ensemble's party symmetries,
+    against every cut decided on its own: the same dominance verdict and ``method`` on
+    every cut, a dominance q bit for bit, and a solver's q within the tolerance (an
+    orbit member's blocks come in another order than its representative's)."""
+    scan = max_bipartition_bound(e, tol=tol)
+    want = scan_by_cut(e, tol)
+    assert not scan.failures and scan.results.keys() == want.keys()
+    for key, (method, q) in want.items():
+        got = scan.results[key]
+        assert got.method == method, key
+        if method == "dominance":
+            assert got.dual_value == q
+        else:
+            assert got.certified and got.dual_value == pytest.approx(q, abs=tol)
+
+
+def _classes_as_sets(e):
+    classes = e._party_classes
+    return {frozenset(p for p in classes if classes[p] == k) for k in classes.values()}
+
+
+def _spy(monkeypatch, module, name):
+    """Record the arguments of every call of ``module.name``, which still runs."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+# Layouts with the disjoint party swaps that make random states symmetric: three qubits
+# in A1 and A2; four qubits in A1 and A3, and in A2 and A4; and A1 and A2 each owning a
+# qubit then a qutrit, folded apart, beside A3's qubit.
+PARTIAL_SYMMETRIES = [
+    (SlotStructure((2, 2, 2), ("A1", "A2", "A3")), [("A1", "A2")]),
+    (SlotStructure((2, 2, 2, 2), ("A1", "A2", "A3", "A4")), [("A1", "A3"), ("A2", "A4")]),
+    (SlotStructure((2, 2, 3, 3, 2), ("A1", "A2", "A1", "A2", "A3")), [("A1", "A2")]),
+]
+
+
+class TestSymmetryOrbits:
+    """The scan decides one cut per orbit of the parties' detected symmetries and gives
+    every other cut of the orbit that result under its own name."""
+
+    @pytest.mark.parametrize("family, params", _family_instances(1023))
+    def test_family_instances(self, family, params):
+        e = _family(family, params, 1023)
+        assert_scan_matches_every_cut(e)
+        if len(e.parties) > 2:
+            assert _classes_as_sets(e) == party_classes_by_search(e) == {
+                frozenset(e.parties.labels)}
+
+    @pytest.mark.parametrize("family, params, L", [
+        ("ghz", (2, 3), 2), ("ghz", (2, 4), 2), ("ghz", (3, 3), 1), ("parity", (2, 3, 1, 1), 2)])
+    def test_folded(self, family, params, L):
+        # Each party owns L slots, one per preparation, that are not adjacent.
+        e = coarse_ensemble(FoldSpec(_family(family, params, 64), L))
+        assert len(e.slots.slots_of("A1")) == L
+        assert _classes_as_sets(e) == party_classes_by_search(e) == {frozenset(e.parties.labels)}
+        assert_scan_matches_every_cut(e)
+
+    @pytest.mark.parametrize("lead", [0.0, 0.9])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("layout", range(len(PARTIAL_SYMMETRIES)))
+    def test_partially_symmetric(self, monkeypatch, layout, n, lead):
+        slots, swaps = PARTIAL_SYMMETRIES[layout]
+        e = swap_symmetric_ensemble(layout, slots, swaps, n, lead)
+        classes = party_classes_by_search(e)
+        swapped = {p for swap in swaps for p in swap}
+        assert classes == ({frozenset(swap) for swap in swaps}
+                           | {frozenset([p]) for p in e.parties.labels if p not in swapped})
+        assert _classes_as_sets(e) == classes
+        formed = _spy(monkeypatch, discrimination, "_cut_blocks")
+        max_bipartition_bound(e)
+        cuts = [p for p in brute_force_partitions(e.parties.labels) if len(p) == 2]
+        assert len(formed) == orbit_count(e.parties.labels, classes, cuts) < len(cuts)
+        assert_scan_matches_every_cut(e)
+
+    def test_an_entry_off_the_symmetry_scans_every_cut(self, monkeypatch):
+        # GHZ-complement (3,3) is symmetric under every swap of two parties; a change of
+        # the diagonal entry at |012>, whose digits all differ, breaks every swap.
+        formed = _spy(monkeypatch, discrimination, "_cut_blocks")
+        max_bipartition_bound(ghz_complement_ensemble(3, 3))
+        assert len(formed) == 1
+        base = ghz_complement_ensemble(3, 3)
+        stack = base.stack.copy()
+        stack[1, 5, 5] += 1e-3
+        e = Ensemble(base.parties, base.probs,
+                     tuple(MultiPartyOperator(m, base.slots) for m in stack))
+        formed.clear()
+        scan = max_bipartition_bound(e)
+        assert len(formed) == len(scan.results) == 3
+        assert _classes_as_sets(e) == party_classes_by_search(e) == {
+            frozenset([p]) for p in e.parties.labels}
+        assert_scan_matches_every_cut(e)
+
+    def test_two_parties_test_no_swap(self, monkeypatch):
+        tested = _spy(monkeypatch, tensor_module, "_swap_invariant")
+        e = ghz_complement_ensemble(2, 2)  # symmetric, but with one cut
+        max_bipartition_bound(e)
+        assert tested == [] and e._party_classes == {"A1": 0, "A2": 1}
+        # Three parties: two swaps pass, and the third pair is joined already.
+        e = ghz_complement_ensemble(2, 3)
+        max_bipartition_bound(e)
+        assert [args[2:] for args in tested] == [("A1", "A2"), ("A1", "A3")]
+
+    def test_classes_are_formed_once(self, monkeypatch):
+        tested = _spy(monkeypatch, tensor_module, "_swap_invariant")
+        e = ghz_complement_ensemble(2, 4)
+        max_bipartition_bound(e)
+        max_bipartition_bound(e)
+        assert len(tested) == 3
+
+    def test_a_failure_is_shared_by_its_orbit(self, monkeypatch):
+        # The first cut, A1|A2A3A4, raises; its orbit is every cut with one party on a
+        # side, and each of them carries the failure under its own name.
+        real, calls = discrimination._dominance, []
+
+        def failing_first(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("no convergence")
+            return real(*args)
+
+        monkeypatch.setattr(discrimination, "_dominance", failing_first)
+        scan = max_bipartition_bound(ghz_complement_ensemble(2, 4))
+        assert len(calls) == 2
+        assert list(scan.failures) == ["A1|A2A3A4", "A1A2A3|A4", "A1A2A4|A3", "A1A3A4|A2"]
+        assert set(scan.failures.values()) == {"no convergence"}
+        assert list(scan.results) == ["A1A2|A3A4", "A1A3|A2A4", "A1A4|A2A3"]
+        assert len({id(r) for r in scan.results.values()}) == 1

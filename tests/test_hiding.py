@@ -45,10 +45,15 @@ from nlhide.hiding import (
 from oracles import (
     bell_number,
     bounds_rows_by_loop,
+    brute_force_partitions,
     class_measurement_by_eigh,
+    coalition_rows_by_partition,
     coalition_rows_two_branch,
     fold_count_by_search,
+    orbit_count,
+    party_classes_by_search,
     protocol_jsonl_by_trials,
+    swap_symmetric_ensemble,
     transcripts_by_line,
 )
 
@@ -233,9 +238,11 @@ class TestCheckHiding:
 
         monkeypatch.setattr(discrimination, "_solve", failing_once)
         report = check_hiding(ghz_basis_triple())
-        assert len(calls) == 3
-        assert list(report.solver_failures) == ["A1|A2A3"]
-        assert sorted(report.q_values) == ["A1A2|A3", "A1A3|A2"]
+        # The states are symmetric under the swap of A1 and A2, so A1|A2A3 and A1A3|A2
+        # are one orbit: its first cut is solved, and its failure is both cuts'.
+        assert len(calls) == 2
+        assert list(report.solver_failures) == ["A1|A2A3", "A1A3|A2"]
+        assert sorted(report.q_values) == ["A1A2|A3"]
 
     def test_solver_cuts_build_no_operator(self, entry_passes, monkeypatch):
         # Every cut is undecided, and the solver gets the blocks of its transposed
@@ -782,6 +789,46 @@ class TestCoalitionReport:
         rows = coalition_report(ghz_complement_ensemble(2, 7), 1)
         assert len(rows) == bell_number(7) - 1 == 876
         assert all(row.kind == "exact" for row in rows)
+
+
+QUBITS = SlotStructure((2, 2, 2, 2), ("A1", "A2", "A3", "A4"))
+#: GHZ-complement (2,6): 202 partitions in p(6) - 1 = 10 orbits.  Four qubits symmetric
+#: in A1 and A3 and in A2 and A4, three states that dominance leaves undecided; and
+#: three qubits with no symmetry.
+COALITION_CASES = {
+    "ghz-2-6": lambda: ghz_complement_ensemble(2, 6),
+    "partial": lambda: swap_symmetric_ensemble(1, QUBITS, [("A1", "A3"), ("A2", "A4")]),
+    "asymmetric": lambda: swap_symmetric_ensemble(
+        2, SlotStructure((2, 2, 2), ("A1", "A2", "A3")), []),
+}
+
+
+class TestCoalitionOrbits:
+    """The least bound over the coarser cuts is taken once per orbit of the parties'
+    symmetries, and every partition keeps its own row."""
+
+    @pytest.mark.parametrize("case", COALITION_CASES)
+    def test_rows_match_each_partition_on_its_own(self, monkeypatch, case):
+        e = COALITION_CASES[case]()
+        report = check_hiding(e)
+        evaluated, real = [], hiding.coarser_bipartitions
+        monkeypatch.setattr(hiding, "coarser_bipartitions",
+                            lambda x: evaluated.append(x) or real(x))
+        for L in (1, 3):
+            evaluated.clear()
+            assert coalition_report(e, L, force=True) == coalition_rows_by_partition(e, L, report)
+            labels = e.parties.labels
+            partitions = [p for p in brute_force_partitions(labels) if len(p) > 1]
+            orbits = orbit_count(labels, party_classes_by_search(e), partitions)
+            assert len(evaluated) == orbits
+        assert orbits == {"ghz-2-6": 10, "partial": 8, "asymmetric": 4}[case]
+
+    def test_colliding_names_raise_before_any_cut(self, colliding_labels, monkeypatch):
+        formed = []
+        monkeypatch.setattr(discrimination, "_cut_blocks", lambda *args: formed.append(args))
+        with pytest.raises(ValueError, match=r"share the name 'abc\|bc'"):
+            coalition_report(colliding_labels, 1)
+        assert formed == []
 
 
 def _assert_matches_call_sites(e, report, lmax):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from nlhide import (
     DimensionCapError,
     MultiPartyOperator,
     SlotStructure,
+    ghz_complement_ensemble,
     ghz_state,
     hermitian_eigensystem,
     is_psd,
@@ -22,7 +25,10 @@ from nlhide.tensor import (
     _entry_record,
     _extremes,
     _hermitian,
+    _hermitian_parts,
     _hermiticity,
+    _swap_classes,
+    _swap_invariant,
     _transpose_keys,
     hermitian_part,
 )
@@ -39,7 +45,12 @@ from oracles import (
     random_hermitian,
     support,
     swap_matrix,
+    swap_parties_dense,
+    swap_symmetric_ensemble,
 )
+
+# The package binds the function ``tensor`` to its name, so the module is looked up.
+tensor_module = importlib.import_module("nlhide.tensor")
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(np.complex128)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -535,6 +546,93 @@ class TestFormedBlocks:
             dense = np.linalg.eigvalsh(matrix)
             slack = 1e-12 * (1.0 + max(abs(dense[0]), abs(dense[-1])))
             assert abs(lo[k] - dense[0]) <= slack and abs(hi[k] - dense[-1]) <= slack
+
+
+def _parts(stack):
+    return _hermitian_parts(_entry_record(np.asarray(stack, dtype=np.complex128)))
+
+
+class TestPartySwaps:
+    """``_swap_invariant`` tests one swap of two parties on the entries, exactly, and
+    ``_swap_classes`` joins the parties that pass by union-find."""
+
+    @pytest.mark.parametrize("dims, owners", [
+        ((2, 3), ("A1", "A2")),
+        ((2, 3, 3, 2), ("A1", "A1", "A2", "A2")),  # the same slots in another order
+        ((4, 2, 2), ("A1", "A2", "A2")),  # the same local dimension
+    ])
+    def test_unequal_slot_shapes_are_never_swapped(self, dims, owners):
+        slots = SlotStructure(dims, owners)
+        # No entry is read: None in place of the matrices' entries is never touched.
+        assert _swap_invariant(None, slots, "A1", "A2") is False
+        # The maximally mixed state is unchanged by every permutation of the slots.
+        parts = _parts([np.eye(slots.dim) / slots.dim])
+        assert _swap_classes(parts, slots) == {"A1": 0, "A2": 1}
+
+    def test_equal_slot_shapes_are_swapped_slot_by_slot(self):
+        slots = SlotStructure((2, 3, 2, 3), ("A1", "A1", "A2", "A2"))
+        parts = _parts([np.eye(slots.dim) / slots.dim])
+        assert _swap_classes(parts, slots) == {"A1": 0, "A2": 0}
+
+    def test_the_test_is_exact(self):
+        # GHZ-complement (2,3)'s complement state: the diagonal entry at |001> moves to
+        # |100> under the swap of A1 and A3.  One last-bit change of it fails the swap.
+        e = ghz_complement_ensemble(2, 3)
+        slots, parts = e.slots, _hermitian_parts(e._record)
+        assert _swap_invariant(parts, slots, "A1", "A3")
+        keys, values = parts[0]
+        values = values.copy()
+        (at,) = np.flatnonzero(keys == 1 * 8 + 1)
+        values[at] = complex(np.nextafter(values[at].real, 1.0), values[at].imag)
+        assert values[at] != parts[0][1][at]
+        broken = [(keys, values), parts[1]]
+        assert not _swap_invariant(broken, slots, "A1", "A3")
+        # |001> is a fixed point of the swap of A1 and A2, which still passes.
+        assert _swap_invariant(broken, slots, "A1", "A2")
+        # The test stops at the first matrix that fails: the next is never read.
+        assert not _swap_invariant([(keys, values), None], slots, "A1", "A3")
+
+    def test_components_of_a_partially_symmetric_ensemble(self, monkeypatch):
+        tested, real = [], _swap_invariant
+
+        def spy(parts, slots, a, b):
+            tested.append((a, b))
+            return real(parts, slots, a, b)
+
+        monkeypatch.setattr(tensor_module, "_swap_invariant", spy)
+        slots = SlotStructure((2, 2, 2, 2), ("A1", "A2", "A3", "A4"))
+        e = swap_symmetric_ensemble(3, slots, [("A1", "A3"), ("A2", "A4")])
+        parts = _hermitian_parts(e._record)
+        assert _swap_classes(parts, slots) == {"A1": 0, "A2": 1, "A3": 0, "A4": 1}
+        assert len(tested) == 6  # no pair is joined before its own test
+        # Every swap passes on a symmetric ensemble: a pair already joined is not tested.
+        tested.clear()
+        e = swap_symmetric_ensemble(3, slots, [("A1", "A2"), ("A3", "A4")])
+        assert _swap_classes(_hermitian_parts(e._record), slots) == {
+            "A1": 0, "A2": 0, "A3": 1, "A4": 1}
+        assert ("A1", "A2") in tested and ("A3", "A4") in tested
+        tested.clear()
+        parts = _parts([np.eye(16) / 16])
+        assert _swap_classes(parts, slots) == dict.fromkeys(slots.parties, 0)
+        assert tested == [("A1", "A2"), ("A1", "A3"), ("A1", "A4")]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), layout=st.integers(0, 2), symmetric=st.booleans())
+    def test_matches_the_dense_swap(self, seed, layout, symmetric):
+        # A1 and A3 have one slot shape, and in the last two layouts A2 another.
+        slots = [SlotStructure((2, 2, 2), ("A1", "A2", "A3")),
+                 SlotStructure((2, 3, 2, 3), ("A1", "A2", "A3", "A2")),
+                 SlotStructure((3, 2, 3), ("A1", "A2", "A3"))][layout]
+        e = swap_symmetric_ensemble(seed, slots, [("A1", "A3")] if symmetric else [], n=2)
+        parts = _hermitian_parts(e._record)
+        for a, b in [("A1", "A2"), ("A1", "A3"), ("A2", "A3")]:
+            same_shape = ([slots.slot_dims[k] for k in slots.slots_of(a)]
+                          == [slots.slot_dims[k] for k in slots.slots_of(b)])
+            dense = same_shape and all(
+                np.array_equal(swap_parties_dense(hermitian_part(m), slots, a, b),
+                               hermitian_part(m)) for m in e.stack)
+            assert _swap_invariant(parts, slots, a, b) == dense
+        assert _swap_invariant(parts, slots, "A1", "A3") == symmetric
 
 
 class TestKernelProperties:
