@@ -47,7 +47,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .ensembles import Ensemble
-from .partitions import Bipartition, _by_name, _orbit_key, all_bipartitions
+from .partitions import Bipartition, _orbits, all_bipartitions
 from .tensor import (SlotStructure, _cut_blocks, _entry_record, _extremes, _hermitian_parts,
                      _psd, _transpose_keys, hermitian_part)
 
@@ -481,27 +481,20 @@ def max_bipartition_bound(
     with no ``(n, dim, dim)`` stack.  Its result carries ``povm=None``, as a dominance
     result does; :func:`q_upper` gives the cut's POVM.
     Numerical failures (``LinAlgError``) are collected per cut, for a partial table.
-    The table is keyed by each cut's name; two cuts that share one (labels ``a, b,
-    c, bc`` name both ``abc|bc``) raise ``ValueError`` before any cut is decided.
-
-    One cut per orbit of the parties' symmetry classes is decided (the ensemble's
-    ``_party_classes``: permuting parties within a class leaves every state unchanged,
-    bit for bit).  A cut's orbit is :func:`_orbit_key`, its sides' per-class party
-    counts; the first cut of each orbit in the table's order is decided, and every other
-    cut of the orbit gets that result, or that failure, under its own name.  An ensemble
-    with no symmetry has one cut per orbit and is scanned cut by cut; one whose parties
-    are all alike, as the built-in families' are, has ``floor(m / 2)`` orbits.
+    The table is keyed by each cut's name.  More than ``MAX_BIPARTITION_PARTIES``
+    parties, or two cuts that share a name, raise ``ValueError`` before any cut is
+    decided.  One cut per orbit of the parties' symmetry classes (the ensemble's
+    ``_party_classes``) is decided, the one :func:`_orbits` maps the orbit to, and every
+    other cut of the orbit gets that result, or that failure, under its own name.
     """
     w, parts = _nonnegative(e.probs), _hermitian_parts(e._record)
     pivot = int(np.argmax(w))
-    cuts = _by_name(all_bipartitions(e.parties))
-    classes = e._party_classes
+    cuts = _orbits(all_bipartitions(e.parties), e._party_classes)
     results: dict[str, DiscriminationResult] = {}
     failures: dict[str, str] = {}
-    outcomes: dict[tuple, tuple[dict, DiscriminationResult | str]] = {}  # per orbit
+    outcomes: dict[int, tuple[dict, DiscriminationResult | str]] = {}  # by orbit's first cut
     for key, bp in cuts.items():
-        orbit = _orbit_key(bp, classes)
-        if orbit not in outcomes:
+        if id(bp) not in outcomes:
             try:
                 _, blocks = _cut_blocks(e.dim, parts, e.slots, bp.side_a)
                 check = _dominance(w, blocks, pivot)
@@ -515,10 +508,10 @@ def max_bipartition_bound(
                         iterations=0, method="dominance")
                 else:
                     result, _ = _solve(w, blocks, tol, max_iterations, closed=e.n == 2)
-                outcomes[orbit] = results, result
+                outcomes[id(bp)] = results, result
             except np.linalg.LinAlgError as exc:
-                outcomes[orbit] = failures, str(exc)
-        table, outcome = outcomes[orbit]
+                outcomes[id(bp)] = failures, str(exc)
+        table, outcome = outcomes[id(bp)]
         table[key] = outcome
     if not results:
         raise ValueError(f"no bipartition could be bounded: {failures}")

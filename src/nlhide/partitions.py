@@ -4,17 +4,19 @@ Every discrimination bound is indexed by a bipartition of the party set, and
 coalition analysis walks the full partition lattice.  A bipartition is a
 two-block :class:`Partition`.  Partitions are kept in a canonical form (blocks
 ordered by their least party index, parties inside a block in party-set order)
-so enumeration output is stable and duplicates are impossible.  A partition's orbit
-under the permutations of the parties within given classes is keyed by the per-class
-counts of its blocks, so a symmetric ensemble's callers decide one per orbit.
+so enumeration output is stable and duplicates are impossible.  :func:`_orbits` names
+partitions and maps each to the first of its orbit under the permutations of the
+parties within given classes, so a symmetric ensemble's callers decide one per orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import compress
+from typing import Iterable, Mapping, Sequence
 
 MAX_PARTITION_PARTIES = 10
+MAX_BIPARTITION_PARTIES = 16
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,14 @@ class Partition:
     def __post_init__(self):
         object.__setattr__(self, "blocks", _canonical_blocks(self.parties, self.blocks))
 
+    @classmethod
+    def _of_canonical(cls, parties: PartySet, blocks: tuple[tuple[str, ...], ...]) -> "Partition":
+        """The partition that holds ``blocks`` as given, with no check: for blocks that
+        an enumerator has just built in canonical form."""
+        x = object.__new__(cls)
+        x.__dict__.update(parties=parties, blocks=blocks)
+        return x
+
     @property
     def is_trivial(self) -> bool:
         return len(self.blocks) == 1
@@ -102,38 +112,33 @@ class Bipartition(Partition):
         return self.blocks[1]
 
 
-def _by_name(partitions: Iterable[Partition]) -> dict[str, Partition]:
-    """The partitions keyed by ``to_string``, in order; two that share a name raise."""
+def _orbits(partitions: Sequence[Partition], classes: Mapping[str, int]) -> dict[str, Partition]:
+    """Each partition's name (``to_string``), in order, mapped to the first partition of
+    its orbit under the permutations of the parties that keep each party in its class
+    (``classes`` maps each label to it), keyed by its blocks' per-class party counts held
+    as sorted class multisets.  Two partitions that share a name raise ``ValueError``:
+    labels ``a, b, c, bc`` name both ``abc|bc``."""
     named: dict[str, Partition] = {}
+    first: dict[tuple, Partition] = {}
     for x in partitions:
         key = x.to_string()
         if key in named:
-            a, b = (" | ".join(",".join(block) for block in y.blocks) for y in (named[key], x))
+            earlier = next(y for y in partitions if y.to_string() == key)
+            a, b = (" | ".join(",".join(block) for block in y.blocks) for y in (earlier, x))
             raise ValueError(f"the cuts {a} and {b} share the name {key!r}: relabel the parties")
-        named[key] = x
+        orbit = tuple(sorted(tuple(sorted(map(classes.__getitem__, block))) for block in x.blocks))
+        named[key] = first.setdefault(orbit, x)
     return named
-
-
-def _orbit_key(x: Partition, classes: Mapping[str, int]) -> tuple[tuple[int, ...], ...]:
-    """The orbit of ``x`` under the permutations of the parties that keep each party in
-    its class (``classes`` maps every label to its class, ``0, 1, ...``): the sorted
-    count vectors of its blocks, one count per class.  Two partitions share a key iff
-    such a permutation maps one onto the other; a bipartition's key is its smaller
-    side's counts against its other side's."""
-    size = max(classes.values()) + 1
-    vectors = []
-    for block in x.blocks:
-        counts = [0] * size
-        for label in block:
-            counts[classes[label]] += 1
-        vectors.append(tuple(counts))
-    return tuple(sorted(vectors))
 
 
 def all_bipartitions(parties: PartySet) -> list[Bipartition]:
     """All ``2**(m-1) - 1`` bipartitions: those coarser than the finest partition,
-    in :func:`coarser_bipartitions`' order."""
-    return coarser_bipartitions(Partition(parties, tuple((x,) for x in parties.labels)))
+    in :func:`coarser_bipartitions`' order.  Guarded for ``m <= MAX_BIPARTITION_PARTIES``
+    since the count doubles with each party."""
+    if len(parties) > MAX_BIPARTITION_PARTIES:
+        raise ValueError(f"refusing to enumerate bipartitions of {len(parties)} parties "
+                         f"(guard is {MAX_BIPARTITION_PARTIES})")
+    return coarser_bipartitions(Partition._of_canonical(parties, tuple(zip(parties.labels))))
 
 
 def all_partitions(parties: PartySet) -> list[Partition]:
@@ -141,8 +146,9 @@ def all_partitions(parties: PartySet) -> list[Partition]:
 
     Built label by label: each partition of the first labels puts the next
     label into its block ``k``, for ``k`` in order, or else opens a new last
-    block.  Guarded for ``m <= MAX_PARTITION_PARTIES`` since the count grows
-    super-exponentially.
+    block, so every block is in party-set order and the blocks are in order of
+    their first party.  Guarded for ``m <= MAX_PARTITION_PARTIES`` since the count
+    grows super-exponentially.
     """
     if len(parties) > MAX_PARTITION_PARTIES:
         raise ValueError(f"refusing to enumerate partitions of {len(parties)} parties "
@@ -156,18 +162,19 @@ def all_partitions(parties: PartySet) -> list[Partition]:
             for blocks in grown
             for k in range(len(blocks) + 1)
         ]
-    return [Partition(parties, blocks) for blocks in grown]
+    return [Partition._of_canonical(parties, blocks) for blocks in grown]
 
 
 def coarser_bipartitions(x: Partition) -> list[Bipartition]:
-    """All bipartitions coarser than ``x``, via 2-colorings of its blocks.
-
-    Always nonempty for a nontrivial partition: fixing one block against the
-    union of the rest is such a coloring.
+    """All bipartitions coarser than ``x``, via 2-colorings of its blocks: the bits of an
+    odd ``side`` below ``2**len(x.blocks) - 1`` pick the blocks, the first always, whose
+    parties, in party-set order, form the first side.  Always nonempty for a nontrivial
+    partition: fixing one block against the union of the rest is such a coloring.
     """
     if x.is_trivial:
         raise ValueError("the trivial partition has no coarser bipartition")
-    first, rest = x.blocks[0], x.blocks[1:]
-    sides = (sum((block for k, block in enumerate(rest) if mask >> k & 1), first)
-             for mask in range(2 ** len(rest) - 1))
-    return [Bipartition.from_side(x.parties, side) for side in sides]
+    labels = x.parties.labels
+    bits = [1 << k for label in labels for k, block in enumerate(x.blocks) if label in block]
+    return [Bipartition._of_canonical(x.parties, tuple(
+                tuple(compress(labels, map(mask.__and__, bits))) for mask in (side, ~side)))
+            for side in range(1, 2 ** len(x.blocks) - 1, 2)]

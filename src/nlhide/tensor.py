@@ -174,10 +174,10 @@ def tensor(
     return MultiPartyOperator._frozen(np.kron(a.matrix, b.matrix), a.slots.concat(b.slots))
 
 
-def _flipped(items: list, slots: SlotStructure, side: Iterable[str]) -> list:
-    """``items``, one per row slot and then one per column slot, with the row and column
-    items of each slot owned by a party in ``side`` traded; ``side`` must be a nonempty
-    proper subset of the parties."""
+def _flipped(slots: SlotStructure, side: Iterable[str]) -> list[int]:
+    """The axes of a matrix, one per row slot and then one per column slot, with the row
+    and column axes of each slot owned by a party in ``side`` traded; ``side`` must be a
+    nonempty proper subset of the parties."""
     side_set, labels = frozenset(side), frozenset(slots.party_of_slot)
     if not side_set or side_set == labels:
         raise ValueError(
@@ -186,16 +186,22 @@ def _flipped(items: list, slots: SlotStructure, side: Iterable[str]) -> list:
     if not side_set <= labels:
         raise ValueError(f"side contains unknown parties {sorted(side_set - labels)}")
     r = len(slots.slot_dims)
-    for k in (k for k, party in enumerate(slots.party_of_slot) if party in side_set):
-        items[k], items[r + k] = items[r + k], items[k]
-    return items
+    return [(k + r) % (2 * r) if slots.party_of_slot[k % r] in side_set else k
+            for k in range(2 * r)]
+
+
+def _moved_keys(keys: np.ndarray, slots: SlotStructure, axes: list[int]) -> np.ndarray:
+    """The flat keys ``row * dim + col`` of entries after the transpose by ``axes`` of the
+    matrix's axes (as :func:`_flipped` lists them), which trades only axes of one size."""
+    shape = slots.slot_dims * 2
+    digits = np.unravel_index(keys, shape)
+    return np.ravel_multi_index([digits[k] for k in axes], shape)
 
 
 def _transpose_keys(keys: np.ndarray, slots: SlotStructure, side: Iterable[str]) -> np.ndarray:
-    """The flat keys ``row * dim + col`` of entries after :func:`partial_transpose` on
-    ``side``: the row and column digits of each flipped slot trade places."""
-    shape = slots.slot_dims * 2
-    return np.ravel_multi_index(_flipped(list(np.unravel_index(keys, shape)), slots, side), shape)
+    """The flat keys of entries after :func:`partial_transpose` on ``side``: the row and
+    column digits of each flipped slot trade places."""
+    return _moved_keys(keys, slots, _flipped(slots, side))
 
 
 def partial_transpose(op: MultiPartyOperator, side: Iterable[str]) -> MultiPartyOperator:
@@ -203,7 +209,7 @@ def partial_transpose(op: MultiPartyOperator, side: Iterable[str]) -> MultiParty
     nonempty proper subset of the parties of ``op``; the slot structure is kept.
     One reshape of the dense matrix to one axis per row and column slot, and one
     transpose of them: each entry moves where :func:`_transpose_keys` moves its key."""
-    axes = _flipped(list(range(2 * len(op.slots.slot_dims))), op.slots, side)
+    axes = _flipped(op.slots, side)
     moved = np.ascontiguousarray(op.matrix.reshape(op.slots.slot_dims * 2).transpose(axes))
     return MultiPartyOperator._frozen(moved.reshape(op.dim, op.dim), op.slots)
 
@@ -423,14 +429,11 @@ def _swap_invariant(parts: list[tuple[np.ndarray, np.ndarray]], slots: SlotStruc
     dims, own, other = slots.slot_dims, slots.slots_of(a), slots.slots_of(b)
     if [dims[k] for k in own] != [dims[k] for k in other]:
         return False
-    shape = dims * 2
-    strides = np.cumprod((1, *shape[:0:-1]))[::-1].tolist()  # place value of each digit
-    digits = [(j + r, k + r) for j, k in zip(own, other) for r in (0, len(dims))]
+    swap = dict(zip(own + other, other + own))
+    axes = [swap.get(k, k) for k in range(len(dims))]
+    axes += [k + len(dims) for k in axes]
     for keys, values in parts:
-        moved = keys.copy()
-        for i, j in digits:
-            moved += (keys // strides[j] % shape[j] - keys // strides[i] % shape[i]) * (
-                strides[i] - strides[j])
+        moved = _moved_keys(keys, slots, axes)
         order = np.argsort(moved, kind="stable")
         if not (np.array_equal(moved[order], keys) and values[order].tobytes() == values.tobytes()):
             return False

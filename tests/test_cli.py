@@ -10,7 +10,8 @@ import pytest
 from click.testing import CliRunner
 
 import nlhide
-from nlhide import Ensemble, cli, hiding, load_ensemble, save_ensemble
+from nlhide import (Ensemble, MultiPartyOperator, PartySet, SlotStructure, cli, discrimination,
+                    ensembles, hiding, load_ensemble, save_ensemble)
 from nlhide.cli import main
 from nlhide.discrimination import DEFAULT_MAX_ITERATIONS, DEFAULT_SOLVER_TOL
 
@@ -521,6 +522,36 @@ def test_errors_exit_with_their_code(runner, tmp_path, ghz22_file, zero_prior_fi
     assert_fails(result, code)
     if "{negative}" in args:
         assert "probability-nonnegative" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, guard",
+    [
+        (["check"], "bipartitions of 40 parties (guard is 16)"),
+        (["bounds", "--lmax", "3"], "bipartitions of 40 parties (guard is 16)"),
+        (["simulate", "--L", "2", "--x", "1", "--trials", "5"],
+         "bipartitions of 40 parties (guard is 16)"),
+        (["coalition", "--L", "2"], "partitions of 40 parties (guard is 10)"),
+    ],
+    ids=["check", "bounds", "simulate", "coalition"],
+)
+def test_forty_parties_exit_two_before_any_cut(runner, tmp_path, monkeypatch, args, guard):
+    # Two qubits and 38 parties whose one slot has dimension 1: a file of under 1 kB
+    # whose 2^39 - 1 cuts the guard refuses before the classes are formed.
+    labels = tuple(f"A{k}" for k in range(1, 41))
+    slots = SlotStructure((2, 2) + (1,) * 38, labels)
+    states = tuple(MultiPartyOperator(np.diag(d).astype(complex), slots)
+                   for d in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]))
+    path = tmp_path / "forty.json"
+    save_ensemble(Ensemble(PartySet(labels), (0.5, 0.5), states), str(path))
+    assert path.stat().st_size < 1000
+    formed = []
+    monkeypatch.setattr(discrimination, "_cut_blocks", lambda *a: formed.append(a))
+    monkeypatch.setattr(ensembles, "_swap_classes", lambda *a: formed.append(a))
+    result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert_fails(result, 2)
+    assert result.output.splitlines() == [f"error: refusing to enumerate {guard}"]
+    assert formed == []
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from nlhide import (
     all_partitions,
     coarser_bipartitions,
 )
+from nlhide.partitions import MAX_BIPARTITION_PARTIES, _orbits
 
 from oracles import bell_number, brute_force_bipartition_sides, brute_force_partitions, is_coarser
 
@@ -88,6 +91,11 @@ class TestAllBipartitions:
     def test_default_labels_give_distinct_cut_names(self):
         names = {bp.to_string() for bp in all_bipartitions(PartySet.of_size(11))}
         assert len(names) == 2**10 - 1 == 1023
+
+    def test_size_guard(self):
+        assert len(all_bipartitions(PartySet.of_size(MAX_BIPARTITION_PARTIES))) == 2**15 - 1
+        with pytest.raises(ValueError, match=r"bipartitions of 17 parties \(guard is 16\)"):
+            all_bipartitions(PartySet.of_size(17))
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_matches_two_coloring_oracle(self, m):
@@ -206,3 +214,90 @@ class TestCoarserBipartitions:
         assert len(out) == 2 ** (len(x.blocks) - 1) - 1
         for bp in out:
             assert is_coarser(bp, x)
+
+
+def _shuffled(blocks):
+    """The blocks in reverse order, each with its parties reversed: not canonical."""
+    return [block[::-1] for block in blocks[::-1]]
+
+
+class TestEnumeratorsAreCanonical:
+    """The enumerators build their partitions canonical with no check; each equals the
+    public constructor's rebuild from shuffled blocks, in type, blocks and name."""
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_all_partitions(self, m):
+        for x in all_partitions(parties(m)):
+            rebuilt = Partition(parties(m), _shuffled(x.blocks))
+            assert type(x) is Partition and x == rebuilt
+            assert x.blocks == rebuilt.blocks and x.to_string() == rebuilt.to_string()
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_all_bipartitions(self, m):
+        for bp in all_bipartitions(parties(m)):
+            rebuilt = Bipartition.from_side(parties(m), bp.side_b[::-1])
+            assert type(bp) is Bipartition and bp == rebuilt
+            assert bp.blocks == rebuilt.blocks and bp.to_string() == rebuilt.to_string()
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_coarser_bipartitions(self, m):
+        for x in all_partitions(parties(m)):
+            if x.is_trivial:
+                continue
+            for bp in coarser_bipartitions(x):
+                rebuilt = Bipartition.from_side(parties(m), bp.side_b[::-1])
+                assert type(bp) is Bipartition and bp == rebuilt
+                assert bp.blocks == rebuilt.blocks and bp.to_string() == rebuilt.to_string()
+
+
+def _class_layouts(m):
+    """All parties alike; two classes, the first two parties and the rest; the parties in
+    alternating classes; and every party a class of its own."""
+    return {
+        "symmetric": [0] * m,
+        "leading-pair": [0, 0] + [1] * (m - 2),
+        "alternating": [k % 2 for k in range(m)],
+        "asymmetric": list(range(m)),
+    }
+
+
+def _orbit_forms(x, labels, classes):
+    """The set forms of every image of ``x`` under the permutations of ``labels`` that
+    keep each party in its class, by applying each one."""
+    forms = set()
+    for image in itertools.permutations(labels):
+        if all(classes[a] == classes[b] for a, b in zip(labels, image)):
+            perm = dict(zip(labels, image))
+            forms.add(frozenset(frozenset(perm[p] for p in block) for block in x.blocks))
+    return forms
+
+
+def _form(x):
+    return frozenset(frozenset(block) for block in x.blocks)
+
+
+class TestOrbits:
+    """``_orbits`` maps two partitions to one first partition exactly when a
+    class-preserving permutation of the parties maps one onto the other, checked against
+    every such permutation; and that first partition is the orbit's first in order."""
+
+    @pytest.mark.parametrize("layout", ["symmetric", "leading-pair", "alternating", "asymmetric"])
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_each_name_maps_to_the_first_of_its_orbit(self, m, layout):
+        labels = parties(m).labels
+        classes = dict(zip(labels, _class_layouts(m)[layout]))
+        for everything in (all_partitions(parties(m)), all_bipartitions(parties(m))):
+            orbits = _orbits(everything, classes)
+            assert list(orbits) == [x.to_string() for x in everything]
+            for x in everything:
+                orbit, first = _orbit_forms(x, labels, classes), orbits[x.to_string()]
+                assert {_form(y) for y in everything if orbits[y.to_string()] is first} == orbit
+                assert first is next(y for y in everything if _form(y) in orbit)
+
+    def test_shared_names_raise(self):
+        # Labels a, b, c, bc name the cuts a,b,c | bc and a,bc | b,c both abc|bc.
+        labels = ("a", "b", "c", "bc")
+        cuts = all_bipartitions(PartySet(labels))
+        with pytest.raises(ValueError, match=r"^the cuts a,b,c \| bc and a,bc \| b,c share the "
+                                             r"name 'abc\|bc': relabel the parties$"):
+            _orbits(cuts, {label: 0 for label in labels})
