@@ -271,7 +271,7 @@ def simulate(
         header = "x,L,dim,recovery_ok," + ",".join(
             f"class_prob_{j}" for j in range(ensemble.n))
         row = ",".join(
-            [str(encoding.x), str(encoding.L), str(encoding.state.dim),
+            [str(encoding.x), str(encoding.L), str(encoding.dim),
              str(int(encoding.recovery_ok))]
             + [_fmt(p) for p in encoding.class_probs]
         )

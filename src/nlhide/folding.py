@@ -117,24 +117,14 @@ def _check_cap(spec: FoldSpec, cap: int) -> None:
                                 f"dimension cap {cap}")
 
 
-def _coarse_states(spec: FoldSpec, cap: int, classes: Sequence[int]
-                   ) -> tuple[tuple[float, ...], SlotStructure, list[np.ndarray]]:
-    """All class probabilities, the folded slot structure, and the normalized state
-    matrices of ``classes``.  Raises :class:`DimensionCapError`, then
-    :class:`DegenerateClassError` if any class has probability zero, before any
-    Kronecker product."""
-    _check_cap(spec, cap)
-    base = spec.base
-    class_probs = tuple(float(p) for p in fold_probs(base.probs, spec.n, spec.L))
+def _class_priors(spec: FoldSpec) -> tuple[float, ...]:
+    """The :func:`fold_probs` of ``spec``; :class:`DegenerateClassError` if one is zero."""
+    class_probs = tuple(float(p) for p in fold_probs(spec.base.probs, spec.n, spec.L))
     for i, prob in enumerate(class_probs):
         if prob <= 1e-15:
             raise DegenerateClassError(f"coarse class {i} has probability {prob:.3e}; "
                                        "cannot normalize")
-    sums = _convolve([p * m for p, m in zip(base.probs, base.stack)], spec.L, _kron_sum, classes)
-    for i, matrix in zip(classes, sums):
-        matrix /= class_probs[i]  # in place: each sum is a new array
-    slots = SlotStructure(base.slots.slot_dims * spec.L, base.slots.party_of_slot * spec.L)
-    return class_probs, slots, sums
+    return class_probs
 
 
 def coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:
@@ -143,13 +133,19 @@ def coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:
     Class ``i`` is :func:`_convolve` of the weighted states ``p_k rho_k`` under
     the Kronecker product, normalized by its :func:`fold_probs` entry.  The slot
     structure repeats the base slots ``L`` times with party labels kept, so
-    partial transposition over party bipartitions needs no index surgery.
+    partial transposition over party bipartitions needs no index surgery.  Any
+    :class:`DimensionCapError` or :class:`DegenerateClassError` comes first.
     """
-    class_probs, slots, sums = _coarse_states(spec, cap, range(spec.n))
+    _check_cap(spec, cap)
+    base = spec.base
+    class_probs = _class_priors(spec)
+    sums = _convolve([p * m for p, m in zip(base.probs, base.stack)], spec.L, _kron_sum,
+                     range(spec.n))
+    slots = SlotStructure(base.slots.slot_dims * spec.L, base.slots.party_of_slot * spec.L)
     stack = np.empty((spec.n, slots.dim, slots.dim), dtype=np.complex128)
-    for row in stack:
-        row[...] = sums.pop(0)  # each sum is released once its row holds it
-    return Ensemble._of_stack(spec.base.parties, class_probs, stack, slots)
+    for row, prob in zip(stack, class_probs):
+        np.divide(sums.pop(0), prob, out=row)  # each sum is released once its row holds it
+    return Ensemble._of_stack(base.parties, class_probs, stack, slots)
 
 
 def uniform_coarse_ensemble(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> Ensemble:

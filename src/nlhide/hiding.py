@@ -11,12 +11,12 @@ per-coalition guessing bounds.
 
 Simulation never materializes ``dim**L`` matrices: the recovery measurement on
 an orthogonal ensemble returns the preparation class deterministically, so
-sampling the base priors suffices.  Direct encoding and the explicit-matrix
-cross-check (small ``L``) build that measurement without an eigensolve at
-``dim**L``: the cyclic convolution of the base support projectors (the one
-convolution of :mod:`nlhide.folding`, which forms only the classes a caller
-reads) is the projector onto each coarse class's support when the base states
-are orthogonal.  Direct encoding forms the coarse state of class ``x`` alone.
+sampling the base priors suffices.  The explicit-matrix cross-check (small
+``L``) builds that measurement without an eigensolve at ``dim**L``: the cyclic
+convolution of the base support projectors (the one convolution of
+:mod:`nlhide.folding`, which forms only the classes a caller reads) is the
+projector onto each coarse class's support when the base states are
+orthogonal.  Direct encoding folds base traces instead, and forms no matrix.
 """
 
 from __future__ import annotations
@@ -35,15 +35,11 @@ from .discrimination import (
 )
 from .ensembles import ORTHOGONALITY_TOL, Ensemble, max_pairwise_overlap
 from .folding import (
-    FoldSpec, _check_cap, _check_fold_count, _coarse_states, _convolve, _kron_sum, fold_bound,
+    FoldSpec, _check_cap, _check_fold_count, _class_priors, _convolve, _kron_sum, fold_bound,
     fold_probs, mod_sum,
 )
 from .partitions import _orbits, all_partitions, coarser_bipartitions
-from .tensor import (
-    DEFAULT_DIM_CAP,
-    MultiPartyOperator,
-    hermitian_eigensystem,
-)
+from .tensor import DEFAULT_DIM_CAP, hermitian_eigensystem
 
 SUPPORT_CUTOFF = 1e-10  # relative eigenvalue cutoff of a base state's support
 RECOVERY_TOL = 1e-8  # deviation of a class probability from 0 or 1
@@ -355,15 +351,15 @@ def transcripts_to_jsonl(run: ProtocolRun, start: int = 0, stop: int | None = No
     return table[table != 0].tobytes().decode("ascii")
 
 
-def _class_projectors(spec: FoldSpec, cap: int) -> list[np.ndarray]:
-    """The elements of :func:`class_measurement` for classes ``1..n-1``."""
-    _check_cap(spec, cap)
+def _supports(base: Ensemble) -> list[np.ndarray]:
+    """Per member, the projector ``Q_k`` onto its state's support: the eigenvectors whose
+    eigenvalue exceeds ``SUPPORT_CUTOFF`` times the largest (or 1), none for a zero prior."""
     supports = []
-    for prob, state in zip(spec.base.probs, spec.base.states):
+    for prob, state in zip(base.probs, base.states):
         vals, vecs = hermitian_eigensystem(state)
         basis = vecs[:, (vals > SUPPORT_CUTOFF * max(float(vals[-1]), 1.0)) & (prob > 0)]
         supports.append(basis @ basis.conj().T)
-    return _convolve(supports, spec.L, _kron_sum, range(1, spec.n))
+    return supports
 
 
 def class_measurement(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> list[np.ndarray]:
@@ -375,7 +371,8 @@ def class_measurement(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> list[np.nda
     otherwise the elements need not form a POVM.  Class 0 is formed as
     ``I - (P_1 + ... + P_{n-1})``, so it also takes any subspace no class uses.
     """
-    projectors = _class_projectors(spec, cap)
+    _check_cap(spec, cap)
+    projectors = _convolve(_supports(spec.base), spec.L, _kron_sum, range(1, spec.n))
     rest = np.eye(spec.explicit_dim, dtype=np.complex128)
     rest -= sum(projectors[1:], projectors[0])
     return [rest] + projectors
@@ -383,49 +380,53 @@ def class_measurement(spec: FoldSpec, cap: int = DEFAULT_DIM_CAP) -> list[np.nda
 
 @dataclass(frozen=True, eq=False)
 class DirectEncoding:
-    """Descriptor of a directly encoded datum plus the recovery check."""
+    """Descriptor of a directly encoded datum plus the recovery check; ``dim`` = dim**L."""
 
     x: int
     L: int
-    state: MultiPartyOperator
+    dim: int
     class_probs: tuple[float, ...]
     recovery_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "L": self.L,
-            "dim": self.state.dim,
-            "class_probs": list(self.class_probs),
-            "recovery_ok": self.recovery_ok,
-        }
+        return {**asdict(self), "class_probs": list(self.class_probs)}
+
+
+def _measured_dot(lefts: list[np.ndarray], rights: list[np.ndarray]) -> np.ndarray:
+    """``sum_j lefts[j] * rights[j]`` for rows of base traces, one per measured class and
+    then the state's: a product of rows is their cyclic convolution over the measured
+    class (the classes add modulo n) and the product of their last entries."""
+    a, b = np.array(lefts), np.array(rights)
+    n = len(a)
+    shift = (np.arange(n) - np.arange(n)[:, None]) % n  # shift[k, j] = (j - k) mod n
+    return np.append(np.einsum("ik,ikj->j", a[:, :n], b[:, shift]), a[:, n] @ b[:, n])
 
 
 def direct_encode(cfg: SchemeConfig, x: int, cap: int = DEFAULT_DIM_CAP) -> DirectEncoding:
-    """Pick the coarse class state for ``x`` and verify exact recovery.
+    """Encode ``x`` as its coarse class state ``coarse_ensemble(spec).states[x]`` and
+    verify that :func:`class_measurement` returns ``x`` with probability one.
 
-    Builds the explicit state of class ``x`` alone (dimension-capped) and the
-    class measurement, and checks that it identifies ``x`` with probability
-    one; a non-orthogonal ensemble never passes: its measurement is no POVM.
-    Class 0's element ``I - (P_1 + ... + P_{n-1})`` is not formed: its
-    probability is ``Tr(rho) - sum_{i>=1} Tr(rho P_i)``.
+    A trace of Kronecker products is the product of the copies' traces, so each outcome's
+    probability is :func:`_convolve` of the base traces ``Re Tr(p_c rho_c Q_d)`` over the
+    prepared and the measured class, over the prior of ``x``; class 0 takes ``Tr(rho)``
+    minus the rest.  No ``dim**L`` matrix is formed, yet ``L`` is capped as for the
+    state.  A non-orthogonal ensemble never passes: its measurement is no POVM.
     """
     n = cfg.ensemble.n
     if not 0 <= x < n:
         raise ValueError(f"datum x={x} out of range 0..{n - 1}")
     spec = FoldSpec(cfg.ensemble, cfg.L)
-    _, slots, (matrix,) = _coarse_states(spec, cap, (x,))
-    state = MultiPartyOperator._frozen(matrix, slots)
-    # For a Hermitian P, Re Tr(rho P) = sum_kl Re(rho_kl) Re(P_kl) + Im(rho_kl) Im(P_kl):
-    # one einsum per row of the two arrays' float views, then a pairwise sum of the rows.
-    # No dim**2 temporary, and no BLAS call, whose thread pool would slow what runs next.
-    rows = matrix.view(np.float64)
-    rest = [float(np.einsum("ij,ij->i", proj.view(np.float64), rows).sum())
-            for proj in _class_projectors(spec, cap)]
-    probs = (state.trace().real - math.fsum(rest), *rest)
+    _check_cap(spec, cap)
+    prior = _class_priors(spec)[x]
+    supports = _supports(spec.base)
+    table = [p * np.array([*(np.vdot(q, m).real for q in supports), m.trace().real])
+             for p, m in zip(spec.base.probs, spec.base.stack)]
+    (row,) = _convolve(table, spec.L, _measured_dot, (x,))
+    rest = [float(t) / prior for t in row[1:n]]
+    probs = (float(row[n]) / prior - math.fsum(rest), *rest)
     ok = cfg.report.orthogonal and all(
         abs(p - float(j == x)) <= RECOVERY_TOL for j, p in enumerate(probs))
-    return DirectEncoding(x=x, L=cfg.L, state=state, class_probs=probs, recovery_ok=ok)
+    return DirectEncoding(x=x, L=cfg.L, dim=spec.explicit_dim, class_probs=probs, recovery_ok=ok)
 
 
 class CoalitionRow(NamedTuple):

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import nlhide
 from nlhide import (Ensemble, MultiPartyOperator, PartySet, SlotStructure, cli, discrimination,
-                    ensembles, hiding, load_ensemble, save_ensemble)
+                    ensembles, folding, hiding, load_ensemble, save_ensemble)
 from nlhide.cli import main
 from nlhide.discrimination import DEFAULT_MAX_ITERATIONS, DEFAULT_SOLVER_TOL
 
@@ -390,6 +390,27 @@ class TestSimulateCommand:
         assert descriptor["dim"] == 16
         assert descriptor["recovery_ok"] is True
         assert "recovery_ok" in result.output.splitlines()[0]
+
+    def test_direct_mode_at_ten_folds_forms_no_dense_matrix(self, runner, ghz22_file, tmp_path,
+                                                           monkeypatch):
+        # dim 4**10 = 1048576: one such matrix would take 16 TiB.  The probabilities are
+        # folded from base traces, so no Kronecker product is formed at any size.
+        monkeypatch.setattr(folding, "_kron_sum", lambda *args: pytest.fail("_kron_sum"))
+        monkeypatch.setattr(hiding, "_kron_sum", lambda *args: pytest.fail("_kron_sum"))
+        monkeypatch.setattr(np, "kron", lambda *args: pytest.fail("np.kron"))
+        out = tmp_path / "enc.json"
+        result = runner.invoke(
+            main,
+            ["--cap", "1048576", "simulate", str(ghz22_file), "--mode", "direct", "--L", "10",
+             "--x", "1", "--transcripts", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        header, row = result.output.splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["dim"] == "1048576" and fields["recovery_ok"] == "1"
+        descriptor = json.loads(out.read_text())
+        assert descriptor["dim"] == 1048576 and descriptor["recovery_ok"] is True
+        assert descriptor["class_probs"][1] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("folds", ["1", "2"])
     def test_direct_mode_non_orthogonal_never_recovers(self, runner, tmp_path, folds):

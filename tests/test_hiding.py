@@ -538,10 +538,17 @@ class TestTranscriptTable:
 
 
 def _oracle_encoding(cfg, x):
-    """``direct_encode``'s class probabilities and verdict from the eigen oracle."""
-    coarse = coarse_ensemble(FoldSpec(cfg.ensemble, cfg.L))
+    """``direct_encode``'s class probabilities and verdict from the explicit coarse state
+    of class ``x`` and an explicit measurement: the eigen oracle's support projectors of
+    the coarse states on an orthogonal ensemble, where they are the class measurement,
+    and the ``dim**L`` Kronecker convolution ``class_measurement`` otherwise, where no
+    support projector is."""
+    spec = FoldSpec(cfg.ensemble, cfg.L)
+    coarse = coarse_ensemble(spec)
     state = coarse.states[x].matrix
-    probs = [float(np.trace(state @ proj).real) for proj in class_measurement_by_eigh(coarse)]
+    measurement = (class_measurement_by_eigh(coarse) if cfg.report.orthogonal
+                   else class_measurement(spec))
+    probs = [float(np.trace(state @ proj).real) for proj in measurement]
     ok = cfg.report.orthogonal and all(
         abs(p - (1.0 if j == x else 0.0)) <= 1e-8 for j, p in enumerate(probs)
     )
@@ -557,8 +564,7 @@ def _assert_matches_oracle(cfg):
         assert float(np.max(np.abs(a - b))) <= 1e-12
     for x in range(cfg.ensemble.n):
         enc = direct_encode(cfg, x)
-        # Class x alone, formed by the same convolution: the same bits.
-        np.testing.assert_array_equal(enc.state.matrix, coarse.states[x].matrix)
+        assert enc.dim == coarse.dim
         probs, ok = _oracle_encoding(cfg, x)
         np.testing.assert_allclose(enc.class_probs, probs, rtol=0, atol=1e-12)
         assert enc.recovery_ok == ok
@@ -577,6 +583,21 @@ def random_orthogonal_ensemble(rng, n, slot_dims, eig_floor=1e-3, prior_floor=0.
         eigs = eig_floor + (1.0 - rank * eig_floor) * rng.dirichlet(np.ones(rank))
         basis = unitary[:, start:stop]
         states.append(MultiPartyOperator((basis * eigs) @ basis.conj().T, slots))
+    probs = prior_floor + (1.0 - n * prior_floor) * rng.dirichlet(np.ones(n))
+    return Ensemble(PartySet.of_size(len(slot_dims)), tuple(probs), tuple(states))
+
+
+def random_overlapping_ensemble(rng, n, slot_dims, prior_floor=0.02):
+    """``n`` random states of random rank on ``slot_dims``, one party per slot: their
+    supports overlap, so they are not orthogonal."""
+    dim = math.prod(slot_dims)
+    slots = SlotStructure(slot_dims, tuple(f"A{k}" for k in range(1, len(slot_dims) + 1)))
+    states = []
+    for _ in range(n):
+        shape = (dim, rng.integers(1, dim + 1))
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rho = g @ g.conj().T
+        states.append(MultiPartyOperator(rho / np.trace(rho).real, slots))
     probs = prior_floor + (1.0 - n * prior_floor) * rng.dirichlet(np.ones(n))
     return Ensemble(PartySet.of_size(len(slot_dims)), tuple(probs), tuple(states))
 
@@ -649,15 +670,56 @@ class TestDirectEncode:
     def test_sixteen_dim_descriptor(self, ghz22):
         cfg = SchemeConfig.create(ghz22, 2, seed=0)
         enc = direct_encode(cfg, 1)
-        assert enc.state.dim == 16
+        assert enc.dim == 16
         assert enc.recovery_ok
         assert enc.class_probs[1] == pytest.approx(1.0, abs=1e-10)
         assert enc.to_dict()["dim"] == 16
 
-    def test_single_fold_returns_base_state(self, ghz22):
-        cfg = SchemeConfig.create(ghz22, 1, seed=0)
-        enc = direct_encode(cfg, 0)
-        assert float(np.max(np.abs(enc.state.matrix - ghz22.states[0].matrix))) <= 1e-14
+    @pytest.mark.parametrize("family", ["ghz22", "parity2212"])
+    def test_single_fold_is_the_base_traces(self, request, family):
+        # At L = 1 the class state is the base state and P_j (j >= 1) the base support
+        # Q_j: the probabilities are traces at the base dimension, P_0 = I - sum Q_j.
+        e = request.getfixturevalue(family)
+        cfg = SchemeConfig.create(e, 1, seed=0, force=True)
+        supports = class_measurement_by_eigh(e)
+        for x, state in enumerate(e.states):
+            enc = direct_encode(cfg, x)
+            want = [float(np.trace(state.matrix @ q).real) for q in supports]
+            assert enc.dim == e.dim
+            np.testing.assert_allclose(enc.class_probs, want, rtol=0, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), orthogonal=st.booleans(),
+           data=st.data())
+    def test_matches_explicit_oracle_on_random_ensembles(self, seed, n, orthogonal, data):
+        rng = np.random.default_rng(seed)
+        dim_a = data.draw(st.integers(1, 4), label="dim_a")
+        if orthogonal:
+            dim_b = data.draw(st.integers(max(1, -(-n // dim_a)), 16 // dim_a), label="dim_b")
+            e = random_orthogonal_ensemble(rng, n, (dim_a, dim_b))
+            # As for the class measurement above: the eigen oracle resolves each coarse
+            # support only while the coarse spectra stay above 1e-3.
+            L = 1
+            while (e.dim ** (L + 1) <= 256
+                   and smallest_coarse_eigenvalue(FoldSpec(e, L + 1)) >= 1e-3):
+                L += 1
+        else:
+            dim_b = data.draw(st.integers(1, 16 // dim_a), label="dim_b")
+            e = random_overlapping_ensemble(rng, n, (dim_a, dim_b))
+            L = max(l for l in range(1, 7) if e.dim**l <= 256)
+        L = data.draw(st.integers(1, L), label="L")
+        report = check_hiding(e, max_iterations=25)
+        assert report.orthogonal == orthogonal
+        cfg = SchemeConfig(ensemble=e, L=L, seed=0, report=report, force=True)
+        for x in range(n):
+            enc = direct_encode(cfg, x)
+            probs, ok = _oracle_encoding(cfg, x)
+            assert enc.dim == e.dim**L
+            # Off an orthogonal ensemble the elements are no POVM, and a "probability"
+            # reaches n**(L-1): the tolerance is 1e-12 of the largest.
+            scale = max(1.0, *map(abs, probs))
+            np.testing.assert_allclose(enc.class_probs, probs, rtol=0, atol=1e-12 * scale)
+            assert enc.recovery_ok == ok == orthogonal
 
     def test_x_out_of_range(self, ghz22):
         cfg = SchemeConfig.create(ghz22, 1, seed=0)
@@ -670,8 +732,10 @@ class TestDirectEncode:
         assert not cfg.report.orthogonal
         assert direct_encode(cfg, 1).recovery_ok is False
 
-    @pytest.mark.parametrize("family, folds, krons", [("ghz22", 5, 28), ("parity2212", 2, 16)])
-    def test_kron_count(self, request, monkeypatch, family, folds, krons):
+    @pytest.mark.parametrize("family, folds", [("ghz22", 5), ("parity2212", 2)])
+    def test_kron_count(self, request, monkeypatch, family, folds):
+        # The state and the measurement are folded as base traces, not as matrices:
+        # no Kronecker product (forming both explicitly took 28 and 16).
         cfg = SchemeConfig.create(request.getfixturevalue(family), folds, force=True)
         calls = []
         kron_sum = folding._kron_sum
@@ -682,11 +746,9 @@ class TestDirectEncode:
 
         monkeypatch.setattr(folding, "_kron_sum", counting_kron_sum)
         monkeypatch.setattr(hiding, "_kron_sum", counting_kron_sum)
-        direct_encode(cfg, 1)
-        # The last fold forms class x for the state (n products) and classes 1..n-1
-        # for the measurement (n * (n-1)); every earlier fold takes n**2 for each.
-        # Building all n classes of both would take 2 * n**2 * (L-1) = 32.
-        assert len(calls) == krons
+        monkeypatch.setattr(np, "kron", lambda *args: calls.append(args))
+        assert direct_encode(cfg, 1).recovery_ok
+        assert calls == []
 
     def test_eigensolves_stay_at_base_dimension(self, ghz22, monkeypatch):
         cfg = SchemeConfig.create(ghz22, 4)
@@ -700,14 +762,12 @@ class TestDirectEncode:
 
             monkeypatch.setattr(np.linalg, name, recording)
         enc = direct_encode(cfg, 1)
-        assert enc.state.dim == 256 and enc.recovery_ok
+        assert enc.dim == 256 and enc.recovery_ok
         assert dims and set(dims) == {4}
 
-    def test_peak_memory_is_two_explicit_matrices(self, ghz22):
-        # The class state and the last fold's sum for the class-1 element, plus one
-        # row chunk of a Kronecker product and the previous fold's small sums: no
-        # product is formed whole, the state is not copied and class 0's element
-        # I - P_1 is not formed.  At L = 5 a matrix is 1024 x 1024, 16 MiB.
+    def test_peak_memory_is_base_dimension(self, ghz22):
+        # Base eigensystems and an n x (n+1) table of traces: no dim**L matrix.  At
+        # L = 5 one such matrix is 1024 x 1024, 16 MiB; the peak is a few KiB.
         cfg = SchemeConfig.create(ghz22, 5)
         tracemalloc.start()
         try:
@@ -715,8 +775,8 @@ class TestDirectEncode:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert enc.state.dim == 1024 and enc.recovery_ok
-        assert peak <= 2.5 * enc.state.matrix.nbytes
+        assert enc.dim == 1024 and enc.recovery_ok
+        assert peak <= 64 * 1024
 
 
 class TestCoalitionReport:
